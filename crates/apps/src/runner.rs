@@ -28,6 +28,13 @@ fn host_launches_counter() -> &'static dpcons_obs::Counter {
     C.get_or_init(|| dpcons_obs::counter("app.host_launches"))
 }
 
+/// `app.reset_words` counter: words written by `prepare_launch` /
+/// `reset_launch` to ready the consolidation state for a host launch.
+fn reset_words_counter() -> &'static dpcons_obs::Counter {
+    static C: OnceLock<&'static dpcons_obs::Counter> = OnceLock::new();
+    C.get_or_init(|| dpcons_obs::counter("app.reset_words"))
+}
+
 /// Which implementation of a benchmark to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -343,21 +350,27 @@ impl VariantSession {
                 LaunchSpec::new(id, config.0, config.1, args.to_vec())
             }
             Some(cons) => {
-                if self.prep.is_none() {
-                    self.prep = Some(prepare_launch(
-                        &mut self.engine,
-                        &cons.info,
-                        &self.ids,
-                        args,
-                        config,
-                        self.cfg.pool_words,
-                    )?);
-                }
-                let mut prep = self.prep.take().expect("just set");
-                reset_launch(&mut self.engine, &mut prep)?;
-                let spec = prep.spec.clone();
-                self.prep = Some(prep);
-                spec
+                let prep = match &mut self.prep {
+                    Some(prep) => {
+                        let _span = dpcons_obs::span("app.reset");
+                        reset_launch(&mut self.engine, prep)?;
+                        prep
+                    }
+                    // A freshly prepared launch is already reset.
+                    none => {
+                        let _span = dpcons_obs::span("app.prepare");
+                        none.insert(prepare_launch(
+                            &mut self.engine,
+                            &cons.info,
+                            &self.ids,
+                            args,
+                            config,
+                            self.cfg.pool_words,
+                        )?)
+                    }
+                };
+                reset_words_counter().add(prep.reset_words());
+                prep.spec.clone()
             }
         };
         self.run_spec(spec)

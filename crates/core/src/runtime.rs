@@ -29,13 +29,23 @@ pub struct PreparedLaunch {
     counter_init: i64,
     /// Seed items re-written by [`reset_launch`].
     seed_items: Vec<i64>,
-    grid_level: bool,
+    /// Count-header offsets inside the pool ([`GridExtras::header_offsets`],
+    /// minus those past the pool's end) cleared by [`reset_launch`].
+    ///
+    /// [`GridExtras::header_offsets`]: crate::transform::GridExtras::header_offsets
+    pool_headers: Vec<usize>,
+    reset_words: u64,
 }
 
-/// Number of barrier-counter slots allocated (device nesting limit + root).
-const COUNTER_SLOTS: usize = 26;
+impl PreparedLaunch {
+    /// Words the latest [`reset_launch`] wrote.
+    pub fn reset_words(&self) -> u64 {
+        self.reset_words
+    }
+}
 
-/// Prepare a host launch of the consolidated entry kernel.
+/// Prepare a host launch of the consolidated entry kernel; the returned
+/// state is launch-ready.
 ///
 /// * `original_args` — the argument list of the *original* (basic-dp) host
 ///   launch of the annotated kernel.
@@ -50,105 +60,109 @@ pub fn prepare_launch(
     pool_words: u64,
 ) -> Result<PreparedLaunch, SimError> {
     let entry_id = *ids.get(&info.entry).ok_or(SimError::UnknownKernel { id: usize::MAX })?;
+    let fault = |message: String| SimError::KernelFault { kernel: info.entry.clone(), message };
+    let pick = |positions: &[usize]| -> Result<Vec<i64>, SimError> {
+        positions
+            .iter()
+            .map(|&p| {
+                original_args.get(p).copied().ok_or_else(|| {
+                    fault(format!(
+                        "host launch passes {} arguments, the consolidated entry needs argument {p}",
+                        original_args.len()
+                    ))
+                })
+            })
+            .collect()
+    };
 
-    if !info.recursive {
-        let mut args = original_args.to_vec();
-        let (mut pool, mut counter, mut counter_init, mut grid_level) = (None, None, 0, false);
-        if let Some(extras) = &info.grid_extras {
-            let p = engine.mem.alloc_array("__cons_pool", pool_words as usize);
-            let c = engine.mem.alloc_array(&extras.counter_param, COUNTER_SLOTS);
-            counter_init = original_config.0 as i64;
-            engine.mem.write(c, 0, counter_init)?;
-            args.push(p as i64);
-            args.push(c as i64);
-            pool = Some(p);
-            counter = Some(c);
-            grid_level = true;
+    // Recursion launches over one seeded work item (the original host
+    // arguments at the buffered positions) instead of the root configuration.
+    let (mut args, seed_items, (grid, block)) = if info.recursive {
+        let seed_items = pick(&info.buffered_positions)?;
+        (pick(&info.passthrough_positions)?, seed_items, entry_config(info, 1))
+    } else {
+        (original_args.to_vec(), Vec::new(), original_config)
+    };
+
+    let (mut pool, mut counter, mut seed_buf) = (None, None, None);
+    let mut pool_headers = Vec::new();
+    if info.granularity == Granularity::Grid {
+        let extras = info
+            .grid_extras
+            .as_ref()
+            .ok_or_else(|| fault("grid-level transform carries no pool layout".into()))?;
+        let p = engine.mem.alloc_array(&extras.pool_param, pool_words as usize);
+        let c = engine.mem.alloc_array(&extras.counter_param, extras.levels());
+        pool_headers = extras.header_offsets().filter(|&off| (off as u64) < pool_words).collect();
+        args.extend([p as i64, c as i64]);
+        if extras.level_param.is_some() {
+            args.push(0); // level
         }
-        return Ok(PreparedLaunch {
-            spec: LaunchSpec::new(entry_id, original_config.0, original_config.1, args),
-            pool,
-            counter,
-            seed_buf: None,
-            counter_init,
-            seed_items: Vec::new(),
-            grid_level,
-        });
+        pool = Some(p);
+        counter = Some(c);
+    } else if info.recursive {
+        let b = engine.mem.alloc_array("__cons_seed", (1 + seed_items.len()).max(2));
+        args.extend([b as i64, 0]); // buffer, offset
+        seed_buf = Some(b);
     }
 
-    // Recursion: seed the level-0 buffer with one work item taken from the
-    // original host arguments at the buffered positions.
-    let seed_items: Vec<i64> = info.buffered_positions.iter().map(|&p| original_args[p]).collect();
-    let mut args: Vec<i64> = info.passthrough_positions.iter().map(|&p| original_args[p]).collect();
-
-    let (grid, block) = entry_config(info, 1);
-
-    let mut prepared = match info.granularity {
-        Granularity::Grid => {
-            let extras = info.grid_extras.as_ref().expect("grid recursion has extras");
-            let p = engine.mem.alloc_array("__cons_pool", pool_words as usize);
-            let c = engine.mem.alloc_array(&extras.counter_param, COUNTER_SLOTS);
-            args.push(p as i64);
-            args.push(c as i64);
-            args.push(0); // level
-            PreparedLaunch {
-                spec: LaunchSpec::new(entry_id, grid, block, args),
-                pool: Some(p),
-                counter: Some(c),
-                seed_buf: None,
-                counter_init: grid as i64,
-                seed_items,
-                grid_level: true,
-            }
-        }
-        _ => {
-            let cap = 1 + seed_items.len();
-            let b = engine.mem.alloc_array("__cons_seed", cap.max(2));
-            args.push(b as i64);
-            args.push(0); // offset
-            PreparedLaunch {
-                spec: LaunchSpec::new(entry_id, grid, block, args),
-                pool: None,
-                counter: None,
-                seed_buf: Some(b),
-                counter_init: 0,
-                seed_items,
-                grid_level: false,
-            }
-        }
+    let mut prepared = PreparedLaunch {
+        spec: LaunchSpec::new(entry_id, grid, block, args),
+        pool,
+        counter,
+        seed_buf,
+        counter_init: grid as i64,
+        seed_items,
+        pool_headers,
+        reset_words: 0,
     };
     reset_launch(engine, &mut prepared)?;
     Ok(prepared)
 }
 
-/// Reset the consolidation state before (re-)launching: zero the pool counts,
-/// reinitialize the barrier counter, and re-seed recursion work items. Must
-/// be called between host launches that reuse a `PreparedLaunch`.
+/// Reset the consolidation state before (re-)launching: zero the pool's count
+/// headers, reinitialize the barrier counter, and re-seed recursion work
+/// items. Must be called between host launches that reuse a `PreparedLaunch`.
+///
+/// Only the headers are cleared, never the pool: items are read at slots
+/// below their buffer's count, and every such slot was written by the
+/// insertion that raised the count, so whatever an earlier launch left behind
+/// is unobservable (`crates/core/tests/transform_e2e.rs` poisons the pool to
+/// pin this).
 pub fn reset_launch(engine: &mut Engine, p: &mut PreparedLaunch) -> Result<(), SimError> {
+    let mut words = 0;
     if let Some(pool) = p.pool {
-        engine.mem.fill(pool, 0)?;
+        for &off in &p.pool_headers {
+            engine.mem.write(pool, off, 0)?;
+        }
+        words += p.pool_headers.len();
         if !p.seed_items.is_empty() {
-            // One seeded work item: count = 1, its nv values right after.
-            engine.mem.write(pool, 0, 1)?;
-            for (j, &x) in p.seed_items.iter().enumerate() {
-                engine.mem.write(pool, 1 + j, x)?;
-            }
+            words += seed(engine, pool, &p.seed_items)?;
         }
     }
     if let Some(c) = p.counter {
         engine.mem.fill(c, 0)?;
         engine.mem.write(c, 0, p.counter_init)?;
+        words += engine.mem.len(c)?;
     }
     if let Some(b) = p.seed_buf {
         engine.mem.fill(b, 0)?;
-        engine.mem.write(b, 0, 1)?;
-        for (j, &x) in p.seed_items.iter().enumerate() {
-            engine.mem.write(b, 1 + j, x)?;
-        }
+        seed(engine, b, &p.seed_items)?;
+        words += engine.mem.len(b)?;
     }
-    let _ = p.grid_level;
+    p.reset_words = words as u64;
     engine.heap.reset();
     Ok(())
+}
+
+/// One seeded work item at the start of `buf`: count = 1, its values after.
+/// Returns the words written.
+fn seed(engine: &mut Engine, buf: ArrayId, items: &[i64]) -> Result<usize, SimError> {
+    engine.mem.write(buf, 0, 1)?;
+    for (j, &x) in items.iter().enumerate() {
+        engine.mem.write(buf, 1 + j, x)?;
+    }
+    Ok(1 + items.len())
 }
 
 /// Host launch configuration for a consolidated recursive entry kernel
@@ -163,15 +177,5 @@ fn entry_config(info: &TransformInfo, items: u32) -> (u32, u32) {
         },
         (_, Some((b, t))) => (b, t),
         (_, None) => (items.max(1), 256),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_slots_cover_nesting_limit() {
-        assert!(COUNTER_SLOTS as u32 > dpcons_sim::GpuConfig::k20c().max_nesting_depth);
     }
 }

@@ -42,6 +42,29 @@ pub struct GridExtras {
     pub level_stride: i64,
 }
 
+impl GridExtras {
+    /// Buffers the generated code addresses in the pool, one barrier-counter
+    /// slot each: the single buffer of the irregular-loop template, or one
+    /// per recursion level plus the buffer the deepest level inserts into.
+    pub fn levels(&self) -> usize {
+        if self.level_param.is_some() {
+            GRID_LEVELS + 1
+        } else {
+            1
+        }
+    }
+
+    /// Pool word offsets of the per-buffer count headers. A buffer is its
+    /// count at `off` followed by items at `off + 1 + slot * nv + j` with
+    /// `slot < count`, so these are the only pool words consolidated code
+    /// reads before writing: the host clears them (and nothing else) between
+    /// launches.
+    pub fn header_offsets(&self) -> impl Iterator<Item = usize> {
+        let stride = self.level_stride as usize;
+        (0..self.levels()).map(move |level| level.saturating_mul(stride))
+    }
+}
+
 /// Everything the host runtime needs to launch the consolidated code.
 #[derive(Debug, Clone)]
 pub struct TransformInfo {
@@ -74,8 +97,10 @@ pub struct Consolidated {
 }
 
 const WARP: i64 = 32;
-/// Levels reserved in the grid-recursion pool (device nesting limit + root).
-const GRID_LEVELS: i64 = 25;
+/// Recursion levels that can execute (device nesting limit + root): the
+/// divisor of `totalSize` and, through [`GridExtras::levels`], the number of
+/// pool buffers and barrier counters the host runtime maintains.
+const GRID_LEVELS: usize = 25;
 
 /// Guard selecting the first lane of the block's *last* warp. After the
 /// consolidation barrier any single thread may perform the launch; using the
@@ -188,7 +213,7 @@ impl<'a> Ctx<'a> {
     /// Pool stride between recursion levels (grid level), in words.
     fn level_stride(&self) -> i64 {
         let items = match self.directive.total_size {
-            Some(t) => (t as i64 / GRID_LEVELS).max(64),
+            Some(t) => (t as i64 / GRID_LEVELS as i64).max(64),
             None => 1 << 16,
         };
         1 + items * self.nv() as i64
@@ -777,4 +802,102 @@ fn strip_device_sync(stmts: &[Stmt]) -> Vec<Stmt> {
             other => other.clone(),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::const_eval;
+
+    fn irregular_module() -> Module {
+        let mut m = Module::new();
+        m.add(KernelBuilder::new("child").array("out").scalar("item").body(vec![store(
+            v("out"),
+            v("item"),
+            tid(),
+        )]));
+        m.add(KernelBuilder::new("parent").array("out").scalar("n").body(vec![
+            let_("id", gtid()),
+            when(lt(v("id"), v("n")), vec![launch("child", i(1), i(32), vec![v("out"), v("id")])]),
+        ]));
+        m
+    }
+
+    fn recursive_module() -> Module {
+        let mut m = Module::new();
+        m.add(KernelBuilder::new("rec").array("next").scalar("node").body(vec![
+            let_("c", load(v("next"), v("node"))),
+            when(gt(v("c"), i(0)), vec![launch("rec", i(1), i(32), vec![v("next"), v("c")])]),
+        ]));
+        m
+    }
+
+    fn with_level(e: &Expr, level: i64) -> Expr {
+        match e {
+            Expr::Ref(n) if n == "__cons_level" => i(level),
+            Expr::Bin(op, a, b) => {
+                Expr::Bin(*op, Box::new(with_level(a, level)), Box::new(with_level(b, level)))
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Every pool offset a generated kernel loads a buffer count from
+    /// (`__cons_cnt` / `__cons_ncnt`), over all levels that can execute.
+    fn count_load_offsets(cons: &Consolidated) -> Vec<usize> {
+        let mut out = Vec::new();
+        for k in &cons.module.kernels {
+            let mut lets: Vec<(&str, &Expr)> = Vec::new();
+            dpcons_ir::visit_stmts(&k.body, &mut |s| {
+                if let Stmt::Let(n, e) = s {
+                    lets.push((n, e));
+                }
+            });
+            for (name, e) in &lets {
+                let Expr::Load(_, idx) = e else { continue };
+                if !matches!(*name, "__cons_cnt" | "__cons_ncnt") {
+                    continue;
+                }
+                let Expr::Ref(off) = &**idx else { panic!("count loaded from {idx:?}") };
+                // The consolidated child takes the offset as a parameter; it
+                // is the launching parent's `__cons_off`, collected there.
+                let Some((_, def)) = lets.iter().find(|(n, _)| n == off) else {
+                    assert!(k.param_index(off).is_some(), "`{off}` undefined in `{}`", k.name);
+                    continue;
+                };
+                let levels = if cons.info.recursive { GRID_LEVELS as i64 } else { 1 };
+                for level in 0..levels {
+                    let at = const_eval(&with_level(def, level)).expect("offset is level-affine");
+                    out.push(at as usize);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn grid_levels_cover_nesting_limit() {
+        // The host launch at depth 0 plus every nested depth the device allows.
+        assert_eq!(GRID_LEVELS as u32, GpuConfig::k20c().max_nesting_depth + 1);
+    }
+
+    #[test]
+    fn header_offsets_are_where_generated_code_loads_counts() {
+        let gpu = GpuConfig::k20c();
+        let cases = [
+            (irregular_module(), "parent", "dp consldt(grid) work(id)"),
+            (recursive_module(), "rec", "dp consldt(grid) work(c)"),
+            (recursive_module(), "rec", "dp consldt(grid) buffer(custom, totalSize: 5000) work(c)"),
+        ];
+        for (module, parent, pragma) in cases {
+            let dir = Directive::parse(pragma).unwrap();
+            let cons = consolidate(&module, parent, &dir, &gpu, None).unwrap();
+            let extras = cons.info.grid_extras.as_ref().unwrap();
+            let cleared: Vec<usize> = extras.header_offsets().collect();
+            assert_eq!(cleared, count_load_offsets(&cons), "{pragma}");
+            assert_eq!(cleared.len(), extras.levels());
+        }
+    }
 }

@@ -27,15 +27,30 @@ fn run_consolidated(
 ) -> (Vec<Vec<i64>>, dpcons_sim::ProfileReport, ChildClass) {
     let dir = Directive::parse(pragma).unwrap();
     let cons = consolidate(module, parent, &dir, &GpuConfig::k20c(), policy).unwrap();
-    let mut e = Engine::new(GpuConfig::k20c(), alloc, 1 << 22);
-    let handles: Vec<_> = arrays.into_iter().map(|(n, d)| e.mem.alloc_array_init(n, d)).collect();
-    let ids: HashMap<_, _> = install(&mut e, &cons.module).unwrap();
-    let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
-    args.extend(scalars);
-    let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL).unwrap();
-    reset_launch(&mut e, &mut prep).unwrap();
-    let r = e.launch(prep.spec.clone()).unwrap();
-    let out = handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+    let run = |poison: Option<i64>| {
+        let mut e = Engine::new(GpuConfig::k20c(), alloc, 1 << 22);
+        let handles: Vec<_> =
+            arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
+        let ids: HashMap<_, _> = install(&mut e, &cons.module).unwrap();
+        let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+        args.extend(&scalars);
+        let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL).unwrap();
+        if let (Some(pool), Some(garbage)) = (prep.pool, poison) {
+            e.mem.fill(pool, garbage).unwrap();
+        }
+        reset_launch(&mut e, &mut prep).unwrap();
+        let r = e.launch(prep.spec.clone()).unwrap();
+        let out: Vec<Vec<i64>> =
+            handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+        (out, r)
+    };
+    let clean = run(None);
+    // `reset_launch` clears the pool's count headers only: for every child
+    // class, whatever else the pool holds must not reach the run.
+    if cons.info.granularity == Granularity::Grid {
+        assert!(run(Some(0x5A5A_5A5A_5A5A_5A5A)) == clean, "{pragma}: stale pool is observable");
+    }
+    let (out, r) = clean;
     (out, r, cons.info.child_class)
 }
 

@@ -11,7 +11,7 @@ use dpcons_core::{
 };
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, Module};
-use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, ProfileReport};
+use dpcons_sim::{AllocKind, Engine, ExecRecord, GpuConfig, LaunchSpec, ProfileReport, SimError};
 
 const HEAP_WORDS: u64 = 1 << 20;
 const POOL_WORDS: u64 = 1 << 20;
@@ -420,14 +420,18 @@ fn generated_grid_parent_uses_global_barrier() {
     assert!(!src.contains("__cons_alloc"), "grid level uses the runtime pool, not device alloc");
 }
 
+/// The scatter parent plus postwork that depends on prework (`id`): every
+/// thread stores a sentinel over its own `out[id]`.
+fn scatter_module_with_postwork() -> Module {
+    let mut m = scatter_module();
+    let p = m.get_mut("expand_parent").unwrap();
+    p.body.push(when(lt(v("id"), v("n")), vec![store(v("out"), v("id"), i(-7))]));
+    m
+}
+
 #[test]
 fn postwork_moves_to_consolidated_kernel_at_grid_level() {
-    let mut m = scatter_module();
-    {
-        let p = m.get_mut("expand_parent").unwrap();
-        // Postwork depends on prework (`id`): store a sentinel per thread.
-        p.body.push(when(lt(v("id"), v("n")), vec![store(v("out"), v("id"), i(-7))]));
-    }
+    let m = scatter_module_with_postwork();
     // Build expected by hand: the child/inline writes happen first, then
     // postwork overwrites out[id] for id < n.
     let dir = Directive::parse("dp consldt(grid) work(id)").unwrap();
@@ -510,5 +514,159 @@ fn pre_alloc_buffer_reuse_across_host_launches() {
         reset_launch(&mut e, &mut prep).unwrap();
         e.launch(prep.spec.clone()).unwrap();
         assert_eq!(e.mem.slice(out).unwrap(), &expected[..]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Host launch state: `reset_launch` clears only the pool's count headers,
+// so nothing else in the pool may be observable. Every hand-driven
+// grid-level case is re-run with the pool poisoned before each reset and
+// must be indistinguishable from the clean run. (The solo-thread and
+// multi-block child classes get the same treatment inside
+// `transform_classes.rs`'s harness.)
+// ---------------------------------------------------------------------
+
+/// Everything observable about a sequence of host launches.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    arrays: Vec<Vec<i64>>,
+    reports: Vec<ProfileReport>,
+    dags: Vec<Vec<ExecRecord>>,
+}
+
+fn observe_grid(
+    cons: &dpcons_core::Consolidated,
+    arrays: &[(&str, Vec<i64>)],
+    scalars: &[i64],
+    config: (u32, u32),
+    launches: usize,
+    poison: Option<i64>,
+) -> Observed {
+    let mut e = engine();
+    let handles: Vec<_> =
+        arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
+    let ids = install(&mut e, &cons.module).unwrap();
+    let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+    args.extend_from_slice(scalars);
+    let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL_WORDS).unwrap();
+    let pool = prep.pool.expect("grid level uses the pool");
+    let (mut reports, mut dags) = (Vec::new(), Vec::new());
+    for _ in 0..launches {
+        if let Some(garbage) = poison {
+            e.mem.fill(pool, garbage).unwrap();
+        }
+        reset_launch(&mut e, &mut prep).unwrap();
+        let records = e.capture(prep.spec.clone()).unwrap();
+        reports.push(e.replay_timing(&records));
+        dags.push(records);
+    }
+    let arrays = handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+    Observed { arrays, reports, dags }
+}
+
+fn assert_poison_is_unobservable(
+    what: &str,
+    cons: &dpcons_core::Consolidated,
+    arrays: &[(&str, Vec<i64>)],
+    scalars: &[i64],
+    config: (u32, u32),
+    launches: usize,
+) {
+    assert_eq!(cons.info.granularity, Granularity::Grid);
+    let clean = observe_grid(cons, arrays, scalars, config, launches, None);
+    assert!(clean.reports.iter().all(|r| r.total_cycles > 0 && r.dram_transactions > 0));
+    for garbage in [0x5A5A_5A5A_5A5A_5A5A, -1] {
+        let dirty = observe_grid(cons, arrays, scalars, config, launches, Some(garbage));
+        assert!(dirty == clean, "{what}: pool garbage {garbage:#x} changed the run");
+    }
+}
+
+#[test]
+fn stale_pool_contents_are_unobservable_at_grid_level() {
+    let gpu = GpuConfig::k20c();
+    let n = 500usize;
+    let d = scatter_data(n);
+    let arrays = [("deg", d.deg.clone()), ("base", d.base.clone()), ("out", vec![-1; d.total])];
+    let scalars = [n as i64, 32];
+    let config = ((n as u32).div_ceil(128), 128);
+    let dir = Directive::parse("dp consldt(grid) work(id)").unwrap();
+
+    // Irregular loop, one launch and the multi-launch loop (each launch must
+    // also be indistinguishable from the first: same DAG, same profile).
+    let plain = consolidate(&scatter_module(), "expand_parent", &dir, &gpu, None).unwrap();
+    assert_poison_is_unobservable("irregular loop", &plain, &arrays, &scalars, config, 1);
+    assert_poison_is_unobservable("multi-launch loop", &plain, &arrays, &scalars, config, 3);
+    let looped = observe_grid(&plain, &arrays, &scalars, config, 3, Some(i64::MAX));
+    assert_eq!(looped.arrays[2], scatter_expected(&d));
+    assert!(looped.reports.iter().all(|r| *r == looped.reports[0]));
+    assert!(looped.dags.iter().all(|g| *g == looped.dags[0]));
+
+    // Irregular loop with postwork.
+    let m = scatter_module_with_postwork();
+    let post = consolidate(&m, "expand_parent", &dir, &gpu, None).unwrap();
+    assert!(post.info.postwork.is_some());
+    assert_poison_is_unobservable("postwork", &post, &arrays, &scalars, config, 2);
+
+    // Recursion: one pool buffer per level, each with its own header.
+    let (cp, ch, root, expected) = small_tree();
+    let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
+    let tree = [("childptr", cp), ("children", ch), ("ndesc", vec![0])];
+    for pragma in [
+        "dp consldt(grid) buffer(custom, perBufferSize: 64, totalSize: 4096) work(c)",
+        "dp consldt(grid) work(c)",
+    ] {
+        let dir = Directive::parse(pragma).unwrap();
+        let rec = consolidate(&rec_module(), "treedesc", &dir, &gpu, None).unwrap();
+        assert_poison_is_unobservable(pragma, &rec, &tree, &[root], (1, rootdeg), 1);
+        let out = observe_grid(&rec, &tree, &[root], (1, rootdeg), 1, Some(i64::MIN));
+        assert_eq!(out.arrays[2], [expected]);
+    }
+}
+
+#[test]
+fn reset_writes_headers_not_the_pool() {
+    let gpu = GpuConfig::k20c();
+    let dir = Directive::parse("dp consldt(grid) work(c)").unwrap();
+    let rec = consolidate(&rec_module(), "treedesc", &dir, &gpu, None).unwrap();
+    let mut e = engine();
+    let ids = install(&mut e, &rec.module).unwrap();
+    let mut prep = prepare_launch(&mut e, &rec.info, &ids, &[0, 1, 2, 3], (1, 1), 1 << 16).unwrap();
+    // Default level stride is 1 + 65536 * nv: only level 0's header fits a
+    // 64 K-word pool, and the reset must not index past its end.
+    let pool = prep.pool.unwrap();
+    e.mem.fill(pool, 9).unwrap();
+    reset_launch(&mut e, &mut prep).unwrap();
+    let words = e.mem.slice(pool).unwrap();
+    assert_eq!(&words[..2], [1, 3], "count header, then the seeded work item");
+    assert!(words[2..].iter().all(|&w| w == 9));
+    // Headers + 26 barrier counters + the seed.
+    assert_eq!(prep.reset_words(), 1 + 26 + 2);
+}
+
+#[test]
+fn prepare_launch_rejects_malformed_host_launches_with_typed_errors() {
+    let gpu = GpuConfig::k20c();
+    let named_entry = |err: SimError| match err {
+        SimError::KernelFault { kernel, message } => {
+            assert_eq!(kernel, "treedesc__cons");
+            message
+        }
+        other => panic!("expected a kernel fault, got {other:?}"),
+    };
+    for g in Granularity::ALL {
+        let dir = Directive::parse(&format!("dp consldt({}) work(c)", g.label())).unwrap();
+        let mut rec = consolidate(&rec_module(), "treedesc", &dir, &gpu, None).unwrap();
+        let mut e = engine();
+        let ids = install(&mut e, &rec.module).unwrap();
+        // `treedesc` takes four arguments; the work item is the fourth.
+        let short = prepare_launch(&mut e, &rec.info, &ids, &[0, 1, 2], (1, 1), POOL_WORDS);
+        assert!(named_entry(short.unwrap_err()).contains("3 arguments"));
+        let none = prepare_launch(&mut e, &rec.info, &ids, &[], (1, 1), POOL_WORDS);
+        assert!(named_entry(none.unwrap_err()).contains("0 arguments"));
+        if g == Granularity::Grid {
+            rec.info.grid_extras = None;
+            let bare = prepare_launch(&mut e, &rec.info, &ids, &[0, 1, 2, 3], (1, 1), POOL_WORDS);
+            assert!(named_entry(bare.unwrap_err()).contains("pool layout"));
+        }
     }
 }

@@ -32,6 +32,12 @@ impl GlobalMem {
     }
 
     /// Allocate a zero-initialized array of `len` words.
+    ///
+    /// `vec![0; len]` takes zeroed pages straight from the OS, so a page is
+    /// faulted in (and counts towards RSS) only when it is first touched.
+    /// Large, sparsely used arrays — the 4 M-word consolidation pool above
+    /// all — rely on this: allocating them is O(1), and a host that never
+    /// fills them never pays for their size.
     pub fn alloc_array(&mut self, label: &str, len: usize) -> ArrayId {
         self.alloc_array_init(label, vec![0; len])
     }

@@ -35,8 +35,9 @@ use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
 use crate::report::Status;
 use crate::tuner::{
-    candidate_config, enumerate_candidates, evaluate_candidate, fingerprint, leading_default_count,
-    prune_reason, run_waves, tune, Budget, TuneError, TuneOptions, WaveHook, CACHE_SCHEMA,
+    candidate_config, enumerate_candidates, evaluate_candidate, fingerprint_of,
+    leading_default_count, prune_reason, run_waves, tune, Budget, TuneError, TuneOptions, WaveHook,
+    CACHE_SCHEMA,
 };
 
 /// Everything configuring one fleet sweep.
@@ -470,7 +471,8 @@ pub fn fleet_sweep_with_progress(
     }
     let base = RunConfig { gpu: capture_dev.clone(), ..opts.base.clone() };
 
-    let fp = fingerprint(app);
+    let expected = app.reference();
+    let fp = fingerprint_of(app.name(), &expected);
     let key = fleet_cache_key_for(app.name(), fp, &base, &opts.space, &opts.budget, &opts.fleet);
     if let Some(cache) = &opts.cache {
         if let Some(text) = cache.get_text(key) {
@@ -483,7 +485,6 @@ pub fn fleet_sweep_with_progress(
     }
 
     let (cands, _collapsed) = enumerate_candidates(&model, &opts.space);
-    let expected = app.reference();
 
     // Static pruning, identical to the tuner's.
     let mut statuses: Vec<Option<FleetStatus>> =

@@ -255,11 +255,16 @@ pub(crate) fn run_waves<S>(
 /// any per-app plumbing, since the oracle is a deterministic function of the
 /// dataset.
 pub fn fingerprint(app: &dyn Benchmark) -> u64 {
-    let r = app.reference();
+    fingerprint_of(app.name(), &app.reference())
+}
+
+/// [`fingerprint`] of an oracle output already in hand: a sweep computes the
+/// reference once, hashes it here, and checks candidates against it.
+pub(crate) fn fingerprint_of(name: &str, reference: &[i64]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str(app.name());
-    h.write_u64(r.len() as u64);
-    for v in r {
+    h.write_str(name);
+    h.write_u64(reference.len() as u64);
+    for &v in reference {
         h.write_u64(v as u64);
     }
     h.finish()
@@ -540,7 +545,8 @@ pub fn tune_with_progress(
         });
     }
 
-    let fp = fingerprint(app);
+    let expected = app.reference();
+    let fp = fingerprint_of(app.name(), &expected);
     let key =
         cache_key_for(app.name(), fp, &opts.base, &opts.space, &opts.budget, opts.with_baselines);
     if let Some(cache) = &opts.cache {
@@ -550,7 +556,6 @@ pub fn tune_with_progress(
     }
 
     let (cands, collapsed) = enumerate_candidates(&model, &opts.space);
-    let expected = app.reference();
 
     // Static pruning.
     let mut statuses: Vec<Option<Status>> =

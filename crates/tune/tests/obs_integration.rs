@@ -1,6 +1,7 @@
 //! Observability contract of the tuner: disabled tracing records **zero**
-//! spans, enabled tracing covers the sweep and every wave, and a warm
-//! second sweep is visible as cache hits in the metrics registry.
+//! spans, enabled tracing covers the sweep, every wave and the host-launch
+//! `app.prepare`/`app.reset` stages, and a warm second sweep is visible as
+//! cache hits in the metrics registry.
 //!
 //! This is deliberately the only test in this integration-test binary — the
 //! span rings, the tracing flag, and the metrics registry are process-wide,
@@ -34,6 +35,10 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
     let cold = tune(&app, &opts(Some(dir.clone()))).expect("cold sweep");
     assert!(cold.evaluated > 0);
     assert!(dpcons_obs::take_spans().is_empty(), "disabled tracing must record zero spans");
+    // Metrics are not gated on tracing: the sweep's grid-level candidates
+    // already counted the words their host-launch resets wrote.
+    let reset_words = dpcons_obs::counter("app.reset_words").get();
+    assert!(reset_words > 0, "grid-level candidates reset their launch state");
 
     // The cold sweep missed the cache and then wrote its report.
     let misses = dpcons_obs::counter("tune.cache.misses").get();
@@ -64,6 +69,17 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
     // Wave spans carry the wave number and nest under the sweep.
     assert_eq!(waves[0].arg, Some(0));
     assert!(waves.iter().all(|w| w.depth > 0));
+    // The sweep has grid-level candidates, and SSSP launches its entry kernel
+    // once per relaxation round: the first launch of a session prepares the
+    // consolidation state, every later one resets it, each inside its span.
+    let prepares = spans.iter().filter(|s| s.name == "app.prepare").count();
+    let resets = spans.iter().filter(|s| s.name == "app.reset").count();
+    assert!(prepares > 0, "no app.prepare span in a sweep with consolidated candidates");
+    assert!(resets >= prepares, "SSSP relaunches: {resets} resets for {prepares} sessions");
+    // A reset writes count headers and counters, never the 4 M-word pool.
+    // (Warp- and block-level loops keep no host-side state and write none.)
+    let words = (dpcons_obs::counter("app.reset_words").get() - reset_words) as usize;
+    assert!(words > 0 && words < 64 * (prepares + resets), "{words} words reset");
     // Every evaluated candidate's latency landed in the histogram.
     assert!(dpcons_obs::histogram("tune.candidate_us").count() >= uncached.evaluated as u64);
 

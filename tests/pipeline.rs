@@ -1,10 +1,10 @@
 //! Cross-crate pipeline tests: pragma text → analysis → transformation →
 //! generated source → execution, plus determinism of the whole stack.
 
-use dpcons::apps::{all_benchmarks, Profile, RunConfig, Variant};
+use dpcons::apps::{all_benchmarks, AppError, Profile, RunConfig, Variant};
 use dpcons::compiler::{consolidate, Directive, Granularity};
 use dpcons::ir::module_to_string;
-use dpcons::sim::GpuConfig;
+use dpcons::sim::{GpuConfig, SimError};
 
 #[test]
 fn every_benchmark_and_variant_matches_the_oracle() {
@@ -109,4 +109,30 @@ fn threshold_controls_delegation_volume() {
     let high_launches = app.run(Variant::BasicDp, &high).unwrap().report.device_launches;
     assert!(low_launches > high_launches * 5, "{low_launches} vs {high_launches}");
     assert_eq!(high_launches, 0, "an infinite threshold disables DP entirely");
+}
+
+#[test]
+fn small_pool_overflows_recursion_cleanly_and_leaves_loops_unchanged() {
+    // A 64 K-word pool holds every irregular-loop buffer at this scale, but
+    // only level 0 of the recursive apps' default 64 K-item level stride:
+    // their first insertion into level 1 is a typed out-of-bounds fault.
+    let grid = Variant::Consolidated(Granularity::Grid);
+    let small = RunConfig { pool_words: 1 << 16, ..Default::default() };
+    for app in all_benchmarks(Profile::Test) {
+        let got = app.verify(grid, &small);
+        if matches!(app.name(), "BFS-Rec" | "TH" | "TD") {
+            match got {
+                Err(AppError::Sim(SimError::OutOfBounds { array, index, len, .. })) => {
+                    assert_eq!(array, "__cons_pool", "{}", app.name());
+                    assert_eq!(len, 1 << 16);
+                    assert!(index >= len as i64);
+                }
+                other => panic!("{}: expected a pool overflow, got {other:?}", app.name()),
+            }
+        } else {
+            let full = app.verify(grid, &RunConfig::default()).unwrap();
+            let report = got.unwrap_or_else(|e| panic!("{}: {e}", app.name()));
+            assert_eq!(report, full, "{}: pool capacity must not reach the profile", app.name());
+        }
+    }
 }
