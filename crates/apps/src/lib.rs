@@ -39,20 +39,61 @@ pub use sssp::Sssp;
 pub use tree_descendants::TreeDescendants;
 pub use tree_heights::TreeHeights;
 
+/// One registry entry: the name [`Benchmark::name`] reports, and the
+/// constructor over a dataset profile.
+type Entry = (&'static str, fn(Profile) -> Box<dyn Benchmark>);
+
+/// The seven benchmarks in paper order. Constructors are stored, not run:
+/// building one generates its dataset, so [`benchmark_by_name`] pays for the
+/// app it was asked for and nothing else.
+const REGISTRY: [Entry; 7] = [
+    ("SSSP", |p| Box::new(Sssp::new(datasets::citeseer(p).with_weights(15, 0xD15), 0))),
+    ("SpMV", |p| {
+        let m = datasets::citeseer(p).with_weights(1 << 18, 0xA2);
+        let x = Spmv::default_x(m.n);
+        Box::new(Spmv::new(m, x))
+    }),
+    ("PageRank", |p| Box::new(PageRank::new(datasets::citeseer(p), pagerank::DEFAULT_ITERS))),
+    ("GC", |p| Box::new(GraphColoring::new(datasets::kron(p).symmetrize(), 0x6C))),
+    ("BFS-Rec", |p| Box::new(BfsRec::new(datasets::kron(p), 0))),
+    ("TH", |p| Box::new(TreeHeights::new(datasets::tree1(p)))),
+    ("TD", |p| Box::new(TreeDescendants::new(datasets::tree2(p)))),
+];
+
+/// The registry names, in the order [`all_benchmarks`] returns them.
+pub fn benchmark_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|&(name, _)| name)
+}
+
 /// Construct all seven benchmarks over a dataset profile (boxed, for uniform
 /// iteration in the harness and the figure benches).
 pub fn all_benchmarks(p: Profile) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Sssp::new(datasets::citeseer(p).with_weights(15, 0xD15), 0)),
-        Box::new({
-            let m = datasets::citeseer(p).with_weights(1 << 18, 0xA2);
-            let x = Spmv::default_x(m.n);
-            Spmv::new(m, x)
-        }),
-        Box::new(PageRank::new(datasets::citeseer(p), pagerank::DEFAULT_ITERS)),
-        Box::new(GraphColoring::new(datasets::kron(p).symmetrize(), 0x6C)),
-        Box::new(BfsRec::new(datasets::kron(p), 0)),
-        Box::new(TreeHeights::new(datasets::tree1(p))),
-        Box::new(TreeDescendants::new(datasets::tree2(p))),
-    ]
+    REGISTRY.iter().map(|&(_, build)| build(p)).collect()
+}
+
+/// Construct the one benchmark registered under `name` (ASCII case and
+/// surrounding whitespace ignored) — the same object [`all_benchmarks`] holds
+/// at that position, without building the other six.
+pub fn benchmark_by_name(name: &str, p: Profile) -> Option<Box<dyn Benchmark>> {
+    let name = name.trim();
+    REGISTRY.iter().find(|(known, _)| known.eq_ignore_ascii_case(name)).map(|&(_, build)| build(p))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_name_builds_the_benchmark_all_benchmarks_lists() {
+        let all = all_benchmarks(Profile::Test);
+        assert_eq!(all.len(), REGISTRY.len());
+        for (app, name) in all.iter().zip(benchmark_names()) {
+            assert_eq!(app.name(), name, "registry name must be the benchmark's own");
+            let one = benchmark_by_name(&format!(" {} ", name.to_lowercase()), Profile::Test)
+                .expect("registered name resolves");
+            assert_eq!(one.name(), name);
+            assert_eq!(one.reference(), app.reference(), "{name}: same dataset, same seeds");
+        }
+        assert!(benchmark_by_name("NotAnApp", Profile::Test).is_none());
+    }
 }

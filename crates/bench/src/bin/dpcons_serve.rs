@@ -81,9 +81,7 @@ fn main() {
     };
     eprintln!("dpcons-serve: listening on {} (POST /shutdown to drain)", handle.addr());
 
-    while !handle.draining() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    handle.wait_drain_requested();
     eprintln!("dpcons-serve: drain requested; finishing queued jobs");
     match handle.shutdown() {
         Ok(()) => eprintln!("dpcons-serve: drained cleanly"),

@@ -4,6 +4,12 @@
 //! decoded from either `Content-Length` or chunked framing. Error responses
 //! are surfaced as typed [`ServeError`]s by decoding the `error.code` field,
 //! so callers branch on [`crate::ErrorClass`], not on strings.
+//!
+//! Waiting for a job is not polling: [`Client::wait`] reads the job's
+//! progress stream, which the server ends the moment the job is terminal,
+//! and then fetches the job view once. Each read of that stream is bounded
+//! by the time left of the caller's timeout, so `wait` returns by then
+//! whatever the job does.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -36,12 +42,25 @@ impl Client {
         Client { addr: addr.into(), timeout: Duration::from_secs(30) }
     }
 
-    /// One HTTP exchange; returns (status, body).
+    /// One HTTP exchange; returns (status, body). Every read waits up to the
+    /// client's timeout.
     fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
+    ) -> Result<(u16, String), ServeError> {
+        self.exchange(method, path, body, None)
+    }
+
+    /// [`Client::request`], with every read bounded by the time left to
+    /// `deadline` when there is one.
+    fn exchange(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        deadline: Option<Instant>,
     ) -> Result<(u16, String), ServeError> {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| ServeError::internal(format!("connect {}: {e}", self.addr)))?;
@@ -89,7 +108,7 @@ impl Client {
             }
         }
         let body = if chunked {
-            read_chunked(&mut reader)?
+            read_chunked(&mut reader, deadline)?
         } else if let Some(n) = content_length {
             let mut buf = vec![0u8; n];
             reader
@@ -201,12 +220,17 @@ impl Client {
         Ok(self.request_json("GET", &format!("/jobs/{id}"), None)?.1)
     }
 
-    /// Poll until the job is terminal (or `timeout`), returning the final
+    /// Block until the job is terminal (or `timeout`), returning the final
     /// job view. A `failed` job is returned as a typed `ServeError` carrying
     /// the job's error class.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<Value, ServeError> {
         let deadline = Instant::now() + timeout;
         loop {
+            // The server ends the stream when the job is terminal. However it
+            // ended — that, its own 120 s deadline, our deadline, a broken
+            // connection — the view decides what happened to the job.
+            let streamed =
+                self.exchange("GET", &format!("/jobs/{id}/stream"), None, Some(deadline));
             let view = self.job(id)?;
             match view.get("status").and_then(Value::as_str) {
                 Some("done") => return Ok(view),
@@ -227,10 +251,12 @@ impl Client {
                 }
                 _ => {}
             }
-            if Instant::now() > deadline {
+            if Instant::now() >= deadline {
                 return Err(ServeError::internal(format!("job {id} still running at timeout")));
             }
-            std::thread::sleep(Duration::from_millis(10));
+            // A live job whose stream broke before our deadline: report that
+            // rather than reconnect in a loop.
+            streamed?;
         }
     }
 
@@ -254,10 +280,21 @@ impl Client {
     }
 }
 
-/// Decode a chunked transfer body to completion.
-fn read_chunked(reader: &mut BufReader<TcpStream>) -> Result<String, ServeError> {
+/// Decode a chunked transfer body to completion, each chunk waited for no
+/// longer than until `deadline` when there is one.
+fn read_chunked(
+    reader: &mut BufReader<TcpStream>,
+    deadline: Option<Instant>,
+) -> Result<String, ServeError> {
     let mut out = Vec::new();
     loop {
+        if let Some(deadline) = deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ServeError::internal("deadline passed mid-stream"));
+            }
+            let _ = reader.get_ref().set_read_timeout(Some(left));
+        }
         let mut size_line = String::new();
         reader
             .read_line(&mut size_line)

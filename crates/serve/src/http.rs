@@ -2,26 +2,36 @@
 //!
 //! Deliberately small: request-per-connection (`Connection: close`), bodies
 //! framed by `Content-Length`, responses framed by `Content-Length` except
-//! the progress stream, which uses chunked transfer encoding. The accept
-//! loop is non-blocking and polls a shutdown flag, which is how
-//! "SIGTERM-style" drain works without signal handlers: flip the flag
-//! (programmatically or via `POST /shutdown`), stop admitting jobs, let the
-//! worker pool finish its queues, then join everything within a bounded
-//! deadline.
+//! the progress stream, which uses chunked transfer encoding.
+//!
+//! Nothing here polls. The accept thread blocks in `accept()` and hands each
+//! connection to a thread of its own, so a request is answered when it
+//! arrives and a silent client delays nobody. A progress stream sleeps on
+//! the registry's condvar ([`Registry::wait_change`]) until its job has a
+//! wave it has not sent or is terminal, and ends there or at its own 120 s
+//! deadline — never at drain, because the drain finishes the job and the
+//! stream owes its client the terminal line.
+//!
+//! "SIGTERM-style" drain works without signal handlers: a drain request
+//! (programmatic or `POST /shutdown`) stops admissions and wakes whoever
+//! sleeps in [`ServerHandle::wait_drain_requested`];
+//! [`ServerHandle::shutdown`] then lets the worker pool finish its queues
+//! while reads are still answered, sets `stopped`, wakes the accept thread
+//! with one loopback connection, and joins workers and accept thread against
+//! a single deadline.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dpcons_obs::jsonv::Value;
 
 use crate::error::ServeError;
 use crate::jobs::{JobView, Registry};
-use crate::pool::{CacheMode, Pool, Submitter};
+use crate::pool::{CacheMode, Pool, Submitter, Threads};
 use crate::proto::{error_body, key_hex, parse_request, JobKind, Limits, PROTO};
 
 /// Everything configuring one server instance.
@@ -53,12 +63,42 @@ impl Default for ServerConfig {
     }
 }
 
+/// The drain request: a one-way flag a thread can sleep on.
+#[derive(Default)]
+struct Drain {
+    requested: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Drain {
+    fn lock(&self) -> MutexGuard<'_, bool> {
+        // A bool is valid whatever happened to a thread that held the lock.
+        self.requested.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn request(&self) {
+        *self.lock() = true;
+        self.changed.notify_all();
+    }
+
+    fn requested(&self) -> bool {
+        *self.lock()
+    }
+
+    fn wait(&self) {
+        let mut requested = self.lock();
+        while !*requested {
+            requested = self.changed.wait(requested).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+}
+
 struct Ctx {
     registry: Arc<Registry>,
     submitter: Submitter,
     limits: Limits,
-    /// Set on shutdown: new submissions get 503, streams terminate.
-    draining: Arc<AtomicBool>,
+    /// Requested on shutdown: new submissions get 503.
+    draining: Arc<Drain>,
 }
 
 /// A running server. Dropping the handle without calling
@@ -66,10 +106,11 @@ struct Ctx {
 /// lifetime; call `shutdown` for the graceful drain contract.
 pub struct ServerHandle {
     addr: SocketAddr,
-    draining: Arc<AtomicBool>,
+    draining: Arc<Drain>,
+    /// Read by the accept thread after every `accept()`.
     stopped: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<Pool>,
+    accept: Threads,
+    pool: Pool,
     registry: Arc<Registry>,
     drain_ms: u64,
 }
@@ -80,16 +121,21 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Flip the drain flag without joining — what `POST /shutdown` does.
+    /// Request the drain without joining — what `POST /shutdown` does.
     pub fn begin_shutdown(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.draining.request();
     }
 
     /// Whether a drain was requested (by [`ServerHandle::begin_shutdown`] or
-    /// a client's `POST /shutdown`). The daemon binary polls this to decide
-    /// when to run the final drain-and-join.
+    /// a client's `POST /shutdown`).
     pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.draining.requested()
+    }
+
+    /// Sleep until a drain is requested. The daemon binary parks its main
+    /// thread here, then runs the final drain-and-join.
+    pub fn wait_drain_requested(&self) {
+        self.draining.wait();
     }
 
     /// Graceful drain: stop admitting, let workers finish queued jobs, join
@@ -97,22 +143,24 @@ impl ServerHandle {
     /// drains and exits 0" contract; an unclean drain is `Internal`.
     /// The server keeps answering reads (and 503ing submissions) until the
     /// worker pool has drained; only then does the accept loop stop.
-    pub fn shutdown(mut self) -> Result<(), ServeError> {
+    pub fn shutdown(self) -> Result<(), ServeError> {
         self.begin_shutdown();
-        let clean = match self.pool.take() {
-            Some(pool) => pool.drain(Duration::from_millis(self.drain_ms)),
-            None => true,
-        };
+        let until = Instant::now() + Duration::from_millis(self.drain_ms);
+        let clean = self.pool.drain(until);
         self.stopped.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let deadline = Instant::now() + Duration::from_millis(self.drain_ms.max(500));
-            while !h.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if h.is_finished() {
-                let _ = h.join();
-            }
+        // The accept thread looks at `stopped` when `accept()` returns: give
+        // it a connection. A wildcard bind is reached through loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect(wake);
+        // Left detached if it is not out by the deadline; the verdict is
+        // about the jobs.
+        self.accept.join_until(until);
         if clean {
             Ok(())
         } else {
@@ -135,13 +183,10 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
         .map_err(|e| ServeError::internal(format!("bind {}: {e}", cfg.addr)))?;
     let addr =
         listener.local_addr().map_err(|e| ServeError::internal(format!("local_addr: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::internal(format!("set_nonblocking: {e}")))?;
 
     let registry = Arc::new(Registry::new(cfg.registry_capacity));
     let (pool, submitter) = Pool::start(cfg.workers, registry.clone(), cfg.cache.clone());
-    let draining = Arc::new(AtomicBool::new(false));
+    let draining = Arc::new(Drain::default());
     let stopped = Arc::new(AtomicBool::new(false));
     let ctx = Arc::new(Ctx {
         registry: registry.clone(),
@@ -151,39 +196,32 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
     });
 
     let accept_stopped = stopped.clone();
-    let accept = std::thread::Builder::new()
-        .name("dpcons-serve-accept".to_string())
-        .spawn(move || loop {
-            match listener.accept() {
+    let mut accept = Threads::new();
+    accept
+        .spawn("dpcons-serve-accept".to_string(), move || loop {
+            let conn = listener.accept();
+            if accept_stopped.load(Ordering::SeqCst) {
+                return;
+            }
+            match conn {
                 Ok((stream, _)) => {
                     let ctx = ctx.clone();
                     let _ = std::thread::Builder::new()
                         .name("dpcons-serve-conn".to_string())
                         .spawn(move || handle_conn(stream, &ctx));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if accept_stopped.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                // An aborted handshake, or descriptors exhausted until some
+                // connection thread finishes: let those run, then retry.
+                Err(_) => std::thread::yield_now(),
             }
         })
         .map_err(|e| ServeError::internal(format!("spawn accept thread: {e}")))?;
 
-    Ok(ServerHandle {
-        addr,
-        draining,
-        stopped,
-        accept: Some(accept),
-        pool: Some(pool),
-        registry,
-        drain_ms: cfg.drain_ms,
-    })
+    Ok(ServerHandle { addr, draining, stopped, accept, pool, registry, drain_ms: cfg.drain_ms })
 }
 
 fn handle_conn(stream: TcpStream, ctx: &Ctx) {
+    let began = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -199,6 +237,7 @@ fn handle_conn(stream: TcpStream, ctx: &Ctx) {
     dpcons_obs::counter("serve.requests").inc();
     let mut stream = stream;
     route(&mut stream, ctx, &method, &path, &body);
+    dpcons_obs::histogram("serve.request_us").record(began.elapsed().as_micros() as u64);
 }
 
 /// Read one request: request line, headers, `Content-Length`-framed body.
@@ -236,7 +275,7 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
             let mut o = BTreeMap::new();
             o.insert("proto".to_string(), Value::Str(PROTO.to_string()));
             o.insert("ok".to_string(), Value::Bool(true));
-            o.insert("draining".to_string(), Value::Bool(ctx.draining.load(Ordering::SeqCst)));
+            o.insert("draining".to_string(), Value::Bool(ctx.draining.requested()));
             let _ = write_json(stream, (200, "OK"), &Value::Obj(o));
         }
         ("GET", "/metrics") => {
@@ -246,7 +285,7 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
         ("POST", "/tune") => submit(stream, ctx, JobKind::Tune, body),
         ("POST", "/fleet") => submit(stream, ctx, JobKind::Fleet, body),
         ("POST", "/shutdown") => {
-            ctx.draining.store(true, Ordering::SeqCst);
+            ctx.draining.request();
             let mut o = BTreeMap::new();
             o.insert("proto".to_string(), Value::Str(PROTO.to_string()));
             o.insert("draining".to_string(), Value::Bool(true));
@@ -261,7 +300,7 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
 }
 
 fn submit(stream: &mut TcpStream, ctx: &Ctx, kind: JobKind, body: &str) {
-    if ctx.draining.load(Ordering::SeqCst) {
+    if ctx.draining.requested() {
         let err = ServeError::unavailable("server is draining; not admitting new jobs");
         let _ = write_json(stream, err.class.http_status(), &error_body(&err));
         return;
@@ -348,7 +387,8 @@ fn wave_json(p: &dpcons_tune::WaveProgress) -> Value {
 }
 
 /// Chunked-transfer progress stream: one JSON line per wave as it lands,
-/// then a final `{"status": ...}` line once the job is terminal.
+/// then a final `{"status": ...}` line once the job is terminal. Ends
+/// without that line only at its own deadline or if the job is evicted.
 fn stream_job(stream: &mut TcpStream, ctx: &Ctx, id: u64) {
     let head = "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -356,7 +396,7 @@ fn stream_job(stream: &mut TcpStream, ctx: &Ctx, id: u64) {
     }
     let mut sent = 0usize;
     let deadline = Instant::now() + Duration::from_secs(120);
-    while let Some(view) = ctx.registry.view(id) {
+    while let Some(view) = ctx.registry.wait_change(id, sent, deadline) {
         for p in &view.waves[sent..] {
             if write_chunk(stream, &(wave_json(p).render() + "\n")).is_err() {
                 return;
@@ -372,10 +412,9 @@ fn stream_job(stream: &mut TcpStream, ctx: &Ctx, id: u64) {
             let _ = write_chunk(stream, &(Value::Obj(o).render() + "\n"));
             break;
         }
-        if Instant::now() > deadline || ctx.draining.load(Ordering::SeqCst) {
+        if Instant::now() >= deadline {
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
     let _ = stream.write_all(b"0\r\n\r\n");
 }

@@ -6,9 +6,14 @@
 //! (N clients, one sweep). A *failed* job releases its key so the next
 //! submission retries fresh. Completed jobs are kept (bounded, FIFO-evicted)
 //! so late pollers and dedup-attached clients can still read results.
+//!
+//! Nobody polls the table: every wave and every terminal transition notifies
+//! one `Condvar`, and [`Registry::wait_change`] is how a progress stream
+//! sleeps until its job has something new to say.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 use dpcons_obs::jsonv::Value;
 use dpcons_tune::WaveProgress;
@@ -48,6 +53,24 @@ struct Job {
     waves: Vec<WaveProgress>,
     result: Option<Value>,
     error: Option<ServeError>,
+    /// When the job was admitted, then when a worker picked it up: the two
+    /// ends of `serve.queue_wait_us` and the start of `serve.job_us`.
+    queued_at: Instant,
+    started_at: Option<Instant>,
+}
+
+impl Job {
+    fn view(&self, id: u64) -> JobView {
+        JobView {
+            id,
+            spec: self.spec.clone(),
+            state: self.state,
+            clients: self.clients,
+            waves: self.waves.clone(),
+            result: self.result.clone(),
+            error: self.error.clone(),
+        }
+    }
 }
 
 /// A point-in-time snapshot of one job, safe to render outside the lock.
@@ -84,6 +107,8 @@ struct Inner {
 /// The process-wide job table. All methods are short critical sections.
 pub struct Registry {
     inner: Mutex<Inner>,
+    /// Notified by every `push_wave` and `finish`.
+    changed: Condvar,
     /// Terminal jobs beyond this count are evicted oldest-first.
     capacity: usize,
 }
@@ -97,6 +122,7 @@ impl Registry {
                 by_key: HashMap::new(),
                 order: VecDeque::new(),
             }),
+            changed: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
@@ -131,6 +157,8 @@ impl Registry {
                 waves: Vec::new(),
                 result: None,
                 error: None,
+                queued_at: Instant::now(),
+                started_at: None,
             },
         );
         g.by_key.insert(spec.key, id);
@@ -165,7 +193,11 @@ impl Registry {
         let mut g = self.lock();
         let job = g.jobs.get_mut(&id)?;
         job.state = JobState::Running;
+        let now = Instant::now();
+        job.started_at = Some(now);
         dpcons_obs::counter("serve.jobs_running").inc();
+        dpcons_obs::histogram("serve.queue_wait_us")
+            .record((now - job.queued_at).as_micros() as u64);
         Some(job.spec.clone())
     }
 
@@ -174,6 +206,7 @@ impl Registry {
         let mut g = self.lock();
         if let Some(job) = g.jobs.get_mut(&id) {
             job.waves.push(p);
+            self.changed.notify_all();
         }
     }
 
@@ -182,6 +215,9 @@ impl Registry {
     pub fn finish(&self, id: u64, outcome: Result<Value, ServeError>) {
         let mut g = self.lock();
         let Some(job) = g.jobs.get_mut(&id) else { return };
+        if let Some(started) = job.started_at {
+            dpcons_obs::histogram("serve.job_us").record(started.elapsed().as_micros() as u64);
+        }
         match outcome {
             Ok(result) => {
                 job.state = JobState::Done;
@@ -198,21 +234,28 @@ impl Registry {
                 }
             }
         }
+        self.changed.notify_all();
     }
 
     /// Snapshot a job for rendering.
     pub fn view(&self, id: u64) -> Option<JobView> {
-        let g = self.lock();
-        let job = g.jobs.get(&id)?;
-        Some(JobView {
-            id,
-            spec: job.spec.clone(),
-            state: job.state,
-            clients: job.clients,
-            waves: job.waves.clone(),
-            result: job.result.clone(),
-            error: job.error.clone(),
-        })
+        self.lock().jobs.get(&id).map(|job| job.view(id))
+    }
+
+    /// Block until job `id` has more than `seen` waves, is terminal, or
+    /// `deadline` passes, and return its view as of that moment (at the
+    /// deadline: the unchanged view). `None` if the id is unknown or the job
+    /// was evicted meanwhile.
+    pub fn wait_change(&self, id: u64, seen: usize, deadline: Instant) -> Option<JobView> {
+        let mut g = self.lock();
+        loop {
+            let job = g.jobs.get(&id)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if job.waves.len() > seen || job.state.terminal() || left.is_zero() {
+                return Some(job.view(id));
+            }
+            g = self.changed.wait_timeout(g, left).unwrap_or_else(|p| p.into_inner()).0;
+        }
     }
 
     /// True once every job is terminal (used by drain).
@@ -226,6 +269,8 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::proto::{parse_request, JobKind, Limits};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn spec(body: &str) -> JobSpec {
         parse_request(JobKind::Tune, body, &Limits::default()).unwrap()
@@ -274,5 +319,86 @@ mod tests {
         // The evicted key is free again: resubmitting creates a fresh job.
         let again = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
         assert!(!again.deduped);
+    }
+
+    fn wave(n: u64) -> WaveProgress {
+        WaveProgress {
+            wave: n,
+            evaluated: 1,
+            evaluated_total: n as usize + 1,
+            planned: 4,
+            improved: false,
+        }
+    }
+
+    /// What a `wait_change(id, seen, ..)` on a second thread returns when
+    /// `wake` runs after that thread announced it is about to wait. The 60 s
+    /// deadline is far beyond any passing run, so a prompt return proves the
+    /// change (not the timeout) ended the wait.
+    fn woken_by(reg: &Registry, id: u64, seen: usize, wake: impl FnOnce()) -> Option<JobView> {
+        let (tx, rx) = mpsc::channel();
+        let began = Instant::now();
+        let view = std::thread::scope(|s| {
+            let waiter = s.spawn(move || {
+                tx.send(()).unwrap();
+                reg.wait_change(id, seen, Instant::now() + Duration::from_secs(60))
+            });
+            rx.recv().unwrap();
+            wake();
+            waiter.join().unwrap()
+        });
+        assert!(began.elapsed() < Duration::from_secs(30), "the waiter slept to its deadline");
+        view
+    }
+
+    #[test]
+    fn waiter_is_woken_by_push_wave_and_sees_the_wave() {
+        let reg = Registry::new(64);
+        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let view = woken_by(&reg, job.id, 0, || reg.push_wave(job.id, wave(0))).unwrap();
+        assert_eq!(view.waves.len(), 1);
+        assert!(!view.state.terminal());
+        // A waiter that has already sent that wave sleeps until the next one.
+        let view = woken_by(&reg, job.id, 1, || reg.push_wave(job.id, wave(1))).unwrap();
+        assert_eq!(view.waves.iter().map(|w| w.wave).collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn waiter_is_woken_by_finish_with_either_outcome() {
+        let reg = Registry::new(64);
+        let ok = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let view = woken_by(&reg, ok.id, 0, || reg.finish(ok.id, Ok(Value::Null))).unwrap();
+        assert_eq!(view.state, JobState::Done);
+        assert_eq!(view.result, Some(Value::Null));
+
+        let bad = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let boom = || reg.finish(bad.id, Err(ServeError::faulted("boom")));
+        let view = woken_by(&reg, bad.id, 0, boom).unwrap();
+        assert_eq!(view.state, JobState::Failed);
+        assert_eq!(view.error.map(|e| e.message), Some("boom".to_string()));
+    }
+
+    #[test]
+    fn wait_returns_the_unchanged_view_at_its_deadline() {
+        let reg = Registry::new(64);
+        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        reg.push_wave(job.id, wave(0));
+        let began = Instant::now();
+        let view = reg.wait_change(job.id, 1, began + Duration::from_millis(30)).unwrap();
+        assert!(began.elapsed() >= Duration::from_millis(30), "nothing changed: it must wait");
+        assert_eq!(view.waves.len(), 1);
+        assert_eq!(view.state, JobState::Queued);
+    }
+
+    #[test]
+    fn wait_on_an_unknown_or_evicted_job_is_none() {
+        let reg = Registry::new(1);
+        let soon = || Instant::now() + Duration::from_secs(60);
+        assert!(reg.wait_change(42, 0, soon()).is_none(), "unknown id");
+        let old = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        reg.finish(old.id, Ok(Value::Null));
+        let _new = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        assert!(reg.view(old.id).is_none(), "capacity 1: the done job was evicted");
+        assert!(reg.wait_change(old.id, 0, soon()).is_none(), "evicted id");
     }
 }

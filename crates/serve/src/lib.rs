@@ -38,8 +38,11 @@
 //!   `reproduce` CLI so `--strict` semantics and HTTP statuses stay aligned.
 //!
 //! Observability: the server feeds `serve.requests`, `serve.deduped`,
-//! `serve.jobs_running` / `serve.jobs_done` / `serve.jobs_failed` counters
-//! and the `serve.queue_depth` gauge, all visible at `GET /metrics`.
+//! `serve.jobs_running` / `serve.jobs_done` / `serve.jobs_failed` counters,
+//! the `serve.queue_depth` gauge, and the `serve.request_us` (per
+//! connection), `serve.queue_wait_us` (admission → worker) and
+//! `serve.job_us` (worker → terminal) histograms, all visible at
+//! `GET /metrics`.
 
 pub mod client;
 pub mod error;

@@ -4,16 +4,18 @@
 //! key can never run concurrently on different workers — the dedup table
 //! makes that unlikely, and sharding makes it structurally impossible (the
 //! property that keeps "exactly one sweep per key" true even across a
-//! fail-then-retry race). Each shard is one worker thread over a
-//! `Mutex<VecDeque>` + `Condvar`; shutdown is a flag + `notify_all` + a
-//! bounded join.
+//! fail-then-retry race). Each shard is one worker thread sleeping on a
+//! `Condvar` over its queue and stop flag — both under one mutex, so neither
+//! an enqueue nor the stop can slip between a worker's check and its wait.
+//! Drain sets the flags, then joins the workers against a deadline
+//! ([`Threads`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dpcons_obs::jsonv::Value;
 use dpcons_tune::{
@@ -46,109 +48,143 @@ impl CacheMode {
     }
 }
 
+#[derive(Default)]
+struct ShardState {
+    queue: VecDeque<u64>,
+    /// Set by drain: exit once `queue` is empty.
+    stop: bool,
+}
+
+#[derive(Default)]
 struct Shard {
-    queue: Mutex<VecDeque<u64>>,
+    state: Mutex<ShardState>,
+    /// Notified on every enqueue and on stop.
     ready: Condvar,
 }
 
-struct Shared {
-    shards: Vec<Shard>,
-    stop: AtomicBool,
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        // Only pushes, pops and a flag store happen under this lock; none can
+        // leave the state half-updated, so a poisoned guard is still valid.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
 }
 
 /// Cloneable submission side of the pool.
 #[derive(Clone)]
 pub struct Submitter {
-    shared: Arc<Shared>,
+    shards: Arc<[Shard]>,
 }
 
 impl Submitter {
     /// Enqueue a fresh job on the shard owning its key.
     pub fn enqueue(&self, key: u64, job_id: u64) {
-        let shard = &self.shared.shards[(key % self.shared.shards.len() as u64) as usize];
-        {
-            let mut q = shard.queue.lock().unwrap_or_else(|p| p.into_inner());
-            q.push_back(job_id);
-        }
+        let shard = &self.shards[(key % self.shards.len() as u64) as usize];
+        shard.lock().queue.push_back(job_id);
         dpcons_obs::gauge("serve.queue_depth").add(1);
         shard.ready.notify_all();
     }
 }
 
+/// Threads that are joined against a deadline. `std` has no timed join, so
+/// each thread holds a sender that it drops on the way out (a panic
+/// included), and the joiner sleeps until the channel disconnects.
+pub(crate) struct Threads {
+    handles: Vec<JoinHandle<()>>,
+    alive: Sender<()>,
+    /// Behind a `Mutex` only so that the owners stay `Sync`.
+    exited: Mutex<Receiver<()>>,
+}
+
+impl Threads {
+    pub(crate) fn new() -> Threads {
+        let (alive, exited) = mpsc::channel();
+        Threads { handles: Vec::new(), alive, exited: Mutex::new(exited) }
+    }
+
+    pub(crate) fn spawn(
+        &mut self,
+        name: String,
+        f: impl FnOnce() + Send + 'static,
+    ) -> std::io::Result<()> {
+        let alive = self.alive.clone();
+        self.handles.push(std::thread::Builder::new().name(name).spawn(move || {
+            let _alive = alive;
+            f()
+        })?);
+        Ok(())
+    }
+
+    /// Wait until `until` for every thread to exit, then join them all.
+    /// `false` if some thread was still running at the deadline; they are
+    /// all left detached then.
+    pub(crate) fn join_until(self, until: Instant) -> bool {
+        let Threads { handles, alive, exited } = self;
+        drop(alive);
+        let exited = exited.into_inner().unwrap_or_else(|p| p.into_inner());
+        let left = until.saturating_duration_since(Instant::now());
+        let all_exited = matches!(exited.recv_timeout(left), Err(RecvTimeoutError::Disconnected));
+        if all_exited {
+            for h in handles {
+                let _ = h.join();
+            }
+        }
+        all_exited
+    }
+}
+
 /// The joinable pool: owns the worker threads.
 pub struct Pool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+    shards: Arc<[Shard]>,
+    workers: Threads,
 }
 
 impl Pool {
     /// Spawn `shards` worker threads draining their own queues into
     /// [`execute`].
     pub fn start(shards: usize, registry: Arc<Registry>, cache: CacheMode) -> (Pool, Submitter) {
-        let shards = shards.max(1);
-        let shared = Arc::new(Shared {
-            shards: (0..shards)
-                .map(|_| Shard { queue: Mutex::new(VecDeque::new()), ready: Condvar::new() })
-                .collect(),
-            stop: AtomicBool::new(false),
-        });
-        let handles = (0..shards)
-            .map(|i| {
-                let shared = shared.clone();
-                let registry = registry.clone();
-                let cache = cache.clone();
-                std::thread::Builder::new()
-                    .name(format!("dpcons-serve-worker-{i}"))
-                    .spawn(move || worker_loop(i, &shared, &registry, &cache))
-                    .unwrap_or_else(|e| panic!("failed to spawn worker thread: {e}"))
-            })
-            .collect();
-        (Pool { shared: shared.clone(), handles }, Submitter { shared })
+        let shards: Arc<[Shard]> = (0..shards.max(1)).map(|_| Shard::default()).collect();
+        let mut workers = Threads::new();
+        for i in 0..shards.len() {
+            let shards = shards.clone();
+            let registry = registry.clone();
+            let cache = cache.clone();
+            workers
+                .spawn(format!("dpcons-serve-worker-{i}"), move || {
+                    worker_loop(&shards[i], &registry, &cache)
+                })
+                .unwrap_or_else(|e| panic!("failed to spawn worker thread: {e}"));
+        }
+        (Pool { shards: shards.clone(), workers }, Submitter { shards })
     }
 
-    /// Stop accepting queue pops once current queues drain, then join every
-    /// worker within `deadline`. Returns `true` on a clean join — the
+    /// Tell every worker to exit once its queue is empty, then join them
+    /// against `until`. Returns `true` on a clean join — the
     /// drain-on-shutdown contract. Workers finish their queued jobs first;
     /// only a wedged sweep makes this return `false`.
-    pub fn drain(self, deadline: Duration) -> bool {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for s in &self.shared.shards {
-            s.ready.notify_all();
+    pub fn drain(self, until: Instant) -> bool {
+        for shard in self.shards.iter() {
+            shard.lock().stop = true;
+            shard.ready.notify_all();
         }
-        let until = Instant::now() + deadline;
-        for h in self.handles {
-            while !h.is_finished() {
-                if Instant::now() >= until {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let _ = h.join();
-        }
-        true
+        self.workers.join_until(until)
     }
 }
 
-fn worker_loop(shard_idx: usize, shared: &Shared, registry: &Arc<Registry>, cache: &CacheMode) {
-    let shard = &shared.shards[shard_idx];
+fn worker_loop(shard: &Shard, registry: &Arc<Registry>, cache: &CacheMode) {
     loop {
         let job_id = {
-            let mut q = shard.queue.lock().unwrap_or_else(|p| p.into_inner());
+            let mut st = shard.lock();
             loop {
-                if let Some(id) = q.pop_front() {
-                    break Some(id);
+                if let Some(id) = st.queue.pop_front() {
+                    break id;
                 }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
+                if st.stop {
+                    return;
                 }
-                let (guard, _) = shard
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|p| p.into_inner());
-                q = guard;
+                st = shard.ready.wait(st).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let Some(job_id) = job_id else { return };
         dpcons_obs::gauge("serve.queue_depth").add(-1);
         let Some(spec) = registry.start(job_id) else { continue };
         let _span = dpcons_obs::span("serve.job");

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use dpcons_apps::{all_benchmarks, Benchmark, Profile, RunConfig};
+use dpcons_apps::{benchmark_by_name, benchmark_names, Benchmark, Profile, RunConfig};
 use dpcons_core::KnobSpace;
 use dpcons_obs::jsonv::Value;
 use dpcons_sim::GpuConfig;
@@ -88,14 +88,13 @@ pub struct JobSpec {
     pub key: u64,
 }
 
-/// Look a benchmark up by its registry name (case-insensitive).
+/// Build the benchmark registered under `name` (case-insensitive) — that one
+/// only; a request never pays for the other six datasets.
 pub fn find_app(name: &str, profile: Profile) -> Result<Box<dyn Benchmark>, ServeError> {
-    let apps = all_benchmarks(profile);
-    let known: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-    let known = known.join(", ");
-    apps.into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name.trim()))
-        .ok_or_else(|| ServeError::invalid(format!("unknown app `{name}`; known apps: {known}")))
+    benchmark_by_name(name, profile).ok_or_else(|| {
+        let known: Vec<&str> = benchmark_names().collect();
+        ServeError::invalid(format!("unknown app `{name}`; known apps: {}", known.join(", ")))
+    })
 }
 
 fn parse_profile(v: &Value) -> Result<Profile, ServeError> {

@@ -1,12 +1,15 @@
 //! Daemon API coverage: typed 4xx errors, progress streaming, metrics,
-//! fault-injected jobs failing without killing the server, and the
-//! drain-on-shutdown lifecycle.
+//! fault-injected jobs failing without killing the server, the
+//! drain-on-shutdown lifecycle, and the waits being waits: nothing a client
+//! does costs a poll interval, and nothing blocks shutdown.
 //!
 //! `tune::fault` installs a process-global plan, so the tests serialize on
 //! one mutex (the same discipline as `crates/tune/tests/fault_injection.rs`).
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dpcons_serve::pool::CacheMode;
 use dpcons_serve::{serve, Client, ErrorClass, ServerConfig};
@@ -106,7 +109,15 @@ fn jobs_stream_progress_and_feed_metrics() {
 
     // /metrics renders the serve counters.
     let metrics = client.metrics().unwrap();
-    for needle in ["serve.requests", "serve.jobs_done", "serve.deduped", "serve.queue_depth"] {
+    for needle in [
+        "serve.requests",
+        "serve.jobs_done",
+        "serve.deduped",
+        "serve.queue_depth",
+        "serve.request_us",
+        "serve.queue_wait_us",
+        "serve.job_us",
+    ] {
         assert!(metrics.contains(needle), "/metrics missing {needle}:\n{metrics}");
     }
 
@@ -145,7 +156,7 @@ fn draining_server_rejects_new_jobs_but_finishes_old_ones() {
     let _guard = serialize();
     let (handle, client) = start();
 
-    let _sub = client.submit("tune", &Client::tune_body("TH", "k20c", 4)).unwrap();
+    let sub = client.submit("tune", &Client::tune_body("TH", "k20c", 4)).unwrap();
     client.shutdown_server().unwrap();
 
     // New submissions are refused while draining...
@@ -154,6 +165,77 @@ fn draining_server_rejects_new_jobs_but_finishes_old_ones() {
     let health = client.healthz().unwrap();
     assert_eq!(health.get("draining"), Some(&dpcons_obs::jsonv::Value::Bool(true)));
 
-    // ...but the already-admitted job still completes and the drain is clean.
+    // ...but the already-admitted job still completes, a client that starts
+    // waiting for it mid-drain gets its answer, and the drain is clean.
+    let view = client.wait(sub.job, Duration::from_secs(120)).unwrap();
+    assert_eq!(view.get("status").and_then(|s| s.as_str()), Some("done"));
     handle.shutdown().expect("drain finishes the queued job");
+}
+
+#[test]
+fn a_stream_opened_before_the_drain_still_gets_its_terminal_line() {
+    let _guard = serialize();
+    let (handle, client) = start();
+
+    // Every candidate stalls, so the job is still running when the drain
+    // begins however fast the machine is.
+    let _scope = fault::install(FaultPlan { delay_rate: 1.0, delay_ms: 100, ..FaultPlan::new(3) });
+    let sub = client.submit("tune", &Client::tune_body("TH", "k20c", 8)).unwrap();
+
+    // Open the stream by hand and read the status line: once it is here the
+    // server is inside the stream, before the drain is requested.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    write!(stream, "GET /jobs/{}/stream HTTP/1.1\r\ncontent-length: 0\r\n\r\n", sub.job).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut status = String::new();
+    reader.read_line(&mut status).unwrap();
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+
+    client.shutdown_server().unwrap();
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert!(
+        rest.contains("\"done\""),
+        "the drain finished the job; its stream must say so:\n{rest}"
+    );
+
+    handle.shutdown().expect("clean drain");
+}
+
+#[test]
+fn shutdown_right_after_serve_returns_and_closes_the_listener() {
+    let _guard = serialize();
+    for idle_client in [false, true] {
+        let (handle, _client) = start();
+        let addr = handle.addr();
+        // A client that connected and never sent a byte must not matter.
+        let _idle = idle_client.then(|| TcpStream::connect(addr).unwrap());
+        let began = Instant::now();
+        handle.shutdown().expect("nothing to drain");
+        assert!(began.elapsed() < Duration::from_secs(5), "shutdown waited for its deadline");
+        assert!(TcpStream::connect(addr).is_err(), "the accept thread is gone, and its listener");
+    }
+}
+
+#[test]
+fn requests_cost_no_poll_interval_and_a_silent_client_delays_nobody() {
+    let _guard = serialize();
+    let (handle, client) = start();
+
+    // ~0.3 ms each on loopback; 10 ms each when accept slept between polls.
+    let began = Instant::now();
+    for _ in 0..20 {
+        client.healthz().unwrap();
+    }
+    let took = began.elapsed();
+    assert!(took < Duration::from_millis(100), "20 /healthz calls took {took:?}");
+
+    // The server gives a request 10 s to arrive; that is the silent client's
+    // wait, not its neighbour's.
+    let _silent = TcpStream::connect(handle.addr()).unwrap();
+    let began = Instant::now();
+    client.healthz().unwrap();
+    assert!(began.elapsed() < Duration::from_secs(1), "/healthz queued behind a silent client");
+
+    handle.shutdown().expect("clean drain");
 }
