@@ -289,11 +289,14 @@ fn main() {
     // run. The summary line always prints when a sweep ran — `--quiet` only
     // silences progress, never fault reporting.
     if tuned.is_some() || fleet_results.is_some() {
-        let tuned_rows = tuned.as_deref().unwrap_or(&[]);
-        let fleet_rows = fleet_results.as_deref().unwrap_or(&[]);
-        let faults = tune_fault_count(tuned_rows) + fleet_fault_count(fleet_rows);
-        for line in fault_lines(tuned_rows, fleet_rows) {
-            eprintln!("fault: {line}");
+        let sweeps = [("tune", tuned.as_deref()), ("fleet", fleet_results.as_deref())];
+        let mut faults = 0;
+        for (sweep, rows) in sweeps {
+            let rows = rows.unwrap_or(&[]);
+            faults += fault_count(rows);
+            for line in fault_lines(sweep, rows) {
+                eprintln!("fault: {line}");
+            }
         }
         println!("fault summary: {faults} faulted candidate(s) across the selected sweeps");
         if faults > 0 {

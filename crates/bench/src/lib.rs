@@ -483,22 +483,17 @@ pub fn tune_all(
 }
 
 /// Total faulted candidates (panicked, timed out, or failed) across a set of
-/// tuning sweeps.
-pub fn tune_fault_count(tuned: &[(String, TuneReport)]) -> usize {
-    tuned.iter().map(|(_, r)| r.fault_count()).sum()
+/// sweeps.
+pub fn fault_count(sweeps: &[(String, TuneReport)]) -> usize {
+    sweeps.iter().map(|(_, r)| r.fault_count()).sum()
 }
 
-/// Total faulted candidates across a set of fleet sweeps.
-pub fn fleet_fault_count(results: &[(String, FleetReport)]) -> usize {
-    results.iter().map(|(_, r)| r.fault_count()).sum()
-}
-
-/// One human-readable line per faulted candidate across tune and fleet
-/// sweeps — the `reproduce` CLI prints these so no skipped candidate goes
-/// unreported, even under `--quiet`.
-pub fn fault_lines(tuned: &[(String, TuneReport)], fleet: &[(String, FleetReport)]) -> Vec<String> {
+/// One human-readable line per faulted candidate across a set of sweeps,
+/// each prefixed with `sweep` ("tune" / "fleet") — the `reproduce` CLI prints
+/// these so no skipped candidate goes unreported, even under `--quiet`.
+pub fn fault_lines(sweep: &str, sweeps: &[(String, TuneReport)]) -> Vec<String> {
     let mut lines = Vec::new();
-    for (app, r) in tuned {
+    for (app, r) in sweeps {
         for (_, c) in r.faulted() {
             let desc = match &c.status {
                 dpcons_tune::Status::Panicked(m) => format!("panicked: {m}"),
@@ -506,18 +501,7 @@ pub fn fault_lines(tuned: &[(String, TuneReport)], fleet: &[(String, FleetReport
                 dpcons_tune::Status::Failed(m) => format!("failed: {m}"),
                 _ => continue,
             };
-            lines.push(format!("tune {app}: {} {desc}", c.knobs.label()));
-        }
-    }
-    for (app, r) in fleet {
-        for (_, c) in r.faulted() {
-            let desc = match &c.status {
-                dpcons_tune::FleetStatus::Panicked(m) => format!("panicked: {m}"),
-                dpcons_tune::FleetStatus::TimedOut(m) => format!("timed out: {m}"),
-                dpcons_tune::FleetStatus::Failed(m) => format!("failed: {m}"),
-                _ => continue,
-            };
-            lines.push(format!("fleet {app}: {} {desc}", c.knobs.label()));
+            lines.push(format!("{sweep} {app}: {} {desc}", c.knobs.label()));
         }
     }
     lines
@@ -700,8 +684,8 @@ pub fn fleet_json(
         .iter()
         .map(|(name, r)| {
             let matrix: Vec<Json> = r
-                .retimed()
-                .map(|(c, cells)| {
+                .matrix()
+                .map(|(c, cycles)| {
                     Json::Obj(vec![
                         ("knobs".into(), Json::s(c.knobs.label())),
                         (
@@ -709,8 +693,8 @@ pub fn fleet_json(
                             Json::Obj(
                                 r.devices
                                     .iter()
-                                    .zip(cells)
-                                    .map(|(d, cell)| (d.clone(), Json::U64(cell.cycles)))
+                                    .zip(cycles)
+                                    .map(|(d, cycles)| (d.clone(), Json::U64(cycles)))
                                     .collect(),
                             ),
                         ),

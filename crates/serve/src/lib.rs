@@ -14,18 +14,20 @@
 //!   `POST /fleet` bodies are parsed with [`dpcons_obs::jsonv`], budget caps
 //!   are **clamped server-side** ([`proto::Limits`]: `max_evals` past the cap
 //!   is a typed `over_budget` rejection, fuel is always forced on), and the
-//!   request is normalized into the *exact* cache key the sweeps use
-//!   ([`dpcons_tune::cache_key_for`] / [`dpcons_tune::fleet_cache_key_for`])
-//!   — so serve-side dedup and the result cache cannot disagree.
+//!   request is normalized into the *exact* cache key the sweep uses
+//!   ([`dpcons_tune::cache_key_for`]) — so serve-side dedup and the result
+//!   cache cannot disagree. The endpoints differ only in naming one `device`
+//!   or a list of `devices`; a one-device `/fleet` is that device's `/tune`.
 //! * [`jobs`] — the in-memory job registry and dedup table. N concurrent
 //!   identical requests attach to one job (one functional sweep, N
 //!   responses); failed jobs release their key so retries are fresh;
 //!   terminal jobs are retained bounded-FIFO for late pollers.
 //! * [`pool`] — the sharded worker pool. Jobs route to `key % shards`, so
-//!   identical keys are serialized structurally. Workers run sweeps through
-//!   the [`dpcons_tune::WaveHook`] progress callback, streaming wave events
-//!   into the registry as they complete; job panics are isolated with
-//!   `catch_unwind` and reported as `failed`, never fatal.
+//!   identical keys are serialized structurally. Workers run the one sweep
+//!   over the job's devices through the [`dpcons_tune::WaveHook`] progress
+//!   callback, streaming wave events into the registry as they complete, and
+//!   render one result shape; job panics are isolated with `catch_unwind`
+//!   and reported as `failed`, never fatal.
 //! * [`http`] — the router/server: `GET /jobs/{id}` (status + partial wave
 //!   results), `GET /jobs/{id}/stream` (chunked-transfer NDJSON progress),
 //!   `GET /metrics` (the [`dpcons_obs`] registry), `GET /healthz`, and

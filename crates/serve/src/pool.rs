@@ -18,14 +18,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dpcons_obs::jsonv::Value;
-use dpcons_tune::{
-    fleet_sweep_with_progress, tune_with_progress, Cache, FleetOptions, FleetStatus, TuneOptions,
-    WaveHook,
-};
+use dpcons_tune::{fleet_sweep_with_progress, Cache, FleetOptions, WaveHook};
 
 use crate::error::ServeError;
 use crate::jobs::Registry;
-use crate::proto::{find_app, key_hex, JobKind, JobSpec};
+use crate::proto::{find_app, key_hex, JobSpec};
 
 /// Where workers put sweep results.
 #[derive(Debug, Clone)]
@@ -205,7 +202,9 @@ fn worker_loop(shard: &Shard, registry: &Arc<Registry>, cache: &CacheMode) {
     }
 }
 
-/// Run one admitted job to completion.
+/// Run one admitted job to completion: the one sweep over `spec.devices` —
+/// a single device for `/tune` (and for a one-device `/fleet`, which is the
+/// same job) — and one result shape for both endpoints.
 fn execute(
     spec: &JobSpec,
     registry: Arc<Registry>,
@@ -215,102 +214,53 @@ fn execute(
     let app = find_app(&spec.app, spec.profile)?;
     // Wave events stream straight into the registry, so `GET /jobs/{id}`
     // and the chunked stream endpoint see progress while the sweep runs.
-    let hook = {
-        let registry = registry.clone();
-        WaveHook::new(move |p| registry.push_wave(job_id, p))
+    let hook = WaveHook::new(move |p| registry.push_wave(job_id, p));
+    let opts = FleetOptions {
+        base: dpcons_apps::RunConfig::default(),
+        space: spec.space.clone(),
+        budget: spec.budget,
+        fleet: spec.devices.clone(),
+        cache: cache.build(),
     };
-    match spec.kind {
-        JobKind::Tune => {
-            let opts = TuneOptions {
-                base: dpcons_apps::RunConfig {
-                    gpu: spec.devices[0].clone(),
-                    ..dpcons_apps::RunConfig::default()
-                },
-                space: spec.space.clone(),
-                budget: spec.budget,
-                with_baselines: false,
-                cache: cache.build(),
-            };
-            let report = tune_with_progress(app.as_ref(), &opts, &hook)
-                .map_err(|e| ServeError::faulted(e.to_string()))?;
-            debug_assert_eq!(report.key, spec.key);
-            let Some(winner) = report.best_knobs() else {
-                return Err(ServeError::faulted(format!(
-                    "no feasible winner: {} evaluated, {} failed, {} panicked, {} timed out",
-                    report.evaluated, report.failed, report.panicked, report.timed_out
-                )));
-            };
-            let best_cycles = report
-                .best
-                .and_then(|i| report.candidates.get(i))
-                .and_then(|c| match &c.status {
-                    dpcons_tune::Status::Evaluated(m) => Some(m.cycles),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            let mut w = BTreeMap::new();
-            w.insert("knobs".to_string(), Value::Str(winner.label()));
-            w.insert("cycles".to_string(), Value::Num(best_cycles as f64));
-            let mut o = BTreeMap::new();
-            o.insert("kind".to_string(), Value::Str("tune".to_string()));
-            o.insert("app".to_string(), Value::Str(report.app.clone()));
-            o.insert("device".to_string(), Value::Str(report.gpu.clone()));
-            o.insert("key".to_string(), Value::Str(key_hex(report.key)));
-            o.insert("winner".to_string(), Value::Obj(w));
-            o.insert("evaluated".to_string(), Value::Num(report.evaluated as f64));
-            o.insert("pruned".to_string(), Value::Num(report.pruned as f64));
-            o.insert(
-                "faulted".to_string(),
-                Value::Num((report.failed + report.panicked + report.timed_out) as f64),
-            );
-            o.insert("from_cache".to_string(), Value::Bool(report.from_cache));
-            Ok(Value::Obj(o))
-        }
-        JobKind::Fleet => {
-            let opts = FleetOptions {
-                base: dpcons_apps::RunConfig::default(),
-                space: spec.space.clone(),
-                budget: spec.budget,
-                fleet: spec.devices.clone(),
-                cache: cache.build(),
-            };
-            let report = fleet_sweep_with_progress(app.as_ref(), &opts, &hook)
-                .map_err(|e| ServeError::faulted(e.to_string()))?;
-            debug_assert_eq!(report.key, spec.key);
-            if report.winners.iter().all(Option::is_none) {
-                return Err(ServeError::faulted("no feasible winner on any device".to_string()));
-            }
-            let winners: Vec<Value> = report
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(d, name)| {
-                    let Some(idx) = report.winners[d] else { return Value::Null };
-                    let Some(cand) = report.candidates.get(idx) else { return Value::Null };
-                    let cycles = match &cand.status {
-                        FleetStatus::Retimed(cells) => cells.get(d).map(|c| c.cycles).unwrap_or(0),
-                        _ => 0,
-                    };
-                    let mut w = BTreeMap::new();
-                    w.insert("device".to_string(), Value::Str(name.clone()));
-                    w.insert("knobs".to_string(), Value::Str(cand.knobs.label()));
-                    w.insert("cycles".to_string(), Value::Num(cycles as f64));
-                    Value::Obj(w)
-                })
-                .collect();
-            let mut o = BTreeMap::new();
-            o.insert("kind".to_string(), Value::Str("fleet".to_string()));
-            o.insert("app".to_string(), Value::Str(report.app.clone()));
-            o.insert(
-                "devices".to_string(),
-                Value::Arr(report.devices.iter().map(|d| Value::Str(d.clone())).collect()),
-            );
-            o.insert("key".to_string(), Value::Str(key_hex(report.key)));
-            o.insert("winners".to_string(), Value::Arr(winners));
-            o.insert("functional_runs".to_string(), Value::Num(report.functional_runs as f64));
-            o.insert("retimings".to_string(), Value::Num(report.retimings as f64));
-            o.insert("from_cache".to_string(), Value::Bool(report.from_cache));
-            Ok(Value::Obj(o))
-        }
+    let report = fleet_sweep_with_progress(app.as_ref(), &opts, &hook)
+        .map_err(|e| ServeError::faulted(e.to_string()))?;
+    debug_assert_eq!(report.key, spec.key);
+    if report.winners.iter().all(Option::is_none) {
+        return Err(ServeError::faulted(format!(
+            "no feasible winner on any device: {} evaluated, {} failed, {} panicked, {} timed out",
+            report.evaluated, report.failed, report.panicked, report.timed_out
+        )));
     }
+    let num = |n: u64| Value::Num(n as f64);
+    let winners: Vec<Value> = (0..report.devices.len())
+        .map(|d| match (report.winner_knobs(d), report.winner_cycles(d)) {
+            (Some(knobs), Some(cycles)) => Value::Obj(BTreeMap::from([
+                ("device".to_string(), Value::Str(report.devices[d].clone())),
+                ("knobs".to_string(), Value::Str(knobs.label())),
+                ("cycles".to_string(), num(cycles)),
+            ])),
+            _ => Value::Null,
+        })
+        .collect();
+    let devices = report.devices.iter().map(|d| Value::Str(d.clone())).collect();
+    let mut o = BTreeMap::from([
+        ("kind".to_string(), Value::Str(spec.kind.as_str().to_string())),
+        ("app".to_string(), Value::Str(report.app.clone())),
+        ("devices".to_string(), Value::Arr(devices)),
+        ("key".to_string(), Value::Str(key_hex(report.key))),
+        ("evaluated".to_string(), num(report.evaluated as u64)),
+        ("pruned".to_string(), num(report.pruned as u64)),
+        ("faulted".to_string(), num(report.fault_count() as u64)),
+        ("functional_runs".to_string(), num(report.functional_runs)),
+        ("retimings".to_string(), num(report.retimings)),
+        ("from_cache".to_string(), Value::Bool(report.from_cache)),
+    ]);
+    // A one-device sweep also answers in the singular, the form `/tune`
+    // clients read.
+    if let [winner] = &winners[..] {
+        o.insert("device".to_string(), Value::Str(report.captured_on().to_string()));
+        o.insert("winner".to_string(), winner.clone());
+    }
+    o.insert("winners".to_string(), Value::Arr(winners));
+    Ok(Value::Obj(o))
 }

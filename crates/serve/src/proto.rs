@@ -4,9 +4,10 @@
 //!
 //! Normalization is the load-bearing step. Two requests are "the same job"
 //! iff they normalize to the same key, and the key is computed by
-//! [`dpcons_tune::cache_key_for`] / [`dpcons_tune::fleet_cache_key_for`] —
-//! the same functions the sweeps use for their own cache — so the in-flight
-//! dedup table and the result cache can never disagree about identity.
+//! [`dpcons_tune::cache_key_for`] — the function the sweep uses for its own
+//! cache — so the in-flight dedup table and the result cache can never
+//! disagree about identity. The key knows devices, not endpoints: a `/fleet`
+//! request naming one device is the `/tune` of that device.
 //! Clamping happens *before* keying: a request asking for more than the
 //! server grants dedups against other requests clamped to the same grant.
 
@@ -16,7 +17,7 @@ use dpcons_apps::{benchmark_by_name, benchmark_names, Benchmark, Profile, RunCon
 use dpcons_core::KnobSpace;
 use dpcons_obs::jsonv::Value;
 use dpcons_sim::GpuConfig;
-use dpcons_tune::{cache_key_for, fingerprint, fleet_cache_key_for, Budget};
+use dpcons_tune::{cache_key_for, fingerprint, Budget};
 
 use crate::error::ServeError;
 
@@ -57,7 +58,8 @@ impl Default for Limits {
     }
 }
 
-/// Which sweep a job runs.
+/// Which endpoint admitted a job. It only decides whether the body names one
+/// `device` or a list of `devices`; the sweep is the same.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     Tune,
@@ -80,7 +82,7 @@ pub struct JobSpec {
     pub kind: JobKind,
     pub app: String,
     pub profile: Profile,
-    /// One device for tune; the capture device first for fleet.
+    /// Every device priced, the capture device first.
     pub devices: Vec<GpuConfig>,
     pub budget: Budget,
     pub space: KnobSpace,
@@ -212,11 +214,8 @@ pub fn parse_request(kind: JobKind, body: &str, limits: &Limits) -> Result<JobSp
     let app = find_app(app_name, profile)?;
     let fp = fingerprint(app.as_ref());
     let space = KnobSpace::quick(devices[0].num_sms);
-    let base = RunConfig { gpu: devices[0].clone(), ..RunConfig::default() };
-    let key = match kind {
-        JobKind::Tune => cache_key_for(app.name(), fp, &base, &space, &budget, false),
-        JobKind::Fleet => fleet_cache_key_for(app.name(), fp, &base, &space, &budget, &devices),
-    };
+    let key =
+        cache_key_for(app.name(), fp, &RunConfig::default(), &space, &budget, &devices, false);
     Ok(JobSpec {
         kind,
         app: app.name().to_string(),
@@ -316,11 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn tune_and_fleet_requests_never_collide() {
+    fn a_one_device_fleet_is_the_tune_of_that_device() {
         let t =
             parse_request(JobKind::Tune, r#"{"app":"SSSP","device":"k20c"}"#, &limits()).unwrap();
         let f = parse_request(JobKind::Fleet, r#"{"app":"SSSP","devices":["k20c"]}"#, &limits())
             .unwrap();
-        assert_ne!(t.key, f.key, "tune and fleet keys live in distinct namespaces");
+        assert_eq!(t.key, f.key, "one sweep, one key, whichever endpoint asked");
+        let two =
+            parse_request(JobKind::Fleet, r#"{"app":"SSSP","devices":["k20c","k40"]}"#, &limits())
+                .unwrap();
+        assert_ne!(t.key, two.key, "a second device is a different sweep");
     }
 }

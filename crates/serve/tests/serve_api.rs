@@ -107,6 +107,23 @@ fn jobs_stream_progress_and_feed_metrics() {
     assert_eq!(again.job, sub.job);
     assert_eq!(again.status, "done");
 
+    // So does a one-device `/fleet`: it is literally the `/tune` of that
+    // device — same key, same job, no second sweep — and the one result
+    // answers both in the singular and in the plural.
+    let execs_before = dpcons_sim::functional_execs_total();
+    let fleet = client.submit("fleet", &Client::fleet_body("SSSP", &["k20c"], 8)).unwrap();
+    assert!(fleet.deduped, "a one-device fleet must dedup onto the finished tune");
+    assert_eq!(
+        (fleet.job, fleet.key.as_str(), fleet.status.as_str()),
+        (sub.job, &*sub.key, "done")
+    );
+    assert_eq!(dpcons_sim::functional_execs_total(), execs_before, "no second sweep");
+    let result = client.job(fleet.job).unwrap().get("result").cloned().unwrap();
+    let winners = result.get("winners").and_then(|w| w.as_arr()).expect("winners array");
+    assert_eq!(winners.len(), 1);
+    assert_eq!(result.get("winner"), Some(&winners[0]));
+    assert_eq!(result.get("device"), winners[0].get("device"));
+
     // /metrics renders the serve counters.
     let metrics = client.metrics().unwrap();
     for needle in [

@@ -1,21 +1,24 @@
-//! Deterministic, self-healing results cache for tuning sweeps.
+//! Deterministic, self-healing results cache for sweeps.
 //!
-//! Keyed by an FNV-1a hash of everything that determines a sweep's outcome:
-//! app identity + dataset fingerprint, the device description (including its
-//! cost model), the run configuration, the knob space, and the search budget.
-//! Two layers: a process-wide in-memory map, and an optional on-disk
-//! directory (one file per key, written atomically) so repeated `--tune`
-//! invocations across processes are O(1). Entries store the byte-exact
-//! [`TuneReport::to_text`] form; a hit reparses it, so a cached report is
-//! guaranteed identical to what the original sweep produced.
+//! Keyed by [`crate::cache_key_for`]: an FNV-1a hash of everything that
+//! determines a sweep's outcome — app identity + dataset fingerprint, the run
+//! configuration, the knob space, the search budget, and the full description
+//! (cost model included) of every device priced. Two layers: a process-wide
+//! in-memory map, and an optional on-disk directory (one file per key,
+//! written atomically) so repeated `--tune`/`--fleet` invocations across
+//! processes are O(1). There is one entry format for every sweep, the
+//! byte-exact [`TuneReport::to_text`] form; a hit reparses it, so a cached
+//! report is guaranteed identical to what the original sweep produced, and an
+//! entry that does not parse (a stale payload schema) is quarantined like a
+//! corrupt one.
 //!
 //! The disk layer defends itself rather than trusting the filesystem:
 //!
 //! * Every file carries a versioned envelope header with an FNV-1a checksum
 //!   and payload length. Corrupt, truncated, or stale-schema files fail
-//!   validation, are renamed to `<file>.corrupt` for post-mortem
-//!   ([`Cache::quarantine_key`]), counted in `tune.cache.corrupt` /
-//!   `tune.cache.quarantined`, and treated as plain misses.
+//!   validation, are renamed to `<file>.corrupt` for post-mortem, counted in
+//!   `tune.cache.corrupt` / `tune.cache.quarantined`, and treated as plain
+//!   misses.
 //! * If the directory cannot be written (read-only volume, permission
 //!   change), the handle degrades to memory-only with a single
 //!   [`dpcons_obs::warn_once`] warning — a broken cache never fails a sweep.
@@ -222,30 +225,6 @@ impl Cache {
         }
     }
 
-    /// Raw-text lookup (memory first, then disk) for report types that own
-    /// their parse/validate step, e.g. the fleet report. The caller must
-    /// treat unparseable text as a miss, mirroring [`Cache::get`] — and
-    /// should [`Cache::quarantine_key`] it so the bad entry stops resurfacing.
-    pub fn get_text(&self, key: u64) -> Option<String> {
-        let (hits, misses, _) = cache_counters();
-        let found = self.get_text_uncounted(key);
-        if found.is_some() {
-            hits.inc()
-        } else {
-            misses.inc()
-        }
-        found
-    }
-
-    fn get_text_uncounted(&self, key: u64) -> Option<String> {
-        if let Some(text) = mem().get(&key) {
-            return Some(text.clone());
-        }
-        let text = self.read_disk(key)?;
-        mem().insert(key, text.clone());
-        Some(text)
-    }
-
     /// Read one key from disk, validating the envelope. Validation failures
     /// quarantine the file and report a miss.
     fn read_disk(&self, key: u64) -> Option<String> {
@@ -261,11 +240,10 @@ impl Cache {
         }
     }
 
-    /// Move a bad entry aside as `<file>.corrupt` and drop it from the
-    /// memory layer, so it reads as a miss from now on. Used internally on
-    /// envelope validation failures and by callers whose payload parse
-    /// failed (stale payload schema).
-    pub fn quarantine_key(&self, key: u64, reason: &str) {
+    /// Move an entry whose payload did not parse (stale payload schema) aside
+    /// as `<file>.corrupt` and drop it from the memory layer, so it reads as
+    /// a miss from now on.
+    fn quarantine_key(&self, key: u64, reason: &str) {
         mem().remove(&key);
         if let Some(dir) = self.dir.as_deref() {
             let path = Self::path_for(dir, key);
@@ -288,19 +266,19 @@ impl Cache {
         );
     }
 
-    /// Store raw entry text under its key. Disk writes are enveloped and
-    /// atomic (tmp + rename); on I/O failure the handle degrades to
-    /// memory-only with one warning — the cache is an accelerator, not a
-    /// correctness dependency.
-    pub fn put_text(&self, key: u64, text: &str) {
+    /// Store a report under its key. Disk writes are enveloped and atomic
+    /// (tmp + rename); on I/O failure the handle degrades to memory-only with
+    /// one warning — the cache is an accelerator, not a correctness
+    /// dependency.
+    pub fn put(&self, key: u64, report: &TuneReport) {
         cache_counters().2.inc();
-        mem().insert(key, text.to_string());
-        let Some(dir) = self.disk_dir() else {
-            return;
-        };
-        if let Err(e) = Self::write_disk(dir, key, text) {
-            self.disable_disk(dir, &e);
+        let text = report.to_text();
+        if let Some(dir) = self.disk_dir() {
+            if let Err(e) = Self::write_disk(dir, key, &text) {
+                self.disable_disk(dir, &e);
+            }
         }
+        mem().insert(key, text);
     }
 
     fn write_disk(dir: &Path, key: u64, text: &str) -> Result<(), String> {
@@ -311,11 +289,6 @@ impl Cache {
         std::fs::rename(&tmp, &path).map_err(|e| format!("rename: {e}"))?;
         fault::maybe_corrupt_cache_file(key, &path);
         Ok(())
-    }
-
-    /// Store a tune report under its key.
-    pub fn put(&self, key: u64, report: &TuneReport) {
-        self.put_text(key, &report.to_text());
     }
 
     /// Drop the in-memory layer (tests use this to force disk round trips).
@@ -349,7 +322,7 @@ mod tests {
 
     #[test]
     fn envelope_roundtrips() {
-        let payload = "dpcons-tune v2\nsome payload\nlines\n";
+        let payload = "dpcons-tune v3\nsome payload\nlines\n";
         let enveloped = encode_envelope(payload);
         assert_eq!(decode_envelope(&enveloped), Ok(payload));
     }

@@ -11,7 +11,7 @@
 //! Every injection decision is a pure function of `(plan seed, fault kind,
 //! app, candidate label)` hashed through [`Fnv64`] into the workspace's
 //! seeded [`Rng64`]. Decisions therefore do not depend on thread scheduling
-//! or evaluation order, are identical between the tuner and fleet paths, and
+//! or evaluation order, are identical for every device count, and
 //! replay exactly across runs — which is what lets the test suite assert
 //! that a faulted sweep picks the same winner as the fault-free sweep
 //! whenever the winner itself was not faulted.
@@ -84,6 +84,12 @@ static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 // other's plans.
 static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Take the campaign lock: whoever holds it is the only one who can have a
+/// plan installed.
+fn campaign_lock() -> MutexGuard<'static, ()> {
+    SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn plan_slot() -> MutexGuard<'static, Option<FaultPlan>> {
     PLAN.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -112,7 +118,7 @@ impl Drop for FaultScope {
 /// Install `plan` for the lifetime of the returned scope.
 #[must_use = "the plan is uninstalled when the scope drops"]
 pub fn install(plan: FaultPlan) -> FaultScope {
-    let serial = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let serial = campaign_lock();
     *plan_slot() = Some(plan);
     ENABLED.store(true, Ordering::Relaxed);
     FaultScope { _serial: serial }
@@ -189,6 +195,8 @@ mod tests {
 
     #[test]
     fn no_plan_means_no_faults() {
+        // Sibling tests install plans; hold their lock so none is in force.
+        let _serial = campaign_lock();
         assert!(current().is_none());
         let mut fuel = None;
         assert!(before_candidate("bfs", "grid/default", 0, &mut fuel).is_ok());
@@ -215,6 +223,7 @@ mod tests {
             assert!(before_candidate("bfs", "grid/default", 0, &mut fuel).is_ok());
             assert_eq!(fuel, Some(4));
         }
+        let _serial = campaign_lock();
         assert!(current().is_none());
     }
 

@@ -8,7 +8,8 @@
 //! given a benchmark's annotated basic-dp module and dataset, it finds the
 //! best directive automatically.
 //!
-//! Sweep pipeline ([`tune`]):
+//! There is one sweep pipeline ([`tuner`]), over however many devices it is
+//! handed — [`tune`] prices one, [`fleet_sweep`] a whole fleet:
 //!
 //! 1. **Enumerate** — [`dpcons_core::KnobSpace`] ×
 //!    [`dpcons_core::Directive::enumerate`] over the app's hand-written base
@@ -24,27 +25,27 @@
 //!    `dpcons-sim`'s cycle model in parallel ([`par::parallel_map`]; scoped
 //!    std threads — the environment has no `rayon`), in fixed-size waves so
 //!    the optional [`Budget`] (evaluation cap + no-improvement patience)
-//!    stops deterministically on every machine. Candidates whose output
-//!    diverges from the CPU oracle are never ranked.
+//!    stops deterministically on every machine. Each runs functionally
+//!    **once**, on the first device; with more devices the run is captured
+//!    and re-timed on each of the others via `Engine::replay_timing_on`, so
+//!    one functional run yields a whole row of the (knobs × device) matrix.
+//!    Candidates whose output diverges from the CPU oracle are never ranked.
 //! 4. **Rank & cache** — the [`TuneReport`] lists every candidate with its
-//!    metrics and names the winner; it is stored in a deterministic
-//!    two-layer [`Cache`] keyed by (app, dataset fingerprint, device
-//!    description, knob space, budget), so repeated sweeps are O(1) and
-//!    byte-identical.
+//!    metrics and names one winner per device; it is stored in a
+//!    deterministic two-layer [`Cache`] keyed by (app, dataset fingerprint,
+//!    run configuration, knob space, budget, every device's description)
+//!    ([`cache_key_for`]), so repeated sweeps are O(1) and byte-identical.
 //!
 //! End-to-end integration: `dpcons_apps::Variant::ConsolidatedTuned` runs a
 //! benchmark under tuned knobs ([`run_tuned`] searches then launches),
 //! `reproduce --tune` sweeps all seven apps and reports tuned-vs-default
 //! speedups, and `examples/autotune.rs` demonstrates the flow.
 //!
-//! On top of the single-device sweep sits the **device-fleet what-if
-//! subsystem** ([`fleet`]): [`fleet_sweep`] captures each surviving
-//! candidate's functional execution once and re-times it on every device of
-//! a [`dpcons_sim::GpuConfig`] fleet via `Engine::replay_timing_on`, turning
-//! one functional run into a whole row of the (knobs × device) matrix;
-//! [`transfer_check`] re-scores Test-profile-tuned knobs on the Bench
+//! [`fleet`] holds the multi-device entry point — it only adds the check
+//! that every device can replay a capture from the first — and
+//! [`transfer_check`], which re-scores Test-profile-tuned knobs on the Bench
 //! profile and reports the regret against that profile's own oracle sweep.
-//! `reproduce --fleet` and `examples/fleet.rs` drive it end to end.
+//! `reproduce --fleet` and `examples/fleet.rs` drive both end to end.
 //!
 //! The sweep substrate is **fault-tolerant**: candidate panics are isolated
 //! per job ([`par::parallel_map_robust`]) and recorded as
@@ -74,15 +75,15 @@ pub mod tuner;
 pub use cache::{fnv1a, Cache, Fnv64};
 pub use fault::{FaultPlan, FaultScope};
 pub use fleet::{
-    fleet_cache_key_for, fleet_sweep, fleet_sweep_with_progress, transfer_check, DeviceCell,
-    FleetCandidate, FleetError, FleetOptions, FleetReport, FleetStatus, TransferReport,
+    fleet_sweep, fleet_sweep_with_progress, transfer_check, FleetError, FleetOptions,
+    TransferReport,
 };
 pub use knobs::Knobs;
 pub use par::{parallel_map, parallel_map_robust};
 pub use replay::{merge_reports, replay_timing_many, replay_timing_many_robust};
-pub use report::{CandidateOutcome, Metrics, Status, TuneReport};
+pub use report::{CandidateOutcome, FleetReport, Metrics, Status, TuneReport};
 pub use tuner::{
     cache_key_for, candidate_config, default_knobs, enumerate_candidates, evaluate_candidate,
-    evaluate_candidate_robust, fingerprint, materialize_directive, prune_reason, run_tuned, tune,
-    tune_with_progress, Budget, TuneError, TuneOptions, WaveHook, WaveProgress, WAVE_SIZE,
+    fingerprint, materialize_directive, prune_reason, run_tuned, tune, tune_with_progress, Budget,
+    TuneError, TuneOptions, WaveHook, WaveProgress, WAVE_SIZE,
 };

@@ -1,25 +1,40 @@
-//! The directive autotuning search.
+//! The one sweep: the directive search over a set of devices.
 //!
-//! Pipeline per sweep: enumerate the knob space from the app's base
-//! directives → collapse redundant grid-level combinations → prune
-//! infeasible points with the compiler's own static analyses → evaluate the
-//! survivors in parallel against the simulator's cycle model, in
-//! deterministic waves with an optional search budget → rank by cycles among
-//! oracle-exact runs → cache the report.
+//! Every search in this crate — a single-device [`tune`], a multi-device
+//! [`crate::fleet_sweep`], and through them `reproduce --tune/--fleet` and
+//! the `dpcons-serve` daemon — is the private [`sweep`] below; `tune` is the
+//! sweep over `[base.gpu]`. Its stages: key the request ([`cache_key_for`])
+//! and look the results cache up → enumerate the knob space, collapsing
+//! redundant grid-level combinations → prune infeasible points with the
+//! compiler's own static analyses → optionally run the baselines → evaluate
+//! the survivors in parallel, in deterministic waves under the search budget
+//! → rank by cycles among oracle-exact runs, once per device → store.
+//!
+//! A candidate executes functionally **once**, on `devices[0]`, whatever the
+//! device count: only timing depends on a device's structural resources
+//! (`dpcons-sim`'s two-phase engine bakes segment durations into a capture
+//! and applies SM counts, residency limits, concurrency and pending pools at
+//! replay). With further devices the run records its launch DAGs and each
+//! device re-prices them by timing-only replay; with none it records nothing
+//! and costs a plain run. Pinned by `crates/sim/tests/replay_differential.rs`
+//! (replayed timing ≡ fresh execution) and, in `crates/tune/tests/`, by
+//! `fleet_exec_count.rs` (no extra functional work) and `one_sweep.rs` (the
+//! one-device column ≡ the single-device sweep).
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use dpcons_apps::{AppError, Benchmark, RunConfig, TuneModel, TunedDirective, Variant};
+use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, TunedDirective, Variant};
 use dpcons_core::{
     analyze, max_blocks_per_sm, ConfigPolicy, Granularity, KernelResources, KnobSpace,
 };
-use dpcons_sim::{AllocKind, SimError};
+use dpcons_sim::{AllocKind, ExecRecord, GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
 use crate::fault;
 use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
+use crate::replay::{merge_reports, replay_timing_many_robust};
 use crate::report::{CandidateOutcome, Metrics, Status, TuneReport};
 
 /// Candidates evaluated per deterministic wave. Fixed (not tied to the core
@@ -30,9 +45,9 @@ pub const WAVE_SIZE: usize = 16;
 /// version. **Bump this whenever simulator timing or consolidation codegen
 /// changes behaviorally** — the on-disk cache outlives builds, and a stale
 /// entry would otherwise report pre-change cycles as current.
-/// v2: fault-tolerant sweeps (report format v2 with panicked/timed-out
-/// outcomes, `Budget` watchdog fields).
-pub const CACHE_SCHEMA: u32 = 2;
+/// v2: fault-tolerant sweeps (panicked/timed-out outcomes, `Budget` watchdog
+/// fields). v3: one report format for every device count, one key function.
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// Search budget: caps and early stopping for large knob grids. The paper's
 /// per-granularity default candidates are always evaluated (they are ordered
@@ -90,11 +105,6 @@ impl WaveHook {
         WaveHook(Some(Arc::new(f)))
     }
 
-    /// The no-op hook.
-    pub fn none() -> WaveHook {
-        WaveHook(None)
-    }
-
     /// Invoke the callback, if one is set.
     pub fn call(&self, p: WaveProgress) {
         if let Some(f) = &self.0 {
@@ -103,13 +113,7 @@ impl WaveHook {
     }
 }
 
-impl std::fmt::Debug for WaveHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "WaveHook(set)" } else { "WaveHook(none)" })
-    }
-}
-
-/// Everything configuring one sweep.
+/// Everything configuring one single-device sweep.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
     /// Base run configuration (device, threshold, heap sizes). The
@@ -121,18 +125,6 @@ pub struct TuneOptions {
     pub with_baselines: bool,
     /// Results cache; `None` disables caching entirely.
     pub cache: Option<Cache>,
-}
-
-impl Default for TuneOptions {
-    fn default() -> Self {
-        TuneOptions {
-            base: RunConfig::default(),
-            space: KnobSpace::quick(dpcons_sim::GpuConfig::k20c().num_sms),
-            budget: Budget::default(),
-            with_baselines: true,
-            cache: Some(Cache::in_temp_dir()),
-        }
-    }
 }
 
 /// Errors surfaced by the tuner itself (candidate-level failures are data,
@@ -173,32 +165,15 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// How many leading entries of `eval_idx` are paper-default candidates.
-/// Defaults are ordered first by [`enumerate_candidates`] and are exempt
-/// from the evaluation cap, so a budgeted sweep can never do worse than the
-/// hand-written directive.
-pub(crate) fn leading_default_count(
-    model: &TuneModel,
-    space: &KnobSpace,
-    cands: &[Knobs],
-    eval_idx: &[usize],
-) -> usize {
-    eval_idx
-        .iter()
-        .take_while(|&&i| space.granularities.iter().any(|&g| default_knobs(model, g) == cands[i]))
-        .count()
-}
-
-/// Shared budgeted wave driver for [`tune`] and the fleet sweep: walk
-/// `eval_idx` in [`WAVE_SIZE`] batches, honoring the evaluation cap (the
-/// `n_defaults` leading defaults are always covered) and the no-improvement
-/// patience. `evaluate` runs one batch (parallel inside); `record` stores one
-/// result and reports whether it improved the incumbent(s) — patience only
-/// stops the sweep once at least one improvement has ever been recorded.
-/// Each wave is traced as a `wave_span` span carrying the wave number, and
-/// reported to `hook` after its results are recorded.
-pub(crate) fn run_waves<S>(
-    wave_span: &'static str,
+/// The budgeted wave driver: walk `eval_idx` in [`WAVE_SIZE`] batches,
+/// honoring the evaluation cap (the `n_defaults` leading defaults are always
+/// covered) and the no-improvement patience. `evaluate` runs one batch
+/// (parallel inside); `record` stores one result and reports whether it
+/// improved the incumbent on any device — patience only stops the sweep once
+/// at least one improvement has ever been recorded. Each wave is traced as a
+/// `tune.wave` span carrying the wave number, and reported to `hook` after
+/// its results are recorded.
+fn run_waves<S>(
     eval_idx: &[usize],
     n_defaults: usize,
     budget: &Budget,
@@ -210,24 +185,19 @@ pub(crate) fn run_waves<S>(
     let mut evaluated = 0usize;
     let mut stale_waves = 0usize;
     let mut any_best = false;
-    let mut pos = 0usize;
     let mut wave_no = 0u64;
-    while pos < eval_idx.len() {
-        let room = max_evals.saturating_sub(evaluated);
-        if room == 0 {
-            break;
-        }
-        let end = (pos + WAVE_SIZE.min(room)).min(eval_idx.len());
-        let batch = &eval_idx[pos..end];
+    while evaluated < eval_idx.len().min(max_evals) {
+        let room = WAVE_SIZE.min(max_evals - evaluated);
+        let batch = &eval_idx[evaluated..(evaluated + room).min(eval_idx.len())];
         let results = {
-            let _wave = dpcons_obs::span_n(wave_span, wave_no);
+            let _wave = dpcons_obs::span_n("tune.wave", wave_no);
             evaluate(batch)
         };
         let mut improved = false;
         for (&i, st) in batch.iter().zip(results) {
             improved |= record(i, st);
-            evaluated += 1;
         }
+        evaluated += batch.len();
         any_best |= improved;
         hook.call(WaveProgress {
             wave: wave_no,
@@ -237,7 +207,6 @@ pub(crate) fn run_waves<S>(
             improved,
         });
         wave_no += 1;
-        pos = end;
         if let Some(p) = budget.patience {
             if improved {
                 stale_waves = 0;
@@ -260,7 +229,7 @@ pub fn fingerprint(app: &dyn Benchmark) -> u64 {
 
 /// [`fingerprint`] of an oracle output already in hand: a sweep computes the
 /// reference once, hashes it here, and checks candidates against it.
-pub(crate) fn fingerprint_of(name: &str, reference: &[i64]) -> u64 {
+fn fingerprint_of(name: &str, reference: &[i64]) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(name);
     h.write_u64(reference.len() as u64);
@@ -391,44 +360,52 @@ pub fn candidate_config(base: &RunConfig, k: &Knobs) -> RunConfig {
     }
 }
 
-/// Run one candidate end to end and score it. Public so tests can
-/// force-evaluate pruned candidates. Equivalent to
-/// [`evaluate_candidate_robust`] under a default (watchdog-free) budget.
+/// The configuration one evaluation of `k` runs under: [`candidate_config`]
+/// with the budget's fuel (when set), recording launch DAGs exactly when
+/// some other device will replay them — a single-device sweep copies none
+/// and costs a plain run.
+fn attempt_config(base: &RunConfig, k: &Knobs, others: &[GpuConfig], budget: &Budget) -> RunConfig {
+    RunConfig {
+        capture: !others.is_empty(),
+        fuel: budget.fuel.or(base.fuel),
+        ..candidate_config(base, k)
+    }
+}
+
+/// Run one candidate end to end on `base.gpu` and score it. Public so tests
+/// can force-evaluate pruned candidates: the sweep's own evaluation of one
+/// row, on one device, under a default (watchdog-free) budget.
 pub fn evaluate_candidate(
     app: &dyn Benchmark,
     base: &RunConfig,
     k: &Knobs,
     expected: &[i64],
 ) -> Status {
-    evaluate_candidate_robust(app, base, k, expected, &Budget::default())
+    evaluate(app, base, k, expected, &[], &Budget::default()).0
 }
 
-/// Whether a failure message names a transient class — worth one bounded
-/// retry. The simulator itself is deterministic, so rerunning a genuine
-/// simulator fault would fail identically; transient failures only come
-/// from the environment (and from [`crate::fault`] injection, which is how
-/// the retry path is tested).
-pub(crate) fn is_transient(msg: &str) -> bool {
-    msg.contains("transient")
-}
-
-/// Run one candidate under the full watchdog: fuel/deadline enforcement
-/// from `budget`, fault-injection hooks, and one bounded retry when the
-/// failure is transient. Panics are *not* caught here — the parallel sweep
-/// driver isolates them per job ([`crate::par::parallel_map_robust`]) and
-/// records them as [`Status::Panicked`].
-pub fn evaluate_candidate_robust(
+/// Run one candidate under the full watchdog and price it on `base.gpu` plus
+/// `others`: fuel/deadline enforcement from `budget`, fault-injection hooks,
+/// and one bounded retry when the failure is transient. The simulator itself
+/// is deterministic, so rerunning a genuine simulator fault would fail
+/// identically; transient failures only come from the environment (and from
+/// [`crate::fault`] injection, which is how the retry path is tested). Panics
+/// are *not* caught here — the parallel sweep driver isolates them per job
+/// ([`crate::par::parallel_map_robust`]) and records them as
+/// [`Status::Panicked`].
+fn evaluate(
     app: &dyn Benchmark,
     base: &RunConfig,
     k: &Knobs,
     expected: &[i64],
+    others: &[GpuConfig],
     budget: &Budget,
-) -> Status {
-    let first = evaluate_attempt(app, base, k, expected, budget, 0);
-    match &first {
-        Status::Failed(msg) if is_transient(msg) => {
+) -> (Status, Vec<Metrics>) {
+    let first = evaluate_attempt(app, base, k, expected, others, budget, 0);
+    match &first.0 {
+        Status::Failed(msg) if msg.contains("transient") => {
             dpcons_obs::counter("tune.candidate.retries").inc();
-            evaluate_attempt(app, base, k, expected, budget, 1)
+            evaluate_attempt(app, base, k, expected, others, budget, 1)
         }
         _ => first,
     }
@@ -439,28 +416,33 @@ fn evaluate_attempt(
     base: &RunConfig,
     k: &Knobs,
     expected: &[i64],
+    others: &[GpuConfig],
     budget: &Budget,
     attempt: u32,
-) -> Status {
+) -> (Status, Vec<Metrics>) {
     // `tune.candidate_us` histogram: wall-clock per candidate evaluation.
     static HIST: std::sync::OnceLock<&'static dpcons_obs::Histogram> = std::sync::OnceLock::new();
     let hist = HIST.get_or_init(|| dpcons_obs::histogram("tune.candidate_us"));
     let started = std::time::Instant::now();
-    let mut cfg = candidate_config(base, k);
-    if budget.fuel.is_some() {
-        cfg.fuel = budget.fuel;
-    }
+    let mut cfg = attempt_config(base, k, others, budget);
     if let Err(msg) = fault::before_candidate(app.name(), &k.label(), attempt, &mut cfg.fuel) {
-        return Status::Failed(msg);
+        return (Status::Failed(msg), Vec::new());
     }
+    let mut retimed = Vec::new();
     let status = match app.run(Variant::ConsolidatedTuned, &cfg) {
-        Ok(out) => Status::Evaluated(Metrics {
-            cycles: out.report.total_cycles,
-            device_launches: out.report.device_launches,
-            warp_exec_efficiency: out.report.warp_exec_efficiency,
-            achieved_occupancy: out.report.achieved_occupancy,
-            output_ok: out.output == expected,
-        }),
+        Ok(out) => {
+            let captured = metrics_of(&out.report, out.output == expected);
+            // A run that diverged from the oracle is never ranked, so it is
+            // not re-timed either.
+            let others = if captured.output_ok { others } else { &[] };
+            match retime(&out, others) {
+                Ok(columns) => {
+                    retimed = columns;
+                    Status::Evaluated(captured)
+                }
+                Err(fault) => fault,
+            }
+        }
         Err(AppError::Sim(SimError::FuelExhausted { limit })) => {
             dpcons_obs::counter("tune.candidate.fuel_exhausted").inc();
             Status::TimedOut(format!("fuel exhausted: exceeded the {limit}-step budget"))
@@ -472,26 +454,70 @@ fn evaluate_attempt(
         let elapsed = started.elapsed().as_millis() as u64;
         if elapsed > ms {
             dpcons_obs::counter("tune.candidate.deadline_exceeded").inc();
-            return Status::TimedOut(format!(
-                "exceeded the {ms} ms soft deadline (took {elapsed} ms)"
-            ));
+            let msg = format!("exceeded the {ms} ms soft deadline (took {elapsed} ms)");
+            return (Status::TimedOut(msg), Vec::new());
         }
     }
-    status
+    (status, retimed)
 }
 
-/// The canonical single-device tune cache key: the exact normalization used
-/// by [`tune`] for both the in-process dedup layer and the disk cache. Any
-/// out-of-process deduplication (e.g. a serving front end) must derive its
-/// key through this function so the two layers can never disagree.
+/// Price a captured run on each of `others`. The run's own report *is* the
+/// replay on the capture device (pinned bit-exact by
+/// `replay_differential.rs`), so only the other devices need one. Each goes
+/// through the batched parallel entry: every captured host-launch DAG
+/// re-timed concurrently, then merged in launch order, so the result is
+/// bit-identical to a serial `CaptureSet::replay_on`. A panicking replay
+/// poisons only this candidate.
+fn retime(out: &AppOutcome, others: &[GpuConfig]) -> Result<Vec<Metrics>, Status> {
+    if others.is_empty() {
+        return Ok(Vec::new());
+    }
+    let Some(caps) = out.captures.as_ref() else {
+        return Err(Status::Failed("capture was requested but none was recorded".to_string()));
+    };
+    let dags: Vec<&[ExecRecord]> = caps.launches.iter().map(|l| l.as_slice()).collect();
+    others
+        .iter()
+        .map(|d| {
+            let reports = replay_timing_many_robust(d, &dags)
+                .into_iter()
+                .collect::<Result<Vec<_>, String>>()
+                .map_err(|msg| {
+                    dpcons_obs::counter("tune.replay.panicked").inc();
+                    Status::Panicked(format!("timing replay panicked: {msg}"))
+                })?;
+            Ok(metrics_of(&merge_reports(&reports), true))
+        })
+        .collect()
+}
+
+fn metrics_of(r: &ProfileReport, output_ok: bool) -> Metrics {
+    Metrics {
+        cycles: r.total_cycles,
+        device_launches: r.device_launches,
+        warp_exec_efficiency: r.warp_exec_efficiency,
+        achieved_occupancy: r.achieved_occupancy,
+        output_ok,
+    }
+}
+
+/// The canonical sweep key: the exact normalization [`sweep`] uses for both
+/// the in-process dedup layer and the disk cache, whatever the device count.
+/// Any out-of-process deduplication (e.g. a serving front end) must derive
+/// its key through this function so the two layers can never disagree.
 ///
-/// `fp` is the functional fingerprint from [`fingerprint`].
+/// `fp` is the functional fingerprint from [`fingerprint`]; `devices` is
+/// every device priced, capture device first, each hashed by its full
+/// description (structural limits *and* cost model) — `[base.gpu]` for a
+/// single-device tune. `base.gpu` itself is not hashed: the capture device is
+/// always `devices[0]`.
 pub fn cache_key_for(
     app: &str,
     fp: u64,
-    cfg: &RunConfig,
+    base: &RunConfig,
     space: &KnobSpace,
     budget: &Budget,
+    devices: &[GpuConfig],
     with_baselines: bool,
 ) -> u64 {
     let mut h = Fnv64::new();
@@ -500,29 +526,26 @@ pub fn cache_key_for(
     h.write_str(env!("CARGO_PKG_VERSION"));
     h.write_str(app);
     h.write_u64(fp);
-    h.write_str(&format!("{:?}", cfg.gpu));
-    h.write_str(&format!("{:?}", cfg.alloc));
-    h.write_str(&format!("{:?}", cfg.policy));
-    h.write_u64(cfg.threshold as u64);
-    h.write_u64(cfg.heap_words);
-    h.write_u64(cfg.pool_words);
+    h.write_str(&format!("{:?}", base.alloc));
+    h.write_str(&format!("{:?}", base.policy));
+    h.write_u64(base.threshold as u64);
+    h.write_u64(base.heap_words);
+    h.write_u64(base.pool_words);
+    // The step budget in force: baselines run under `base.fuel`, and so do
+    // candidates whenever `budget.fuel` (hashed with the budget) is `None`.
+    h.write_str(&format!("{:?}", base.fuel));
     h.write_str(&format!("{space:?}"));
     h.write_str(&format!("{budget:?}"));
+    for d in devices {
+        h.write_str(&format!("{d:?}"));
+    }
     h.write(&[u8::from(with_baselines)]);
     h.finish()
 }
 
-/// Record one `tune.pruned.<family>` counter per pruned candidate, where the
-/// family is the reason's prefix before the first `:` ("analysis",
-/// "occupancy", "heap") — a bounded set, so the metric namespace stays small.
-pub(crate) fn count_prune_reason(reason: &str) {
-    let family = reason.split(':').next().unwrap_or("other").trim();
-    dpcons_obs::counter(&format!("tune.pruned.{family}")).inc();
-}
-
-/// Run (or fetch from cache) a full tuning sweep for `app`.
+/// Run (or fetch from cache) a full tuning sweep for `app` on `opts.base.gpu`.
 pub fn tune(app: &dyn Benchmark, opts: &TuneOptions) -> Result<TuneReport, TuneError> {
-    tune_with_progress(app, opts, &WaveHook::none())
+    tune_with_progress(app, opts, &WaveHook::default())
 }
 
 /// [`tune`] with a per-wave progress callback. The hook fires after each
@@ -531,6 +554,20 @@ pub fn tune(app: &dyn Benchmark, opts: &TuneOptions) -> Result<TuneReport, TuneE
 pub fn tune_with_progress(
     app: &dyn Benchmark,
     opts: &TuneOptions,
+    on_wave: &WaveHook,
+) -> Result<TuneReport, TuneError> {
+    sweep(app, opts, std::slice::from_ref(&opts.base.gpu), on_wave)
+}
+
+/// The sweep (see the module docs) of `app` over `devices`, which the caller
+/// guarantees non-empty and replay-compatible with `devices[0]` (the fleet
+/// adapter checks); `opts.base.gpu` is overridden by
+/// `devices[0]`, the capture device. Paper defaults are always evaluated;
+/// patience counts waves without an improvement on *any* device.
+pub(crate) fn sweep(
+    app: &dyn Benchmark,
+    opts: &TuneOptions,
+    devices: &[GpuConfig],
     on_wave: &WaveHook,
 ) -> Result<TuneReport, TuneError> {
     let _sweep = dpcons_obs::span("tune.sweep");
@@ -544,51 +581,71 @@ pub fn tune_with_progress(
             reason: "max_evals must be nonzero (use None for an unbounded sweep)",
         });
     }
+    let base = RunConfig { gpu: devices[0].clone(), ..opts.base.clone() };
 
     let expected = app.reference();
     let fp = fingerprint_of(app.name(), &expected);
-    let key =
-        cache_key_for(app.name(), fp, &opts.base, &opts.space, &opts.budget, opts.with_baselines);
-    if let Some(cache) = &opts.cache {
-        if let Some(hit) = cache.get(key) {
-            return Ok(hit);
-        }
+    let key = cache_key_for(
+        app.name(),
+        fp,
+        &base,
+        &opts.space,
+        &opts.budget,
+        devices,
+        opts.with_baselines,
+    );
+    if let Some(hit) = opts.cache.as_ref().and_then(|cache| cache.get(key)) {
+        return Ok(hit);
     }
 
+    // Enumerate, then prune statically; what survives starts out `Skipped`
+    // and stays so if the budget stops the sweep before reaching it.
     let (cands, collapsed) = enumerate_candidates(&model, &opts.space);
+    let mut rows: Vec<CandidateOutcome> = cands
+        .iter()
+        .map(|&knobs| {
+            let status = match prune_reason(&model, &base, &knobs) {
+                Some(reason) => {
+                    // One `tune.pruned.<family>` counter per reason prefix
+                    // ("analysis", "occupancy", "heap") — a bounded set.
+                    let family = reason.split(':').next().unwrap_or("other").trim();
+                    dpcons_obs::counter(&format!("tune.pruned.{family}")).inc();
+                    Status::Pruned(reason)
+                }
+                None => Status::Skipped,
+            };
+            CandidateOutcome { knobs, status, retimed: Vec::new() }
+        })
+        .collect();
+    let eval_idx: Vec<usize> =
+        (0..rows.len()).filter(|&i| rows[i].status == Status::Skipped).collect();
 
-    // Static pruning.
-    let mut statuses: Vec<Option<Status>> =
-        cands.iter().map(|k| prune_reason(&model, &opts.base, k).map(Status::Pruned)).collect();
-    for st in statuses.iter().flatten() {
-        if let Status::Pruned(reason) = st {
-            count_prune_reason(reason);
-        }
-    }
-    let eval_idx: Vec<usize> = (0..cands.len()).filter(|&i| statuses[i].is_none()).collect();
-
-    // Baselines. A failed baseline run is omitted from the report (never
-    // recorded as a fake cycle count); `TuneReport::baseline` then returns
-    // `None` for it.
+    // Baselines. A failed or panicking baseline run is omitted from the
+    // report (never recorded as a fake cycle count, never fatal);
+    // `TuneReport::baseline` then returns `None` for it.
     let baselines: Vec<(String, u64)> = if opts.with_baselines {
         let jobs: Vec<_> = [Variant::Flat, Variant::BasicDp]
             .into_iter()
             .map(|v| {
-                let base = opts.base.clone();
-                move || app.run(v, &base).ok().map(|o| (v.label(), o.report.total_cycles))
+                let base = &base;
+                move || app.run(v, base).ok().map(|o| (v.label(), o.report.total_cycles))
             })
             .collect();
-        // A failed or panicking baseline is omitted, never fatal.
         parallel_map_robust(jobs).into_iter().flatten().flatten().collect()
     } else {
         Vec::new()
     };
 
-    let n_defaults = leading_default_count(&model, &opts.space, &cands, &eval_idx);
-
-    let mut best: Option<(u64, usize)> = None;
+    // Defaults are ordered first by `enumerate_candidates` and are exempt
+    // from the evaluation cap, so a budgeted sweep can never do worse than
+    // the hand-written directive.
+    let is_default =
+        |k: &Knobs| opts.space.granularities.iter().any(|&g| default_knobs(&model, g) == *k);
+    let n_defaults = eval_idx.iter().take_while(|&&i| is_default(&cands[i])).count();
+    // Best cycles so far per device; candidates are visited in index order,
+    // so only a strictly faster run takes over — the report's tie-break.
+    let mut best = vec![u64::MAX; devices.len()];
     run_waves(
-        "tune.wave",
         &eval_idx,
         n_defaults,
         &opts.budget,
@@ -597,11 +654,8 @@ pub fn tune_with_progress(
             let jobs: Vec<_> = batch
                 .iter()
                 .map(|&i| {
-                    let k = cands[i];
-                    let base = &opts.base;
-                    let expected = &expected;
-                    let budget = &opts.budget;
-                    move || evaluate_candidate_robust(app, base, &k, expected, budget)
+                    let (k, base, expected) = (&cands[i], &base, &expected);
+                    move || evaluate(app, base, k, expected, &devices[1..], &opts.budget)
                 })
                 .collect();
             parallel_map_robust(jobs)
@@ -609,61 +663,32 @@ pub fn tune_with_progress(
                 .map(|r| {
                     r.unwrap_or_else(|panic_msg| {
                         dpcons_obs::counter("tune.candidate.panicked").inc();
-                        Status::Panicked(panic_msg)
+                        (Status::Panicked(panic_msg), Vec::new())
                     })
                 })
                 .collect()
         },
-        |i, st| {
+        |i, (status, retimed)| {
+            rows[i].status = status;
+            rows[i].retimed = retimed;
             let mut improved = false;
-            if let Status::Evaluated(m) = &st {
-                if m.output_ok {
-                    let entry = (m.cycles, i);
-                    if best.is_none_or(|b| entry < b) {
-                        best = Some(entry);
-                        improved = true;
-                    }
+            for (d, best) in best.iter_mut().enumerate() {
+                if let Some(cycles) = rows[i].cycles_on(d).filter(|c| c < best) {
+                    *best = cycles;
+                    improved = true;
                 }
             }
-            statuses[i] = Some(st);
             improved
         },
     );
-    // Whatever was not reached is recorded as skipped.
-    for &i in &eval_idx {
-        if statuses[i].is_none() {
-            statuses[i] = Some(Status::Skipped);
-        }
-    }
 
-    let candidates: Vec<CandidateOutcome> = cands
-        .into_iter()
-        .zip(statuses)
-        .map(|(knobs, status)| CandidateOutcome {
-            // Every index was filled by pruning, evaluation, or the
-            // skipped-backfill above; `Skipped` is the safe fallback.
-            knobs,
-            status: status.unwrap_or(Status::Skipped),
-        })
-        .collect();
-    let count = |f: fn(&Status) -> bool| candidates.iter().filter(|c| f(&c.status)).count();
-    let report = TuneReport {
-        app: app.name().to_string(),
-        gpu: opts.base.gpu.name.clone(),
-        fingerprint: fp,
-        key,
-        baselines,
-        best: best.map(|(_, i)| i),
-        evaluated: count(|s| matches!(s, Status::Evaluated(_))),
-        pruned: count(|s| matches!(s, Status::Pruned(_))),
-        failed: count(|s| matches!(s, Status::Failed(_))),
-        skipped: count(|s| matches!(s, Status::Skipped)),
-        panicked: count(|s| matches!(s, Status::Panicked(_))),
-        timed_out: count(|s| matches!(s, Status::TimedOut(_))),
-        collapsed,
-        from_cache: false,
-        candidates,
-    };
+    let names = devices.iter().map(|d| d.name.clone()).collect();
+    let report =
+        TuneReport::new(app.name().to_string(), names, fp, key, baselines, rows, collapsed);
+    if devices.len() > 1 {
+        dpcons_obs::counter("fleet.captures").add(report.functional_runs);
+        dpcons_obs::counter("fleet.retimings").add(report.retimings);
+    }
     if let Some(cache) = &opts.cache {
         cache.put(key, &report);
     }
@@ -689,4 +714,29 @@ pub fn run_tuned(
         error: e.to_string(),
     })?;
     Ok((report, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_attempt_captures_iff_another_device_will_replay_it() {
+        let k = Knobs {
+            granularity: Granularity::Grid,
+            alloc: AllocKind::PreAlloc,
+            per_buffer_size: None,
+            config: None,
+        };
+        // Computed from the device list, never inherited from the base.
+        for capture in [false, true] {
+            let base = RunConfig { capture, fuel: Some(9), ..RunConfig::default() };
+            let budget = Budget::default();
+            assert!(!attempt_config(&base, &k, &[], &budget).capture);
+            assert!(attempt_config(&base, &k, &[GpuConfig::k40()], &budget).capture);
+            assert_eq!(attempt_config(&base, &k, &[], &budget).fuel, Some(9));
+            let tight = Budget { fuel: Some(5), ..budget };
+            assert_eq!(attempt_config(&base, &k, &[], &tight).fuel, Some(5));
+        }
+    }
 }

@@ -1,8 +1,9 @@
-//! Pins the two contracts a serving front end depends on:
+//! Pins the two contracts a serving front end depends on, for every device
+//! count — there is one sweep, so each is checked over a list of device sets:
 //!
-//! 1. `cache_key_for` / `fleet_cache_key_for` are the *exact* normalizations
-//!    the sweeps use internally — an out-of-process dedup table keyed through
-//!    them can never disagree with the disk cache.
+//! 1. `cache_key_for` is the *exact* normalization the sweep uses internally
+//!    — an out-of-process dedup table keyed through it can never disagree
+//!    with the disk cache.
 //! 2. The `WaveHook` progress callback reports every evaluated wave, in
 //!    order, and its per-wave counts sum to exactly the evaluated candidates.
 
@@ -11,8 +12,8 @@ use std::sync::Mutex;
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons_sim::GpuConfig;
 use dpcons_tune::{
-    cache_key_for, fingerprint, fleet_cache_key_for, fleet_sweep_with_progress, tune_with_progress,
-    Budget, FleetOptions, TuneOptions, WaveHook, WaveProgress,
+    cache_key_for, fingerprint, fleet_sweep_with_progress, tune_with_progress, Budget,
+    FleetOptions, TuneOptions, WaveHook, WaveProgress,
 };
 
 fn app() -> Sssp {
@@ -28,44 +29,43 @@ fn space() -> dpcons_core::KnobSpace {
     }
 }
 
-#[test]
-fn tune_report_key_matches_public_cache_key_for() {
-    let app = app();
-    let opts = TuneOptions {
-        base: RunConfig::default(),
-        space: space(),
-        budget: Budget::default(),
-        with_baselines: false,
-        cache: None,
-    };
-    let report = tune_with_progress(&app, &opts, &WaveHook::none()).unwrap();
-    let fp = fingerprint(&app);
-    assert_eq!(report.fingerprint, fp);
-    assert_eq!(
-        report.key,
-        cache_key_for("SSSP", fp, &opts.base, &opts.space, &opts.budget, false),
-        "public key normalization diverged from the sweep's internal key"
-    );
+/// One device (a plain tune) and a two-device fleet.
+fn device_sets() -> [Vec<GpuConfig>; 2] {
+    [vec![GpuConfig::k20c()], vec![GpuConfig::k20c(), GpuConfig::k40()]]
+}
+
+fn fleet_opts(fleet: Vec<GpuConfig>, budget: Budget) -> FleetOptions {
+    FleetOptions { base: RunConfig::default(), space: space(), budget, fleet, cache: None }
 }
 
 #[test]
-fn fleet_report_key_matches_public_fleet_cache_key_for() {
+fn report_key_matches_public_cache_key_for() {
     let app = app();
-    let fleet = vec![GpuConfig::k20c(), GpuConfig::k40()];
-    let opts = FleetOptions {
-        base: RunConfig::default(),
-        space: space(),
-        budget: Budget { max_evals: Some(8), ..Budget::default() },
-        fleet: fleet.clone(),
-        cache: None,
-    };
-    let report = fleet_sweep_with_progress(&app, &opts, &WaveHook::none()).unwrap();
     let fp = fingerprint(&app);
-    // The capture device is always fleet[0]; `base.gpu` must not matter.
-    let mut skewed = opts.base.clone();
-    skewed.gpu = GpuConfig::tk1();
-    let key = fleet_cache_key_for("SSSP", fp, &skewed, &opts.space, &opts.budget, &fleet);
-    assert_eq!(report.key, key, "fleet key must be insensitive to base.gpu");
+    for devices in device_sets() {
+        let opts = fleet_opts(devices.clone(), Budget { max_evals: Some(8), ..Budget::default() });
+        let report = fleet_sweep_with_progress(&app, &opts, &WaveHook::default()).unwrap();
+        assert_eq!(report.fingerprint, fp);
+        // The capture device is always devices[0]; `base.gpu` must not matter.
+        let skewed = RunConfig { gpu: GpuConfig::tk1(), ..opts.base.clone() };
+        assert_eq!(
+            report.key,
+            cache_key_for("SSSP", fp, &skewed, &opts.space, &opts.budget, &devices, false),
+            "public key normalization diverged from the sweep's internal key"
+        );
+        // A one-device sweep is the tune of that device: same key.
+        if let [device] = &devices[..] {
+            let tune_opts = TuneOptions {
+                base: RunConfig { gpu: device.clone(), ..opts.base.clone() },
+                space: opts.space.clone(),
+                budget: opts.budget,
+                with_baselines: false,
+                cache: None,
+            };
+            let tuned = tune_with_progress(&app, &tune_opts, &WaveHook::default()).unwrap();
+            assert_eq!(tuned.key, report.key);
+        }
+    }
 }
 
 #[test]
@@ -73,98 +73,69 @@ fn cache_key_is_sensitive_to_every_request_dimension() {
     let base = RunConfig::default();
     let space = space();
     let budget = Budget::default();
-    let k0 = cache_key_for("SSSP", 7, &base, &space, &budget, false);
+    let [one, ab] = device_sets();
+    let key = cache_key_for;
+    let k0 = key("SSSP", 7, &base, &space, &budget, &one, false);
 
-    assert_ne!(k0, cache_key_for("SpMV", 7, &base, &space, &budget, false), "app");
-    assert_ne!(k0, cache_key_for("SSSP", 8, &base, &space, &budget, false), "fingerprint");
-    assert_ne!(k0, cache_key_for("SSSP", 7, &base, &space, &budget, true), "with_baselines");
+    assert_ne!(k0, key("SpMV", 7, &base, &space, &budget, &one, false), "app");
+    assert_ne!(k0, key("SSSP", 8, &base, &space, &budget, &one, false), "fingerprint");
+    assert_ne!(k0, key("SSSP", 7, &base, &space, &budget, &one, true), "with_baselines");
 
-    let mut other_dev = base.clone();
-    other_dev.gpu = GpuConfig::tk1();
-    assert_ne!(k0, cache_key_for("SSSP", 7, &other_dev, &space, &budget, false), "device");
+    let other_thresh = RunConfig { threshold: base.threshold + 1, ..base.clone() };
+    assert_ne!(k0, key("SSSP", 7, &other_thresh, &space, &budget, &one, false), "threshold");
 
-    let mut other_thresh = base.clone();
-    other_thresh.threshold += 1;
-    assert_ne!(k0, cache_key_for("SSSP", 7, &other_thresh, &space, &budget, false), "threshold");
+    // With `budget.fuel` unset every candidate (and baseline) runs under the
+    // base's step budget: 16 steps time everything out, unlimited does not.
+    let starved = RunConfig { fuel: Some(16), ..base.clone() };
+    assert_ne!(k0, key("SSSP", 7, &starved, &space, &budget, &one, false), "base.fuel");
 
     let mut narrow = space.clone();
     narrow.buffers.pop();
-    assert_ne!(k0, cache_key_for("SSSP", 7, &base, &narrow, &budget, false), "space");
+    assert_ne!(k0, key("SSSP", 7, &base, &narrow, &budget, &one, false), "space");
 
     let tight = Budget { max_evals: Some(3), ..budget };
-    assert_ne!(k0, cache_key_for("SSSP", 7, &base, &space, &tight, false), "budget");
+    assert_ne!(k0, key("SSSP", 7, &base, &space, &tight, &one, false), "budget");
+
+    // The device dimension: which device, how many, and in which order.
+    let kab = key("SSSP", 7, &base, &space, &budget, &ab, false);
+    let ba = [GpuConfig::k40(), GpuConfig::k20c()];
+    let abc = [GpuConfig::k20c(), GpuConfig::k40(), GpuConfig::titan()];
+    assert_ne!(k0, key("SSSP", 7, &base, &space, &budget, &[GpuConfig::tk1()], false), "device");
+    assert_ne!(k0, kab, "device count");
+    assert_ne!(kab, key("SSSP", 7, &base, &space, &budget, &ba, false), "order");
+    assert_ne!(kab, key("SSSP", 7, &base, &space, &budget, &abc, false), "composition");
 
     // And the normalization is deterministic.
-    assert_eq!(k0, cache_key_for("SSSP", 7, &base, &space, &budget, false));
+    assert_eq!(k0, key("SSSP", 7, &base, &space, &budget, &one, false));
+    assert_eq!(kab, key("SSSP", 7, &base, &space, &budget, &ab, false));
 }
 
 #[test]
-fn fleet_key_is_sensitive_to_fleet_composition_and_order() {
-    let base = RunConfig::default();
-    let space = space();
-    let budget = Budget::default();
-    let ab = vec![GpuConfig::k20c(), GpuConfig::k40()];
-    let ba = vec![GpuConfig::k40(), GpuConfig::k20c()];
-    let abc = vec![GpuConfig::k20c(), GpuConfig::k40(), GpuConfig::titan()];
-    let kab = fleet_cache_key_for("SSSP", 7, &base, &space, &budget, &ab);
-    assert_ne!(kab, fleet_cache_key_for("SSSP", 7, &base, &space, &budget, &ba), "order");
-    assert_ne!(kab, fleet_cache_key_for("SSSP", 7, &base, &space, &budget, &abc), "composition");
-    assert_eq!(kab, fleet_cache_key_for("SSSP", 7, &base, &space, &budget, &ab));
-}
+fn wave_progress_arrives_in_order_and_sums_to_candidates() {
+    let app = app();
+    for devices in device_sets() {
+        let seen = std::sync::Arc::new(Mutex::new(Vec::<WaveProgress>::new()));
+        let sink = seen.clone();
+        let hook = WaveHook::new(move |p| sink.lock().unwrap().push(p));
+        let opts = fleet_opts(devices, Budget::default());
+        let report = fleet_sweep_with_progress(&app, &opts, &hook).unwrap();
+        let waves = seen.lock().unwrap();
 
-/// Collect every `WaveProgress` a sweep reports, in arrival order.
-fn collecting_hook() -> (WaveHook, std::sync::Arc<Mutex<Vec<WaveProgress>>>) {
-    let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
-    let sink = seen.clone();
-    let hook = WaveHook::new(move |p| sink.lock().unwrap().push(p));
-    (hook, seen)
-}
-
-fn check_progress(waves: &[WaveProgress], evaluated_total: usize) {
-    assert!(!waves.is_empty(), "an uncached sweep must report at least one wave");
-    for (i, w) in waves.iter().enumerate() {
-        assert_eq!(w.wave, i as u64, "wave indices must arrive 0,1,2,... in order");
-        assert!(w.evaluated > 0, "every reported wave evaluated someone");
+        assert!(!waves.is_empty(), "an uncached sweep must report at least one wave");
+        for (i, w) in waves.iter().enumerate() {
+            assert_eq!(w.wave, i as u64, "wave indices must arrive 0,1,2,... in order");
+            assert!(w.evaluated > 0, "every reported wave evaluated someone");
+        }
+        // Nothing was skipped under the default (unbounded) budget, so every
+        // non-pruned candidate was evaluated and reported through the hook.
+        assert_eq!(report.skipped, 0);
+        let ran = report.evaluated + report.failed + report.panicked + report.timed_out;
+        assert_eq!(ran as u64, report.functional_runs);
+        let sum: usize = waves.iter().map(|w| w.evaluated).sum();
+        assert_eq!(sum, ran, "per-wave counts must sum to the evaluated candidate count");
+        assert_eq!(waves.last().unwrap().evaluated_total, sum, "running total tracks the sum");
+        assert!(waves.iter().any(|w| w.improved), "some wave found an incumbent");
+        let planned = report.candidates.len() - report.pruned;
+        assert!(waves.iter().all(|w| w.planned == planned), "planned is the post-pruning count");
     }
-    let sum: usize = waves.iter().map(|w| w.evaluated).sum();
-    assert_eq!(sum, evaluated_total, "per-wave counts must sum to the evaluated candidate count");
-    assert_eq!(waves.last().unwrap().evaluated_total, sum, "running total tracks the sum");
-    assert!(waves.iter().any(|w| w.improved), "some wave found an incumbent");
-}
-
-#[test]
-fn tune_wave_progress_arrives_in_order_and_sums_to_candidates() {
-    let app = app();
-    let opts = TuneOptions {
-        base: RunConfig::default(),
-        space: space(),
-        budget: Budget::default(),
-        with_baselines: false,
-        cache: None,
-    };
-    let (hook, seen) = collecting_hook();
-    let report = tune_with_progress(&app, &opts, &hook).unwrap();
-    let waves = seen.lock().unwrap();
-    // Nothing was skipped under the default (unbounded) budget, so every
-    // non-pruned candidate was evaluated and reported through the hook.
-    assert_eq!(report.skipped, 0);
-    check_progress(&waves, report.evaluated + report.failed + report.panicked + report.timed_out);
-    let planned = report.candidates.len() - report.pruned;
-    assert!(waves.iter().all(|w| w.planned == planned), "planned is the post-pruning count");
-}
-
-#[test]
-fn fleet_wave_progress_arrives_in_order_and_sums_to_candidates() {
-    let app = app();
-    let opts = FleetOptions {
-        base: RunConfig::default(),
-        space: space(),
-        budget: Budget::default(),
-        fleet: vec![GpuConfig::k20c(), GpuConfig::k40()],
-        cache: None,
-    };
-    let (hook, seen) = collecting_hook();
-    let report = fleet_sweep_with_progress(&app, &opts, &hook).unwrap();
-    let waves = seen.lock().unwrap();
-    check_progress(&waves, report.functional_runs as usize);
 }

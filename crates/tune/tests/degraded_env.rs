@@ -42,13 +42,19 @@ fn unwritable_cache_dir_degrades_to_memory_only_with_one_warning() {
 
     let cache = Cache::new(Some(blocker.clone()));
     assert!(!cache.disk_disabled());
-    cache.put_text(0xDEAD, "payload");
+    let app = sssp();
+    let mut o = opts();
+    o.base.threshold += 29; // unique cache key within this test binary
+    o.cache = Some(cache.clone());
+    let fresh = tune(&app, &o).expect("a broken cache never fails a sweep");
+    assert!(!fresh.from_cache);
     assert!(cache.disk_disabled(), "a failed write must flip the handle to memory-only");
     // The memory layer still works.
-    assert_eq!(cache.get_text(0xDEAD).as_deref(), Some("payload"));
-    // Further writes stay memory-only and don't error.
-    cache.put_text(0xBEEF, "more");
-    assert_eq!(cache.get_text(0xBEEF).as_deref(), Some("more"));
+    assert_eq!(cache.get(fresh.key).as_ref(), Some(&fresh));
+    // Further sweeps stay memory-only and don't error.
+    let warm = tune(&app, &o).expect("warm sweep");
+    assert!(warm.from_cache);
+    assert_eq!(warm, fresh);
 
     // The degradation warning was already emitted (warn_once returns false
     // for a key that has fired; its at-most-once contract is tested in obs).
@@ -64,7 +70,7 @@ fn unwritable_cache_dir_degrades_to_memory_only_with_one_warning() {
 }
 
 #[test]
-fn truncated_cache_file_is_a_miss_and_quarantined() {
+fn truncated_and_stale_schema_cache_files_are_misses_and_quarantined() {
     let app = sssp();
     let dir = std::env::temp_dir().join(format!("dpcons-truncated-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -80,29 +86,36 @@ fn truncated_cache_file_is_a_miss_and_quarantined() {
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|x| x == "tune"))
         .expect("the sweep wrote one cache file");
-
-    // Chop the file mid-payload: the envelope length no longer matches.
-    let full = std::fs::read_to_string(&entry).expect("read entry");
-    std::fs::write(&entry, &full[..full.len() / 2]).expect("truncate");
-
-    Cache::clear_memory();
-    let recomputed = tune(&app, &o).expect("sweep after truncation");
-    assert!(!recomputed.from_cache, "truncated entry must be a miss, not a parse panic");
-    assert_eq!(recomputed.to_text(), fresh.to_text());
     let mut corrupt = entry.clone().into_os_string();
     corrupt.push(".corrupt");
-    assert!(
-        std::path::Path::new(&corrupt).exists(),
-        "the truncated file is quarantined for post-mortem"
+    let full = std::fs::read_to_string(&entry).expect("read entry");
+
+    // Two ways an entry goes bad. Chopped mid-payload, the envelope length no
+    // longer matches. Left behind by an older build, the envelope is intact
+    // (`dpcons-cache v1`, right checksum) around a schema-2 payload — which
+    // must never be parsed as a report.
+    let stale_payload = fresh.to_text().replacen("dpcons-tune v3", "dpcons-tune v2", 1);
+    assert_ne!(stale_payload, fresh.to_text());
+    let stale = format!(
+        "dpcons-cache v1 {:016x} {}\n{stale_payload}",
+        dpcons_tune::fnv1a(stale_payload.as_bytes()),
+        stale_payload.len()
     );
-    assert_eq!(
-        std::fs::read_to_string(&corrupt).expect("quarantined bytes"),
-        full[..full.len() / 2],
-        "quarantine preserves the bad bytes verbatim"
-    );
-    // The recompute rewrote a healthy entry in place; it serves cold now.
-    Cache::clear_memory();
-    assert!(tune(&app, &o).expect("warm sweep").from_cache);
+    for (what, bad) in [("truncated", &full[..full.len() / 2]), ("stale-schema", &stale[..])] {
+        std::fs::write(&entry, bad).expect("damage the entry");
+        Cache::clear_memory();
+        let recomputed = tune(&app, &o).expect("sweep over a bad entry");
+        assert!(!recomputed.from_cache, "{what} entry must be a miss, not a parse panic");
+        assert_eq!(recomputed.to_text(), fresh.to_text());
+        assert_eq!(
+            std::fs::read_to_string(&corrupt).expect("the bad file is kept for post-mortem"),
+            bad,
+            "quarantine preserves the {what} bytes verbatim"
+        );
+        // The recompute rewrote a healthy entry in place; it serves cold now.
+        Cache::clear_memory();
+        assert!(tune(&app, &o).expect("warm sweep").from_cache);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,8 +20,7 @@ use dpcons_core::{BufferKind, Granularity, KnobSpace};
 use dpcons_sim::GpuConfig;
 use dpcons_tune::fault::{self, FaultPlan};
 use dpcons_tune::{
-    fleet_sweep, tune, Budget, Cache, FleetOptions, FleetReport, FleetStatus, Status, TuneOptions,
-    TuneReport,
+    fleet_sweep, tune, Budget, Cache, FleetOptions, FleetReport, Status, TuneOptions, TuneReport,
 };
 
 fn sssp() -> Sssp {
@@ -286,7 +285,7 @@ fn fleet_sweep_survives_faults_and_keeps_unfaulted_winners() {
     let labels: Vec<String> = clean
         .candidates
         .iter()
-        .filter(|c| matches!(c.status, FleetStatus::Retimed(_)))
+        .filter(|c| matches!(c.status, Status::Evaluated(_)))
         .map(|c| c.knobs.label())
         .collect();
 
@@ -302,10 +301,7 @@ fn fleet_sweep_survives_faults_and_keeps_unfaulted_winners() {
 
     assert!(faulted.fault_count() > 0, "the chosen seed faults at least one candidate");
     for (_, c) in faulted.faulted() {
-        assert!(matches!(
-            c.status,
-            FleetStatus::Panicked(_) | FleetStatus::TimedOut(_) | FleetStatus::Failed(_)
-        ));
+        assert!(matches!(c.status, Status::Panicked(_) | Status::TimedOut(_) | Status::Failed(_)));
     }
     for (d, w) in winners.iter().enumerate() {
         assert_eq!(

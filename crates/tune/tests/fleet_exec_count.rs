@@ -1,15 +1,16 @@
 //! Proof that fleet re-timing adds **no functional work**: pricing every
 //! candidate on N devices costs exactly the same number of functional kernel
-//! executions as pricing it on one.
+//! executions as pricing it on one — and pricing it on one costs exactly one
+//! plain run per candidate, nothing for the machinery around it.
 //!
 //! This is deliberately the only test in this integration-test binary —
 //! `dpcons_sim::functional_execs_total` is a process-wide counter, and a
 //! lone test owns its whole process, so the deltas below observe nothing but
 //! this sweep's work.
 
-use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
+use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp, Variant};
 use dpcons_sim::{functional_execs_total, GpuConfig};
-use dpcons_tune::{fleet_sweep, Budget, FleetOptions, FleetStatus};
+use dpcons_tune::{candidate_config, fleet_sweep, Budget, FleetOptions, Status};
 
 #[test]
 fn fleet_retiming_adds_no_functional_kernel_executions() {
@@ -48,8 +49,11 @@ fn fleet_retiming_adds_no_functional_kernel_executions() {
     // The matrix really is candidate x device, priced from one capture each.
     assert_eq!(wide.devices.len(), 4);
     assert_eq!(wide.functional_runs, solo.functional_runs);
-    let retimed =
-        wide.candidates.iter().filter(|c| matches!(c.status, FleetStatus::Retimed(_))).count();
+    let retimed = wide
+        .candidates
+        .iter()
+        .filter(|c| matches!(c.status, Status::Evaluated(m) if m.output_ok))
+        .count();
     assert!(retimed > 0);
     assert_eq!(wide.retimings, retimed as u64 * 4, "every retimed candidate covers every device");
     assert_eq!(solo.retimings, retimed as u64, "same candidates, one device");
@@ -59,4 +63,18 @@ fn fleet_retiming_adds_no_functional_kernel_executions() {
     // Winners on the shared capture device agree between the two sweeps.
     assert_eq!(wide.winner_knobs(0), solo.winner_knobs(0));
     assert_eq!(wide.winner_cycles(0), solo.winner_cycles(0));
+
+    // The one-device sweep costs what its candidates cost: each row that ran
+    // is one plain (capture-free) run of its knobs, and nothing else in the
+    // sweep executes a kernel.
+    let before = functional_execs_total();
+    let ran = solo
+        .candidates
+        .iter()
+        .filter(|c| matches!(c.status, Status::Evaluated(_)) || c.status.is_fault());
+    for c in ran {
+        let cfg = candidate_config(&RunConfig::default(), &c.knobs);
+        let _ = app.run(Variant::ConsolidatedTuned, &cfg);
+    }
+    assert_eq!(functional_execs_total() - before, solo_execs);
 }

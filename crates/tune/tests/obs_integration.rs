@@ -11,7 +11,8 @@
 use std::path::PathBuf;
 
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
-use dpcons_tune::{tune, Budget, Cache, TuneOptions};
+use dpcons_sim::GpuConfig;
+use dpcons_tune::{fleet_sweep, tune, Budget, Cache, FleetOptions, TuneOptions};
 
 fn opts(cache: Option<PathBuf>) -> TuneOptions {
     let cache = cache.map(|dir| Cache::new(Some(dir)));
@@ -58,12 +59,27 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
 
     let uncached = tune(&app, &opts(None)).expect("uncached sweep");
     assert!(uncached.evaluated > 0);
+    // A multi-device sweep is the same pipeline: same spans, and every
+    // functional run lands in the candidate-latency histogram too.
+    let latency = dpcons_obs::histogram("tune.candidate_us");
+    let recorded = latency.count();
+    let o = opts(None);
+    let fleet_opts = FleetOptions {
+        base: o.base,
+        space: o.space,
+        budget: o.budget,
+        fleet: vec![GpuConfig::k20c(), GpuConfig::k40()],
+        cache: None,
+    };
+    let wide = fleet_sweep(&app, &fleet_opts).expect("two-device sweep");
+    assert!(wide.functional_runs > 0);
+    assert!(latency.count() - recorded >= wide.functional_runs, "/fleet-only daemons see latency");
     dpcons_obs::set_tracing(false);
 
     let spans = dpcons_obs::take_spans();
     assert!(!spans.is_empty());
     let sweeps = spans.iter().filter(|s| s.name == "tune.sweep").count();
-    assert_eq!(sweeps, 2, "both traced sweeps open a tune.sweep span");
+    assert_eq!(sweeps, 3, "all three traced sweeps open a tune.sweep span");
     let waves: Vec<_> = spans.iter().filter(|s| s.name == "tune.wave").collect();
     assert!(!waves.is_empty(), "the uncached sweep must trace its waves");
     // Wave spans carry the wave number and nest under the sweep.
@@ -81,7 +97,7 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
     let words = (dpcons_obs::counter("app.reset_words").get() - reset_words) as usize;
     assert!(words > 0 && words < 64 * (prepares + resets), "{words} words reset");
     // Every evaluated candidate's latency landed in the histogram.
-    assert!(dpcons_obs::histogram("tune.candidate_us").count() >= uncached.evaluated as u64);
+    assert!(latency.count() >= uncached.evaluated as u64 + wide.functional_runs);
 
     // 3. The export of those spans is a balanced, well-formed Chrome trace.
     let json = dpcons_obs::chrome_trace_json(&spans);

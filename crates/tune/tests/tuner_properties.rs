@@ -46,7 +46,7 @@ fn same_inputs_produce_identical_reports() {
     let b = tune(&app, &o).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.to_text(), b.to_text(), "serialized forms are byte-identical");
-    assert!(a.best.is_some());
+    assert!(a.best_knobs().is_some());
     assert!(!a.from_cache && !b.from_cache);
 }
 
@@ -124,7 +124,7 @@ fn pruned_candidates_are_never_feasible() {
     };
     let report = tune(&app, &o).unwrap();
     assert!(report.pruned > 0, "the salted space must trigger pruning");
-    assert!(report.best.is_some(), "feasible points remain");
+    assert!(report.best_knobs().is_some(), "feasible points remain");
 
     let expected = app.reference();
     for c in &report.candidates {

@@ -35,7 +35,7 @@ fn main() {
     println!(
         "# Autotuning {} on {} — {} candidates ({} evaluated, {} pruned, {} skipped, {} collapsed)\n",
         report.app,
-        report.gpu,
+        report.captured_on(),
         report.candidates.len(),
         report.evaluated,
         report.pruned,

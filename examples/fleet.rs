@@ -4,9 +4,10 @@
 //! cargo run --release --example fleet
 //! ```
 //!
-//! The fleet sweep exploits the simulator's two-phase engine: a tuner
-//! candidate's *functional* execution is device-independent, so each
-//! surviving candidate runs **once** (on the capture device) and its
+//! The fleet sweep is the tuner's one sweep handed several devices. It
+//! exploits the simulator's two-phase engine: a tuner candidate's
+//! *functional* execution is device-independent, so each surviving
+//! candidate runs **once** (on the capture device) and its
 //! captured launch DAGs are re-priced on every other device by timing-only
 //! replay. One functional run buys a whole row of the knobs × device
 //! matrix. The walkthrough sweeps SSSP across four Kepler-class profiles,
@@ -39,7 +40,7 @@ fn main() {
         cache: None,
     };
     let report = fleet_sweep(&app, &opts).expect("SSSP is tunable");
-    let retimed = report.retimed().count();
+    let retimed = report.matrix().count();
     println!(
         "{}: {} functional runs -> {} timing datapoints ({} candidates x {} devices)\n",
         report.app,
@@ -52,12 +53,12 @@ fn main() {
 
     // The matrix: one row per retimed candidate, one cycles column per device.
     println!("{:<28} {}", "knobs", report.devices.join("  "));
-    for (c, cells) in report.retimed() {
+    for (c, cycles) in report.matrix() {
         let row: Vec<String> = report
             .devices
             .iter()
-            .zip(cells)
-            .map(|(d, cell)| format!("{:>w$}", cell.cycles, w = d.len()))
+            .zip(cycles)
+            .map(|(d, cycles)| format!("{cycles:>w$}", w = d.len()))
             .collect();
         println!("{:<28} {}", c.knobs.label(), row.join("  "));
     }
