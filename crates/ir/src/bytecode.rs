@@ -9,16 +9,34 @@
 //! recursion, no boxed-node matching, and no per-statement allocation.
 //!
 //! Warp state is a register file in SoA layout: one `[i64; 32]` lane row per
-//! register, where registers `0..n_slots` are the kernel's variable slots
-//! (zeroed per warp, like the tree walker's fresh `env`) and the rest are
-//! expression temporaries assigned stack-wise at lowering time (always
-//! written before read, so they carry over between warps without clearing).
+//! register, in three bands:
+//!
+//! * `0..n_slots` — the kernel's variable slots, zeroed per warp like the
+//!   tree walker's fresh `env`;
+//! * `n_slots..n_slots + params` — the kernel arguments, splatted once per
+//!   block and never written, so an argument read is a register operand
+//!   exactly like a variable read (no op at all);
+//! * the rest — expression temporaries assigned stack-wise at lowering time
+//!   (always written before read, so they carry over between warps).
+//!
 //! Fixed-size rows keep lane loops bounds-check-free, and pure ops evaluate
-//! full-width — all 32 lanes, active or not — so they vectorize; that is
-//! sound because inactive lanes of a temporary are never observed and only
-//! `Div`/`Rem` (which keep a masked path) can fault. The register file,
-//! launch arena, and chunk buffers live in thread-local scratch reused
-//! across blocks, so the capture hot loop stops churning the allocator.
+//! full-width when the warp is full so they vectorize; with a partial mask
+//! they write only active lanes. That last property is what lets an
+//! assignment `x = e` evaluate straight into `x`'s slot when `e`'s final op
+//! is a `Load`, `Un` or non-short-circuit `Bin`/`BinImm`; the splats
+//! (`Imm`, `Sp`) and the short-circuit pair still go through a temporary
+//! plus `CopyMasked`. Div/Rem keep a masked faulting path either way.
+//!
+//! Memory ops do shared work once per warp. When every active lane of an
+//! access resolves to the same `(array, index)` — parent state like `row[u]`
+//! read by a whole consolidated warp — `group_cost` says so and `Load` reads
+//! the cell once and splats it into the active lanes, `Store` writes once
+//! with the highest active lane's value (the value lane-order stores would
+//! leave), and `Atomic` folds the lanes in lane order over one read and one
+//! write. The register file, launch arena, chunk buffers and the VM's
+//! counters (`ir.vm.*`, flushed to the metrics registry once per block)
+//! live in thread-local scratch reused across blocks, so the capture hot
+//! loop stops churning the allocator.
 //!
 //! Equivalence with the tree walker in [`crate::interp`] is a hard contract:
 //! both executors share the scalar semantics (`scalar_binop`, `launch_dim`,
@@ -31,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dpcons_sim::{BlockCtx, BlockResult, KernelId, LaunchSpec, SimError};
+use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError};
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, UnOp};
 use crate::compile::{CExpr, CKernel, CModule, CStmt};
@@ -104,8 +122,6 @@ pub(crate) enum Op {
     Imm { dst: u16, v: i64 },
     /// `dst = special` in all 32 lanes.
     Sp { dst: u16, s: Special },
-    /// `dst = args[idx]` in all 32 lanes.
-    ArgLd { dst: u16, idx: u16 },
     /// `dst = src` in active lanes.
     CopyMasked { dst: u16, src: u16 },
     /// `dst = op a` in active lanes.
@@ -115,7 +131,8 @@ pub(crate) enum Op {
     /// `dst = a op imm` in active lanes: a constant RHS folded at lowering,
     /// skipping the `Imm` splat and its temporary (never `Div`/`Rem`).
     BinImm { dst: u16, op: BinOp, a: u16, v: i64 },
-    /// Coalesced-cost group + `dst = mem[h[i]]` in active lanes.
+    /// Coalesced-cost group + `dst = mem[h[i]]` in active lanes (one read
+    /// when they all hit one site).
     Load { dst: u16, h: u16, i: u16 },
     /// Short-circuit split: decided lanes get the constant result in `dst`;
     /// lanes still needing the RHS become the active mask (entry mask saved
@@ -128,7 +145,8 @@ pub(crate) enum Op {
     /// Statement-list re-check after a possible `Return`: drop returned
     /// lanes; if the mask drains, jump to the list end.
     SeqCheck { end: u32 },
-    /// Coalesced-cost group + `mem[h[i]] = v` in active lanes.
+    /// Coalesced-cost group + `mem[h[i]] = v` in active lanes (one write
+    /// when they all hit one site).
     Store { h: u16, i: u16, v: u16 },
     /// Atomic read-modify-write, serialized in lane order.
     Atomic { op: AtomicOp, old: u16, h: u16, i: u16, v: u16, v2: u16 },
@@ -204,7 +222,7 @@ pub(crate) enum Op {
 pub struct ByteKernel {
     pub(crate) ops: Vec<Op>,
     pub(crate) n_slots: u16,
-    /// Register-file size: variable slots + peak expression temporaries.
+    /// Register-file size: variable slots + arguments + peak temporaries.
     pub(crate) n_regs: u16,
     /// Mask-slot array size: peak static nesting depth.
     pub(crate) n_masks: u16,
@@ -224,8 +242,15 @@ pub fn lower_module(cm: &CModule) -> Vec<ByteKernel> {
 
 /// Lower one compiled kernel into flat bytecode.
 pub fn lower_kernel(k: &CKernel) -> ByteKernel {
-    let mut lw =
-        Lowerer { ops: Vec::new(), tp: k.n_slots, max_tp: k.n_slots, mask_depth: 0, max_masks: 0 };
+    let temps = k.n_slots + k.param_kinds.len() as u16;
+    let mut lw = Lowerer {
+        ops: Vec::new(),
+        n_slots: k.n_slots,
+        tp: temps,
+        max_tp: temps,
+        mask_depth: 0,
+        max_masks: 0,
+    };
     let checks = lw.lower_list(&k.body);
     let end = lw.pc();
     lw.patch_checks(checks, end);
@@ -366,9 +391,22 @@ fn stmt_can_return(s: &CStmt) -> bool {
     }
 }
 
+/// Does `e`'s final op write only the active lanes of its destination? Then
+/// an assignment can evaluate straight into the variable's slot: every
+/// operand (the slot itself included) is read before that op writes it.
+fn writes_active_lanes_only(e: &CExpr) -> bool {
+    match e {
+        CExpr::Load(..) | CExpr::Un(..) => true,
+        CExpr::Bin(op, ..) => !matches!(op, BinOp::LAnd | BinOp::LOr),
+        _ => false,
+    }
+}
+
 struct Lowerer {
     ops: Vec<Op>,
-    /// Next free register (temporaries live above the variable slots).
+    /// Arguments live in registers `n_slots..`, right above the variables.
+    n_slots: u16,
+    /// Next free register (temporaries live above the argument registers).
     tp: u16,
     max_tp: u16,
     /// Next free mask slot (static nesting depth).
@@ -406,12 +444,14 @@ impl Lowerer {
         dst
     }
 
-    /// Lower an expression; returns the register holding the result. `Var`
-    /// reads resolve to the slot register directly (slots are read-only
-    /// during expression evaluation, so no copy is needed).
+    /// Lower an expression; returns the register holding the result. A
+    /// variable or argument already lives in a register (read-only during
+    /// expression evaluation), so it needs no op and no copy.
     fn lower_expr(&mut self, e: &CExpr) -> u16 {
-        if let CExpr::Var(s) = e {
-            return *s;
+        match e {
+            CExpr::Var(s) => return *s,
+            CExpr::Arg(i) => return self.n_slots + *i,
+            _ => {}
         }
         let dst = self.alloc_temp();
         self.emit_expr(e, dst);
@@ -423,12 +463,8 @@ impl Lowerer {
     /// Lower an expression into a caller-chosen register (used where results
     /// must land in consecutive registers, e.g. launch argument vectors).
     fn lower_expr_into(&mut self, e: &CExpr, dst: u16) {
-        if let CExpr::Var(s) = e {
-            self.emit(Op::CopyMasked { dst, src: *s });
-        } else {
-            self.emit_expr(e, dst);
-            self.tp = dst + 1;
-        }
+        self.emit_expr(e, dst);
+        self.tp = dst + 1;
     }
 
     fn emit_expr(&mut self, e: &CExpr, dst: u16) {
@@ -454,11 +490,11 @@ impl Lowerer {
             CExpr::Depth => {
                 self.emit(Op::Sp { dst, s: Special::Depth });
             }
-            CExpr::Arg(i) => {
-                self.emit(Op::ArgLd { dst, idx: *i });
-            }
             CExpr::Var(s) => {
                 self.emit(Op::CopyMasked { dst, src: *s });
+            }
+            CExpr::Arg(i) => {
+                self.emit(Op::CopyMasked { dst, src: self.n_slots + *i });
             }
             CExpr::Load(h, i) => {
                 let rh = self.lower_expr(h);
@@ -535,8 +571,12 @@ impl Lowerer {
         match s {
             CStmt::Assign { slot, value, ops } => {
                 self.charge(*ops);
-                let r = self.lower_expr(value);
-                self.emit(Op::CopyMasked { dst: *slot, src: r });
+                if writes_active_lanes_only(value) {
+                    self.emit_expr(value, *slot);
+                } else {
+                    let r = self.lower_expr(value);
+                    self.emit(Op::CopyMasked { dst: *slot, src: r });
+                }
             }
             CStmt::Store { handle, index, value, ops } => {
                 self.charge(*ops);
@@ -701,11 +741,13 @@ impl Lowerer {
 // Execution.
 // ------------------------------------------------------------------------
 
-/// Reusable per-thread scratch: the bytecode VM's register file, mask slots,
-/// launch arena and bookkeeping maps persist across `run_block` calls so the
-/// hot functional loop stops paying one allocator round-trip per block.
-/// Capture is single-threaded per engine (the tuner parallelizes across
-/// engines on separate threads), so thread-local reuse is exact.
+/// Reusable per-thread scratch: the bytecode VM's register file (variable
+/// slots, argument registers, temporaries — see the module header), mask
+/// slots, launch arena, bookkeeping maps and counters persist across
+/// `run_block` calls so the hot functional loop stops paying one allocator
+/// round-trip per block. Capture is single-threaded per engine (the tuner
+/// parallelizes across engines on separate threads), so thread-local reuse
+/// is exact.
 struct Scratch {
     regs: Vec<Lanes>,
     masks: Vec<u32>,
@@ -716,6 +758,7 @@ struct Scratch {
     /// capacity) are recycled across blocks via `trace_pool`.
     traces: Vec<Vec<Chunk>>,
     trace_pool: Vec<Vec<Chunk>>,
+    counts: VmCounts,
 }
 
 thread_local! {
@@ -727,7 +770,39 @@ thread_local! {
         block_allocs: HashMap::new(),
         traces: Vec::new(),
         trace_pool: Vec::new(),
+        counts: VmCounts::default(),
     });
+}
+
+/// What the VM did, as plain integers bumped in the hot loop and added to
+/// the metrics registry once per block ([`VmCounts::flush`]), never per op.
+#[derive(Default)]
+struct VmCounts {
+    /// `ir.vm.ops`: instructions dispatched.
+    ops: u64,
+    /// `ir.vm.mem_groups`: warp memory accesses costed (`Load`, `Store`,
+    /// `Atomic` and the fused ops containing them).
+    mem_groups: u64,
+    /// `ir.vm.mem_groups_single_site`: those where every active lane hit
+    /// one `(array, index)`, so the op touched memory once.
+    single_site: u64,
+}
+
+impl VmCounts {
+    fn flush(&mut self) {
+        static COUNTERS: OnceLock<[&'static obs::Counter; 3]> = OnceLock::new();
+        let [ops, groups, single] = COUNTERS.get_or_init(|| {
+            [
+                obs::counter("ir.vm.ops"),
+                obs::counter("ir.vm.mem_groups"),
+                obs::counter("ir.vm.mem_groups_single_site"),
+            ]
+        });
+        ops.add(self.ops);
+        groups.add(self.mem_groups);
+        single.add(self.single_site);
+        *self = VmCounts::default();
+    }
 }
 
 /// Execute one block through the bytecode VM. Mirrors the tree walker's
@@ -741,7 +816,9 @@ pub(crate) fn run_block(
 ) -> Result<BlockResult, SimError> {
     SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
-        run_block_with(k, bk, ids, ctx, s)
+        let r = run_block_with(k, bk, ids, ctx, s);
+        s.counts.flush();
+        r
     })
 }
 
@@ -754,14 +831,19 @@ fn run_block_with(
 ) -> Result<BlockResult, SimError> {
     let warps = ctx.block_dim.div_ceil(ctx.warp_size);
     let n_slots = bk.n_slots as usize;
-    // Grow-only buffers: stale temporary-register and mask contents are
-    // unobservable (temps and mask slots are written before every read; the
-    // variable slots `0..n_slots` are re-zeroed per warp below).
+    // Grow-only buffers: stale register and mask contents are unobservable
+    // (temps and mask slots are written before every read, the argument
+    // registers just below, and the variable slots `0..n_slots` are
+    // re-zeroed per warp).
     if s.regs.len() < bk.n_regs as usize {
         s.regs.resize(bk.n_regs as usize, [0; 32]);
     }
     if s.masks.len() < bk.n_masks as usize {
         s.masks.resize(bk.n_masks as usize, 0);
+    }
+    // Argument registers: splatted once here, read-only for every warp.
+    for (r, &a) in s.regs[n_slots..].iter_mut().zip(ctx.args) {
+        *r = [a; 32];
     }
     s.arena.clear();
     s.block_allocs.clear();
@@ -788,18 +870,18 @@ fn run_block_with(
             arena: &mut s.arena,
             addrs: &mut s.addrs,
             block_allocs: &mut s.block_allocs,
+            counts: &mut s.counts,
             mask,
             returned: 0,
             iters: 0,
             cur: Chunk::default(),
             chunk_launch_start,
             chunks,
+            single_site: false,
             sites: [(0, 0); 32],
         };
-        match vm.run(&bk.ops) {
-            Ok(()) => s.traces.push(vm.finish()),
-            Err(e) => return Err(e),
-        }
+        vm.run(&bk.ops)?;
+        s.traces.push(vm.finish());
     }
     assemble_block(k, ctx, &s.traces, &s.arena)
 }
@@ -817,12 +899,16 @@ struct Vm<'a, 'b, 'c> {
     arena: &'c mut Vec<LaunchSpec>,
     addrs: &'c mut Vec<u64>,
     block_allocs: &'c mut HashMap<u32, (i64, i64)>,
+    counts: &'c mut VmCounts,
     mask: u32,
     returned: u32,
     iters: u64,
     cur: Chunk,
     chunk_launch_start: u32,
     chunks: Vec<Chunk>,
+    /// Set by the last [`Vm::group_cost`] when every active lane resolved to
+    /// one `(array, index)`, held in `sites[0]` alone.
+    single_site: bool,
     /// Per-lane `(array, index)` pairs resolved by the last [`Vm::group_cost`]
     /// call; `Load`/`Store`/`Atomic` reuse them via the validated accessors
     /// instead of re-resolving (and re-bounds-checking) every lane.
@@ -851,6 +937,21 @@ fn vector_binop(op: BinOp, a: &Lanes, b: &Lanes, d: &mut Lanes) {
         };
     }
     arms!(Add, Sub, Mul, Min, Max, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge, LAnd, LOr)
+}
+
+/// The value an atomic leaves in a cell holding `old` (the `GlobalMem`
+/// `atomic_*` semantics); `desired` is `Cas`'s second operand, read only
+/// for `Cas`.
+#[inline]
+fn atomic_update(op: AtomicOp, old: i64, val: i64, desired: impl FnOnce() -> i64) -> i64 {
+    match op {
+        AtomicOp::Add => old.wrapping_add(val),
+        AtomicOp::Min => old.min(val),
+        AtomicOp::Max => old.max(val),
+        AtomicOp::Exch => val,
+        AtomicOp::Cas if old == val => desired(),
+        AtomicOp::Cas => old,
+    }
 }
 
 /// Bitmask of lanes whose row value is nonzero (all 32 lanes; callers AND
@@ -912,6 +1013,8 @@ impl Vm<'_, '_, '_> {
     fn group_cost(&mut self, h: u16, i: u16) -> Result<(), SimError> {
         let (hb, ib) = (h as usize, i as usize);
         self.addrs.clear();
+        self.counts.mem_groups += 1;
+        self.single_site = false;
         // Warp-uniform handle (one array accessed by every active lane) is
         // the overwhelmingly common shape: resolve the array once and only
         // range-check each lane's index. Faults are constructed identically
@@ -928,7 +1031,8 @@ impl Vm<'_, '_, '_> {
             // Scalar addressing (one cell read by every active lane — parent
             // state like `row[u]` in delegated child kernels) collapses to a
             // single resolved address: coalescing 32 copies of one address
-            // yields the same one-transaction group, so cycles are untouched.
+            // yields the same one-transaction group, so cycles are untouched,
+            // and the memory op itself touches the cell once.
             let i0 = self.regs[ib][first.min(31)];
             let mut eqi = 0u32;
             for (l, v) in self.regs[ib].iter().enumerate() {
@@ -938,7 +1042,9 @@ impl Vm<'_, '_, '_> {
                 match usize::try_from(i0) {
                     Ok(idx) if idx < len => {
                         self.addrs.push(base + idx as u64);
-                        self.sites = [(a, idx); 32];
+                        self.sites[0] = (a, idx);
+                        self.single_site = true;
+                        self.counts.single_site += 1;
                     }
                     _ => {
                         return Err(SimError::OutOfBounds {
@@ -1011,24 +1117,45 @@ impl Vm<'_, '_, '_> {
         }
     }
 
-    /// Read the sites resolved by the last `group_cost` into `dst`.
+    /// Read the sites resolved by the last `group_cost` into the active
+    /// lanes of `dst`; a single site is read once and splatted.
     #[inline]
     fn load_sites(&mut self, dst: u16) {
-        let db = dst as usize;
-        for_lanes!(self.mask, l, {
-            let (a, idx) = self.sites[l];
-            self.regs[db][l] = self.ctx.mem.read_validated(a, idx);
-        });
+        let d = &mut self.regs[dst as usize];
+        if self.single_site {
+            let (a, idx) = self.sites[0];
+            let v = self.ctx.mem.read_validated(a, idx);
+            if self.mask == u32::MAX {
+                *d = [v; 32];
+            } else {
+                for_lanes!(self.mask, l, {
+                    d[l] = v;
+                });
+            }
+        } else {
+            for_lanes!(self.mask, l, {
+                let (a, idx) = self.sites[l];
+                d[l] = self.ctx.mem.read_validated(a, idx);
+            });
+        }
     }
 
-    /// Write register `v` to the sites resolved by the last `group_cost`.
+    /// Write register `v` to the sites resolved by the last `group_cost`. A
+    /// single site is written once, with the highest active lane's value:
+    /// what storing lane by lane in lane order would leave there.
     #[inline]
     fn store_sites(&mut self, v: u16) {
-        let vb = v as usize;
-        for_lanes!(self.mask, l, {
-            let (a, idx) = self.sites[l];
-            self.ctx.mem.write_validated(a, idx, self.regs[vb][l]);
-        });
+        let vv = &self.regs[v as usize];
+        if self.single_site {
+            let (a, idx) = self.sites[0];
+            let last = 31 - self.mask.leading_zeros() as usize;
+            self.ctx.mem.write_validated(a, idx, vv[last]);
+        } else {
+            for_lanes!(self.mask, l, {
+                let (a, idx) = self.sites[l];
+                self.ctx.mem.write_validated(a, idx, vv[l]);
+            });
+        }
     }
 
     fn run(&mut self, ops: &[Op]) -> Result<(), SimError> {
@@ -1037,6 +1164,7 @@ impl Vm<'_, '_, '_> {
         while pc < ops.len() {
             let op = ops[pc];
             pc += 1;
+            self.counts.ops += 1;
             match op {
                 Op::Imm { dst, v } => {
                     self.regs[dst as usize] = [v; 32];
@@ -1062,9 +1190,6 @@ impl Vm<'_, '_, '_> {
                         Special::NCta => *d = [self.ctx.grid_dim as i64; 32],
                         Special::Depth => *d = [self.ctx.depth as i64; 32],
                     }
-                }
-                Op::ArgLd { dst, idx } => {
-                    self.regs[dst as usize] = [self.ctx.args[idx as usize]; 32];
                 }
                 Op::CopyMasked { dst, src } => {
                     if self.mask == u32::MAX {
@@ -1172,39 +1297,31 @@ impl Vm<'_, '_, '_> {
                     let ac = self.ctx.cost.atomic_cycles;
                     self.cur.cycles += ac * n;
                     self.cur.active += ac * n;
-                    let vb = v as usize;
+                    let vv = &self.regs[v as usize];
+                    // `Cas` is the only atomic with a second operand.
+                    let desired = |l: usize| self.regs[v2 as usize][l];
                     let mut olds = [0i64; 32];
                     // Same read-modify-write semantics as the `GlobalMem`
                     // `atomic_*` helpers, over the sites `group_cost` already
-                    // resolved and bounds-checked.
-                    for_lanes!(self.mask, l, {
-                        let (a, idx) = self.sites[l];
-                        let val = self.regs[vb][l];
-                        let old = self.ctx.mem.read_validated(a, idx);
-                        match op {
-                            AtomicOp::Add => {
-                                self.ctx.mem.write_validated(a, idx, old.wrapping_add(val));
-                            }
-                            AtomicOp::Min => {
-                                if val < old {
-                                    self.ctx.mem.write_validated(a, idx, val);
-                                }
-                            }
-                            AtomicOp::Max => {
-                                if val > old {
-                                    self.ctx.mem.write_validated(a, idx, val);
-                                }
-                            }
-                            AtomicOp::Exch => self.ctx.mem.write_validated(a, idx, val),
-                            AtomicOp::Cas => {
-                                if old == val {
-                                    let desired = self.regs[v2 as usize][l];
-                                    self.ctx.mem.write_validated(a, idx, desired);
-                                }
-                            }
-                        }
-                        olds[l] = old;
-                    });
+                    // resolved and bounds-checked. A single site is folded
+                    // in lane order over one read and one write.
+                    if self.single_site {
+                        let (a, idx) = self.sites[0];
+                        let mut cur = self.ctx.mem.read_validated(a, idx);
+                        for_lanes!(self.mask, l, {
+                            olds[l] = cur;
+                            cur = atomic_update(op, cur, vv[l], || desired(l));
+                        });
+                        self.ctx.mem.write_validated(a, idx, cur);
+                    } else {
+                        for_lanes!(self.mask, l, {
+                            let (a, idx) = self.sites[l];
+                            let old = self.ctx.mem.read_validated(a, idx);
+                            let new = atomic_update(op, old, vv[l], || desired(l));
+                            self.ctx.mem.write_validated(a, idx, new);
+                            olds[l] = old;
+                        });
+                    }
                     if old != NONE_REG {
                         let d = &mut self.regs[old as usize];
                         for_lanes!(self.mask, l, {

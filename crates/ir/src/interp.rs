@@ -843,6 +843,20 @@ impl WarpExec<'_, '_, '_> {
 // Shared by both executors — segment/phase assembly cannot diverge.
 // ------------------------------------------------------------------------
 
+/// Fold a block's warp traces into its segments, in one pass over the
+/// chunks and without building per-block chunk lists.
+///
+/// A warp's trace is its `__syncthreads` phases in order; a phase that ends
+/// at `cudaDeviceSynchronize` also ends a segment. At most one warp of a
+/// block may device-sync, and that warp alone defines the segments: every
+/// other warp's work lands in segment 0. So a block in which no warp synced
+/// (nearly all of them) is one segment, whose launches are the arena in
+/// issue order. Durations:
+///
+/// * segment 0 — when every warp has the same number of phases in it, the
+///   sum over phases of the slowest warp's phase; otherwise the slowest
+///   warp's serial total. Each phase boundary adds one `__syncthreads` cost.
+/// * later segments — the syncing warp's serial total, same barrier rule.
 pub(crate) fn assemble_block(
     k: &CKernel,
     ctx: &mut BlockCtx<'_>,
@@ -851,29 +865,24 @@ pub(crate) fn assemble_block(
 ) -> Result<BlockResult, SimError> {
     let warp_size = ctx.warp_size as u64;
     let sync_cost = ctx.cost.syncthreads_cycles;
+    let device_sync = |c: &Chunk| c.boundary == Boundary::DeviceSync;
 
-    // Segment structure is defined by the (single) warp that executed
-    // `cudaDeviceSynchronize`; all other warps' work is attributed to
-    // segment 0.
-    let syncing: Vec<usize> = traces
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.iter().any(|c| c.boundary == Boundary::DeviceSync))
-        .map(|(w, _)| w)
-        .collect();
-    if syncing.len() > 1 {
+    let mut syncing = traces.iter().enumerate().filter(|(_, t)| t.iter().any(device_sync));
+    let sync_warp = syncing.next().map_or(0, |(w, _)| w);
+    let more = syncing.count();
+    if more > 0 {
         return Err(SimError::KernelFault {
             kernel: k.name.clone(),
             message: format!(
                 "cudaDeviceSynchronize executed by {} warps of one block; the \
                  block-segmentation model supports at most one",
-                syncing.len()
+                more + 1
             ),
         });
     }
-    let sync_warp = syncing.first().copied().unwrap_or(0);
-    let w0_segments: Vec<Vec<&Chunk>> = split_segments(&traces[sync_warp]);
-    let nseg = w0_segments.len();
+    let sync_trace = &traces[sync_warp];
+    let nseg = sync_trace.iter().filter(|c| device_sync(c)).count()
+        + usize::from(!sync_trace.last().is_some_and(device_sync));
     // Segment/launch buffers come from the capture arena's recycled pools:
     // once the arena is warm (second candidate onward) block assembly stops
     // allocating result storage entirely.
@@ -883,75 +892,48 @@ pub(crate) fn assemble_block(
         ..SegmentResult::default()
     }));
 
-    // Phase-aware duration for segment 0: align warp phases (chunks split at
-    // Sync) when all warps agree on the phase count; otherwise fall back to
-    // the max total over warps.
-    let seg0_phases: Vec<Vec<&Chunk>> = traces
-        .iter()
-        .enumerate()
-        .map(|(w, t)| if w == sync_warp { w0_segments[0].clone() } else { t.iter().collect() })
-        .collect();
-    let aligned = seg0_phases.iter().all(|p| p.len() == seg0_phases[0].len());
-    let seg0_duration = if aligned {
-        let phases = seg0_phases[0].len();
-        let mut d = 0u64;
-        for p in 0..phases {
-            d += seg0_phases.iter().map(|w| w[p].cycles).max().unwrap_or(0);
-        }
-        d + sync_cost * phases.saturating_sub(1) as u64
+    // Segment 0's phases: a warp's chunks up to its first device sync.
+    let seg0_len = |t: &[Chunk]| t.iter().position(device_sync).map_or(t.len(), |p| p + 1);
+    let barriers = |phases: usize| sync_cost * phases.saturating_sub(1) as u64;
+    let phases = seg0_len(&traces[0]);
+    segments[0].duration = if traces.iter().all(|t| seg0_len(t) == phases) {
+        (0..phases).map(|p| traces.iter().map(|t| t[p].cycles).max().unwrap_or(0)).sum::<u64>()
+            + barriers(phases)
     } else {
-        seg0_phases
+        traces
             .iter()
-            .map(|w| {
-                w.iter().map(|c| c.cycles).sum::<u64>()
-                    + sync_cost * w.len().saturating_sub(1) as u64
+            .map(|t| {
+                let n = seg0_len(t);
+                t[..n].iter().map(|c| c.cycles).sum::<u64>() + barriers(n)
             })
             .max()
             .unwrap_or(0)
     };
-    segments[0].duration = seg0_duration;
 
-    // Aggregate warp metrics into segments.
     for (w, trace) in traces.iter().enumerate() {
-        let segs: Vec<Vec<&Chunk>> =
-            if w == sync_warp { split_segments(trace) } else { vec![trace.iter().collect()] };
-        for (si, chunks) in segs.iter().enumerate() {
-            let seg = &mut segments[si.min(nseg - 1)];
-            for c in chunks {
-                seg.warp_cycles_sum += c.cycles;
-                seg.active_thread_cycles += c.active;
-                seg.thread_cycles_possible += c.cycles * warp_size;
-                seg.dram_transactions += c.dram;
-                let (ls, le) = c.launches;
-                seg.launches.extend_from_slice(&arena[ls as usize..le as usize]);
+        let mut si = 0;
+        let mut first_phase = true;
+        for c in trace {
+            let seg = &mut segments[si];
+            seg.warp_cycles_sum += c.cycles;
+            seg.active_thread_cycles += c.active;
+            seg.thread_cycles_possible += c.cycles * warp_size;
+            seg.dram_transactions += c.dram;
+            let (ls, le) = c.launches;
+            seg.launches.extend_from_slice(&arena[ls as usize..le as usize]);
+            if w == sync_warp {
+                if si > 0 {
+                    seg.duration += c.cycles + if first_phase { 0 } else { sync_cost };
+                }
+                first_phase = false;
+                if device_sync(c) {
+                    seg.ends_with_device_sync = true;
+                    si += 1;
+                    first_phase = true;
+                }
             }
         }
     }
 
-    // Durations and sync flags for segments after the first (warp 0 only).
-    for (si, chunks) in w0_segments.iter().enumerate() {
-        if si > 0 {
-            segments[si].duration = chunks.iter().map(|c| c.cycles).sum::<u64>()
-                + sync_cost * chunks.len().saturating_sub(1) as u64;
-        }
-        let last = chunks.last().expect("segments are non-empty");
-        segments[si].ends_with_device_sync = last.boundary == Boundary::DeviceSync;
-    }
-
     Ok(BlockResult { segments })
-}
-
-/// Split a warp trace into device-sync segments of sync-phase chunks.
-fn split_segments(trace: &[Chunk]) -> Vec<Vec<&Chunk>> {
-    let mut out: Vec<Vec<&Chunk>> = vec![Vec::new()];
-    for c in trace {
-        out.last_mut().unwrap().push(c);
-        if c.boundary == Boundary::DeviceSync {
-            out.push(Vec::new());
-        }
-    }
-    if out.last().is_some_and(Vec::is_empty) && out.len() > 1 {
-        out.pop();
-    }
-    out
 }

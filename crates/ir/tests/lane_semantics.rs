@@ -1,6 +1,8 @@
-//! Regression tests for the two lane-semantics bugs fixed alongside the
-//! bytecode VM, pinned on **both** executors via the per-install engine pin
-//! (`install_with_engine`), so neither can drift independently:
+//! Lane-semantics regressions, each pinned on every executor so none can
+//! drift independently.
+//!
+//! Bugs fixed alongside the bytecode VM (tree walker + bytecode VM, via the
+//! per-install engine pin `install_with_engine`):
 //!
 //! 1. Shift amounts outside `0..=63` used to wrap modulo 64 (`x << 64` acted
 //!    as `x << 0`, `x << -1` as `x << 63`); they now yield `0` for both `<<`
@@ -9,10 +11,18 @@
 //!    clamped to 0 and then surface as a misleading
 //!    `BadLaunchConfig: "grid and block dimensions must be nonzero"`; they
 //!    now raise a typed `KernelFault` naming the kernel, lane, and value.
+//!
+//! The VM's shared-work paths (tree walker, fused VM and unfused VM): memory
+//! ops where every active lane hits one site, assignments evaluated straight
+//! into the variable's slot, and arguments held in registers filled once per
+//! block.
+
+use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, ExecEngine, Module};
-use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, SimError};
+use dpcons_ir::{install_with_engine, set_fusion_override, ExecEngine, Module};
+use dpcons_sim::{AllocKind, Engine, GpuConfig, KernelId, LaunchSpec, SimError};
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
 
@@ -109,5 +119,243 @@ fn in_range_launch_dims_still_work_in_both_engines() {
         let (eng, out, r) = run_pinned(engine, &m, "parent", 1, 1, vec![], 1);
         r.unwrap_or_else(|e| panic!("{engine:?}: {e}"));
         assert_eq!(eng.mem.read(out, 0).unwrap(), 7, "{engine:?}");
+    }
+}
+
+// ------------------------------------------------------------------------
+// Shared-work paths of the VM, on all three executors.
+// ------------------------------------------------------------------------
+
+/// The tree walker and the VM with and without peephole fusion.
+const EXECUTORS: [(&str, ExecEngine, bool); 3] = [
+    ("tree", ExecEngine::Tree, true),
+    ("fused", ExecEngine::Bytecode, true),
+    ("unfused", ExecEngine::Bytecode, false),
+];
+
+/// Fusion is chosen at install through a process-wide override; hold this
+/// while flipping it so concurrent tests here cannot swap the program.
+static FUSION: Mutex<()> = Mutex::new(());
+
+/// An engine with `arrays` uploaded, `m` installed on one executor, and the
+/// array handles in upload order.
+fn engine_on(
+    exec: ExecEngine,
+    fuse: bool,
+    m: &Module,
+    arrays: &[Vec<i64>],
+) -> (Engine, HashMap<String, KernelId>, Vec<usize>) {
+    let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
+    let handles = arrays
+        .iter()
+        .enumerate()
+        .map(|(n, a)| eng.mem.alloc_array_init(&format!("a{n}"), a.clone()))
+        .collect();
+    let _guard = FUSION.lock().unwrap_or_else(PoisonError::into_inner);
+    set_fusion_override(Some(fuse));
+    let ids = install_with_engine(&mut eng, m, Some(exec));
+    set_fusion_override(None);
+    (eng, ids.unwrap(), handles)
+}
+
+/// Launch `kernel<<<1, block>>>(arrays.., scalars..)` on every executor and
+/// require every array to end as `want`.
+fn check_all(
+    m: &Module,
+    kernel: &str,
+    block: u32,
+    arrays: &[Vec<i64>],
+    scalars: &[i64],
+    want: &[Vec<i64>],
+) {
+    for (name, exec, fuse) in EXECUTORS {
+        let (mut eng, ids, handles) = engine_on(exec, fuse, m, arrays);
+        let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+        args.extend_from_slice(scalars);
+        eng.launch(LaunchSpec::new(ids[kernel], 1, block, args))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (n, (&h, w)) in handles.iter().zip(want).enumerate() {
+            assert_eq!(eng.mem.slice(h).unwrap(), &w[..], "{name}: array {n}");
+        }
+    }
+}
+
+#[test]
+fn single_site_store_under_a_divergent_mask_leaves_the_highest_active_lane() {
+    // Every active lane stores to out[0]: tids 0, 3, .., 39 across two warps
+    // (the second one partial). Warps run in order and lanes store in lane
+    // order, so the last writer is the second warp's highest active lane.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("out").body(vec![when(
+        land(lt(tid(), i(40)), eq(rem(tid(), i(3)), i(0))),
+        vec![store(v("out"), i(0), add(tid(), i(100)))],
+    )]));
+    check_all(&m, "k", 48, &[vec![-1]], &[], &[vec![139]]);
+    // A one-warp block whose active lanes are not a prefix.
+    check_all(&m, "k", 32, &[vec![-1]], &[], &[vec![130]]);
+}
+
+#[test]
+fn single_site_load_into_a_variable_keeps_inactive_lanes() {
+    // `x = inp[5]` in odd lanes only: the even lanes keep `tid + 1000`.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("inp").array("out").body(vec![
+        let_("x", add(tid(), i(1000))),
+        when(eq(rem(tid(), i(2)), i(1)), vec![assign("x", load(v("inp"), i(5)))]),
+        store(v("out"), tid(), v("x")),
+    ]));
+    let inp: Vec<i64> = (0..8).map(|j| j * 11 - 3).collect();
+    let want: Vec<i64> = (0..40).map(|t| if t % 2 == 1 { inp[5] } else { t + 1000 }).collect();
+    check_all(&m, "k", 40, &[inp.clone(), vec![0; 40]], &[], &[inp, want]);
+}
+
+#[test]
+fn single_site_atomics_keep_lane_order() {
+    // Every active lane (tid % 3 != 1) hits cell 0 of each array. Expected
+    // values come from applying the lanes one by one in tid order.
+    let mut m = Module::new();
+    let active = ne(rem(tid(), i(3)), i(1));
+    m.add(KernelBuilder::new("k").array("acc").array("cas").array("olds").body(vec![when(
+        active,
+        vec![
+            atomic_add(Some("a"), v("acc"), i(0), add(tid(), i(1))),
+            atomic_cas(Some("c"), v("cas"), i(0), v("a"), add(v("a"), tid())),
+            store(v("olds"), mul(tid(), i(2)), v("a")),
+            store(v("olds"), add(mul(tid(), i(2)), i(1)), v("c")),
+        ],
+    )]));
+    let block = 45;
+    // The CAS cell starts at lane 3's `a`, so lane 3 swaps and every later
+    // lane compares against the value lane 3 left.
+    let (mut acc, mut cas) = (7i64, 11i64);
+    let mut olds = vec![0i64; 2 * block];
+    // A warp runs the whole body before the next starts: warp 0's adds, its
+    // CASes, then warp 1's.
+    for warp in 0..block.div_ceil(32) as i64 {
+        let in_warp: Vec<i64> =
+            (warp * 32..(warp * 32 + 32).min(block as i64)).filter(|t| t % 3 != 1).collect();
+        for &t in &in_warp {
+            olds[2 * t as usize] = acc;
+            acc += t + 1;
+        }
+        for &t in &in_warp {
+            let a = olds[2 * t as usize];
+            olds[2 * t as usize + 1] = cas;
+            if cas == a {
+                cas = a + t;
+            }
+        }
+    }
+    check_all(
+        &m,
+        "k",
+        block as u32,
+        &[vec![7], vec![11], vec![0; 2 * block]],
+        &[],
+        &[vec![acc], vec![cas], olds],
+    );
+}
+
+#[test]
+fn direct_assignments_under_divergence_keep_inactive_lanes() {
+    // `x = a[x]` (per-lane sites), `y = y * 2 + y` and `z = -z`, each under
+    // its own divergent mask: the slot is both an operand and the target.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("inp").array("out").body(vec![
+        let_("x", tid()),
+        let_("y", add(tid(), i(1))),
+        let_("z", sub(tid(), i(5))),
+        when(ne(rem(tid(), i(3)), i(0)), vec![assign("x", load(v("inp"), v("x")))]),
+        when(eq(rem(tid(), i(2)), i(0)), vec![assign("y", add(mul(v("y"), i(2)), v("y")))]),
+        when(ge(tid(), i(10)), vec![assign("z", neg(v("z")))]),
+        store(v("out"), mul(tid(), i(3)), v("x")),
+        store(v("out"), add(mul(tid(), i(3)), i(1)), v("y")),
+        store(v("out"), add(mul(tid(), i(3)), i(2)), v("z")),
+    ]));
+    let block = 40usize;
+    let inp: Vec<i64> = (0..block as i64).map(|j| j * 7 + 1).collect();
+    let mut want = vec![0i64; 3 * block];
+    for t in 0..block as i64 {
+        let x = if t % 3 != 0 { inp[t as usize] } else { t };
+        let y = if t % 2 == 0 { (t + 1) * 3 } else { t + 1 };
+        let z = if t >= 10 { 5 - t } else { t - 5 };
+        want[3 * t as usize..3 * t as usize + 3].copy_from_slice(&[x, y, z]);
+    }
+    check_all(&m, "k", block as u32, &[inp.clone(), vec![0; 3 * block]], &[], &[inp, want]);
+}
+
+#[test]
+fn short_circuit_assignment_keeps_its_temporary() {
+    // `x = c && x` and `x = c || x`: the right operand reads the slot the
+    // assignment writes, under the lanes the left operand leaves undecided.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("out").body(vec![
+        let_("x", rem(tid(), i(4))),
+        let_("c", rem(tid(), i(3))),
+        when(lt(tid(), i(24)), vec![assign("x", land(v("c"), v("x")))]),
+        when(ge(tid(), i(30)), vec![assign("x", lor(eq(v("c"), i(0)), v("x")))]),
+        store(v("out"), tid(), v("x")),
+    ]));
+    let want: Vec<i64> = (0..36i64)
+        .map(|t| {
+            let (x, c) = (t % 4, t % 3);
+            if t < 24 {
+                (c != 0 && x != 0) as i64
+            } else if t >= 30 {
+                (c == 0 || x != 0) as i64
+            } else {
+                x
+            }
+        })
+        .collect();
+    check_all(&m, "k", 36, &[vec![0; 36]], &[], &[want]);
+}
+
+#[test]
+fn arguments_read_in_loops_across_warps_and_launches() {
+    // `n` bounds a loop and `bias` is read inside it by every warp of a
+    // three-warp block; the parent passes its arguments on, reordered, to a
+    // child with a different register layout. Two host launches with
+    // different arguments on one engine must each see their own.
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("child").array("out").scalar("bias").scalar("n").body(vec![
+        let_("k", mul(v("n"), i(100))),
+        for_("j", i(0), v("n"), vec![store(v("out"), add(v("k"), v("j")), add(v("bias"), tid()))]),
+    ]));
+    m.add(KernelBuilder::new("parent").array("out").scalar("n").scalar("bias").body(vec![
+        for_(
+            "j",
+            i(0),
+            v("n"),
+            vec![store(
+                v("out"),
+                add(mul(tid(), v("n")), v("j")),
+                add(mul(v("j"), v("bias")), tid()),
+            )],
+        ),
+        when(
+            eq(tid(), i(69)),
+            vec![launch("child", i(1), i(1), vec![v("out"), add(v("bias"), i(1)), v("n")])],
+        ),
+    ]));
+    for (name, exec, fuse) in EXECUTORS {
+        let (mut eng, ids, handles) = engine_on(exec, fuse, &m, &[vec![0; 512]]);
+        let out = handles[0];
+        for (n, bias) in [(3i64, 5i64), (2, -7)] {
+            eng.mem.fill(out, 0).unwrap();
+            let args = vec![out as i64, n, bias];
+            eng.launch(LaunchSpec::new(ids["parent"], 1, 70, args))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut want = vec![0i64; 512];
+            for t in 0..70 {
+                for j in 0..n {
+                    want[(t * n + j) as usize] = j * bias + t;
+                }
+            }
+            for j in 0..n {
+                want[(n * 100 + j) as usize] = bias + 1;
+            }
+            assert_eq!(eng.mem.slice(out).unwrap(), &want[..], "{name}: n={n} bias={bias}");
+        }
     }
 }

@@ -232,8 +232,8 @@ impl Engine {
         queue.push_back((root, 0, None));
 
         // One scratch set reused across every block of every kernel in the
-        // DAG: the per-block coalescing bookkeeping clears it but keeps the
-        // allocated capacity, so the hot functional loop stops reallocating.
+        // DAG: clearing it per block is an epoch bump and its table keeps
+        // the largest block's capacity, so the hot loop never reallocates.
         let mut touched = crate::kernel::SegSet::default();
         while let Some((spec, depth, parent)) = queue.pop_front() {
             if arena.records.len() >= self.max_kernel_execs {

@@ -12,7 +12,6 @@
 //! block out between segments while its child kernels run (Section III.B
 //! "Synchronization Overhead").
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::alloc::DeviceHeap;
@@ -154,34 +153,87 @@ impl Default for FuelMeter {
     }
 }
 
-/// Deterministic single-round hasher for segment-id sets. Segment ids enter
-/// the set once per warp memory access — the functional phase's hottest
-/// non-interpreter path — so one splitmix64 finalizer round replaces the
-/// default SipHash. Only `u64` keys are supported.
-#[derive(Clone, Copy, Default)]
-pub struct SegIdHasher(u64);
+/// The set of coalescing segments one block has touched.
+///
+/// Segment ids enter it once per warp memory access — the functional
+/// phase's hottest path outside the VM — and it is cleared once per block,
+/// so both operations are made cheap here:
+///
+/// * an open-addressing table of `(segment, epoch)` slots, where a slot is
+///   live iff its epoch equals the set's; `clear` bumps the epoch instead of
+///   touching the table (only a `u32` wrap refills it);
+/// * an insert is one Fibonacci-hash multiply plus linear-probe compares;
+/// * the table is a power of two kept at load ≤ 1/2, so it grows to the
+///   smallest power of two ≥ 2× the largest block's distinct segments and
+///   never shrinks.
+///
+/// A table indexed directly by segment id was tried and rejected: the
+/// 64 M-word device heap spans 4 M+ segments, so it cost RSS and time.
+#[derive(Debug, Clone)]
+pub struct SegSet {
+    slots: Vec<(u64, u32)>,
+    epoch: u32,
+    len: usize,
+    /// `64 - log2(slots.len())`: the Fibonacci hash keeps the top bits.
+    shift: u32,
+}
 
-impl std::hash::Hasher for SegIdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("SegIdHasher only hashes u64 segment ids")
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let mut x = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = x ^ (x >> 31);
+impl Default for SegSet {
+    fn default() -> Self {
+        SegSet::with_capacity_log2(4)
     }
 }
 
-/// Segment-id set keyed by [`SegIdHasher`].
-pub type SegSet = HashSet<u64, std::hash::BuildHasherDefault<SegIdHasher>>;
+impl SegSet {
+    fn with_capacity_log2(bits: u32) -> Self {
+        // Slots start at epoch 0 and the set at 1, so every slot is free.
+        SegSet { slots: vec![(0, 0); 1 << bits], epoch: 1, len: 0, shift: 64 - bits }
+    }
+
+    /// Forget every segment: O(1) except once every `u32::MAX` clears.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // A stale stamp must never equal a future epoch.
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// Add `seg`; `true` if it was not yet in the set.
+    #[inline]
+    pub fn insert(&mut self, seg: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = (seg.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            let (s, e) = self.slots[i];
+            if e != self.epoch {
+                self.slots[i] = (seg, self.epoch);
+                self.len += 1;
+                if self.len * 2 > self.slots.len() {
+                    self.grow();
+                }
+                return true;
+            }
+            if s == seg {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let bits = 64 - self.shift + 1;
+        let old = std::mem::replace(self, SegSet::with_capacity_log2(bits));
+        for (s, e) in old.slots {
+            if e == old.epoch {
+                self.insert(s);
+            }
+        }
+    }
+}
 
 /// Execution context handed to [`KernelBody::run_block`].
 pub struct BlockCtx<'a> {
@@ -197,7 +249,9 @@ pub struct BlockCtx<'a> {
     pub cost: &'a CostModel,
     /// Coalescing segments already fetched by this block: re-accesses hit
     /// cache instead of DRAM. Larger (consolidated) blocks reuse more —
-    /// the caching effect Section V.D credits for the DRAM reduction.
+    /// the caching effect Section V.D credits for the DRAM reduction. The
+    /// engine owns one [`SegSet`] per functional phase and clears it (an
+    /// epoch bump) before every block, so it arrives empty.
     pub touched_segments: &'a mut SegSet,
     /// Shared functional step budget ([`crate::engine::Engine::fuel`]); kernel
     /// bodies charge loop iterations against it so runaway candidates fault
@@ -248,6 +302,80 @@ mod tests {
         let k = Nop;
         assert_eq!(k.regs_per_thread(), 32);
         assert_eq!(k.shared_bytes(), 0);
+    }
+
+    fn capacity(s: &SegSet) -> usize {
+        s.slots.len()
+    }
+
+    #[test]
+    fn seg_set_matches_hash_set_across_clears_and_growth() {
+        let mut ours = SegSet::default();
+        let mut model = std::collections::HashSet::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for block in 0..200u64 {
+            ours.clear();
+            model.clear();
+            // Block sizes up to ~3k inserts force several doublings; ids
+            // from a small range repeat, ids near the heap's top collide in
+            // the low bits.
+            for _ in 0..(block * 37) % 3000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let seg = match x % 3 {
+                    0 => x % 512,
+                    1 => (1 << 22) + (x % 4096) * 64,
+                    _ => x >> 8,
+                };
+                assert_eq!(ours.insert(seg), model.insert(seg), "block {block} seg {seg}");
+                assert_eq!(ours.len, model.len());
+            }
+        }
+        assert!(capacity(&ours) > 16, "the sequence must force growth");
+    }
+
+    #[test]
+    fn seg_set_epoch_wrap_forgets_every_old_segment() {
+        let mut s = SegSet { epoch: u32::MAX - 1, ..SegSet::default() };
+        assert!(s.insert(7));
+        s.clear(); // epoch u32::MAX
+        assert!(s.insert(7) && s.insert(8));
+        assert!(!s.insert(8));
+        s.clear(); // wraps: the table is refilled, epoch restarts at 1
+        assert_eq!(s.epoch, 1);
+        assert_eq!(s.len, 0);
+        assert!(s.insert(8), "a segment from before the wrap must be gone");
+        assert!(s.insert(7));
+        for _ in 0..u8::MAX {
+            s.clear();
+            assert!(s.insert(7), "stale stamps must never look live");
+        }
+    }
+
+    #[test]
+    fn seg_set_capacity_tracks_the_largest_block_and_never_shrinks() {
+        let mut s = SegSet::default();
+        for seg in 0..4096u64 {
+            s.insert(seg * 3);
+        }
+        // Load ≤ 1/2 on a power of two: exactly 2× a power-of-two count.
+        assert_eq!(capacity(&s), 2 * 4096);
+        for round in 0..100u64 {
+            s.clear();
+            for seg in 0..50 {
+                s.insert(round * 1000 + seg);
+            }
+            assert_eq!(capacity(&s), 2 * 4096);
+        }
+        // In general: the smallest power of two ≥ 2× the largest count.
+        let mut s = SegSet::default();
+        for seg in 0..3000u64 {
+            s.insert(seg);
+        }
+        s.clear();
+        s.insert(1);
+        assert_eq!(capacity(&s), (2 * 3000usize).next_power_of_two());
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub mod trace;
 pub use alloc::{AllocKind, DeviceHeap, HeapStats};
 pub use arena::{CaptureArena, CapturePools};
 pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig};
+/// The metrics registry, re-exported so kernel-body crates (the IR's VM)
+/// record counters in it without a dependency edge of their own.
+pub use dpcons_obs as obs;
 pub use engine::{functional_execs_total, Engine, ExecRecord};
 pub use kernel::{
     BlockCtx, BlockResult, FuelMeter, KernelBody, KernelId, LaunchSpec, SegmentResult,
