@@ -25,7 +25,20 @@
 //! assignment `x = e` evaluate straight into `x`'s slot when `e`'s final op
 //! is a `Load`, `Un` or non-short-circuit `Bin`/`BinImm`; the splats
 //! (`Imm`, `Sp`) and the short-circuit pair still go through a temporary
-//! plus `CopyMasked`. Div/Rem keep a masked faulting path either way.
+//! plus `CopyMasked`. Div/Rem keep a masked faulting path either way: they
+//! compute every active lane into a local before writing any, so a fault
+//! leaves the destination untouched.
+//!
+//! Source rows are read in place, never copied: lane `l` of an op reads only
+//! lane `l` of its operands before writing lane `l` of its destination, so
+//! the destination may be one of the sources. A 256-byte row copy per
+//! operand was a `memmove` call, most of an op's cost on a 30-op warp.
+//!
+//! Ops that need one answer about a whole row ask it as a reduction, not a
+//! lane bitmask: "do all active lanes hold `v`?" is an OR of `x ^ v`. The
+//! default x86-64 target has no 64-bit vector compare, so a packed
+//! `(x == v) << l` mask costs 32 scalar compares, while the XOR-OR reduction
+//! is SSE2 `pxor`/`por`.
 //!
 //! Memory ops do shared work once per warp. When every active lane of an
 //! access resolves to the same `(array, index)` — parent state like `row[u]`
@@ -780,6 +793,8 @@ thread_local! {
 struct VmCounts {
     /// `ir.vm.ops`: instructions dispatched.
     ops: u64,
+    /// `ir.vm.ops_full_warp`: those dispatched with all 32 lanes active.
+    ops_full_warp: u64,
     /// `ir.vm.mem_groups`: warp memory accesses costed (`Load`, `Store`,
     /// `Atomic` and the fused ops containing them).
     mem_groups: u64,
@@ -790,15 +805,17 @@ struct VmCounts {
 
 impl VmCounts {
     fn flush(&mut self) {
-        static COUNTERS: OnceLock<[&'static obs::Counter; 3]> = OnceLock::new();
-        let [ops, groups, single] = COUNTERS.get_or_init(|| {
+        static COUNTERS: OnceLock<[&'static obs::Counter; 4]> = OnceLock::new();
+        let [ops, full, groups, single] = COUNTERS.get_or_init(|| {
             [
                 obs::counter("ir.vm.ops"),
+                obs::counter("ir.vm.ops_full_warp"),
                 obs::counter("ir.vm.mem_groups"),
                 obs::counter("ir.vm.mem_groups_single_site"),
             ]
         });
         ops.add(self.ops);
+        full.add(self.ops_full_warp);
         groups.add(self.mem_groups);
         single.add(self.single_site);
         *self = VmCounts::default();
@@ -892,7 +909,9 @@ struct Vm<'a, 'b, 'c> {
     ids: &'a [KernelId],
     warp: u32,
     /// SoA register file: one 32-lane row per register. Fixed-size rows keep
-    /// the lane loops bounds-check-free and let the pure ops vectorize.
+    /// the lane loops bounds-check-free and let the pure ops vectorize; ops
+    /// index source rows in place (`regs[a][l]`) rather than copying them
+    /// out, so a destination may alias a source.
     regs: &'c mut [Lanes],
     /// Static mask slots (see [`Op`]).
     masks: &'c mut [u32],
@@ -915,13 +934,22 @@ struct Vm<'a, 'b, 'c> {
     sites: [(usize, usize); 32],
 }
 
-/// Full-width binop over all 32 lanes, active or not. Sound for every op
-/// except `Div`/`Rem`: [`scalar_binop_total`] cannot fault on the garbage in
-/// inactive lanes, and inactive lanes of an expression temporary are never
-/// observed. The op match sits **outside** the lane loop so each arm
-/// monomorphizes — and the loop vectorizes — the shared scalar semantics.
+/// Full-width `r[d] = r[a] op rhs(r, l)` over all 32 lanes, active or not,
+/// reading the sources in place: lane `l` reads only lane `l` of `r[a]` (and
+/// of whatever row `rhs` reads) before writing lane `l` of `r[d]`, so `d`
+/// may equal either source. Sound for every op except `Div`/`Rem`:
+/// [`scalar_binop_total`] cannot fault on the garbage in inactive lanes, and
+/// inactive lanes of an expression temporary are never observed. The op
+/// match sits **outside** the lane loop so each arm monomorphizes — and the
+/// loop vectorizes — the shared scalar semantics.
 #[inline]
-fn vector_binop(op: BinOp, a: &Lanes, b: &Lanes, d: &mut Lanes) {
+fn vector_binop(
+    op: BinOp,
+    r: &mut [Lanes],
+    d: usize,
+    a: usize,
+    rhs: impl Fn(&[Lanes], usize) -> i64,
+) {
     macro_rules! arms {
         ($($v:ident),* $(,)?) => {
             match op {
@@ -930,7 +958,7 @@ fn vector_binop(op: BinOp, a: &Lanes, b: &Lanes, d: &mut Lanes) {
                 }
                 $(BinOp::$v => {
                     for l in 0..32 {
-                        d[l] = scalar_binop_total(BinOp::$v, a[l], b[l]);
+                        r[d][l] = scalar_binop_total(BinOp::$v, r[a][l], rhs(r, l));
                     }
                 })*
             }
@@ -967,7 +995,8 @@ fn nonzero_lanes(row: &Lanes) -> u32 {
 
 /// Iterate the set lanes of a mask, in lane order. The full-warp mask — the
 /// overwhelmingly common case — takes a plain `0..32` loop the compiler can
-/// unroll; sparse masks walk their set bits.
+/// unroll; sparse masks walk their set bits. Bodies index register rows in
+/// place (`regs[a][l]`), so the rows need not be copied out first.
 macro_rules! for_lanes {
     ($mask:expr, $l:ident, $body:block) => {{
         let __m = $mask;
@@ -984,6 +1013,20 @@ macro_rules! for_lanes {
             }
         }
     }};
+}
+
+/// Do the lanes of `mask` all hold `v`? An OR of `x ^ v`, zero exactly when
+/// every one matches. On a full warp it covers all 32 lanes with no branch
+/// and compiles to SSE2 `pxor`/`por`; a lane bitmask `(x == v) << l` would
+/// be 32 scalar compares, since the default x86-64 target has no 64-bit
+/// vector compare. On a divergent warp it covers the set bits of the mask.
+#[inline]
+fn lanes_equal(row: &Lanes, mask: u32, v: i64) -> bool {
+    let mut diff = 0;
+    for_lanes!(mask, l, {
+        diff |= row[l] ^ v;
+    });
+    diff == 0
 }
 
 impl Vm<'_, '_, '_> {
@@ -1021,11 +1064,7 @@ impl Vm<'_, '_, '_> {
         // to `resolve_addr`/`global_addr`, in the same lane order.
         let first = self.mask.trailing_zeros() as usize;
         let h0 = self.regs[hb][first.min(31)];
-        let mut eq = 0u32;
-        for (l, v) in self.regs[hb].iter().enumerate() {
-            eq |= ((*v == h0) as u32) << l;
-        }
-        if self.mask != 0 && eq & self.mask == self.mask {
+        if self.mask != 0 && lanes_equal(&self.regs[hb], self.mask, h0) {
             let a = self.ctx.mem.handle_from_value(h0)?;
             let (base, len) = self.ctx.mem.base_len(a)?;
             // Scalar addressing (one cell read by every active lane — parent
@@ -1034,11 +1073,7 @@ impl Vm<'_, '_, '_> {
             // yields the same one-transaction group, so cycles are untouched,
             // and the memory op itself touches the cell once.
             let i0 = self.regs[ib][first.min(31)];
-            let mut eqi = 0u32;
-            for (l, v) in self.regs[ib].iter().enumerate() {
-                eqi |= ((*v == i0) as u32) << l;
-            }
-            if eqi & self.mask == self.mask {
+            if lanes_equal(&self.regs[ib], self.mask, i0) {
                 match usize::try_from(i0) {
                     Ok(idx) if idx < len => {
                         self.addrs.push(base + idx as u64);
@@ -1087,32 +1122,29 @@ impl Vm<'_, '_, '_> {
         Ok(())
     }
 
-    /// Total-op `dst = a op b`: full-width vectorized on full warps, masked
-    /// scalar otherwise (the shared tail of `Bin` and the fused pairs).
+    /// Total-op `dst = a op b`: the shared tail of `Bin` and the fused pairs.
     #[inline]
     fn bin_total(&mut self, dst: u16, op: BinOp, a: u16, b: u16) {
-        let (av, bv) = (self.regs[a as usize], self.regs[b as usize]);
-        if self.mask == u32::MAX {
-            vector_binop(op, &av, &bv, &mut self.regs[dst as usize]);
-        } else {
-            let d = &mut self.regs[dst as usize];
-            for_lanes!(self.mask, l, {
-                d[l] = scalar_binop_total(op, av[l], bv[l]);
-            });
-        }
+        let b = b as usize;
+        self.bin_rows(dst, op, a, |r, l| r[b][l]);
     }
 
-    /// Total-op `dst = a op imm` (constant RHS splat only on the vector path).
+    /// Total-op `dst = a op imm`.
     #[inline]
     fn bin_imm_total(&mut self, dst: u16, op: BinOp, a: u16, v: i64) {
-        let av = self.regs[a as usize];
+        self.bin_rows(dst, op, a, |_, _| v);
+    }
+
+    /// Total-op `dst = a op rhs`, sources read in place: full-width
+    /// vectorized on full warps, masked scalar otherwise.
+    #[inline(always)]
+    fn bin_rows(&mut self, dst: u16, op: BinOp, a: u16, rhs: impl Fn(&[Lanes], usize) -> i64) {
+        let (r, d, a) = (&mut *self.regs, dst as usize, a as usize);
         if self.mask == u32::MAX {
-            let bv = [v; 32];
-            vector_binop(op, &av, &bv, &mut self.regs[dst as usize]);
+            vector_binop(op, r, d, a, rhs);
         } else {
-            let d = &mut self.regs[dst as usize];
             for_lanes!(self.mask, l, {
-                d[l] = scalar_binop_total(op, av[l], v);
+                r[d][l] = scalar_binop_total(op, r[a][l], rhs(r, l));
             });
         }
     }
@@ -1165,6 +1197,7 @@ impl Vm<'_, '_, '_> {
             let op = ops[pc];
             pc += 1;
             self.counts.ops += 1;
+            self.counts.ops_full_warp += (self.mask == u32::MAX) as u64;
             match op {
                 Op::Imm { dst, v } => {
                     self.regs[dst as usize] = [v; 32];
@@ -1192,54 +1225,54 @@ impl Vm<'_, '_, '_> {
                     }
                 }
                 Op::CopyMasked { dst, src } => {
+                    let (d, s) = (dst as usize, src as usize);
                     if self.mask == u32::MAX {
-                        let row = self.regs[src as usize];
-                        self.regs[dst as usize] = row;
+                        self.regs.copy_within(s..s + 1, d);
                     } else {
-                        let row = self.regs[src as usize];
-                        let d = &mut self.regs[dst as usize];
-                        let m = self.mask;
-                        for l in 0..32 {
-                            if m & (1 << l) != 0 {
-                                d[l] = row[l];
-                            }
-                        }
+                        let r = &mut *self.regs;
+                        for_lanes!(self.mask, l, {
+                            r[d][l] = r[s][l];
+                        });
                     }
                 }
                 Op::Un { dst, op, a } => {
                     // Full warps take the full-width vector path (Neg/Not are
                     // total and inactive temp lanes are never observed);
                     // divergent warps only touch their active lanes.
-                    let av = self.regs[a as usize];
-                    let d = &mut self.regs[dst as usize];
+                    let (r, d, a) = (&mut *self.regs, dst as usize, a as usize);
                     match (self.mask == u32::MAX, op) {
                         (true, UnOp::Neg) => {
                             for l in 0..32 {
-                                d[l] = av[l].wrapping_neg();
+                                r[d][l] = r[a][l].wrapping_neg();
                             }
                         }
                         (true, UnOp::Not) => {
                             for l in 0..32 {
-                                d[l] = (av[l] == 0) as i64;
+                                r[d][l] = (r[a][l] == 0) as i64;
                             }
                         }
                         (false, UnOp::Neg) => for_lanes!(self.mask, l, {
-                            d[l] = av[l].wrapping_neg();
+                            r[d][l] = r[a][l].wrapping_neg();
                         }),
                         (false, UnOp::Not) => for_lanes!(self.mask, l, {
-                            d[l] = (av[l] == 0) as i64;
+                            r[d][l] = (r[a][l] == 0) as i64;
                         }),
                     }
                 }
                 Op::Bin { dst, op, a, b } => match op {
                     BinOp::Div | BinOp::Rem => {
-                        let (av, bv) = (self.regs[a as usize], self.regs[b as usize]);
-                        let mut out = self.regs[dst as usize];
+                        // Every active lane is computed before any is
+                        // written, so a faulting lane leaves `dst` intact.
+                        let (r, a, b) = (&*self.regs, a as usize, b as usize);
+                        let mut out = [0i64; 32];
                         for_lanes!(self.mask, l, {
-                            out[l] = scalar_binop(op, av[l], bv[l])
+                            out[l] = scalar_binop(op, r[a][l], r[b][l])
                                 .map_err(|f| self.fault(f.message()))?;
                         });
-                        self.regs[dst as usize] = out;
+                        let d = &mut self.regs[dst as usize];
+                        for_lanes!(self.mask, l, {
+                            d[l] = out[l];
+                        });
                     }
                     _ => self.bin_total(dst, op, a, b),
                 },
@@ -1251,13 +1284,12 @@ impl Vm<'_, '_, '_> {
                     self.load_sites(dst);
                 }
                 Op::ScSplit { dst, a, is_and, save, skip } => {
-                    let av = self.regs[a as usize];
-                    let d = &mut self.regs[dst as usize];
+                    let (r, d, a) = (&mut *self.regs, dst as usize, a as usize);
                     let mut need = 0u32;
                     for_lanes!(self.mask, l, {
-                        let decided = is_and == (av[l] == 0);
+                        let decided = is_and == (r[a][l] == 0);
                         if decided {
-                            d[l] = !is_and as i64;
+                            r[d][l] = !is_and as i64;
                         } else {
                             need |= 1 << l;
                         }
@@ -1270,10 +1302,9 @@ impl Vm<'_, '_, '_> {
                     }
                 }
                 Op::ScEnd { dst, b, save } => {
-                    let bv = self.regs[b as usize];
-                    let d = &mut self.regs[dst as usize];
+                    let (r, d, b) = (&mut *self.regs, dst as usize, b as usize);
                     for_lanes!(self.mask, l, {
-                        d[l] = (bv[l] != 0) as i64;
+                        r[d][l] = (r[b][l] != 0) as i64;
                     });
                     self.mask = self.masks[save as usize];
                 }
@@ -1478,12 +1509,11 @@ impl Vm<'_, '_, '_> {
                     }
                 }
                 Op::ForStep { var, step } => {
-                    let sv = self.regs[step as usize];
-                    let d = &mut self.regs[var as usize];
+                    let (r, d, s) = (&mut *self.regs, var as usize, step as usize);
                     let m = self.mask;
                     for l in 0..32 {
                         if m & (1 << l) != 0 {
-                            d[l] = d[l].wrapping_add(sv[l]);
+                            r[d][l] = r[d][l].wrapping_add(r[s][l]);
                         }
                     }
                 }
@@ -1567,5 +1597,98 @@ impl Vm<'_, '_, '_> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The definition `lanes_equal` replaces: a lane bitmask of `x == v`,
+    /// every active bit set.
+    fn bitmask_equal(row: &Lanes, mask: u32, v: i64) -> bool {
+        let mut eq = 0u32;
+        for (l, x) in row.iter().enumerate() {
+            eq |= ((*x == v) as u32) << l;
+        }
+        eq & mask == mask
+    }
+
+    /// SplitMix64: a seeded stream for rows and masks.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn uniformity_reduction_matches_the_bitmask_definition() {
+        let mut s = 0x5EED_u64;
+        let (mut agreed_true, mut agreed_false) = (0, 0);
+        for round in 0..4000 {
+            // Few distinct values, so uniform rows are common; `i64::MIN`
+            // and -1 catch sign and high-bit differences.
+            let pick = [0, 7, -1, i64::MIN][round % 4];
+            let mut row = [pick; 32];
+            let n_odd = next(&mut s) % 3;
+            for _ in 0..n_odd {
+                let lane = (next(&mut s) % 32) as usize;
+                row[lane] = [pick ^ 1, pick ^ (1 << 63), next(&mut s) as i64][lane % 3];
+            }
+            let lane = (next(&mut s) % 32) as u32;
+            let mask = match round % 7 {
+                0 => u32::MAX,
+                1 => 1 << lane,
+                2 => 1 << 31,
+                3 => next(&mut s) as u32,
+                4 => (next(&mut s) as u32) & (next(&mut s) as u32),
+                5 => u32::MAX >> lane,
+                _ => !(1 << lane),
+            };
+            let first = mask.trailing_zeros().min(31) as usize;
+            for v in [row[first], pick, next(&mut s) as i64] {
+                let want = bitmask_equal(&row, mask, v);
+                assert_eq!(
+                    lanes_equal(&row, mask, v),
+                    want,
+                    "round {round}: row {row:?} mask {mask:#010x} v {v}"
+                );
+                if want {
+                    agreed_true += 1;
+                } else {
+                    agreed_false += 1;
+                }
+            }
+        }
+        assert!(agreed_true > 1000 && agreed_false > 1000, "{agreed_true} / {agreed_false}");
+    }
+
+    #[test]
+    fn uniformity_ignores_inactive_lanes() {
+        let mut s = 977_u64;
+        for _ in 0..500 {
+            let mask = (next(&mut s) as u32) | 1 << (next(&mut s) % 32);
+            let v = next(&mut s) as i64;
+            let mut row = [v; 32];
+            // Rows that differ from `v` only outside the mask.
+            for (l, x) in row.iter_mut().enumerate() {
+                if mask & (1 << l) == 0 {
+                    *x = next(&mut s) as i64;
+                }
+            }
+            assert!(lanes_equal(&row, mask, v), "mask {mask:#010x}");
+            assert!(bitmask_equal(&row, mask, v));
+            // One active lane off by a single bit flips both answers.
+            let l = mask.trailing_zeros() as usize;
+            row[l] ^= 1 << (next(&mut s) % 64);
+            assert!(!lanes_equal(&row, mask, v) && !bitmask_equal(&row, mask, v));
+        }
+        // Lane 31 alone, and a single lane anywhere, decide by that lane.
+        let mut row = [3i64; 32];
+        row[31] = 4;
+        assert!(lanes_equal(&row, 1 << 31, 4) && !lanes_equal(&row, 1 << 31, 3));
+        assert!(lanes_equal(&row, 1 << 5, 3) && !lanes_equal(&row, u32::MAX, 3));
     }
 }

@@ -16,12 +16,17 @@
 //! ops where every active lane hits one site, assignments evaluated straight
 //! into the variable's slot, and arguments held in registers filled once per
 //! block.
+//!
+//! The VM reads source rows in place, so an op whose destination is one of
+//! its sources (`x = x + x`, `x = -x`, `x = x / y`) must read each lane
+//! before writing it: pinned on full and divergent warps, on all three
+//! executors, with `Div` faulting identically everywhere.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, set_fusion_override, ExecEngine, Module};
+use dpcons_ir::{install_with_engine, set_fusion_override, ExecEngine, Expr, Module};
 use dpcons_sim::{AllocKind, Engine, GpuConfig, KernelId, LaunchSpec, SimError};
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
@@ -356,6 +361,106 @@ fn arguments_read_in_loops_across_warps_and_launches() {
                 want[(n * 100 + j) as usize] = bias + 1;
             }
             assert_eq!(eng.mem.slice(out).unwrap(), &want[..], "{name}: n={n} bias={bias}");
+        }
+    }
+}
+
+// ------------------------------------------------------------------------
+// Destination aliasing a source, on all three executors.
+// ------------------------------------------------------------------------
+
+/// `x`, with zeros (for `!x` and `&&`) and negatives.
+fn x_of(t: i64) -> i64 {
+    (t % 5) * 13 - 26
+}
+
+/// `y`, never zero.
+fn y_of(t: i64) -> i64 {
+    [-3, -1, 2, 5][t as usize % 4]
+}
+
+/// `x = e` for every lane, or only where `tid % 3 != 1` (divergent warps,
+/// the second one partial), then `out[tid] = x`.
+fn aliasing_kernel(e: Expr, divergent: bool) -> Module {
+    let set = assign("x", e);
+    let set = if divergent { when(ne(rem(tid(), i(3)), i(1)), vec![set]) } else { set };
+    let mut m = Module::new();
+    m.add(KernelBuilder::new("k").array("ys").array("out").body(vec![
+        let_("x", sub(mul(rem(tid(), i(5)), i(13)), i(26))),
+        let_("y", load(v("ys"), tid())),
+        set,
+        store(v("out"), tid(), v("x")),
+    ]));
+    m
+}
+
+#[test]
+fn destination_aliasing_a_source_reads_each_lane_before_writing_it() {
+    type Case = (&'static str, fn() -> Expr, fn(i64, i64) -> i64);
+    let cases: [Case; 7] = [
+        ("x + x", || add(v("x"), v("x")), |x, _| x.wrapping_add(x)),
+        ("x - y", || sub(v("x"), v("y")), |x, y| x - y),
+        ("y - x", || sub(v("y"), v("x")), |x, y| y - x),
+        ("-x", || neg(v("x")), |x, _| -x),
+        ("!x", || not(v("x")), |x, _| (x == 0) as i64),
+        ("x && y", || land(v("x"), v("y")), |x, y| (x != 0 && y != 0) as i64),
+        ("x / y", || div(v("x"), v("y")), |x, y| x / y),
+    ];
+    for (name, e, f) in cases {
+        for (divergent, block) in [(false, 64i64), (true, 40)] {
+            let ys: Vec<i64> = (0..block).map(y_of).collect();
+            let want: Vec<i64> = (0..block)
+                .map(|t| {
+                    let (x, y) = (x_of(t), y_of(t));
+                    if divergent && t % 3 == 1 {
+                        x
+                    } else {
+                        f(x, y)
+                    }
+                })
+                .collect();
+            let m = aliasing_kernel(e(), divergent);
+            let arrays = [ys.clone(), vec![0; block as usize]];
+            eprintln!("case `x = {name}`, divergent {divergent}");
+            check_all(&m, "k", block as u32, &arrays, &[], &[ys, want]);
+        }
+    }
+}
+
+#[test]
+fn in_place_division_by_zero_faults_alike_on_every_executor() {
+    // `y` is zero in lane 4 (inactive under the divergent mask, where lanes
+    // `tid % 3 == 1` sit out) and, in the second ys, also in lane 36.
+    let block = 40usize;
+    let mut one_zero: Vec<i64> = (0..block as i64).map(y_of).collect();
+    one_zero[4] = 0;
+    let mut two_zeros = one_zero.clone();
+    two_zeros[36] = 0;
+    for (divergent, ys, faults) in
+        [(false, &one_zero, true), (true, &one_zero, false), (true, &two_zeros, true)]
+    {
+        let m = aliasing_kernel(div(v("x"), v("y")), divergent);
+        let mut first: Option<Result<(), SimError>> = None;
+        for (name, exec, fuse) in EXECUTORS {
+            let (mut eng, ids, handles) = engine_on(exec, fuse, &m, &[ys.clone(), vec![0; block]]);
+            let args = handles.iter().map(|&h| h as i64).collect();
+            let r = eng.launch(LaunchSpec::new(ids["k"], 1, block as u32, args)).map(|_| ());
+            match &r {
+                Err(SimError::KernelFault { kernel, message }) if faults => {
+                    assert_eq!((kernel.as_str(), message.as_str()), ("k", "division by zero"))
+                }
+                Ok(()) if !faults => {
+                    let want: Vec<i64> = (0..block as i64)
+                        .map(|t| if t % 3 == 1 { x_of(t) } else { x_of(t) / ys[t as usize] })
+                        .collect();
+                    assert_eq!(eng.mem.slice(handles[1]).unwrap(), &want[..], "{name}");
+                }
+                other => panic!("{name}, divergent {divergent}: unexpected {other:?}"),
+            }
+            match &first {
+                None => first = Some(r),
+                Some(f) => assert_eq!(&r, f, "{name} must fail like the tree walker"),
+            }
         }
     }
 }

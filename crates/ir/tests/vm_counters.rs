@@ -6,15 +6,16 @@ use dpcons_ir::{install_with_engine, ExecEngine, Module};
 use dpcons_sim::obs;
 use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec};
 
-const COUNTERS: [&str; 3] = ["ir.vm.ops", "ir.vm.mem_groups", "ir.vm.mem_groups_single_site"];
+const COUNTERS: [&str; 4] =
+    ["ir.vm.ops", "ir.vm.ops_full_warp", "ir.vm.mem_groups", "ir.vm.mem_groups_single_site"];
 
-fn read() -> [u64; 3] {
+fn read() -> [u64; 4] {
     COUNTERS.map(|c| obs::counter(c).get())
 }
 
 /// One fresh engine running a kernel with per-lane and single-site loads,
 /// stores and atomics; returns how far it moved each counter.
-fn run_once() -> [u64; 3] {
+fn run_once() -> [u64; 4] {
     let mut m = Module::new();
     m.add(KernelBuilder::new("k").array("inp").array("out").scalar("n").body(vec![
         let_("row", load(v("inp"), i(0))),
@@ -46,8 +47,10 @@ fn vm_counters_are_deterministic_bounded_and_independent_of_tracing() {
     let first = run_once();
     let second = run_once();
     assert_eq!(first, second, "two identical runs must count identically");
-    let [ops, groups, single] = first;
+    let [ops, full, groups, single] = first;
     assert!(ops > 0 && groups > 0, "tracing off must still count: {first:?}");
+    assert!(full > 0, "three full warps run the loop with every lane active: {first:?}");
+    assert!(full < ops, "the `tid < 20` branch runs on a divergent warp: {first:?}");
     assert!(single > 0, "`inp[0]` and `inp[row + j]` are single-site: {first:?}");
     assert!(single <= groups, "single-site groups are a subset: {first:?}");
     assert!(single < groups, "`out[tid]` stores are per-lane: {first:?}");

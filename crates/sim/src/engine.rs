@@ -127,7 +127,7 @@ impl Engine {
     /// Launch a kernel from the host and run the whole dynamic-parallelism
     /// DAG to completion. Returns the profile for this launch tree.
     pub fn launch(&mut self, spec: LaunchSpec) -> Result<ProfileReport, SimError> {
-        self.launch_traced(spec).map(|(r, _)| r)
+        self.launch_with(spec, |_| ()).map(|(r, ())| r)
     }
 
     /// Like [`Engine::launch`], additionally returning the structural
@@ -136,6 +136,18 @@ impl Engine {
         &mut self,
         spec: LaunchSpec,
     ) -> Result<(ProfileReport, crate::trace::LaunchTree), SimError> {
+        self.launch_with(spec, crate::trace::summarize)
+    }
+
+    /// Capture, replay and the allocator delta shared by [`Engine::launch`]
+    /// and [`Engine::launch_traced`]; `inspect` sees the captured DAG before
+    /// the arena is recycled, so only a caller that wants a summary pays for
+    /// one.
+    fn launch_with<T>(
+        &mut self,
+        spec: LaunchSpec,
+        inspect: impl FnOnce(&[ExecRecord]) -> T,
+    ) -> Result<(ProfileReport, T), SimError> {
         // Report the allocator work of *this* launch (delta over the heap's
         // cumulative stats), so back-to-back launches merge additively in
         // `ProfileReport::merge` instead of each carrying the running total.
@@ -151,7 +163,7 @@ impl Engine {
             let mut report = self.replay_timing(arena.records());
             report.alloc_ops = self.heap.stats.allocs - allocs_before;
             report.alloc_cycles = self.heap.stats.alloc_cycles - alloc_cycles_before;
-            Ok((report, crate::trace::summarize(arena.records())))
+            Ok((report, inspect(arena.records())))
         })
     }
 
@@ -1099,6 +1111,35 @@ mod tests {
         assert_eq!(direct, replayed);
         // Replay is repeatable without functional re-execution.
         assert_eq!(replayed, e2.replay_timing(&records));
+    }
+
+    #[test]
+    fn launch_and_launch_traced_report_the_same() {
+        let build = |e: &mut Engine| {
+            let child = e.register(fn_kernel("child", |ctx| {
+                ctx.heap.alloc(16, ctx.cost)?;
+                Ok(BlockResult::single(seg(40)))
+            }));
+            e.register(fn_kernel("parent", move |_ctx| {
+                let mut s = seg(25);
+                for _ in 0..5 {
+                    s.launches.push(LaunchSpec::new(child, 2, 32, vec![]));
+                }
+                Ok(BlockResult::single(s))
+            }))
+        };
+        let spec = |k| LaunchSpec::new(k, 3, 64, vec![]);
+        let mut e1 = Engine::new(GpuConfig::tiny(), AllocKind::Default, 4096);
+        let k = build(&mut e1);
+        let plain = e1.launch(spec(k)).unwrap();
+        let mut e2 = Engine::new(GpuConfig::tiny(), AllocKind::Default, 4096);
+        let k = build(&mut e2);
+        let (traced, tree) = e2.launch_traced(spec(k)).unwrap();
+        assert!(plain.alloc_ops > 0, "the allocator delta is part of both reports");
+        assert_eq!(plain, traced);
+        assert_eq!(tree.kernels.len() as u64, traced.kernels_executed);
+        // A second launch on each engine reports only its own delta, alike.
+        assert_eq!(e1.launch(spec(k)).unwrap(), e2.launch_traced(spec(k)).unwrap().0);
     }
 
     #[test]
