@@ -3,8 +3,8 @@
 //! ```text
 //! reproduce [fig5] [fig6] [fig7] [fig8] [fig9] [fig10] [ablations] [verify]
 //!           [tune] [fleet] [micro] [all] [--tune] [--fleet] [--devices a,b,c]
-//!           [--profile test|bench] [--engine bytecode|tree] [--markdown]
-//!           [--json PATH] [--trace PATH] [--metrics] [--quiet] [--strict]
+//!           [--profile test|bench] [--markdown] [--json PATH] [--trace PATH]
+//!           [--metrics] [--quiet] [--strict]
 //! ```
 //!
 //! With no figure argument, everything except the tuning and fleet sweeps
@@ -31,11 +31,9 @@
 //! timing replay, consolidated functional run, tuner sweep — per app and
 //! writes `BENCH_micro.json`, the repo's host wall-clock trajectory record.
 //!
-//! `--engine bytecode|tree` forces the functional executor for the whole run
-//! (equivalent to setting `DPCONS_INTERP`): `bytecode` is the flat lowered VM
-//! (the default), `tree` the legacy tree-walking interpreter kept as the
-//! differential oracle. Both produce bit-identical results; only host
-//! wall-clock differs.
+//! The functional executor is the flat bytecode VM unless `DPCONS_INTERP=tree`
+//! selects the tree-walking interpreter kept as the differential oracle. Both
+//! produce bit-identical results; only host wall-clock differs.
 //!
 //! Observability: `--trace PATH` records spans from every stage of the run
 //! and writes a Chrome trace-event JSON (load it in Perfetto or
@@ -72,7 +70,7 @@ fn usage_err(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
     eprintln!(
         "usage: reproduce [experiments...] [--profile test|bench] \
-         [--engine bytecode|tree] [--markdown] [--json PATH] [--tune] [--fleet] \
+         [--markdown] [--json PATH] [--tune] [--fleet] \
          [--devices a,b,c] [--trace PATH] [--metrics] [--quiet] [--strict]"
     );
     std::process::exit(ErrorClass::Usage.exit_code());
@@ -98,13 +96,6 @@ fn main() {
                 Some("test") => profile = Profile::Test,
                 Some("bench") => profile = Profile::Bench,
                 other => usage_err(&format!("unknown profile {other:?}")),
-            },
-            "--engine" => match it.next().map(String::as_str) {
-                Some("bytecode") => {
-                    dpcons_ir::set_engine_override(Some(dpcons_ir::ExecEngine::Bytecode))
-                }
-                Some("tree") => dpcons_ir::set_engine_override(Some(dpcons_ir::ExecEngine::Tree)),
-                other => usage_err(&format!("unknown engine {other:?} (expected bytecode|tree)")),
             },
             "--markdown" => markdown = true,
             "--quiet" => quiet = true,

@@ -2,6 +2,8 @@
 //! tree with correct string escaping, pretty-printed deterministically so
 //! `BENCH_reproduce.json` diffs cleanly between PRs.
 
+use dpcons_obs::jsonv::render_str;
+
 /// A JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -44,7 +46,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => render_str(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -75,7 +77,7 @@ impl Json {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    escape_into(k, out);
+                    render_str(k, out);
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                 }
@@ -85,22 +87,6 @@ impl Json {
             }
         }
     }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! per-statement ops-costs are folded into `Charge`/`LoopIter` opcodes. The
 //! VM then executes each warp as a tight `pc`-dispatch loop with no
 //! recursion, no boxed-node matching, and no per-statement allocation.
+//! There is one lowering and one op set: the VM runs exactly the ops
+//! `lower_kernel` emits, with no peephole pass over them.
 //!
 //! Warp state is a register file in SoA layout: one `[i64; 32]` lane row per
 //! register, in three bands:
@@ -59,7 +61,6 @@
 //! fuel accounting across all apps and variants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError};
@@ -73,43 +74,6 @@ use crate::interp::{
 
 /// Sentinel register index meaning "absent" (`Atomic.old`, `Atomic.v2`).
 const NONE_REG: u16 = u16::MAX;
-
-// ------------------------------------------------------------------------
-// Peephole-fusion gate.
-// ------------------------------------------------------------------------
-
-/// Process-wide fusion override: 0 = none (env decides), 1 = on, 2 = off.
-static FUSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_fuse() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| !matches!(std::env::var("DPCONS_FUSE").as_deref(), Ok("off") | Ok("0")))
-}
-
-/// Whether `lower_kernel` runs the peephole-fusion pass: the process-wide
-/// override if set, else `DPCONS_FUSE` (`off`/`0` disables; anything else —
-/// including unset — enables). Fusion happens at **install** (lowering time),
-/// so flipping this affects subsequently-installed modules only.
-pub fn fusion_enabled() -> bool {
-    match FUSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_fuse(),
-    }
-}
-
-/// Force fusion on/off for subsequently-lowered modules (`None` restores
-/// `DPCONS_FUSE`/default selection). Process-global, like
-/// [`crate::interp::set_engine_override`]: differential tests flip it around
-/// `install` to pin unfused bytecode as a third oracle.
-pub fn set_fusion_override(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    FUSE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Warp-invariant special values (lane-indexed at execution time).
 #[derive(Debug, Clone, Copy)]
@@ -205,29 +169,6 @@ pub(crate) enum Op {
     ForStepI { var: u16, step: i64 },
     /// Unconditional branch.
     Jump { to: u32 },
-    /// Placeholder left by the fusion pass; compacted away before execution.
-    Nop,
-    // --- Fused pairs (see `fuse_ops`). Each fused op executes its two
-    // --- constituents back-to-back — including every register write, fault
-    // --- check, and cost charge, in the original order — so captures are
-    // --- bit-identical with fusion on or off; the win is one dispatch.
-    /// `Load`→`Bin`: `t = mem[h[i]]`, then `dst = t op other`
-    /// (`load_lhs`) or `dst = other op t` (total ops only).
-    LoadBin { t: u16, h: u16, i: u16, dst: u16, op: BinOp, other: u16, load_lhs: bool },
-    /// `Load`→`BinImm`: `t = mem[h[i]]`, then `dst = t op imm`.
-    LoadBinImm { t: u16, h: u16, i: u16, dst: u16, op: BinOp, v: i64 },
-    /// `Bin`→`Store`: `t = a op b`, then `mem[h[i]] = t`.
-    BinStore { t: u16, op: BinOp, a: u16, b: u16, h: u16, i: u16 },
-    /// `BinImm`→`Store`: `t = a op imm`, then `mem[h[i]] = t`.
-    BinImmStore { t: u16, op: BinOp, a: u16, v: i64, h: u16, i: u16 },
-    /// Compare→branch: `t = a op b`, then [`Op::IfSplit`] on `t`.
-    BinIf { t: u16, op: BinOp, a: u16, b: u16, save: u16, else_to: u32 },
-    /// Compare-imm→branch: `t = a op imm`, then [`Op::IfSplit`] on `t`.
-    BinImmIf { t: u16, op: BinOp, a: u16, v: i64, save: u16, else_to: u32 },
-    /// Compare→loop: `t = a op b`, then [`Op::CondLoop`] on `t`.
-    BinCondLoop { t: u16, op: BinOp, a: u16, b: u16, exit: u32 },
-    /// Compare-imm→loop: `t = a op imm`, then [`Op::CondLoop`] on `t`.
-    BinImmCondLoop { t: u16, op: BinOp, a: u16, v: i64, exit: u32 },
 }
 
 /// A kernel lowered to flat bytecode, produced once per module install.
@@ -253,6 +194,12 @@ pub fn lower_module(cm: &CModule) -> Vec<ByteKernel> {
     cm.kernels.iter().map(lower_kernel).collect()
 }
 
+/// No-op, kept only so existing callers still build: lowering has a single
+/// op set, so there is nothing left to switch. The standalone benchmark's
+/// `ir.exec_ms.unfused` probe still calls it; the two go together.
+#[doc(hidden)]
+pub fn set_fusion_override(_on: Option<bool>) {}
+
 /// Lower one compiled kernel into flat bytecode.
 pub fn lower_kernel(k: &CKernel) -> ByteKernel {
     let temps = k.n_slots + k.param_kinds.len() as u16;
@@ -267,128 +214,7 @@ pub fn lower_kernel(k: &CKernel) -> ByteKernel {
     let checks = lw.lower_list(&k.body);
     let end = lw.pc();
     lw.patch_checks(checks, end);
-    let mut ops = lw.ops;
-    if fusion_enabled() {
-        fuse_ops(&mut ops);
-    }
-    ByteKernel { ops, n_slots: k.n_slots, n_regs: lw.max_tp, n_masks: lw.max_masks }
-}
-
-// ------------------------------------------------------------------------
-// Peephole fusion.
-// ------------------------------------------------------------------------
-
-/// Fuse an adjacent op pair into one dispatch, or `None`. The fused op runs
-/// both constituents in the original order with all their register writes,
-/// so any aliasing between the pair's operands behaves exactly as unfused.
-/// `Div`/`Rem` never fuse (they keep the masked faulting path).
-fn fuse_pair(first: &Op, second: &Op) -> Option<Op> {
-    match (*first, *second) {
-        (Op::Load { dst: t, h, i }, Op::Bin { dst, op, a, b })
-            if !matches!(op, BinOp::Div | BinOp::Rem) && (a == t || b == t) =>
-        {
-            // Exactly one operand register can be encoded next to `t`; when
-            // both alias `t` (`t op t`), `other == t` still reads the loaded
-            // row, preserving semantics.
-            let (other, load_lhs) = if b == t { (a, false) } else { (b, true) };
-            Some(Op::LoadBin { t, h, i, dst, op, other, load_lhs })
-        }
-        (Op::Load { dst: t, h, i }, Op::BinImm { dst, op, a, v }) if a == t => {
-            Some(Op::LoadBinImm { t, h, i, dst, op, v })
-        }
-        (Op::Bin { dst: t, op, a, b }, Op::Store { h, i, v })
-            if !matches!(op, BinOp::Div | BinOp::Rem) && v == t =>
-        {
-            Some(Op::BinStore { t, op, a, b, h, i })
-        }
-        (Op::BinImm { dst: t, op, a, v }, Op::Store { h, i, v: sv }) if sv == t => {
-            Some(Op::BinImmStore { t, op, a, v, h, i })
-        }
-        (Op::Bin { dst: t, op, a, b }, Op::IfSplit { c, save, else_to })
-            if !matches!(op, BinOp::Div | BinOp::Rem) && c == t =>
-        {
-            Some(Op::BinIf { t, op, a, b, save, else_to })
-        }
-        (Op::BinImm { dst: t, op, a, v }, Op::IfSplit { c, save, else_to }) if c == t => {
-            Some(Op::BinImmIf { t, op, a, v, save, else_to })
-        }
-        (Op::Bin { dst: t, op, a, b }, Op::CondLoop { c, exit })
-            if !matches!(op, BinOp::Div | BinOp::Rem) && c == t =>
-        {
-            Some(Op::BinCondLoop { t, op, a, b, exit })
-        }
-        (Op::BinImm { dst: t, op, a, v }, Op::CondLoop { c, exit }) if c == t => {
-            Some(Op::BinImmCondLoop { t, op, a, v, exit })
-        }
-        _ => None,
-    }
-}
-
-/// Peephole post-pass over lowered bytecode: fuse value-chained adjacent
-/// pairs (`Load→Bin[Imm]`, `Bin[Imm]→Store`, compare→branch) into single
-/// dispatches, then compact the `Nop` placeholders out and remap every jump
-/// target. A pair only fuses when its second op is not a jump target, so no
-/// surviving target can land inside (or after the start of) a fused pair —
-/// which is also why the remap below never maps a target onto a removed slot.
-fn fuse_ops(ops: &mut Vec<Op>) {
-    let n = ops.len();
-    // 1. Mark jump targets (`n + 1` entries: `SeqCheck.end` may equal `n`).
-    let mut is_target = vec![false; n + 1];
-    for op in ops.iter() {
-        match *op {
-            Op::ScSplit { skip, .. } => is_target[skip as usize] = true,
-            Op::SeqCheck { end } | Op::ElseJoin { end, .. } => is_target[end as usize] = true,
-            Op::IfSplit { else_to, .. } => is_target[else_to as usize] = true,
-            Op::LoopIter { exit, .. }
-            | Op::CondLoop { exit, .. }
-            | Op::ForCond { exit, .. }
-            | Op::ForCondI { exit, .. } => is_target[exit as usize] = true,
-            Op::Jump { to } => is_target[to as usize] = true,
-            _ => {}
-        }
-    }
-    // 2. Fuse non-overlapping pairs in place, leaving `Nop` placeholders.
-    let mut i = 0;
-    while i + 1 < n {
-        if !is_target[i + 1] {
-            if let Some(f) = fuse_pair(&ops[i], &ops[i + 1]) {
-                ops[i] = f;
-                ops[i + 1] = Op::Nop;
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    // 3. Compact: a `Nop` still costs a dispatch, so drop them and rewrite
-    // every jump target through the old→new pc map.
-    let mut map = Vec::with_capacity(n + 1);
-    let mut new_pc = 0u32;
-    for op in ops.iter() {
-        map.push(new_pc);
-        if !matches!(op, Op::Nop) {
-            new_pc += 1;
-        }
-    }
-    map.push(new_pc);
-    ops.retain(|op| !matches!(op, Op::Nop));
-    for op in ops.iter_mut() {
-        match op {
-            Op::ScSplit { skip, .. } => *skip = map[*skip as usize],
-            Op::SeqCheck { end } | Op::ElseJoin { end, .. } => *end = map[*end as usize],
-            Op::IfSplit { else_to, .. }
-            | Op::BinIf { else_to, .. }
-            | Op::BinImmIf { else_to, .. } => *else_to = map[*else_to as usize],
-            Op::LoopIter { exit, .. }
-            | Op::CondLoop { exit, .. }
-            | Op::ForCond { exit, .. }
-            | Op::ForCondI { exit, .. }
-            | Op::BinCondLoop { exit, .. }
-            | Op::BinImmCondLoop { exit, .. } => *exit = map[*exit as usize],
-            Op::Jump { to } => *to = map[*to as usize],
-            _ => {}
-        }
-    }
+    ByteKernel { ops: lw.ops, n_slots: k.n_slots, n_regs: lw.max_tp, n_masks: lw.max_masks }
 }
 
 /// Can executing these statements set the warp's `returned` mask? Lists where
@@ -796,7 +622,7 @@ struct VmCounts {
     /// `ir.vm.ops_full_warp`: those dispatched with all 32 lanes active.
     ops_full_warp: u64,
     /// `ir.vm.mem_groups`: warp memory accesses costed (`Load`, `Store`,
-    /// `Atomic` and the fused ops containing them).
+    /// `Atomic`).
     mem_groups: u64,
     /// `ir.vm.mem_groups_single_site`: those where every active lane hit
     /// one `(array, index)`, so the op touched memory once.
@@ -1122,21 +948,9 @@ impl Vm<'_, '_, '_> {
         Ok(())
     }
 
-    /// Total-op `dst = a op b`: the shared tail of `Bin` and the fused pairs.
-    #[inline]
-    fn bin_total(&mut self, dst: u16, op: BinOp, a: u16, b: u16) {
-        let b = b as usize;
-        self.bin_rows(dst, op, a, |r, l| r[b][l]);
-    }
-
-    /// Total-op `dst = a op imm`.
-    #[inline]
-    fn bin_imm_total(&mut self, dst: u16, op: BinOp, a: u16, v: i64) {
-        self.bin_rows(dst, op, a, |_, _| v);
-    }
-
-    /// Total-op `dst = a op rhs`, sources read in place: full-width
-    /// vectorized on full warps, masked scalar otherwise.
+    /// Total-op `dst = a op rhs` — `Bin` for every op but `Div`/`Rem`, and
+    /// `BinImm` — with sources read in place: full-width vectorized on full
+    /// warps, masked scalar otherwise.
     #[inline(always)]
     fn bin_rows(&mut self, dst: u16, op: BinOp, a: u16, rhs: impl Fn(&[Lanes], usize) -> i64) {
         let (r, d, a) = (&mut *self.regs, dst as usize, a as usize);
@@ -1274,10 +1088,13 @@ impl Vm<'_, '_, '_> {
                             d[l] = out[l];
                         });
                     }
-                    _ => self.bin_total(dst, op, a, b),
+                    _ => {
+                        let b = b as usize;
+                        self.bin_rows(dst, op, a, |r, l| r[b][l]);
+                    }
                 },
                 Op::BinImm { dst, op, a, v } => {
-                    self.bin_imm_total(dst, op, a, v);
+                    self.bin_rows(dst, op, a, |_, _| v);
                 }
                 Op::Load { dst, h, i } => {
                     self.group_cost(h, i)?;
@@ -1529,71 +1346,6 @@ impl Vm<'_, '_, '_> {
                 Op::Jump { to } => {
                     pc = to as usize;
                 }
-                // Fused pairs: each arm is its two constituent arms run
-                // back-to-back (same order, same writes, same fault points),
-                // so behaviour is bit-identical to the unfused sequence.
-                Op::LoadBin { t, h, i, dst, op, other, load_lhs } => {
-                    self.group_cost(h, i)?;
-                    self.load_sites(t);
-                    let (a, b) = if load_lhs { (t, other) } else { (other, t) };
-                    self.bin_total(dst, op, a, b);
-                }
-                Op::LoadBinImm { t, h, i, dst, op, v } => {
-                    self.group_cost(h, i)?;
-                    self.load_sites(t);
-                    self.bin_imm_total(dst, op, t, v);
-                }
-                Op::BinStore { t, op, a, b, h, i } => {
-                    self.bin_total(t, op, a, b);
-                    self.group_cost(h, i)?;
-                    self.store_sites(t);
-                }
-                Op::BinImmStore { t, op, a, v, h, i } => {
-                    self.bin_imm_total(t, op, a, v);
-                    self.group_cost(h, i)?;
-                    self.store_sites(t);
-                }
-                Op::BinIf { t, op, a, b, save, else_to } => {
-                    self.bin_total(t, op, a, b);
-                    let tm = nonzero_lanes(&self.regs[t as usize]) & self.mask;
-                    self.masks[save as usize] = self.mask;
-                    self.masks[save as usize + 1] = self.mask & !tm;
-                    if tm == 0 {
-                        pc = else_to as usize;
-                    } else {
-                        self.mask = tm;
-                    }
-                }
-                Op::BinImmIf { t, op, a, v, save, else_to } => {
-                    self.bin_imm_total(t, op, a, v);
-                    let tm = nonzero_lanes(&self.regs[t as usize]) & self.mask;
-                    self.masks[save as usize] = self.mask;
-                    self.masks[save as usize + 1] = self.mask & !tm;
-                    if tm == 0 {
-                        pc = else_to as usize;
-                    } else {
-                        self.mask = tm;
-                    }
-                }
-                Op::BinCondLoop { t, op, a, b, exit } => {
-                    self.bin_total(t, op, a, b);
-                    let next = nonzero_lanes(&self.regs[t as usize]) & self.mask;
-                    if next == 0 {
-                        pc = exit as usize;
-                    } else {
-                        self.mask = next;
-                    }
-                }
-                Op::BinImmCondLoop { t, op, a, v, exit } => {
-                    self.bin_imm_total(t, op, a, v);
-                    let next = nonzero_lanes(&self.regs[t as usize]) & self.mask;
-                    if next == 0 {
-                        pc = exit as usize;
-                    } else {
-                        self.mask = next;
-                    }
-                }
-                Op::Nop => {}
             }
         }
         Ok(())
@@ -1603,6 +1355,31 @@ impl Vm<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile_module;
+    use crate::dsl::*;
+    use crate::Module;
+
+    /// `set_fusion_override` is a no-op: either setting lowers one program.
+    /// The kernel holds the `Load`→`BinImm`, `BinImm`→`Store` and
+    /// compare→branch chains a peephole pass would have fused.
+    #[test]
+    fn fusion_override_leaves_the_lowered_program_alone() {
+        let mut m = Module::new();
+        m.add(KernelBuilder::new("k").array("out").body(vec![
+            let_("x", add(load(v("out"), tid()), i(1))),
+            store(v("out"), tid(), mul(v("x"), i(3))),
+            when(lt(v("x"), i(4)), vec![store(v("out"), i(0), v("x"))]),
+            while_(gt(v("x"), i(0)), vec![assign("x", sub(v("x"), i(2)))]),
+        ]));
+        let cm = compile_module(&m).unwrap();
+        let op_count = |on| {
+            set_fusion_override(Some(on));
+            let n = lower_module(&cm)[0].op_count();
+            set_fusion_override(None);
+            n
+        };
+        assert_eq!(op_count(true), op_count(false));
+    }
 
     /// The definition `lanes_equal` replaces: a lane bitmask of `x == v`,
     /// every active bit set.

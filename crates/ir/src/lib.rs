@@ -26,7 +26,7 @@ pub use ast::{
     expr_refs, stmt_exprs, visit_expr, visit_stmts, AllocScope, AtomicOp, BinOp, Expr, Kernel,
     Module, Param, ParamKind, Stmt, UnOp,
 };
-pub use bytecode::{fusion_enabled, lower_kernel, lower_module, set_fusion_override, ByteKernel};
+pub use bytecode::{lower_kernel, lower_module, set_fusion_override, ByteKernel};
 pub use compile::{compile_kernel, compile_module, CExpr, CKernel, CModule, CStmt, IrError};
 pub use interp::{
     engine_choice, engine_override, install, install_with_engine, set_engine_override, ExecEngine,

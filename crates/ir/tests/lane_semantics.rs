@@ -12,21 +12,20 @@
 //!    `BadLaunchConfig: "grid and block dimensions must be nonzero"`; they
 //!    now raise a typed `KernelFault` naming the kernel, lane, and value.
 //!
-//! The VM's shared-work paths (tree walker, fused VM and unfused VM): memory
+//! The VM's shared-work paths (tree walker and bytecode VM): memory
 //! ops where every active lane hits one site, assignments evaluated straight
 //! into the variable's slot, and arguments held in registers filled once per
 //! block.
 //!
 //! The VM reads source rows in place, so an op whose destination is one of
 //! its sources (`x = x + x`, `x = -x`, `x = x / y`) must read each lane
-//! before writing it: pinned on full and divergent warps, on all three
+//! before writing it: pinned on full and divergent warps, on both
 //! executors, with `Div` faulting identically everywhere.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, set_fusion_override, ExecEngine, Expr, Module};
+use dpcons_ir::{install_with_engine, ExecEngine, Expr, Module};
 use dpcons_sim::{AllocKind, Engine, GpuConfig, KernelId, LaunchSpec, SimError};
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::Tree];
@@ -128,25 +127,17 @@ fn in_range_launch_dims_still_work_in_both_engines() {
 }
 
 // ------------------------------------------------------------------------
-// Shared-work paths of the VM, on all three executors.
+// Shared-work paths of the VM, on both executors.
 // ------------------------------------------------------------------------
 
-/// The tree walker and the VM with and without peephole fusion.
-const EXECUTORS: [(&str, ExecEngine, bool); 3] = [
-    ("tree", ExecEngine::Tree, true),
-    ("fused", ExecEngine::Bytecode, true),
-    ("unfused", ExecEngine::Bytecode, false),
-];
-
-/// Fusion is chosen at install through a process-wide override; hold this
-/// while flipping it so concurrent tests here cannot swap the program.
-static FUSION: Mutex<()> = Mutex::new(());
+/// The tree walker first, so the VM is checked against the reference.
+const EXECUTORS: [(&str, ExecEngine); 2] =
+    [("tree", ExecEngine::Tree), ("bytecode", ExecEngine::Bytecode)];
 
 /// An engine with `arrays` uploaded, `m` installed on one executor, and the
 /// array handles in upload order.
 fn engine_on(
     exec: ExecEngine,
-    fuse: bool,
     m: &Module,
     arrays: &[Vec<i64>],
 ) -> (Engine, HashMap<String, KernelId>, Vec<usize>) {
@@ -156,11 +147,8 @@ fn engine_on(
         .enumerate()
         .map(|(n, a)| eng.mem.alloc_array_init(&format!("a{n}"), a.clone()))
         .collect();
-    let _guard = FUSION.lock().unwrap_or_else(PoisonError::into_inner);
-    set_fusion_override(Some(fuse));
-    let ids = install_with_engine(&mut eng, m, Some(exec));
-    set_fusion_override(None);
-    (eng, ids.unwrap(), handles)
+    let ids = install_with_engine(&mut eng, m, Some(exec)).unwrap();
+    (eng, ids, handles)
 }
 
 /// Launch `kernel<<<1, block>>>(arrays.., scalars..)` on every executor and
@@ -173,8 +161,8 @@ fn check_all(
     scalars: &[i64],
     want: &[Vec<i64>],
 ) {
-    for (name, exec, fuse) in EXECUTORS {
-        let (mut eng, ids, handles) = engine_on(exec, fuse, m, arrays);
+    for (name, exec) in EXECUTORS {
+        let (mut eng, ids, handles) = engine_on(exec, m, arrays);
         let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
         args.extend_from_slice(scalars);
         eng.launch(LaunchSpec::new(ids[kernel], 1, block, args))
@@ -343,8 +331,8 @@ fn arguments_read_in_loops_across_warps_and_launches() {
             vec![launch("child", i(1), i(1), vec![v("out"), add(v("bias"), i(1)), v("n")])],
         ),
     ]));
-    for (name, exec, fuse) in EXECUTORS {
-        let (mut eng, ids, handles) = engine_on(exec, fuse, &m, &[vec![0; 512]]);
+    for (name, exec) in EXECUTORS {
+        let (mut eng, ids, handles) = engine_on(exec, &m, &[vec![0; 512]]);
         let out = handles[0];
         for (n, bias) in [(3i64, 5i64), (2, -7)] {
             eng.mem.fill(out, 0).unwrap();
@@ -366,7 +354,7 @@ fn arguments_read_in_loops_across_warps_and_launches() {
 }
 
 // ------------------------------------------------------------------------
-// Destination aliasing a source, on all three executors.
+// Destination aliasing a source, on both executors.
 // ------------------------------------------------------------------------
 
 /// `x`, with zeros (for `!x` and `&&`) and negatives.
@@ -441,8 +429,8 @@ fn in_place_division_by_zero_faults_alike_on_every_executor() {
     {
         let m = aliasing_kernel(div(v("x"), v("y")), divergent);
         let mut first: Option<Result<(), SimError>> = None;
-        for (name, exec, fuse) in EXECUTORS {
-            let (mut eng, ids, handles) = engine_on(exec, fuse, &m, &[ys.clone(), vec![0; block]]);
+        for (name, exec) in EXECUTORS {
+            let (mut eng, ids, handles) = engine_on(exec, &m, &[ys.clone(), vec![0; block]]);
             let args = handles.iter().map(|&h| h as i64).collect();
             let r = eng.launch(LaunchSpec::new(ids["k"], 1, block as u32, args)).map(|_| ());
             match &r {

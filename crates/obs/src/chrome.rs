@@ -69,25 +69,18 @@ fn begin_event(s: &SpanRec, tid: u32, ts: u64) -> String {
         None => String::new(),
     };
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}{args}}}",
-        escape(s.name)
+        "{{\"name\":{},\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}{args}}}",
+        quoted(s.name)
     )
 }
 
 fn end_event(name: &str, tid: u32, ts: u64) -> String {
-    format!("{{\"name\":\"{}\",\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}}}", escape(name))
+    format!("{{\"name\":{},\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}}}", quoted(name))
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    jsonv::render_str(s, &mut out);
     out
 }
 
@@ -217,6 +210,15 @@ mod tests {
         let json = chrome_trace_json(&[s]);
         assert!(json.contains("\"args\":{\"n\":3}"));
         validate_chrome_trace(&json).unwrap();
+    }
+
+    #[test]
+    fn span_names_needing_escapes_round_trip() {
+        let name = "a\"b\\c\n\u{1}";
+        let json = chrome_trace_json(&[rec(name, 0, 0, 0, 0, 1)]);
+        jsonv::parse(&json).unwrap();
+        let stats = validate_chrome_trace(&json).unwrap();
+        assert_eq!(stats.names, vec![name]);
     }
 
     #[test]

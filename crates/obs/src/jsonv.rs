@@ -108,7 +108,10 @@ impl Value {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// `\n`/`\r`/`\t` by name, other control characters as `\u00XX`. The one
+/// string escaper of the workspace's JSON emitters.
+pub fn render_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

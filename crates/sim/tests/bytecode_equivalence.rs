@@ -20,7 +20,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use dpcons_apps::{all_benchmarks, AppError, AppOutcome, Profile, RunConfig, Variant};
-use dpcons_ir::{set_engine_override, set_fusion_override, ExecEngine};
+use dpcons_ir::{set_engine_override, ExecEngine};
 use dpcons_sim::SimError;
 
 /// The engine override is process-global; every test in this binary holds
@@ -64,17 +64,13 @@ fn run_everything(engine: ExecEngine) -> Vec<(String, String, AppOutcome)> {
 
 /// Assert two full sweeps are bit-identical in every observable: functional
 /// output, host loop, profile report, allocator stats, and every captured
-/// `ExecRecord` DAG. `axis` names the dimension being compared in failures.
-fn assert_sweeps_identical(
-    a: &[(String, String, AppOutcome)],
-    b: &[(String, String, AppOutcome)],
-    axis: &str,
-) {
+/// `ExecRecord` DAG.
+fn assert_sweeps_identical(a: &[(String, String, AppOutcome)], b: &[(String, String, AppOutcome)]) {
     assert_eq!(a.len(), b.len());
     assert!(!a.is_empty());
     for ((app, variant, x), (app_b, variant_b, y)) in a.iter().zip(b) {
         assert_eq!((app, variant), (app_b, variant_b), "sweep order must be deterministic");
-        let ctx = format!("{app} ({variant}) [{axis}]");
+        let ctx = format!("{app} ({variant})");
         assert_eq!(x.output, y.output, "{ctx}: functional output diverged");
         assert_eq!(x.host_iterations, y.host_iterations, "{ctx}: host loop diverged");
         assert_eq!(x.report, y.report, "{ctx}: profile (cycles/active/dram) diverged");
@@ -98,24 +94,7 @@ fn both_executors_agree_on_every_app_and_variant() {
     let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let bytecode = run_everything(ExecEngine::Bytecode);
     let tree = run_everything(ExecEngine::Tree);
-    assert_sweeps_identical(&bytecode, &tree, "bytecode vs tree");
-}
-
-/// All 7 apps × all variants: peephole-fused bytecode (`DPCONS_FUSE` on, the
-/// default) is bit-identical to unfused bytecode in every observable. The
-/// fusion override is process-global and applies at lowering (install) time,
-/// so it is flipped under the same lock as the engine override; every
-/// `app.run` builds a fresh session and re-installs its module, so each
-/// sweep really lowers under its own setting.
-#[test]
-fn fused_bytecode_is_bit_identical_to_unfused() {
-    let _guard = ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    set_fusion_override(Some(true));
-    let fused = run_everything(ExecEngine::Bytecode);
-    set_fusion_override(Some(false));
-    let unfused = run_everything(ExecEngine::Bytecode);
-    set_fusion_override(None);
-    assert_sweeps_identical(&fused, &unfused, "fused vs unfused");
+    assert_sweeps_identical(&bytecode, &tree);
 }
 
 /// Fuel/watchdog parity: both executors spend functional fuel at identical
@@ -160,10 +139,4 @@ fn fuel_exhaustion_fires_at_the_same_step_count_in_both_executors() {
     let t = min_fuel(ExecEngine::Tree);
     assert_eq!(b, t, "minimal completing fuel budget must match across executors");
     assert!(b > 1, "the probe workload must actually spend fuel");
-    // Peephole fusion must not move the fuel-spend points either: the fused
-    // VM charges fuel per block step exactly like the unfused one.
-    set_fusion_override(Some(false));
-    let unfused = min_fuel(ExecEngine::Bytecode);
-    set_fusion_override(None);
-    assert_eq!(b, unfused, "fusion changed the minimal completing fuel budget");
 }
