@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [fig5] [fig6] [fig7] [fig8] [fig9] [fig10] [ablations] [verify]
-//!           [tune] [fleet] [micro] [all] [--tune] [--fleet] [--devices a,b,c]
+//!           [headline] [tune] [fleet] [golden] [all] [--tune] [--fleet] [--devices a,b,c]
 //!           [--profile test|bench] [--markdown] [--json PATH] [--trace PATH]
 //!           [--metrics] [--quiet] [--strict]
 //! ```
@@ -26,10 +26,11 @@
 //! It writes `BENCH_fleet.json`: the knobs × device cycle matrix, per-device
 //! winners, and per-app transfer regret.
 //!
-//! The `micro` experiment (not part of the default set) times the pipeline
-//! stages — capture on the active executor and on the legacy tree-walker,
-//! timing replay, consolidated functional run, tuner sweep — per app and
-//! writes `BENCH_micro.json`, the repo's host wall-clock trajectory record.
+//! The `golden` experiment (not part of the default set) regenerates the
+//! committed golden-datapoint record `tests/golden/datapoints.txt` in place:
+//! every deterministic simulated fact of the test profile, one line per app ×
+//! variant, which the root package's `tests/golden.rs` checks. It ignores
+//! `--profile` and prints one summary line.
 //!
 //! The functional executor is the flat bytecode VM unless `DPCONS_INTERP=tree`
 //! selects the tree-walking interpreter kept as the differential oracle. Both
@@ -69,7 +70,8 @@ use dpcons_sim::parse_fleet;
 fn usage_err(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
     eprintln!(
-        "usage: reproduce [experiments...] [--profile test|bench] \
+        "usage: reproduce [verify|fig5..fig10|headline|ablations|tune|fleet|golden|all ...] \
+         [--profile test|bench] \
          [--markdown] [--json PATH] [--tune] [--fleet] \
          [--devices a,b,c] [--trace PATH] [--metrics] [--quiet] [--strict]"
     );
@@ -164,10 +166,13 @@ fn main() {
         }
     };
 
-    println!(
-        "# dpcons reproduction — profile: {:?}, device: {}, threshold: {}\n",
-        profile, cfg.gpu.name, cfg.threshold
-    );
+    // `golden` ignores the profile, so alone it prints only its summary line.
+    if figs.iter().any(|f| f != "golden") {
+        println!(
+            "# dpcons reproduction — profile: {:?}, device: {}, threshold: {}\n",
+            profile, cfg.gpu.name, cfg.threshold
+        );
+    }
 
     // Figures 7-10, the tuning comparison, and the JSON record share one
     // profiled sweep.
@@ -234,14 +239,14 @@ fn main() {
                 }
                 fleet_results = Some(fleet);
             }
-            "micro" => {
-                let results = micro_all(profile, &cfg);
-                emit(&micro_table(&results));
-                let micro_path = PathBuf::from("BENCH_micro.json");
-                match write_micro_json(&micro_path, profile, &cfg, &results) {
-                    Ok(()) => progress(format!("[wrote {}]", micro_path.display())),
-                    Err(e) => eprintln!("[failed to write {}: {e}]", micro_path.display()),
+            "golden" => {
+                let (path, record) = (golden_path(), golden_record());
+                if let Err(e) = std::fs::write(&path, &record) {
+                    eprintln!("reproduce: failed to write {}: {e}", path.display());
+                    std::process::exit(ErrorClass::Internal.exit_code());
                 }
+                let (n, faults) = (record.lines().count(), record.matches(" error=").count());
+                println!("golden: wrote {n} datapoints ({faults} faulted) to {}", path.display());
             }
             "ablations" => {
                 emit(&ablation_pool_capacity(profile, &cfg));

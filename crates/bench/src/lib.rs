@@ -22,17 +22,14 @@ use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{fleet_sweep, transfer_check, tune, Budget, Cache, FleetOptions, TuneOptions};
 
+pub mod golden;
 pub mod json;
-pub mod micro;
 pub mod tables;
 
 pub use dpcons_tune::par::parallel_map;
 pub use dpcons_tune::{FleetReport, TransferReport, TuneReport};
+pub use golden::{golden_diff, golden_path, golden_record};
 pub use json::Json;
-pub use micro::{
-    micro_all, micro_app, micro_json, micro_table, write_micro_json, MicroResult, StageTiming,
-    MICRO_STAGES,
-};
 pub use tables::Table;
 
 /// Profiled outcomes of every variant of one benchmark.

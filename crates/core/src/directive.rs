@@ -197,16 +197,6 @@ pub struct KnobSpace {
 }
 
 impl KnobSpace {
-    /// Only the paper's hand-written defaults: one candidate per granularity.
-    pub fn defaults_only() -> KnobSpace {
-        KnobSpace {
-            granularities: Granularity::ALL.to_vec(),
-            buffers: vec![BufferKind::Custom],
-            per_buffer_sizes: vec![None],
-            configs: vec![None],
-        }
-    }
-
     /// A modest sweep suitable for CI and interactive use: all granularities
     /// and allocators, two buffer capacities, and a handful of configurations
     /// scaled to the device's SM count.

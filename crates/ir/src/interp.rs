@@ -66,30 +66,33 @@ pub enum ExecEngine {
     Tree,
 }
 
-impl ExecEngine {
-    /// Stable label used in benchmark records and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecEngine::Bytecode => "bytecode",
-            ExecEngine::Tree => "tree",
-        }
-    }
-}
-
 /// Process-wide override: 0 = none (env decides), 1 = bytecode, 2 = tree.
 static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
+/// Parse a `DPCONS_INTERP` value: unset or `bytecode` selects the VM, `tree`
+/// the tree walker, and anything else is an error naming the value.
+fn parse_engine(value: Option<&str>) -> Result<ExecEngine, String> {
+    match value {
+        None | Some("bytecode") => Ok(ExecEngine::Bytecode),
+        Some("tree") => Ok(ExecEngine::Tree),
+        Some(other) => Err(format!(
+            "DPCONS_INTERP={other:?}: expected `bytecode` or `tree`, or leave it unset"
+        )),
+    }
+}
+
 fn env_engine() -> ExecEngine {
     static ENV: OnceLock<ExecEngine> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("DPCONS_INTERP").as_deref() {
-        Ok("tree") => ExecEngine::Tree,
-        _ => ExecEngine::Bytecode,
+    *ENV.get_or_init(|| {
+        let value = std::env::var_os("DPCONS_INTERP").map(|v| v.to_string_lossy().into_owned());
+        parse_engine(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
 /// The executor used by kernels installed without an explicit pin: the
-/// process-wide override if set, else `DPCONS_INTERP` (`tree` selects the
-/// tree walker; anything else — including unset — selects the bytecode VM).
+/// process-wide override if set, else `DPCONS_INTERP` (unset or `bytecode`
+/// selects the bytecode VM, `tree` the tree walker; any other value panics
+/// at first use rather than silently running the VM).
 pub fn engine_choice() -> ExecEngine {
     match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
         1 => ExecEngine::Bytecode,
@@ -936,4 +939,20 @@ pub(crate) fn assemble_block(
     }
 
     Ok(BlockResult { segments })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interp_env_accepts_only_the_two_executor_names() {
+        assert_eq!(parse_engine(None), Ok(ExecEngine::Bytecode));
+        assert_eq!(parse_engine(Some("bytecode")), Ok(ExecEngine::Bytecode));
+        assert_eq!(parse_engine(Some("tree")), Ok(ExecEngine::Tree));
+        // A typo used to select the VM silently.
+        let err = parse_engine(Some("Tree")).unwrap_err();
+        assert!(err.contains("\"Tree\"") && err.contains("`tree`"), "{err}");
+        assert!(parse_engine(Some("tree-walker")).is_err() && parse_engine(Some("")).is_err());
+    }
 }

@@ -81,7 +81,6 @@ pub struct Engine {
     pub mem: GlobalMem,
     pub heap: DeviceHeap,
     kernels: Vec<Arc<dyn KernelBody>>,
-    by_name: HashMap<String, KernelId>,
     /// Safety valve against runaway recursion in the functional phase.
     pub max_kernel_execs: usize,
     /// Functional step budget shared by every launch on this engine (one
@@ -103,7 +102,6 @@ impl Engine {
             mem,
             heap,
             kernels: Vec::new(),
-            by_name: HashMap::new(),
             max_kernel_execs: 20_000_000,
             fuel: FuelMeter::unlimited(),
         }
@@ -111,13 +109,8 @@ impl Engine {
 
     pub fn register(&mut self, k: Arc<dyn KernelBody>) -> KernelId {
         let id = self.kernels.len();
-        self.by_name.insert(k.name().to_string(), id);
         self.kernels.push(k);
         id
-    }
-
-    pub fn kernel_id(&self, name: &str) -> Option<KernelId> {
-        self.by_name.get(name).copied()
     }
 
     pub fn kernel_name(&self, id: KernelId) -> Option<&str> {

@@ -53,10 +53,6 @@ impl GlobalMem {
         id
     }
 
-    pub fn num_arrays(&self) -> usize {
-        self.arrays.len()
-    }
-
     pub fn len(&self, id: ArrayId) -> Result<usize, SimError> {
         Ok(self.array(id)?.data.len())
     }
@@ -215,11 +211,6 @@ impl GlobalMem {
         let a = self.array_mut(id)?;
         a.data.fill(v);
         Ok(())
-    }
-
-    /// Total words currently allocated across all arrays.
-    pub fn total_words(&self) -> u64 {
-        self.arrays.iter().map(|a| a.data.len() as u64).sum()
     }
 }
 

@@ -3,8 +3,6 @@
 //! SM occupancy, DRAM transactions, and kernel launch counts, plus
 //! DP-runtime internals (pending-pool pressure, parent swaps).
 
-use crate::config::GpuConfig;
-
 /// Aggregated metrics for one host launch tree (or a merged sequence).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
@@ -43,11 +41,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Wall-clock estimate for a device clock.
-    pub fn time_ms(&self, gpu: &GpuConfig) -> f64 {
-        gpu.cycles_to_ms(self.total_cycles)
-    }
-
     /// Merge a subsequent host launch into this report. Host launches execute
     /// back to back (same stream), so cycle counts add; ratio metrics are
     /// re-weighted by work volume (warp-cycles for efficiency, total cycles

@@ -6,8 +6,8 @@
 //! [`crate::par::parallel_map`] and still yield exactly the results of a
 //! serial loop. [`replay_timing_many`] is that batch entry; the fleet sweep's
 //! per-device re-timing ([`crate::fleet::fleet_sweep`]) and, through it, the
-//! serve worker pool run on top of it, and `reproduce micro` times it as the
-//! `replay_parallel` stage.
+//! serve worker pool run on top of it, and the benchmark's `retime_fleet`
+//! workload times it against the serial loop.
 //!
 //! The batch is not one thread-pool job per DAG: DAGs are grouped into at
 //! most one **contiguous, record-count-balanced chunk per worker**

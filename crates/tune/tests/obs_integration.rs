@@ -1,7 +1,8 @@
 //! Observability contract of the tuner: disabled tracing records **zero**
-//! spans, enabled tracing covers the sweep, every wave and the host-launch
-//! `app.prepare`/`app.reset` stages, and a warm second sweep is visible as
-//! cache hits in the metrics registry.
+//! spans, enabled tracing covers the sweep, every wave exactly once, the
+//! host-launch `app.launch`/`app.prepare`/`app.reset` stages, capture and
+//! (batched) timing replay, and a warm second sweep is visible as cache hits
+//! in the metrics registry.
 //!
 //! This is deliberately the only test in this integration-test binary — the
 //! span rings, the tracing flag, and the metrics registry are process-wide,
@@ -59,6 +60,17 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
 
     let uncached = tune(&app, &opts(None)).expect("uncached sweep");
     assert!(uncached.evaluated > 0);
+    // The warm sweep hit the cache, so every wave span so far is the
+    // uncached sweep's: each of its waves is traced exactly once, as 0..n.
+    let mut spans = dpcons_obs::take_spans();
+    let mut waves: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == "tune.wave")
+        .map(|s| s.arg.expect("wave number"))
+        .collect();
+    waves.sort_unstable();
+    assert!(!waves.is_empty(), "the uncached sweep must trace its waves");
+    assert_eq!(waves, (0..waves.len() as u64).collect::<Vec<_>>(), "waves traced once each");
     // A multi-device sweep is the same pipeline: same spans, and every
     // functional run lands in the candidate-latency histogram too.
     let latency = dpcons_obs::histogram("tune.candidate_us");
@@ -76,15 +88,16 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
     assert!(latency.count() - recorded >= wide.functional_runs, "/fleet-only daemons see latency");
     dpcons_obs::set_tracing(false);
 
-    let spans = dpcons_obs::take_spans();
-    assert!(!spans.is_empty());
+    spans.extend(dpcons_obs::take_spans());
+    // The two-device sweep captures each candidate, replays it, and re-times
+    // it on the second device through the batched entry.
+    for name in ["app.launch", "sim.capture", "sim.replay", "tune.replay.batch"] {
+        assert!(spans.iter().any(|s| s.name == name), "trace must contain a {name} span");
+    }
     let sweeps = spans.iter().filter(|s| s.name == "tune.sweep").count();
     assert_eq!(sweeps, 3, "all three traced sweeps open a tune.sweep span");
-    let waves: Vec<_> = spans.iter().filter(|s| s.name == "tune.wave").collect();
-    assert!(!waves.is_empty(), "the uncached sweep must trace its waves");
-    // Wave spans carry the wave number and nest under the sweep.
-    assert_eq!(waves[0].arg, Some(0));
-    assert!(waves.iter().all(|w| w.depth > 0));
+    // Wave spans nest under the sweep.
+    assert!(spans.iter().filter(|s| s.name == "tune.wave").all(|w| w.depth > 0));
     // The sweep has grid-level candidates, and SSSP launches its entry kernel
     // once per relaxation round: the first launch of a session prepares the
     // consolidation state, every later one resets it, each inside its span.
