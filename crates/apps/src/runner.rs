@@ -136,11 +136,11 @@ pub struct RunConfig {
     pub pool_words: u64,
     /// Autotuned directive knobs; required by [`Variant::ConsolidatedTuned`].
     pub tuned: Option<TunedDirective>,
-    /// Record the functional launch DAG of every host launch so the run can
-    /// be re-timed on other devices ([`AppOutcome::captures`]). The run's
-    /// own report is produced by replaying the capture on [`RunConfig::gpu`]
-    /// — bit-identical to a plain run, which
-    /// `crates/sim/tests/replay_differential.rs` pins.
+    /// Keep the functional launch DAG of every host launch so the run can
+    /// be re-timed on other devices ([`AppOutcome::captures`]). Every run
+    /// captures and prices each launch the same way; this flag only decides
+    /// whether the DAGs are kept or dropped, so the report is the same
+    /// either way (`crates/sim/tests/replay_differential.rs` pins it).
     pub capture: bool,
     /// Functional step budget for the whole session (all host launches
     /// share one [`dpcons_sim::FuelMeter`]); `None` = unlimited. A limited
@@ -303,27 +303,15 @@ impl VariantSession {
     }
 
     /// Run one launch through the engine and fold its profile into the
-    /// session total. In capture mode the launch goes through the explicit
-    /// capture → replay split (semantically identical to [`Engine::launch`])
-    /// and the record DAG is kept for later cross-device re-timing.
+    /// session total. In capture mode the launch's record DAG is kept for
+    /// later cross-device re-timing; otherwise it is dropped here.
     fn run_spec(&mut self, spec: LaunchSpec) -> Result<(), AppError> {
         let _span = dpcons_obs::span("app.launch");
         host_launches_counter().inc();
-        let report = match &mut self.captures {
-            None => self.engine.launch(spec)?,
-            Some(log) => {
-                // Per-launch allocator delta, mirroring `Engine::launch_traced`,
-                // so per-launch reports merge additively.
-                let allocs_before = self.engine.heap.stats.allocs;
-                let alloc_cycles_before = self.engine.heap.stats.alloc_cycles;
-                let records = self.engine.capture(spec)?;
-                let mut report = self.engine.replay_timing(&records);
-                report.alloc_ops = self.engine.heap.stats.allocs - allocs_before;
-                report.alloc_cycles = self.engine.heap.stats.alloc_cycles - alloc_cycles_before;
-                log.push(records);
-                report
-            }
-        };
+        let (report, records) = self.engine.launch_traced(spec)?;
+        if let Some(log) = &mut self.captures {
+            log.push(records);
+        }
         self.total.merge(&report);
         Ok(())
     }

@@ -78,6 +78,33 @@ fn usage_err(msg: &str) -> ! {
     std::process::exit(ErrorClass::Usage.exit_code());
 }
 
+/// What runs when no experiment, or `all`, is named.
+const DEFAULT: [&str; 9] =
+    ["verify", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "headline", "ablations"];
+
+/// The experiments to run, in order, given the names on the command line.
+/// No name, or `all`, selects the default set (everything but the sweeps and
+/// `golden`) followed by any other experiment named; `all` itself is not an
+/// experiment. `--tune`/`--fleet` add their sweep to whatever was selected,
+/// while `tune`/`fleet` as names select only that sweep.
+fn experiments(mut figs: Vec<String>, want_tune: bool, want_fleet: bool) -> Vec<String> {
+    if figs.is_empty() || figs.iter().any(|f| f == "all") {
+        let mut all: Vec<String> = DEFAULT.iter().map(|s| s.to_string()).collect();
+        for f in figs {
+            if f != "all" && !all.contains(&f) {
+                all.push(f);
+            }
+        }
+        figs = all;
+    }
+    for (want, sweep) in [(want_tune, "tune"), (want_fleet, "fleet")] {
+        if want && !figs.iter().any(|f| f == sweep) {
+            figs.push(sweep.to_string());
+        }
+    }
+    figs
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut profile = Profile::Bench;
@@ -129,28 +156,7 @@ fn main() {
     if trace_path.is_some() {
         dpcons_obs::set_tracing(true);
     }
-    if figs.is_empty() || figs.iter().any(|f| f == "all") {
-        let mut all: Vec<String> =
-            ["verify", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "headline", "ablations"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        // Explicitly-requested experiments are kept.
-        for f in figs {
-            if !all.contains(&f) {
-                all.push(f);
-            }
-        }
-        figs = all;
-    }
-    // `--tune`/`--fleet` run their sweeps *in addition to* whatever was
-    // selected; `tune`/`fleet` as experiment names select only that sweep.
-    if want_tune && !figs.iter().any(|f| f == "tune") {
-        figs.push("tune".to_string());
-    }
-    if want_fleet && !figs.iter().any(|f| f == "fleet") {
-        figs.push("fleet".to_string());
-    }
+    let figs = experiments(figs, want_tune, want_fleet);
 
     let cfg = RunConfig::default();
     let emit = |t: &Table| {
@@ -302,5 +308,35 @@ fn main() {
             }
             std::process::exit(ErrorClass::Faulted.exit_code());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{experiments, DEFAULT};
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn all_expands_to_the_default_set_and_is_not_itself_run() {
+        let default = names(&DEFAULT);
+        assert_eq!(experiments(names(&["all"]), false, false), default);
+        assert_eq!(experiments(Vec::new(), false, false), default);
+        let mut with_tune = default.clone();
+        with_tune.push("tune".to_string());
+        assert_eq!(experiments(names(&["tune", "all", "fig5"]), false, false), with_tune);
+        assert_eq!(experiments(Vec::new(), true, false), with_tune);
+    }
+
+    #[test]
+    fn named_experiments_and_sweep_flags_keep_their_order() {
+        assert_eq!(experiments(names(&["fig5"]), false, true), names(&["fig5", "fleet"]));
+        assert_eq!(experiments(names(&["tune"]), true, false), names(&["tune"]));
+        assert_eq!(
+            experiments(names(&["golden", "fig6"]), true, true),
+            names(&["golden", "fig6", "tune", "fleet"])
+        );
     }
 }

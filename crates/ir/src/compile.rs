@@ -149,12 +149,6 @@ pub struct CModule {
     pub by_name: HashMap<String, usize>,
 }
 
-impl CModule {
-    pub fn kernel_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
-}
-
 /// Static arithmetic op count of an expression (Bin/Un nodes).
 pub fn expr_ops(e: &Expr) -> u32 {
     let mut n = 0;

@@ -862,7 +862,7 @@ impl WarpExec<'_, '_, '_> {
 /// * later segments — the syncing warp's serial total, same barrier rule.
 pub(crate) fn assemble_block(
     k: &CKernel,
-    ctx: &mut BlockCtx<'_>,
+    ctx: &BlockCtx<'_>,
     traces: &[Vec<Chunk>],
     arena: &[LaunchSpec],
 ) -> Result<BlockResult, SimError> {
@@ -886,14 +886,7 @@ pub(crate) fn assemble_block(
     let sync_trace = &traces[sync_warp];
     let nseg = sync_trace.iter().filter(|c| device_sync(c)).count()
         + usize::from(!sync_trace.last().is_some_and(device_sync));
-    // Segment/launch buffers come from the capture arena's recycled pools:
-    // once the arena is warm (second candidate onward) block assembly stops
-    // allocating result storage entirely.
-    let mut segments: Vec<SegmentResult> = ctx.pools.take_segments();
-    segments.extend((0..nseg).map(|_| SegmentResult {
-        launches: ctx.pools.take_launches(),
-        ..SegmentResult::default()
-    }));
+    let mut segments = vec![SegmentResult::default(); nseg];
 
     // Segment 0's phases: a warp's chunks up to its first device sync.
     let seg0_len = |t: &[Chunk]| t.iter().position(device_sync).map_or(t.len(), |p| p + 1);

@@ -15,14 +15,21 @@
 //! The split keeps functional results bit-deterministic (so every compiler
 //! transformation can be checked for exact output equivalence) while the
 //! timing model reproduces the contention phenomena the paper analyses.
+//!
+//! Every host launch takes one path, [`Engine::launch_traced`]: capture,
+//! replay on this engine's device, and the launch's allocator delta. The
+//! DAG it returns is a plain owned `Vec<ExecRecord>` that the caller keeps
+//! (capture mode, for re-timing on other devices) or drops
+//! ([`Engine::launch`]). No record buffer outlives its DAG. What is reused
+//! is the functional phase's [`crate::kernel::SegSet`], across the blocks of
+//! one capture, and whatever per-thread scratch a kernel body keeps across
+//! captures (the IR's VM keeps its register file and warp traces there).
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use crate::alloc::{AllocKind, DeviceHeap};
-use crate::arena::CaptureArena;
 use crate::config::GpuConfig;
 use crate::kernel::{BlockCtx, BlockResult, FuelMeter, KernelBody, KernelId, LaunchSpec};
 use crate::mem::GlobalMem;
@@ -52,15 +59,6 @@ fn replays_counter() -> &'static obs::Counter {
 /// device fleet adds no functional work.
 pub fn functional_execs_total() -> u64 {
     functional_execs_counter().get()
-}
-
-thread_local! {
-    /// Per-thread capture arena for [`Engine::launch`]/[`Engine::launch_traced`],
-    /// whose records are consumed (replayed + summarized) within the call.
-    /// Thread-local rather than per-engine so tuner worker threads reuse
-    /// capacities across candidates — each candidate gets a fresh `Engine`,
-    /// but the worker thread (and its warmed arena) persists for the wave.
-    static LAUNCH_ARENA: RefCell<CaptureArena> = RefCell::new(CaptureArena::new());
 }
 
 /// One kernel execution captured by the functional phase.
@@ -120,44 +118,28 @@ impl Engine {
     /// Launch a kernel from the host and run the whole dynamic-parallelism
     /// DAG to completion. Returns the profile for this launch tree.
     pub fn launch(&mut self, spec: LaunchSpec) -> Result<ProfileReport, SimError> {
-        self.launch_with(spec, |_| ()).map(|(r, ())| r)
+        self.launch_traced(spec).map(|(report, _)| report)
     }
 
-    /// Like [`Engine::launch`], additionally returning the structural
-    /// launch-tree summary (per-depth kernel counts, subtree sizes).
+    /// [`Engine::launch`], also returning the captured launch DAG: keep it to
+    /// re-time the launch on another device ([`Engine::replay_timing_on`]) or
+    /// summarize it ([`crate::trace::summarize`]), or drop it.
+    ///
+    /// This is the one place a host launch is priced. The report carries the
+    /// allocator work of *this* launch (the delta over the heap's cumulative
+    /// stats), so back-to-back launches merge additively in
+    /// [`ProfileReport::merge`] instead of each carrying the running total.
     pub fn launch_traced(
         &mut self,
         spec: LaunchSpec,
-    ) -> Result<(ProfileReport, crate::trace::LaunchTree), SimError> {
-        self.launch_with(spec, crate::trace::summarize)
-    }
-
-    /// Capture, replay and the allocator delta shared by [`Engine::launch`]
-    /// and [`Engine::launch_traced`]; `inspect` sees the captured DAG before
-    /// the arena is recycled, so only a caller that wants a summary pays for
-    /// one.
-    fn launch_with<T>(
-        &mut self,
-        spec: LaunchSpec,
-        inspect: impl FnOnce(&[ExecRecord]) -> T,
-    ) -> Result<(ProfileReport, T), SimError> {
-        // Report the allocator work of *this* launch (delta over the heap's
-        // cumulative stats), so back-to-back launches merge additively in
-        // `ProfileReport::merge` instead of each carrying the running total.
+    ) -> Result<(ProfileReport, Vec<ExecRecord>), SimError> {
         let allocs_before = self.heap.stats.allocs;
         let alloc_cycles_before = self.heap.stats.alloc_cycles;
-        // The records of a launch die with the call, so they are captured
-        // into a per-thread arena: the next launch on this thread (e.g. the
-        // next candidate a tuner worker evaluates) resets it and inherits
-        // every buffer capacity instead of re-allocating the DAG.
-        LAUNCH_ARENA.with(|cell| {
-            let mut arena = cell.borrow_mut();
-            self.capture_into(spec, &mut arena)?;
-            let mut report = self.replay_timing(arena.records());
-            report.alloc_ops = self.heap.stats.allocs - allocs_before;
-            report.alloc_cycles = self.heap.stats.alloc_cycles - alloc_cycles_before;
-            Ok((report, inspect(arena.records())))
-        })
+        let records = self.capture(spec)?;
+        let mut report = self.replay_timing(&records);
+        report.alloc_ops = self.heap.stats.allocs - allocs_before;
+        report.alloc_cycles = self.heap.stats.alloc_cycles - alloc_cycles_before;
+        Ok((report, records))
     }
 
     /// Run only the **functional phase**: execute the launch DAG
@@ -169,25 +151,8 @@ impl Engine {
     /// different device description) can do so without paying the functional
     /// re-execution.
     pub fn capture(&mut self, spec: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
-        let mut arena = CaptureArena::new();
-        self.capture_into(spec, &mut arena)?;
-        Ok(arena.take_records())
-    }
-
-    /// [`Engine::capture`] into a caller-owned [`CaptureArena`]: the arena is
-    /// reset first (recycling any previous capture's buffer capacities) and
-    /// then filled; read the DAG back via [`CaptureArena::records`]. This is
-    /// the allocation-free path for callers that capture repeatedly — tuner
-    /// waves, microbenches — where [`Engine::capture`]'s owned `Vec` return
-    /// would discard the buffers after every candidate.
-    pub fn capture_into(
-        &mut self,
-        spec: LaunchSpec,
-        arena: &mut CaptureArena,
-    ) -> Result<(), SimError> {
         let _span = obs::span("sim.capture");
-        arena.reset();
-        self.functional_phase(spec, arena)
+        self.functional_phase(spec)
     }
 
     /// Timing-only replay of a previously [`Engine::capture`]d launch DAG on
@@ -227,11 +192,7 @@ impl Engine {
 
     // ---------------------------------------------------------- Phase A ----
 
-    fn functional_phase(
-        &mut self,
-        root: LaunchSpec,
-        arena: &mut CaptureArena,
-    ) -> Result<(), SimError> {
+    fn functional_phase(&mut self, root: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
         self.validate_spec(&root, 0)?;
         let mut queue: VecDeque<(LaunchSpec, u32, Option<(usize, u32, usize)>)> = VecDeque::new();
         queue.push_back((root, 0, None));
@@ -240,15 +201,15 @@ impl Engine {
         // DAG: clearing it per block is an epoch bump and its table keeps
         // the largest block's capacity, so the hot loop never reallocates.
         let mut touched = crate::kernel::SegSet::default();
+        let mut records = Vec::new();
         while let Some((spec, depth, parent)) = queue.pop_front() {
-            if arena.records.len() >= self.max_kernel_execs {
+            if records.len() >= self.max_kernel_execs {
                 return Err(SimError::KernelExecLimit { limit: self.max_kernel_execs });
             }
             functional_execs_counter().inc();
-            let rec_id = arena.records.len();
+            let rec_id = records.len();
             let body = Arc::clone(&self.kernels[spec.kernel]);
-            let mut blocks = arena.blocks_pool.pop().unwrap_or_default();
-            blocks.reserve(spec.grid as usize);
+            let mut blocks = Vec::with_capacity(spec.grid as usize);
             for b in 0..spec.grid {
                 self.fuel.spend(1)?;
                 touched.clear();
@@ -264,7 +225,6 @@ impl Engine {
                     cost: &self.gpu.costs,
                     touched_segments: &mut touched,
                     fuel: &mut self.fuel,
-                    pools: &mut arena.pools,
                 };
                 let result = body.run_block(&mut ctx)?;
                 for (s, seg) in result.segments.iter().enumerate() {
@@ -277,7 +237,7 @@ impl Engine {
                 }
                 blocks.push(result);
             }
-            arena.records.push(ExecRecord {
+            records.push(ExecRecord {
                 regs_per_thread: body.regs_per_thread(),
                 shared_bytes: body.shared_bytes(),
                 spec,
@@ -286,7 +246,7 @@ impl Engine {
                 blocks,
             });
         }
-        Ok(())
+        Ok(records)
     }
 
     fn validate_spec(&self, spec: &LaunchSpec, depth: u32) -> Result<(), SimError> {
@@ -1127,9 +1087,12 @@ mod tests {
         let plain = e1.launch(spec(k)).unwrap();
         let mut e2 = Engine::new(GpuConfig::tiny(), AllocKind::Default, 4096);
         let k = build(&mut e2);
-        let (traced, tree) = e2.launch_traced(spec(k)).unwrap();
+        let (traced, records) = e2.launch_traced(spec(k)).unwrap();
         assert!(plain.alloc_ops > 0, "the allocator delta is part of both reports");
         assert_eq!(plain, traced);
+        // The kept records are the launch: replay and summary agree with it.
+        assert_eq!(e2.replay_timing(&records).total_cycles, traced.total_cycles);
+        let tree = crate::trace::summarize(&records);
         assert_eq!(tree.kernels.len() as u64, traced.kernels_executed);
         // A second launch on each engine reports only its own delta, alike.
         assert_eq!(e1.launch(spec(k)).unwrap(), e2.launch_traced(spec(k)).unwrap().0);

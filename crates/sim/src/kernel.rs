@@ -5,7 +5,9 @@
 //! block order. The body executes the block's threads (however it likes —
 //! the `dpcons-ir` crate provides a warp-lockstep SIMT interpreter), mutates
 //! global memory, and reports per-segment metrics that the timing engine
-//! later replays against hardware resource limits.
+//! later replays against hardware resource limits. The returned
+//! [`BlockResult`] is plain owned data: the engine moves it into the
+//! launch's `ExecRecord`, and it lives exactly as long as that record.
 //!
 //! A block's execution is divided into **segments** at device-side
 //! `cudaDeviceSynchronize` points: the timing engine must be able to swap the
@@ -15,7 +17,6 @@
 use std::sync::Arc;
 
 use crate::alloc::DeviceHeap;
-use crate::arena::CapturePools;
 use crate::config::CostModel;
 use crate::mem::GlobalMem;
 use crate::SimError;
@@ -86,10 +87,6 @@ impl BlockResult {
     /// Convenience for single-segment blocks (no device-side sync).
     pub fn single(seg: SegmentResult) -> Self {
         BlockResult { segments: vec![seg] }
-    }
-
-    pub fn total_launches(&self) -> usize {
-        self.segments.iter().map(|s| s.launches.len()).sum()
     }
 }
 
@@ -257,12 +254,6 @@ pub struct BlockCtx<'a> {
     /// bodies charge loop iterations against it so runaway candidates fault
     /// deterministically instead of spinning.
     pub fuel: &'a mut FuelMeter,
-    /// Recycled result-buffer capacities from the capture arena: kernel
-    /// bodies pop segment/launch buffers here instead of allocating, and
-    /// [`crate::CaptureArena::reset`] scavenges them back when the records
-    /// are discarded. Popping is optional — an empty pool hands out fresh
-    /// buffers — so hand-written [`KernelBody`] impls can ignore it.
-    pub pools: &'a mut CapturePools,
 }
 
 /// The functional behaviour of a kernel.
@@ -376,14 +367,5 @@ mod tests {
         s.clear();
         s.insert(1);
         assert_eq!(capacity(&s), (2 * 3000usize).next_power_of_two());
-    }
-
-    #[test]
-    fn block_result_counts_launches() {
-        let mut seg = SegmentResult::default();
-        seg.launches.push(LaunchSpec::new(0, 1, 32, vec![]));
-        seg.launches.push(LaunchSpec::new(0, 1, 32, vec![]));
-        let r = BlockResult { segments: vec![seg.clone(), SegmentResult::default()] };
-        assert_eq!(r.total_launches(), 2);
     }
 }

@@ -24,7 +24,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc;
-pub mod arena;
 pub mod config;
 pub mod engine;
 pub mod kernel;
@@ -33,7 +32,6 @@ pub mod profiler;
 pub mod trace;
 
 pub use alloc::{AllocKind, DeviceHeap, HeapStats};
-pub use arena::{CaptureArena, CapturePools};
 pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig};
 /// The metrics registry, re-exported so kernel-body crates (the IR's VM)
 /// record counters in it without a dependency edge of their own.

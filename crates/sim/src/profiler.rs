@@ -77,11 +77,6 @@ impl ProfileReport {
         self.alloc_ops += other.alloc_ops;
         self.alloc_cycles += other.alloc_cycles;
     }
-
-    /// All kernel launches (host + device).
-    pub fn total_launches(&self) -> u64 {
-        self.host_launches + self.device_launches
-    }
 }
 
 #[cfg(test)]

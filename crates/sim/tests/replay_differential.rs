@@ -2,19 +2,18 @@
 //! what-if sweep rests on.
 //!
 //! For every benchmark and every variant (flat, basic-dp, and all three
-//! consolidation granularities), a run executed through the explicit
-//! `Engine::capture` + `Engine::replay_timing` split
+//! consolidation granularities), a run that keeps its record DAGs
 //! ([`dpcons_apps::RunConfig::capture`]) must reproduce the *exact*
-//! [`dpcons_sim::ProfileReport`] — cycle counts included — of a fresh
-//! [`dpcons_sim::Engine::launch`], and re-timing the capture on the same
-//! device via [`dpcons_sim::Engine::replay_timing_on`]
-//! (`CaptureSet::replay_on`) must match too. If replay ever drifted from
-//! live execution, every fleet datapoint would silently be wrong.
+//! [`dpcons_sim::ProfileReport`] — cycle counts included — of a run that
+//! drops them, and re-timing the kept DAGs on the same device via
+//! [`dpcons_sim::Engine::replay_timing_on`] (`CaptureSet::replay_on`) must
+//! match too. If replay ever drifted from live execution, every fleet
+//! datapoint would silently be wrong.
 
 use dpcons_apps::{all_benchmarks, Profile, RunConfig, Variant};
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, Module};
-use dpcons_sim::{AllocKind, ArrayId, CaptureArena, Engine, GpuConfig, LaunchSpec};
+use dpcons_sim::{AllocKind, ArrayId, Engine, ExecRecord, GpuConfig, LaunchSpec, ProfileReport};
 
 /// capture + replay_timing ≡ launch, and replay_timing_on(same device) ≡
 /// both, for every (app, variant) pair.
@@ -112,36 +111,38 @@ fn build_app_b() -> (Engine, LaunchSpec, ArrayId) {
     (e, spec, out)
 }
 
-/// Arena reuse leaks no state: capturing two *different* apps back to back
-/// through one reused [`CaptureArena`] yields record DAGs, functional memory,
-/// and replay timings byte-for-byte identical to fresh-arena captures.
+/// What one capture leaves behind: its records, its output memory and the
+/// report of its launch.
+type Capture = (Vec<ExecRecord>, Vec<i64>, ProfileReport);
+
+fn capture(build: fn() -> (Engine, LaunchSpec, ArrayId)) -> Capture {
+    let (mut e, spec, out) = build();
+    let (report, records) = e.launch_traced(spec).expect("app captures");
+    assert_eq!(e.replay_timing(&records), report, "replay of the kept records diverged");
+    (records, e.mem.slice(out).expect("output array").to_vec(), report)
+}
+
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::spawn(f).join().expect("capture thread")
+}
+
+/// Recycled state leaks nothing between captures. Two things outlive a
+/// capture's records: the VM's thread-local scratch (register file, launch
+/// buffer, warp traces) lives as long as its thread, and the engine's
+/// `SegSet` lives across every block of a capture. Apps A, B and A again are
+/// captured back to back on one thread, and A and B each alone on a fresh
+/// thread; records, memory and reports must be identical.
 #[test]
-fn arena_reuse_leaks_no_state_across_captures() {
-    // Fresh-arena baselines, each on its own engine.
-    let (mut ea, spec_a, out_a) = build_app_a();
-    let fresh_a = ea.capture(spec_a).expect("app A captures");
-    let (mut eb, spec_b, out_b) = build_app_b();
-    let fresh_b = eb.capture(spec_b).expect("app B captures");
-    assert!(fresh_a.len() > 1 && fresh_b.len() > 1, "both apps must actually nest launches");
+fn recycled_scratch_leaks_no_state_across_captures() {
+    let fresh_a = on_fresh_thread(|| capture(build_app_a));
+    let fresh_b = on_fresh_thread(|| capture(build_app_b));
+    assert!(fresh_a.0.len() > 1 && fresh_b.0.len() > 1, "both apps must actually nest launches");
 
-    // The same two captures through one reused arena.
-    let mut arena = CaptureArena::new();
-    let (mut ea2, spec_a2, out_a2) = build_app_a();
-    ea2.capture_into(spec_a2, &mut arena).expect("app A captures into the arena");
-    assert_eq!(arena.records(), &fresh_a[..], "app A records diverged on the shared arena");
-    assert_eq!(ea2.mem.slice(out_a2), ea.mem.slice(out_a), "app A memory diverged");
-    assert_eq!(ea2.replay_timing(arena.records()), ea.replay_timing(&fresh_a));
-
-    let (mut eb2, spec_b2, out_b2) = build_app_b();
-    eb2.capture_into(spec_b2, &mut arena).expect("app B captures into the reused arena");
-    assert_eq!(
-        arena.records(),
-        &fresh_b[..],
-        "a reused arena leaked prior-capture state into app B's records"
-    );
-    assert_eq!(eb2.mem.slice(out_b2), eb.mem.slice(out_b), "app B memory diverged");
-    assert_eq!(eb2.replay_timing(arena.records()), eb.replay_timing(&fresh_b));
-    assert!(arena.reuses() >= 1, "the second capture must have recycled the arena");
+    let [a, b, a_again] =
+        on_fresh_thread(|| [capture(build_app_a), capture(build_app_b), capture(build_app_a)]);
+    assert_eq!(a, fresh_a, "app A diverged as its thread's first capture");
+    assert_eq!(b, fresh_b, "app B inherited state from app A's capture");
+    assert_eq!(a_again, fresh_a, "app A inherited state from app B's capture");
 }
 
 /// `Engine::replay_timing_on` never populates allocator statistics — they

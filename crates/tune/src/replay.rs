@@ -18,6 +18,12 @@
 //! than one chunk is worth) skips the thread machinery entirely and runs as
 //! the plain serial loop it would otherwise emulate.
 //!
+//! The chunked parallelism is kept because it measured faster. With a serial
+//! loop in its place, the benchmark's `retime_fleet` workload read
+//! `ops_per_s` 10 % lower (medians of 4 alternating 18 s runs each on
+//! 2 cores; the batched entry was faster in 3 of 4 pairs). The sweep's
+//! re-timing uses this one entry too.
+//!
 //! Determinism contract: results come back **in submission order** (chunks
 //! are contiguous and order-preserving, so flattening them is the identity
 //! permutation), and merging them in that order ([`merge_reports`]) is
@@ -28,11 +34,10 @@
 //! deterministic. The unit tests below pin the equivalence.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dpcons_sim::{Engine, ExecRecord, GpuConfig, ProfileReport};
 
-use crate::par::{panic_message, parallel_map};
+use crate::par::parallel_map;
 
 /// Fewer captured records than this are not worth a second thread: one
 /// record replays in a few microseconds, so a chunk below this size would
@@ -83,9 +88,9 @@ fn workers() -> usize {
 /// bit-identical with) calling [`Engine::replay_timing_on`] in a serial loop.
 ///
 /// Panics in a replay are resumed on the caller's thread after the batch
-/// drains ([`parallel_map`]'s strict contract); use
-/// [`replay_timing_many_robust`] where one poisoned DAG must not abort its
-/// siblings.
+/// drains ([`parallel_map`]'s strict contract). The sweep calls this inside
+/// a candidate's job, so there a replay panic becomes that candidate's
+/// `Status::Panicked`.
 pub fn replay_timing_many(gpu: &GpuConfig, dags: &[&[ExecRecord]]) -> Vec<ProfileReport> {
     let _span = dpcons_obs::span("tune.replay.batch");
     batched_dags_counter().add(dags.len() as u64);
@@ -95,33 +100,6 @@ pub fn replay_timing_many(gpu: &GpuConfig, dags: &[&[ExecRecord]]) -> Vec<Profil
     if ranges.len() <= 1 {
         // One core or one chunk's worth of records: plain serial loop, no
         // thread machinery at all.
-        return ranges.pop().map(replay_range).unwrap_or_default();
-    }
-    let jobs: Vec<_> = ranges.into_iter().map(|r| || replay_range(r)).collect();
-    parallel_map(jobs).into_iter().flatten().collect()
-}
-
-/// [`replay_timing_many`] with per-DAG panic isolation: index `i` holds
-/// `Ok(report)` or `Err(panic message)` for `dags[i]`. Chunking matches
-/// [`replay_timing_many`]; the panic fence stays per DAG inside each chunk,
-/// so one poisoned DAG never takes its chunk-mates' results down with it.
-pub fn replay_timing_many_robust(
-    gpu: &GpuConfig,
-    dags: &[&[ExecRecord]],
-) -> Vec<Result<ProfileReport, String>> {
-    let _span = dpcons_obs::span("tune.replay.batch");
-    batched_dags_counter().add(dags.len() as u64);
-    let replay_range = |r: Range<usize>| {
-        dags[r]
-            .iter()
-            .map(|&d| {
-                catch_unwind(AssertUnwindSafe(|| Engine::replay_timing_on(gpu, d)))
-                    .map_err(panic_message)
-            })
-            .collect()
-    };
-    let mut ranges = chunk_ranges(dags, workers());
-    if ranges.len() <= 1 {
         return ranges.pop().map(replay_range).unwrap_or_default();
     }
     let jobs: Vec<_> = ranges.into_iter().map(|r| || replay_range(r)).collect();
@@ -165,11 +143,6 @@ mod tests {
             dags.iter().map(|dag| Engine::replay_timing_on(&cfg.gpu, dag)).collect();
         let parallel = replay_timing_many(&cfg.gpu, &dags);
         assert_eq!(parallel, serial, "per-DAG reports must be identical and in order");
-
-        let robust = replay_timing_many_robust(&cfg.gpu, &dags);
-        for (r, s) in robust.iter().zip(&serial) {
-            assert_eq!(r.as_ref().expect("no replay panics"), s);
-        }
     }
 
     #[test]
@@ -191,7 +164,6 @@ mod tests {
     fn empty_batch_yields_empty_results_and_default_merge() {
         let gpu = dpcons_sim::GpuConfig::k20c();
         assert!(replay_timing_many(&gpu, &[]).is_empty());
-        assert!(replay_timing_many_robust(&gpu, &[]).is_empty());
         assert_eq!(merge_reports(&[]), ProfileReport::default());
     }
 

@@ -14,9 +14,9 @@
 //! device count: only timing depends on a device's structural resources
 //! (`dpcons-sim`'s two-phase engine bakes segment durations into a capture
 //! and applies SM counts, residency limits, concurrency and pending pools at
-//! replay). With further devices the run records its launch DAGs and each
-//! device re-prices them by timing-only replay; with none it records nothing
-//! and costs a plain run. Pinned by `crates/sim/tests/replay_differential.rs`
+//! replay). With further devices the run keeps its launch DAGs and each
+//! device re-prices them by timing-only replay; with none it drops them, as
+//! a plain run does. Pinned by `crates/sim/tests/replay_differential.rs`
 //! (replayed timing ≡ fresh execution) and, in `crates/tune/tests/`, by
 //! `fleet_exec_count.rs` (no extra functional work) and `one_sweep.rs` (the
 //! one-device column ≡ the single-device sweep).
@@ -34,7 +34,7 @@ use crate::cache::{Cache, Fnv64};
 use crate::fault;
 use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
-use crate::replay::{merge_reports, replay_timing_many_robust};
+use crate::replay::{merge_reports, replay_timing_many};
 use crate::report::{CandidateOutcome, Metrics, Status, TuneReport};
 
 /// Candidates evaluated per deterministic wave. Fixed (not tied to the core
@@ -465,9 +465,10 @@ fn evaluate_attempt(
 /// replay on the capture device (pinned bit-exact by
 /// `replay_differential.rs`), so only the other devices need one. Each goes
 /// through the batched parallel entry: every captured host-launch DAG
-/// re-timed concurrently, then merged in launch order, so the result is
-/// bit-identical to a serial `CaptureSet::replay_on`. A panicking replay
-/// poisons only this candidate.
+/// re-timed in record-balanced chunks, then merged in launch order, so the
+/// result is bit-identical to a serial `CaptureSet::replay_on`. A replay
+/// panic is a panic of this candidate's job: the wave's
+/// [`parallel_map_robust`] fence records it as [`Status::Panicked`].
 fn retime(out: &AppOutcome, others: &[GpuConfig]) -> Result<Vec<Metrics>, Status> {
     if others.is_empty() {
         return Ok(Vec::new());
@@ -476,19 +477,10 @@ fn retime(out: &AppOutcome, others: &[GpuConfig]) -> Result<Vec<Metrics>, Status
         return Err(Status::Failed("capture was requested but none was recorded".to_string()));
     };
     let dags: Vec<&[ExecRecord]> = caps.launches.iter().map(|l| l.as_slice()).collect();
-    others
+    Ok(others
         .iter()
-        .map(|d| {
-            let reports = replay_timing_many_robust(d, &dags)
-                .into_iter()
-                .collect::<Result<Vec<_>, String>>()
-                .map_err(|msg| {
-                    dpcons_obs::counter("tune.replay.panicked").inc();
-                    Status::Panicked(format!("timing replay panicked: {msg}"))
-                })?;
-            Ok(metrics_of(&merge_reports(&reports), true))
-        })
-        .collect()
+        .map(|d| metrics_of(&merge_reports(&replay_timing_many(d, &dags)), true))
+        .collect())
 }
 
 fn metrics_of(r: &ProfileReport, output_ok: bool) -> Metrics {
