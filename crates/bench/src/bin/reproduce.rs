@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [fig5] [fig6] [fig7] [fig8] [fig9] [fig10] [ablations] [verify]
-//!           [headline] [tune] [fleet] [golden] [all] [--tune] [--fleet] [--devices a,b,c]
+//!           [headline] [tune] [fleet] [golden] [all] [--devices a,b,c]
 //!           [--profile test|bench] [--markdown] [--json PATH] [--trace PATH]
 //!           [--metrics] [--quiet] [--strict]
 //! ```
@@ -12,19 +12,22 @@
 //! in DESIGN.md; `--profile test` runs a fast smoke pass. `--markdown` emits
 //! GitHub tables (used to build EXPERIMENTS.md).
 //!
-//! `--tune` (or the `tune` experiment name) additionally runs the
-//! `dpcons-tune` directive autotuner over all seven apps and reports
-//! tuned-vs-paper-default speedups. Tuning results are cached under
-//! `.dpcons-tune-cache/`, so a repeated `--tune` run hits the cache and
-//! reproduces the identical report.
+//! The `tune` experiment runs the `dpcons-tune` directive autotuner over all
+//! seven apps and reports tuned-vs-paper-default speedups. Tuning results are
+//! cached under `.dpcons-tune-cache/`, so a repeated `tune` run hits the
+//! cache and reproduces the identical report. `all tune` runs it beside the
+//! default set.
 //!
-//! `--fleet` (or the `fleet` experiment name) runs the device-fleet what-if
-//! sweep: each surviving tuner candidate is captured functionally **once**
-//! and re-timed on every device of `--devices` (default
-//! `k20c,k40,titan,tk1`; names from `dpcons_sim::GpuConfig::registry_names`)
-//! by timing-only replay, followed by a Test→Bench transfer-tuning check.
+//! The `fleet` experiment runs the device-fleet what-if sweep: each surviving
+//! tuner candidate is captured functionally **once** and re-timed on every
+//! device of `--devices` (default `k20c,k40,titan,tk1`; names from
+//! `dpcons_sim::GpuConfig::registry_names`) by timing-only replay, followed by
+//! a Test→Bench transfer-tuning check.
 //! It writes `BENCH_fleet.json`: the knobs × device cycle matrix, per-device
 //! winners, and per-app transfer regret.
+//!
+//! Both records are pretty-printed JSON with sorted object keys
+//! ([`dpcons_obs::jsonv::Value::render_pretty`]), so they diff cleanly.
 //!
 //! The `golden` experiment (not part of the default set) regenerates the
 //! committed golden-datapoint record `tests/golden/datapoints.txt` in place:
@@ -72,7 +75,7 @@ fn usage_err(msg: &str) -> ! {
     eprintln!(
         "usage: reproduce [verify|fig5..fig10|headline|ablations|tune|fleet|golden|all ...] \
          [--profile test|bench] \
-         [--markdown] [--json PATH] [--tune] [--fleet] \
+         [--markdown] [--json PATH] \
          [--devices a,b,c] [--trace PATH] [--metrics] [--quiet] [--strict]"
     );
     std::process::exit(ErrorClass::Usage.exit_code());
@@ -85,9 +88,8 @@ const DEFAULT: [&str; 9] =
 /// The experiments to run, in order, given the names on the command line.
 /// No name, or `all`, selects the default set (everything but the sweeps and
 /// `golden`) followed by any other experiment named; `all` itself is not an
-/// experiment. `--tune`/`--fleet` add their sweep to whatever was selected,
-/// while `tune`/`fleet` as names select only that sweep.
-fn experiments(mut figs: Vec<String>, want_tune: bool, want_fleet: bool) -> Vec<String> {
+/// experiment.
+fn experiments(mut figs: Vec<String>) -> Vec<String> {
     if figs.is_empty() || figs.iter().any(|f| f == "all") {
         let mut all: Vec<String> = DEFAULT.iter().map(|s| s.to_string()).collect();
         for f in figs {
@@ -96,11 +98,6 @@ fn experiments(mut figs: Vec<String>, want_tune: bool, want_fleet: bool) -> Vec<
             }
         }
         figs = all;
-    }
-    for (want, sweep) in [(want_tune, "tune"), (want_fleet, "fleet")] {
-        if want && !figs.iter().any(|f| f == sweep) {
-            figs.push(sweep.to_string());
-        }
     }
     figs
 }
@@ -114,8 +111,6 @@ fn main() {
     let mut metrics = false;
     let mut trace_path: Option<PathBuf> = None;
     let mut json_path = PathBuf::from("BENCH_reproduce.json");
-    let mut want_tune = false;
-    let mut want_fleet = false;
     let mut devices_spec = "k20c,k40,titan,tk1".to_string();
     let mut figs: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -138,8 +133,6 @@ fn main() {
                 Some(p) => json_path = PathBuf::from(p),
                 None => usage_err("--json needs a path"),
             },
-            "--tune" => want_tune = true,
-            "--fleet" => want_fleet = true,
             "--devices" => match it.next() {
                 Some(s) => devices_spec = s.clone(),
                 None => usage_err("--devices needs a comma-separated device list"),
@@ -156,7 +149,7 @@ fn main() {
     if trace_path.is_some() {
         dpcons_obs::set_tracing(true);
     }
-    let figs = experiments(figs, want_tune, want_fleet);
+    let figs = experiments(figs);
 
     let cfg = RunConfig::default();
     let emit = |t: &Table| {
@@ -239,7 +232,8 @@ fn main() {
                 let transfer = transfer_all(&cfg, cache);
                 emit(&transfer_table(&transfer));
                 let fleet_path = PathBuf::from("BENCH_fleet.json");
-                match write_fleet_json(&fleet_path, profile, &cfg, &fleet, &transfer) {
+                let record = fleet_json(profile, &cfg, &fleet, &transfer).render_pretty();
+                match std::fs::write(&fleet_path, record) {
                     Ok(()) => progress(format!("[wrote {}]", fleet_path.display())),
                     Err(e) => eprintln!("[failed to write {}: {e}]", fleet_path.display()),
                 }
@@ -264,7 +258,8 @@ fn main() {
     }
 
     if let Some(matrix) = &matrix {
-        match write_reproduce_json(&json_path, profile, &cfg, matrix, tuned.as_deref()) {
+        let record = reproduce_json(profile, &cfg, matrix, tuned.as_deref()).render_pretty();
+        match std::fs::write(&json_path, record) {
             Ok(()) => progress(format!("[wrote {}]", json_path.display())),
             Err(e) => eprintln!("[failed to write {}: {e}]", json_path.display()),
         }
@@ -322,20 +317,20 @@ mod tests {
     #[test]
     fn all_expands_to_the_default_set_and_is_not_itself_run() {
         let default = names(&DEFAULT);
-        assert_eq!(experiments(names(&["all"]), false, false), default);
-        assert_eq!(experiments(Vec::new(), false, false), default);
+        assert_eq!(experiments(names(&["all"])), default);
+        assert_eq!(experiments(Vec::new()), default);
         let mut with_tune = default.clone();
         with_tune.push("tune".to_string());
-        assert_eq!(experiments(names(&["tune", "all", "fig5"]), false, false), with_tune);
-        assert_eq!(experiments(Vec::new(), true, false), with_tune);
+        assert_eq!(experiments(names(&["tune", "all", "fig5"])), with_tune);
+        assert_eq!(experiments(names(&["all", "tune"])), with_tune);
     }
 
     #[test]
-    fn named_experiments_and_sweep_flags_keep_their_order() {
-        assert_eq!(experiments(names(&["fig5"]), false, true), names(&["fig5", "fleet"]));
-        assert_eq!(experiments(names(&["tune"]), true, false), names(&["tune"]));
+    fn named_experiments_keep_their_order() {
+        assert_eq!(experiments(names(&["fig5", "fleet"])), names(&["fig5", "fleet"]));
+        assert_eq!(experiments(names(&["tune"])), names(&["tune"]));
         assert_eq!(
-            experiments(names(&["golden", "fig6"]), true, true),
+            experiments(names(&["golden", "fig6", "tune", "fleet"])),
             names(&["golden", "fig6", "tune", "fleet"])
         );
     }

@@ -15,21 +15,20 @@
 //! deterministic and single-threaded).
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use dpcons_apps::{all_benchmarks, AppOutcome, Profile, RunConfig, Variant};
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
+use dpcons_obs::jsonv::Value;
 use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{fleet_sweep, transfer_check, tune, Budget, Cache, FleetOptions, TuneOptions};
 
 pub mod golden;
-pub mod json;
 pub mod tables;
 
 pub use dpcons_tune::par::parallel_map;
 pub use dpcons_tune::{FleetReport, TransferReport, TuneReport};
 pub use golden::{golden_diff, golden_path, golden_record};
-pub use json::Json;
 pub use tables::Table;
 
 /// Profiled outcomes of every variant of one benchmark.
@@ -457,7 +456,7 @@ pub fn ablation_threshold(profile: Profile, cfg: &RunConfig) -> Table {
 
 /// Run the directive autotuner over all seven benchmarks (quick knob space,
 /// budgeted). `cache_dir` persists results across `reproduce` invocations so
-/// a repeated `--tune` run is O(1) and reproduces the identical report.
+/// a repeated `tune` run is O(1) and reproduces the identical report.
 pub fn tune_all(
     profile: Profile,
     cfg: &RunConfig,
@@ -667,6 +666,22 @@ pub fn transfer_table(results: &[(String, TransferReport)]) -> Table {
     t
 }
 
+fn num(n: u64) -> Value {
+    Value::Num(n as f64)
+}
+
+fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn profile_name(profile: Profile) -> Value {
+    let name = match profile {
+        Profile::Test => "test",
+        Profile::Bench => "bench",
+    };
+    Value::Str(name.into())
+}
+
 /// Assemble the machine-readable fleet record (`BENCH_fleet.json`): the full
 /// knobs × device cycle matrix per app, per-device winners, and the
 /// Test→Bench transfer check.
@@ -675,96 +690,65 @@ pub fn fleet_json(
     cfg: &RunConfig,
     fleet: &[(String, FleetReport)],
     transfer: &[(String, TransferReport)],
-) -> Json {
+) -> Value {
     let devices: Vec<String> = fleet.first().map(|(_, r)| r.devices.clone()).unwrap_or_default();
-    let apps: Vec<Json> = fleet
+    let apps = fleet
         .iter()
         .map(|(name, r)| {
-            let matrix: Vec<Json> = r
+            let matrix = r
                 .matrix()
                 .map(|(c, cycles)| {
-                    Json::Obj(vec![
-                        ("knobs".into(), Json::s(c.knobs.label())),
-                        (
-                            "cycles".into(),
-                            Json::Obj(
-                                r.devices
-                                    .iter()
-                                    .zip(cycles)
-                                    .map(|(d, cycles)| (d.clone(), Json::U64(cycles)))
-                                    .collect(),
-                            ),
-                        ),
+                    let cycles = r.devices.iter().cloned().zip(cycles.into_iter().map(num));
+                    obj([
+                        ("knobs", Value::Str(c.knobs.label())),
+                        ("cycles", Value::Obj(cycles.collect())),
                     ])
                 })
                 .collect();
-            let winners: Vec<(String, Json)> = r
+            let winners = r
                 .devices
                 .iter()
                 .enumerate()
                 .map(|(d, dev)| {
                     let w = match (r.winner_knobs(d), r.winner_cycles(d)) {
-                        (Some(k), Some(c)) => Json::Obj(vec![
-                            ("knobs".into(), Json::s(k.label())),
-                            ("cycles".into(), Json::U64(c)),
-                        ]),
-                        _ => Json::Null,
+                        (Some(k), Some(c)) => {
+                            obj([("knobs", Value::Str(k.label())), ("cycles", num(c))])
+                        }
+                        _ => Value::Null,
                     };
                     (dev.clone(), w)
                 })
                 .collect();
-            let mut fields = vec![
-                ("name".to_string(), Json::s(name.clone())),
-                ("functional_runs".into(), Json::U64(r.functional_runs)),
-                ("retimings".into(), Json::U64(r.retimings)),
-                ("matrix".into(), Json::Arr(matrix)),
-                ("winners".into(), Json::Obj(winners)),
-            ];
+            let mut fields = BTreeMap::from([
+                ("name".to_string(), Value::Str(name.clone())),
+                ("functional_runs".into(), num(r.functional_runs)),
+                ("retimings".into(), num(r.retimings)),
+                ("matrix".into(), Value::Arr(matrix)),
+                ("winners".into(), Value::Obj(winners)),
+            ]);
             if let Some((_, tr)) = transfer.iter().find(|(n, _)| n == name) {
-                fields.push((
-                    "transfer".into(),
-                    Json::Obj(vec![
-                        ("tuned_on".into(), Json::s("test")),
-                        ("scored_on".into(), Json::s("bench")),
-                        ("test_knobs".into(), Json::s(tr.test_knobs.label())),
-                        (
-                            "transferred_cycles".into(),
-                            tr.transferred_cycles.map(Json::U64).unwrap_or(Json::Null),
-                        ),
-                        ("oracle_knobs".into(), Json::s(tr.oracle_knobs.label())),
-                        ("oracle_cycles".into(), Json::U64(tr.oracle_cycles)),
-                        ("regret".into(), tr.regret().map(Json::F64).unwrap_or(Json::Null)),
-                    ]),
-                ));
+                let transfer = obj([
+                    ("tuned_on", Value::Str("test".into())),
+                    ("scored_on", Value::Str("bench".into())),
+                    ("test_knobs", Value::Str(tr.test_knobs.label())),
+                    ("transferred_cycles", tr.transferred_cycles.map_or(Value::Null, num)),
+                    ("oracle_knobs", Value::Str(tr.oracle_knobs.label())),
+                    ("oracle_cycles", num(tr.oracle_cycles)),
+                    ("regret", tr.regret().map_or(Value::Null, Value::Num)),
+                ]);
+                fields.insert("transfer".into(), transfer);
             }
-            Json::Obj(fields)
+            Value::Obj(fields)
         })
         .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::s("dpcons-bench-fleet-v1")),
-        (
-            "profile".into(),
-            Json::s(match profile {
-                Profile::Test => "test",
-                Profile::Bench => "bench",
-            }),
-        ),
-        ("captured_on".into(), devices.first().map(|d| Json::s(d.clone())).unwrap_or(Json::Null)),
-        ("devices".into(), Json::Arr(devices.iter().map(|d| Json::s(d.clone())).collect())),
-        ("threshold".into(), Json::U64(cfg.threshold as u64)),
-        ("apps".into(), Json::Arr(apps)),
+    obj([
+        ("schema", Value::Str("dpcons-bench-fleet-v1".into())),
+        ("profile", profile_name(profile)),
+        ("captured_on", devices.first().map_or(Value::Null, |d| Value::Str(d.clone()))),
+        ("devices", Value::Arr(devices.into_iter().map(Value::Str).collect())),
+        ("threshold", num(cfg.threshold as u64)),
+        ("apps", Value::Arr(apps)),
     ])
-}
-
-/// Write the fleet record to disk.
-pub fn write_fleet_json(
-    path: &Path,
-    profile: Profile,
-    cfg: &RunConfig,
-    fleet: &[(String, FleetReport)],
-    transfer: &[(String, TransferReport)],
-) -> std::io::Result<()> {
-    std::fs::write(path, fleet_json(profile, cfg, fleet, transfer).render())
 }
 
 /// Assemble the machine-readable reproduction record
@@ -775,76 +759,50 @@ pub fn reproduce_json(
     cfg: &RunConfig,
     matrix: &[AppResults],
     tuned: Option<&[(String, TuneReport)]>,
-) -> Json {
-    let apps: Vec<Json> = matrix
+) -> Value {
+    let apps = matrix
         .iter()
         .map(|app| {
-            let mut cycles: Vec<(String, Json)> = Variant::ALL
+            let mut cycles: BTreeMap<String, Value> = Variant::ALL
                 .iter()
-                .map(|v| (v.label(), Json::U64(app.get(*v).report.total_cycles)))
+                .map(|v| (v.label(), num(app.get(*v).report.total_cycles)))
                 .collect();
-            let mut fields = vec![("name".to_string(), Json::s(app.name))];
+            let mut fields = BTreeMap::from([("name".to_string(), Value::Str(app.name.into()))]);
             let tuned_report =
                 tuned.and_then(|t| t.iter().find(|(n, _)| n == app.name)).map(|(_, r)| r);
             if let Some(r) = tuned_report {
-                cycles.push(("tuned".into(), r.best_cycles().map(Json::U64).unwrap_or(Json::Null)));
-            }
-            fields.push(("cycles".into(), Json::Obj(cycles)));
-            if let Some(r) = tuned_report {
+                cycles.insert("tuned".into(), r.best_cycles().map_or(Value::Null, num));
                 let best_default = Granularity::ALL
                     .iter()
                     .map(|&g| app.get(Variant::Consolidated(g)).report.total_cycles)
                     .min()
                     .unwrap_or(0);
-                fields.push((
-                    "tuned_detail".into(),
-                    Json::Obj(vec![
-                        (
-                            "knobs".into(),
-                            r.best_knobs().map(|k| Json::s(k.label())).unwrap_or(Json::Null),
-                        ),
-                        (
-                            "speedup_over_best_default".into(),
-                            match r.best_cycles() {
-                                Some(c) if c > 0 => Json::F64(best_default as f64 / c as f64),
-                                _ => Json::Null,
-                            },
-                        ),
-                        ("evaluated".into(), Json::U64(r.evaluated as u64)),
-                        ("pruned".into(), Json::U64(r.pruned as u64)),
-                        ("skipped".into(), Json::U64(r.skipped as u64)),
-                        ("collapsed".into(), Json::U64(r.collapsed as u64)),
-                        ("cache_hit".into(), Json::Bool(r.from_cache)),
-                    ]),
-                ));
+                let speedup = match r.best_cycles() {
+                    Some(c) if c > 0 => Value::Num(best_default as f64 / c as f64),
+                    _ => Value::Null,
+                };
+                let detail = obj([
+                    ("knobs", r.best_knobs().map_or(Value::Null, |k| Value::Str(k.label()))),
+                    ("speedup_over_best_default", speedup),
+                    ("evaluated", num(r.evaluated as u64)),
+                    ("pruned", num(r.pruned as u64)),
+                    ("skipped", num(r.skipped as u64)),
+                    ("collapsed", num(r.collapsed as u64)),
+                    ("cache_hit", Value::Bool(r.from_cache)),
+                ]);
+                fields.insert("tuned_detail".into(), detail);
             }
-            Json::Obj(fields)
+            fields.insert("cycles".into(), Value::Obj(cycles));
+            Value::Obj(fields)
         })
         .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::s("dpcons-bench-reproduce-v1")),
-        (
-            "profile".into(),
-            Json::s(match profile {
-                Profile::Test => "test",
-                Profile::Bench => "bench",
-            }),
-        ),
-        ("gpu".into(), Json::s(cfg.gpu.name.clone())),
-        ("threshold".into(), Json::U64(cfg.threshold as u64)),
-        ("apps".into(), Json::Arr(apps)),
+    obj([
+        ("schema", Value::Str("dpcons-bench-reproduce-v1".into())),
+        ("profile", profile_name(profile)),
+        ("gpu", Value::Str(cfg.gpu.name.clone())),
+        ("threshold", num(cfg.threshold as u64)),
+        ("apps", Value::Arr(apps)),
     ])
-}
-
-/// Write the reproduction record to disk.
-pub fn write_reproduce_json(
-    path: &Path,
-    profile: Profile,
-    cfg: &RunConfig,
-    matrix: &[AppResults],
-    tuned: Option<&[(String, TuneReport)]>,
-) -> std::io::Result<()> {
-    std::fs::write(path, reproduce_json(profile, cfg, matrix, tuned).render())
 }
 
 #[cfg(test)]
@@ -863,7 +821,7 @@ mod tests {
         let cfg = RunConfig::default();
         let matrix = overall_matrix(Profile::Test, &cfg);
         let j = reproduce_json(Profile::Test, &cfg, &matrix, None);
-        let text = j.render();
+        let text = j.render_pretty();
         for app in ["SSSP", "SpMV", "PageRank"] {
             assert!(text.contains(&format!("\"name\": \"{app}\"")), "{app} missing");
         }

@@ -209,26 +209,6 @@ impl KnobSpace {
         }
     }
 
-    /// The full Figs. 5–6-style ablation grid.
-    pub fn paper(sms: u32) -> KnobSpace {
-        KnobSpace {
-            granularities: Granularity::ALL.to_vec(),
-            buffers: vec![BufferKind::Custom, BufferKind::Halloc, BufferKind::Default],
-            per_buffer_sizes: vec![None, Some(64), Some(256), Some(1024)],
-            configs: vec![
-                None,
-                Some((1, 64)),
-                Some((1, 256)),
-                Some((sms, 64)),
-                Some((sms, 128)),
-                Some((sms, 256)),
-                Some((2 * sms, 128)),
-                Some((4 * sms, 256)),
-                Some((8 * sms, 256)),
-            ],
-        }
-    }
-
     /// Upper bound on the number of enumerated candidates.
     pub fn len(&self) -> usize {
         self.granularities.len()

@@ -1,13 +1,15 @@
-//! Minimal recursive-descent JSON parser.
+//! The workspace's JSON implementation: one [`Value`] tree, a strict
+//! recursive-descent [`parse`]r and two renderings of one tree walker.
 //!
-//! The workspace has no serde (offline, zero-dep policy), but CI needs to
-//! prove that emitted trace files are *well-formed JSON*, not just that our
-//! own emitter and checker agree on a string format. This is a small strict
-//! parser — objects, arrays, strings with escapes, numbers, literals — that
-//! parses into a [`Value`] tree for the validators in [`crate::chrome`].
-//! It is a test/validation tool, not a general-purpose parser: numbers are
-//! held as `f64` and non-ASCII `\u` escapes outside the BMP are rejected
-//! only when malformed, matching what our emitters produce.
+//! The workspace has no serde (offline, zero-dep policy), so everything JSON
+//! goes through here: the `dpcons-serve` wire format and NDJSON progress
+//! stream use the compact [`Value::render`], the committed `BENCH_*.json`
+//! records use [`Value::render_pretty`], and the validators in
+//! [`crate::chrome`] parse emitted trace files to prove they are well-formed.
+//! Objects are `BTreeMap`s, so keys always come out sorted and every
+//! rendering is deterministic. Numbers are held as `f64`; non-ASCII `\u`
+//! escapes outside the BMP are rejected only when malformed, matching what
+//! the emitters produce.
 
 use std::collections::BTreeMap;
 
@@ -62,11 +64,23 @@ impl Value {
     /// round-trips through [`parse`].
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Render this value as [`Value::render`] does, but one element per line
+    /// with two-space indentation, `": "` after each key and a trailing
+    /// newline: the form of the committed `BENCH_*.json` records.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// The one tree walker of both renderings: `indent` is `None` for the
+    /// compact form, else the nesting depth of `self`.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -83,29 +97,48 @@ impl Value {
             }
             Value::Str(s) => render_str(s, out),
             Value::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
-                }
-                out.push(']');
+                render_items(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
             }
-            Value::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            Value::Obj(map) => render_items(
+                out,
+                indent,
+                ['{', '}'],
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// The elements of an array (no keys) or object between `brackets`.
+fn render_items<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Value)>,
+) {
+    let inner = indent.map(|d| d + 1);
+    let mut empty = true;
+    out.push(brackets[0]);
+    for (key, v) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(d) = inner {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d));
+        }
+        if let Some(k) = key {
+            render_str(k, out);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        v.render_into(out, inner);
+    }
+    if let (false, Some(d)) = (empty, indent) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
+    }
+    out.push(brackets[1]);
 }
 
 /// Append `s` to `out` as a quoted JSON string: `"` and `\` backslash-escaped,
@@ -359,7 +392,16 @@ mod tests {
             let v = parse(doc).unwrap();
             let emitted = v.render();
             assert_eq!(parse(&emitted).unwrap(), v, "round-trip failed for {doc}");
+            assert_eq!(parse(&v.render_pretty()).unwrap(), v, "pretty round-trip failed for {doc}");
         }
+    }
+
+    #[test]
+    fn render_pretty_puts_one_element_per_line() {
+        let v = parse(r#"{"b":[1,"x"],"a":{},"c":[],"d":{"e":null}}"#).unwrap();
+        let want = "{\n  \"a\": {},\n  \"b\": [\n    1,\n    \"x\"\n  ],\n  \"c\": [],\n  \"d\": {\n    \"e\": null\n  }\n}\n";
+        assert_eq!(v.render_pretty(), want);
+        assert_eq!(Value::Num(2.0).render_pretty(), "2\n");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! configuration, the knob space, the search budget, and the full description
 //! (cost model included) of every device priced. Two layers: a process-wide
 //! in-memory map, and an optional on-disk directory (one file per key,
-//! written atomically) so repeated `--tune`/`--fleet` invocations across
+//! written atomically) so repeated `tune`/`fleet` invocations across
 //! processes are O(1). There is one entry format for every sweep, the
 //! byte-exact [`TuneReport::to_text`] form; a hit reparses it, so a cached
 //! report is guaranteed identical to what the original sweep produced, and an
@@ -270,6 +270,14 @@ impl Cache {
     /// (tmp + rename); on I/O failure the handle degrades to memory-only with
     /// one warning — the cache is an accelerator, not a correctness
     /// dependency.
+    ///
+    /// Cost, on a 2-core Linux VM with ext4, over 24 puts of a 4.8 kB SSSP
+    /// report into a fresh directory: 110–260 µs, about half of it
+    /// `to_text` (57–96 µs); `create_dir_all` 16–137 µs, the write 18–212 µs,
+    /// the rename 7–19 µs. There is no `fsync`; the rare 1 ms+ put is one of
+    /// those metadata calls stalling in the filesystem, not the cache's own
+    /// work. The tmp + rename stays: it is what keeps a reader from ever
+    /// seeing a half-written entry.
     pub fn put(&self, key: u64, report: &TuneReport) {
         cache_counters().2.inc();
         let text = report.to_text();

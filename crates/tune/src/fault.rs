@@ -46,9 +46,6 @@ pub struct FaultPlan {
     pub delay_rate: f64,
     /// Length of the injected delay in milliseconds.
     pub delay_ms: u64,
-    /// Probability the *first* attempt fails with a transient error (the
-    /// bounded-retry path then succeeds on attempt 1).
-    pub transient_rate: f64,
     /// Probability a freshly written cache file is corrupted on disk.
     pub cache_corrupt_rate: f64,
 }
@@ -63,7 +60,6 @@ impl FaultPlan {
             fuel_steps: 4,
             delay_rate: 0.0,
             delay_ms: 5,
-            transient_rate: 0.0,
             cache_corrupt_rate: 0.0,
         }
     }
@@ -132,28 +128,20 @@ fn roll(plan: &FaultPlan, kind: &str, app: &str, label: &str) -> f64 {
 }
 
 /// Whether the plan faults this candidate in a way that changes its sweep
-/// outcome (panic or fuel exhaustion — transients are retried away and
-/// delays only matter under a soft deadline). Used by tests to predict
-/// which report rows may legitimately differ from a fault-free run.
+/// outcome (panic or fuel exhaustion — delays only matter under a soft
+/// deadline). Used by tests to predict which report rows may legitimately
+/// differ from a fault-free run.
 pub fn outcome_faulted(plan: &FaultPlan, app: &str, label: &str) -> bool {
     roll(plan, "panic", app, label) < plan.panic_rate
         || roll(plan, "fuel", app, label) < plan.fuel_rate
 }
 
-/// Candidate-evaluation hook, called once per attempt before the run.
+/// Candidate-evaluation hook, called once per candidate before the run.
 ///
-/// In order: injects an artificial delay, clamps the fuel budget, fails
-/// transiently (attempt 0 only, so the bounded retry recovers), or panics.
-/// Returns `Err` with a message containing `"transient"` for the transient
-/// class, matching the tuner's retry predicate.
-pub fn before_candidate(
-    app: &str,
-    label: &str,
-    attempt: u32,
-    fuel: &mut Option<u64>,
-) -> Result<(), String> {
+/// In order: injects an artificial delay, clamps the fuel budget, or panics.
+pub fn before_candidate(app: &str, label: &str, fuel: &mut Option<u64>) {
     let Some(plan) = current() else {
-        return Ok(());
+        return;
     };
     if roll(&plan, "delay", app, label) < plan.delay_rate {
         dpcons_obs::counter("tune.fault.injected.delay").inc();
@@ -163,15 +151,10 @@ pub fn before_candidate(
         dpcons_obs::counter("tune.fault.injected.fuel").inc();
         *fuel = Some(plan.fuel_steps);
     }
-    if attempt == 0 && roll(&plan, "transient", app, label) < plan.transient_rate {
-        dpcons_obs::counter("tune.fault.injected.transient").inc();
-        return Err(format!("injected transient failure (plan seed {})", plan.seed));
-    }
     if roll(&plan, "panic", app, label) < plan.panic_rate {
         dpcons_obs::counter("tune.fault.injected.panic").inc();
         panic!("injected candidate panic for {app} {label} (plan seed {})", plan.seed);
     }
-    Ok(())
 }
 
 /// Cache-write hook: after `path` is durably written for `key`, maybe
@@ -199,7 +182,7 @@ mod tests {
         let _serial = campaign_lock();
         assert!(current().is_none());
         let mut fuel = None;
-        assert!(before_candidate("bfs", "grid/default", 0, &mut fuel).is_ok());
+        before_candidate("bfs", "grid/default", &mut fuel);
         assert_eq!(fuel, None);
     }
 
@@ -220,7 +203,7 @@ mod tests {
         {
             let _scope = install(FaultPlan { fuel_rate: 1.0, ..FaultPlan::new(1) });
             let mut fuel = None;
-            assert!(before_candidate("bfs", "grid/default", 0, &mut fuel).is_ok());
+            before_candidate("bfs", "grid/default", &mut fuel);
             assert_eq!(fuel, Some(4));
         }
         let _serial = campaign_lock();
@@ -228,21 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_fire_only_on_the_first_attempt() {
-        let _scope = install(FaultPlan { transient_rate: 1.0, ..FaultPlan::new(2) });
-        let mut fuel = None;
-        let err =
-            before_candidate("bfs", "grid/default", 0, &mut fuel).expect_err("attempt 0 must fail");
-        assert!(err.contains("transient"));
-        assert!(before_candidate("bfs", "grid/default", 1, &mut fuel).is_ok());
-    }
-
-    #[test]
     fn panic_faults_panic_with_a_recognizable_message() {
         let _scope = install(FaultPlan { panic_rate: 1.0, ..FaultPlan::new(3) });
         let err = std::panic::catch_unwind(|| {
             let mut fuel = None;
-            let _ = before_candidate("bfs", "grid/default", 0, &mut fuel);
+            before_candidate("bfs", "grid/default", &mut fuel);
         })
         .expect_err("must panic");
         let msg = err.downcast_ref::<String>().expect("string payload");

@@ -38,21 +38,21 @@
 //!
 //! End-to-end integration: `dpcons_apps::Variant::ConsolidatedTuned` runs a
 //! benchmark under tuned knobs ([`run_tuned`] searches then launches),
-//! `reproduce --tune` sweeps all seven apps and reports tuned-vs-default
+//! `reproduce tune` sweeps all seven apps and reports tuned-vs-default
 //! speedups, and `examples/autotune.rs` demonstrates the flow.
 //!
 //! [`fleet`] holds the multi-device entry point — it only adds the check
 //! that every device can replay a capture from the first — and
 //! [`transfer_check`], which re-scores Test-profile-tuned knobs on the Bench
 //! profile and reports the regret against that profile's own oracle sweep.
-//! `reproduce --fleet` and `examples/fleet.rs` drive both end to end.
+//! `reproduce fleet` and `examples/fleet.rs` drive both end to end.
 //!
 //! The sweep substrate is **fault-tolerant**: candidate panics are isolated
 //! per job ([`par::parallel_map_robust`]) and recorded as
 //! [`Status::Panicked`]; runaway candidates are stopped by a deterministic
 //! fuel budget and a wall-clock soft deadline ([`Budget::fuel`],
 //! [`Budget::max_candidate_ms`]) and recorded as [`Status::TimedOut`];
-//! transient failures get one bounded retry; and the disk cache validates a
+//! and the disk cache validates a
 //! checksummed envelope on every read, quarantining corrupt entries to
 //! `*.corrupt` and degrading to memory-only when the directory is
 //! unwritable. The [`fault`] module injects all of these fault classes

