@@ -1,7 +1,7 @@
 //! Golden datapoints: every deterministic simulated fact of the test profile,
 //! one line per app × {basic-dp, no-dp, every [`enumerate_candidates`] point
 //! of `KnobSpace::quick`}, captured on the default device and re-timed on
-//! [`DEVICES`]. A line is `APP LABEL output=<hash> dag=<hash> <every
+//! `DEVICES`. A line is `APP LABEL output=<hash> dag=<hash> <every
 //! ProfileReport field> <device>=<cycles>…`, or `APP LABEL error=<text>`.
 //! The record is committed as `tests/golden/datapoints.txt`, checked by the
 //! root package's `tests/golden.rs` and regenerated by `reproduce golden`.

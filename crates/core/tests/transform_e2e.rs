@@ -556,8 +556,8 @@ fn observe_grid(
             e.mem.fill(pool, garbage).unwrap();
         }
         reset_launch(&mut e, &mut prep).unwrap();
-        let records = e.capture(prep.spec.clone()).unwrap();
-        reports.push(e.replay_timing(&records));
+        let (report, records) = e.launch_traced(prep.spec.clone()).unwrap();
+        reports.push(report);
         dags.push(records);
     }
     let arrays = handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();

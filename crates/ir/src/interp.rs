@@ -28,7 +28,7 @@
 //!   implementation, kept as the differential oracle and reachable via
 //!   `DPCONS_INTERP=tree` (or [`set_engine_override`]).
 //!
-//! Both funnel their warp traces through the same [`assemble_block`], so the
+//! Both funnel their warp traces through the same `assemble_block`, so the
 //! segment/phase assembly cannot diverge between them.
 
 use std::collections::HashMap;

@@ -8,7 +8,7 @@
 //! `Condvar` over its queue and stop flag — both under one mutex, so neither
 //! an enqueue nor the stop can slip between a worker's check and its wait.
 //! Drain sets the flags, then joins the workers against a deadline
-//! ([`Threads`]).
+//! (`Threads`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -138,7 +138,7 @@ pub struct Pool {
 
 impl Pool {
     /// Spawn `shards` worker threads draining their own queues into
-    /// [`execute`].
+    /// `execute`.
     pub fn start(shards: usize, registry: Arc<Registry>, cache: CacheMode) -> (Pool, Submitter) {
         let shards: Arc<[Shard]> = (0..shards.max(1)).map(|_| Shard::default()).collect();
         let mut workers = Threads::new();

@@ -1,10 +1,11 @@
-//! Daemon API coverage: typed 4xx errors, progress streaming, metrics,
-//! fault-injected jobs failing without killing the server, the
-//! drain-on-shutdown lifecycle, and the waits being waits: nothing a client
-//! does costs a poll interval, and nothing blocks shutdown.
+//! Daemon API coverage: typed 4xx errors, progress streaming, metrics, a
+//! faulted job failing without killing the server, the drain-on-shutdown
+//! lifecycle, and the waits being waits: nothing a client does costs a poll
+//! interval, and nothing blocks shutdown.
 //!
-//! `tune::fault` installs a process-global plan, so the tests serialize on
-//! one mutex (the same discipline as `crates/tune/tests/fault_injection.rs`).
+//! Every fault here is one a client can cause: a fuel budget too small for
+//! any candidate to finish. One test counts process-wide functional
+//! executions and others time requests, so the tests serialize on one mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -13,7 +14,6 @@ use std::time::{Duration, Instant};
 
 use dpcons_serve::pool::CacheMode;
 use dpcons_serve::{serve, Client, ErrorClass, ServerConfig};
-use dpcons_tune::fault::{self, FaultPlan};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -142,26 +142,35 @@ fn jobs_stream_progress_and_feed_metrics() {
 }
 
 #[test]
-fn fault_injected_job_fails_without_killing_the_server() {
+fn a_faulted_job_fails_without_killing_the_server() {
     let _guard = serialize();
     let (handle, client) = start();
 
-    // Every candidate evaluation panics: the sweep completes with no
-    // feasible winner, the job reports `failed`, the server stays up.
-    {
-        let _scope = fault::install(FaultPlan { panic_rate: 1.0, ..FaultPlan::new(7) });
-        let sub = client.submit("tune", &Client::tune_body("SSSP", "k20c", 8)).unwrap();
-        let err = client.wait(sub.job, Duration::from_secs(120)).unwrap_err();
+    // A one-step fuel budget times every candidate out: the sweep completes
+    // with no feasible winner, the job reports `failed`, the server stays up.
+    let starved = dpcons_obs::jsonv::parse(
+        r#"{"app":"SSSP","device":"k20c","budget":{"max_evals":8,"fuel":1}}"#,
+    )
+    .unwrap();
+    let fails = |job: u64| {
+        let err = client.wait(job, Duration::from_secs(120)).unwrap_err();
         assert_eq!(err.class, ErrorClass::Faulted, "{err}");
-        let view = client.job(sub.job).unwrap();
+        let view = client.job(job).unwrap();
         assert_eq!(view.get("status").and_then(|s| s.as_str()), Some("failed"));
-    }
-
-    // The plan is uninstalled; the same request now succeeds — proving both
-    // that the server survived and that a failed job released its dedup key.
+    };
+    let sub = client.submit("tune", &starved).unwrap();
+    fails(sub.job);
     assert!(client.healthz().is_ok(), "server must still answer after a failed job");
+
+    // The failed job released its dedup key: the same body is a new job,
+    // which fails the same way.
+    let again = client.submit("tune", &starved).unwrap();
+    assert!(!again.deduped, "a failed job must not hold the dedup key");
+    assert_ne!(again.job, sub.job);
+    fails(again.job);
+
+    // A normal body still finishes.
     let sub = client.submit("tune", &Client::tune_body("SSSP", "k20c", 8)).unwrap();
-    assert!(!sub.deduped, "a failed job must not hold the dedup key");
     let view = client.wait(sub.job, Duration::from_secs(120)).unwrap();
     assert_eq!(view.get("status").and_then(|s| s.as_str()), Some("done"));
 
@@ -194,10 +203,10 @@ fn a_stream_opened_before_the_drain_still_gets_its_terminal_line() {
     let _guard = serialize();
     let (handle, client) = start();
 
-    // Every candidate stalls, so the job is still running when the drain
-    // begins however fast the machine is.
-    let _scope = fault::install(FaultPlan { delay_rate: 1.0, delay_ms: 100, ..FaultPlan::new(3) });
-    let sub = client.submit("tune", &Client::tune_body("TH", "k20c", 8)).unwrap();
+    // A four-device fleet sweep: long enough (about half a second) that the
+    // job is still running when the drain begins, which is checked below.
+    let body = Client::fleet_body("TH", &["k20c", "k40", "titan", "tk1"], 64);
+    let sub = client.submit("fleet", &body).unwrap();
 
     // Open the stream by hand and read the status line: once it is here the
     // server is inside the stream, before the drain is requested.
@@ -209,6 +218,12 @@ fn a_stream_opened_before_the_drain_still_gets_its_terminal_line() {
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
 
     client.shutdown_server().unwrap();
+    let view = client.job(sub.job).unwrap();
+    let status = view.get("status").and_then(|s| s.as_str());
+    assert!(
+        matches!(status, Some("queued" | "running")),
+        "the job must still be in flight when the drain begins: {status:?}"
+    );
     let mut rest = String::new();
     reader.read_to_string(&mut rest).unwrap();
     assert!(

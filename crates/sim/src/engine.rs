@@ -54,9 +54,9 @@ fn replays_counter() -> &'static obs::Counter {
 }
 
 /// Total functional kernel executions so far in this process. Timing-only
-/// replays ([`Engine::replay_timing`], [`Engine::replay_timing_on`]) never
-/// advance this counter, so tests can prove that what-if re-timing across a
-/// device fleet adds no functional work.
+/// replays ([`Engine::replay_timing_on`]) never advance this counter, so
+/// tests can prove that what-if re-timing across a device fleet adds no
+/// functional work.
 pub fn functional_execs_total() -> u64 {
     functional_execs_counter().get()
 }
@@ -144,21 +144,16 @@ impl Engine {
 
     /// Run only the **functional phase**: execute the launch DAG
     /// deterministically, mutating device memory, and return the captured
-    /// [`ExecRecord`]s without timing them. Pair with [`Engine::replay_timing`]
-    /// to obtain the profile; callers that want to re-time one functional
-    /// execution several times (e.g. the `dpcons-tune` sweep de-duplicating
-    /// functionally-identical directive candidates, or what-if re-timing on a
-    /// different device description) can do so without paying the functional
-    /// re-execution.
-    pub fn capture(&mut self, spec: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
+    /// [`ExecRecord`]s without timing them.
+    fn capture(&mut self, spec: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
         let _span = obs::span("sim.capture");
         self.functional_phase(spec)
     }
 
-    /// Timing-only replay of a previously [`Engine::capture`]d launch DAG on
-    /// this engine's device. Launch counters are derived from the records;
-    /// allocator statistics are not filled in (they belong to the capture).
-    pub fn replay_timing(&self, records: &[ExecRecord]) -> ProfileReport {
+    /// Timing-only replay of a captured launch DAG on this engine's device.
+    /// Launch counters are derived from the records; allocator statistics
+    /// are not filled in (they belong to the capture).
+    fn replay_timing(&self, records: &[ExecRecord]) -> ProfileReport {
         Self::replay_timing_on(&self.gpu, records)
     }
 

@@ -118,7 +118,11 @@ type Capture = (Vec<ExecRecord>, Vec<i64>, ProfileReport);
 fn capture(build: fn() -> (Engine, LaunchSpec, ArrayId)) -> Capture {
     let (mut e, spec, out) = build();
     let (report, records) = e.launch_traced(spec).expect("app captures");
-    assert_eq!(e.replay_timing(&records), report, "replay of the kept records diverged");
+    assert_eq!(
+        Engine::replay_timing_on(&e.gpu, &records),
+        report,
+        "replay of the kept records diverged"
+    );
     (records, e.mem.slice(out).expect("output array").to_vec(), report)
 }
 

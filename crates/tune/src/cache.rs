@@ -25,10 +25,9 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::fault;
 use crate::report::TuneReport;
 
 /// FNV-1a over a byte stream — stable across platforms and Rust versions
@@ -290,12 +289,15 @@ impl Cache {
     }
 
     fn write_disk(dir: &Path, key: u64, text: &str) -> Result<(), String> {
+        // One temp file per write, not per process: two threads putting the
+        // same key must not truncate each other's file or race its rename.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(dir).map_err(|e| format!("create dir: {e}"))?;
-        let tmp = dir.join(format!(".{key:016x}.{}.tmp", std::process::id()));
+        let seq = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".{key:016x}.{}.{seq}.tmp", std::process::id()));
         std::fs::write(&tmp, encode_envelope(text)).map_err(|e| format!("write: {e}"))?;
         let path = Self::path_for(dir, key);
         std::fs::rename(&tmp, &path).map_err(|e| format!("rename: {e}"))?;
-        fault::maybe_corrupt_cache_file(key, &path);
         Ok(())
     }
 

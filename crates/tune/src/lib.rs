@@ -52,11 +52,11 @@
 //! [`Status::Panicked`]; runaway candidates are stopped by a deterministic
 //! fuel budget and a wall-clock soft deadline ([`Budget::fuel`],
 //! [`Budget::max_candidate_ms`]) and recorded as [`Status::TimedOut`];
-//! and the disk cache validates a
-//! checksummed envelope on every read, quarantining corrupt entries to
-//! `*.corrupt` and degrading to memory-only when the directory is
-//! unwritable. The [`fault`] module injects all of these fault classes
-//! deterministically so the behavior is pinned by tests.
+//! and the disk cache validates a checksummed envelope on every read,
+//! quarantining corrupt entries to `*.corrupt` and degrading to memory-only
+//! when the directory is unwritable. Production code carries no fault
+//! hooks: the tests provoke every one of these fault classes from outside,
+//! through a [`dpcons_apps::Benchmark`] wrapper and by damaging cache files.
 
 // Sweeps must survive bad candidates, so the non-test library code is not
 // allowed to panic through `unwrap`/`expect` — fault outcomes are data, not
@@ -64,7 +64,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod fault;
 pub mod fleet;
 pub mod knobs;
 pub mod par;
@@ -73,7 +72,6 @@ pub mod report;
 pub mod tuner;
 
 pub use cache::{fnv1a, Cache, Fnv64};
-pub use fault::{FaultPlan, FaultScope};
 pub use fleet::{
     fleet_sweep, fleet_sweep_with_progress, transfer_check, FleetError, FleetOptions,
     TransferReport,

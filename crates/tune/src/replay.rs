@@ -11,7 +11,7 @@
 //!
 //! The batch is not one thread-pool job per DAG: DAGs are grouped into at
 //! most one **contiguous, record-count-balanced chunk per worker**
-//! ([`chunk_ranges`]), so the per-job overhead (closure dispatch, panic
+//! (`chunk_ranges`), so the per-job overhead (closure dispatch, panic
 //! fence, result slotting) amortizes over a whole chunk instead of repeating
 //! for every tiny DAG — a capture holds hundreds of single-kernel launches
 //! for a few big ones. A single-chunk batch (one core, or fewer records

@@ -6,7 +6,7 @@
 //! type). It lists every enumerated candidate with what happened to it
 //! (evaluated, pruned, faulted, or skipped by the search budget), the
 //! optional baseline runs, and one winner per device; the counts and the
-//! winners are functions of the rows ([`TuneReport::new`]), so they cannot
+//! winners are functions of the rows (`TuneReport::new`), so they cannot
 //! disagree with them, in a sweep or in a cache file. A candidate runs
 //! functionally once, on `devices[0]` (the capture device); its row holds
 //! that run's [`Metrics`] plus one more [`Metrics`] for each further device,

@@ -2,7 +2,7 @@
 //!
 //! Every search in this crate — a single-device [`tune`], a multi-device
 //! [`crate::fleet_sweep`], and through them `reproduce tune`/`fleet` and
-//! the `dpcons-serve` daemon — is the private [`sweep`] below; `tune` is the
+//! the `dpcons-serve` daemon — is the private `sweep` below; `tune` is the
 //! sweep over `[base.gpu]`. Its stages: key the request ([`cache_key_for`])
 //! and look the results cache up → enumerate the knob space, collapsing
 //! redundant grid-level combinations → prune infeasible points with the
@@ -31,7 +31,6 @@ use dpcons_core::{
 use dpcons_sim::{AllocKind, ExecRecord, GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
-use crate::fault;
 use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
 use crate::replay::{merge_reports, replay_timing_many};
@@ -140,8 +139,8 @@ pub enum TuneError {
     /// The budget is structurally unusable (e.g. `max_evals == Some(0)`).
     InvalidBudget { reason: &'static str },
     /// Re-running the sweep winner failed — only possible when the
-    /// environment changed between the sweep and the rerun (e.g. fault
-    /// injection is active).
+    /// environment changed between the sweep and the rerun, or the
+    /// benchmark's runs are not deterministic.
     WinnerFailed { app: String, error: String },
 }
 
@@ -385,11 +384,13 @@ pub fn evaluate_candidate(
 }
 
 /// Run one candidate under the full watchdog and price it on `base.gpu` plus
-/// `others`: fuel/deadline enforcement from `budget` and fault-injection
-/// hooks. A failure is final: the simulator is deterministic, so a rerun
-/// would fail identically. Panics are *not* caught here — the parallel sweep
-/// driver isolates them per job ([`crate::par::parallel_map_robust`]) and
-/// records them as [`Status::Panicked`].
+/// `others`: fuel/deadline enforcement from `budget`. A failure is final: the
+/// simulator is deterministic, so a rerun would fail identically. Panics are
+/// *not* caught here — the parallel sweep driver isolates them per job
+/// ([`crate::par::parallel_map_robust`]) and records them as
+/// [`Status::Panicked`]. There is no fault hook: tests provoke panics, fuel
+/// exhaustion and delays through a `Benchmark` of their own that wraps a
+/// real app (`tests/fault_injection.rs`).
 fn evaluate(
     app: &dyn Benchmark,
     base: &RunConfig,
@@ -402,8 +403,7 @@ fn evaluate(
     static HIST: std::sync::OnceLock<&'static dpcons_obs::Histogram> = std::sync::OnceLock::new();
     let hist = HIST.get_or_init(|| dpcons_obs::histogram("tune.candidate_us"));
     let started = std::time::Instant::now();
-    let mut cfg = attempt_config(base, k, others, budget);
-    fault::before_candidate(app.name(), &k.label(), &mut cfg.fuel);
+    let cfg = attempt_config(base, k, others, budget);
     let mut retimed = Vec::new();
     let status = match app.run(Variant::ConsolidatedTuned, &cfg) {
         Ok(out) => {
@@ -469,7 +469,7 @@ fn metrics_of(r: &ProfileReport, output_ok: bool) -> Metrics {
     }
 }
 
-/// The canonical sweep key: the exact normalization [`sweep`] uses for both
+/// The canonical sweep key: the exact normalization the sweep uses for both
 /// the in-process dedup layer and the disk cache, whatever the device count.
 /// Any out-of-process deduplication (e.g. a serving front end) must derive
 /// its key through this function so the two layers can never disagree.
@@ -676,7 +676,7 @@ pub fn run_tuned(
         .ok_or_else(|| TuneError::NoFeasibleCandidate { app: app.name().to_string() })?;
     let cfg = candidate_config(&opts.base, &knobs);
     // The winner evaluated successfully during the sweep, so this rerun can
-    // only fail if the environment changed in between (e.g. fault injection).
+    // only fail if the environment changed in between.
     let out = app.run(Variant::ConsolidatedTuned, &cfg).map_err(|e| TuneError::WinnerFailed {
         app: app.name().to_string(),
         error: e.to_string(),

@@ -1,8 +1,8 @@
-//! Degraded-environment coverage (ISSUE 7 satellite): broken filesystems and
+//! Degraded-environment coverage: broken filesystems, racing writers and
 //! malformed inputs must downgrade gracefully — memory-only caching, typed
 //! errors — never panic or abort a sweep.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons_core::{BufferKind, Granularity, KnobSpace};
@@ -128,6 +128,43 @@ fn truncated_and_stale_schema_cache_files_are_misses_and_quarantined() {
         Cache::clear_memory();
         assert!(tune(&app, &o).expect("warm sweep").from_cache);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_puts_of_one_key_keep_the_disk_layer() {
+    let _memory = memory_layer();
+    let dir = std::env::temp_dir().join(format!("dpcons-putrace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut o = opts();
+    o.base.threshold += 37; // unique cache key within this test binary
+    let report = tune(&sssp(), &o).expect("sweep");
+
+    // Each round, four threads released together put the same entry
+    // through a fresh handle (a disabled one stays disabled). Writers that
+    // shared one temp file name truncated each other's file, and the losing
+    // rename turned the disk layer off.
+    for round in 0..50 {
+        let cache = Cache::new(Some(dir.clone()));
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    cache.put(report.key, &report)
+                });
+            }
+        });
+        assert!(!cache.disk_disabled(), "round {round}: a racing put disabled the disk layer");
+        Cache::clear_memory();
+        assert_eq!(cache.get(report.key).as_ref(), Some(&report), "round {round}: disk hit");
+    }
+    let leftovers = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        .count();
+    assert_eq!(leftovers, 0, "every temp file was renamed into place");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

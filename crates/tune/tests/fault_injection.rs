@@ -1,6 +1,6 @@
-//! Fault-injection proof for the robust sweep substrate (ISSUE 7 tentpole):
-//! under deterministically injected candidate panics, fuel exhaustion,
-//! artificial delays, and cache corruption, sweeps must
+//! Fault-injection proof for the robust sweep substrate: under candidate
+//! panics, fuel exhaustion, artificial delays, failing baselines and
+//! corrupted cache files, sweeps must
 //!
 //! * still complete and return a report,
 //! * record every faulted candidate with its outcome class
@@ -8,19 +8,27 @@
 //! * pick the same winner as the fault-free sweep whenever the winner itself
 //!   was not faulted.
 //!
-//! Injection decisions are pure functions of `(plan seed, kind, app,
-//! candidate label)`, so everything in here is deterministic — no flaky
-//! probabilistic assertions. The fault plan is process-global, so every
-//! sweep below runs inside a `fault::install` scope (a zero-rate plan is a
-//! behavioral no-op); scopes serialize on an internal lock, which keeps
-//! concurrently running tests from seeing each other's plans.
+//! The library has no fault hooks. Faults come from outside it: [`Faulty`]
+//! is a `Benchmark` that wraps the real SSSP app and misbehaves for the
+//! candidates it names by knobs label, and the cache tests overwrite the
+//! entry file a sweep wrote. Fault sets are explicit labels taken from a
+//! fault-free sweep, so every assertion is deterministic.
+//!
+//! Tests run in parallel threads. Each cache test has its own cache key (its
+//! own `threshold`) and directory, and none expects a hit from the
+//! process-global memory layer, so one test clearing that layer cannot
+//! change another's outcome.
 
-use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp};
-use dpcons_core::{BufferKind, Granularity, KnobSpace};
+use std::collections::HashMap;
+use std::time::Duration;
+
+use dpcons_apps::{
+    datasets, AppError, AppOutcome, Benchmark, Profile, RunConfig, Sssp, TuneModel, Variant,
+};
+use dpcons_core::{BufferKind, ConfigPolicy, Granularity, KnobSpace};
 use dpcons_sim::GpuConfig;
-use dpcons_tune::fault::{self, FaultPlan};
 use dpcons_tune::{
-    fleet_sweep, tune, Budget, Cache, FleetOptions, FleetReport, Status, TuneOptions, TuneReport,
+    fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs, Status, TuneOptions, TuneReport,
 };
 
 fn sssp() -> Sssp {
@@ -48,68 +56,127 @@ fn opts() -> TuneOptions {
     }
 }
 
-/// A plan that injects nothing — used to wrap fault-free sweeps in the same
-/// serialization scope as faulted ones.
-fn no_faults() -> FaultPlan {
-    FaultPlan::new(0)
+/// What [`Faulty`] does to one candidate.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Panic instead of running.
+    Panic,
+    /// Run under a 4-step fuel budget, which every real run exhausts.
+    Fuel,
+    /// Sleep this long, then run normally.
+    Delay(Duration),
 }
 
-fn tune_with(plan: FaultPlan, app: &Sssp, o: &TuneOptions) -> TuneReport {
-    let _scope = fault::install(plan);
+/// SSSP that faults the candidates named in `faults` (by knobs label) and,
+/// with `broken_baselines`, panics on the basic-dp baseline and fails the
+/// no-dp one. Every other call goes straight to SSSP.
+struct Faulty {
+    app: Sssp,
+    faults: HashMap<String, Fault>,
+    broken_baselines: bool,
+}
+
+impl Faulty {
+    fn new(faults: impl IntoIterator<Item = (String, Fault)>) -> Faulty {
+        Faulty { app: sssp(), faults: faults.into_iter().collect(), broken_baselines: false }
+    }
+}
+
+/// The knobs label of the candidate a sweep runs under `cfg`, rebuilt from
+/// what `candidate_config` sets; `None` for a baseline run.
+fn candidate_label(cfg: &RunConfig) -> Option<String> {
+    let tuned = cfg.tuned?;
+    let config = match cfg.policy {
+        Some(ConfigPolicy::Custom(b, t)) => Some((b, t)),
+        _ => None,
+    };
+    let knobs = Knobs {
+        granularity: tuned.granularity,
+        alloc: cfg.alloc,
+        per_buffer_size: tuned.per_buffer_size,
+        config,
+    };
+    Some(knobs.label())
+}
+
+impl Benchmark for Faulty {
+    fn name(&self) -> &'static str {
+        self.app.name()
+    }
+
+    fn reference(&self) -> Vec<i64> {
+        self.app.reference()
+    }
+
+    fn tune_model(&self) -> Option<TuneModel> {
+        self.app.tune_model()
+    }
+
+    fn run(&self, variant: Variant, cfg: &RunConfig) -> Result<AppOutcome, AppError> {
+        match variant {
+            Variant::BasicDp if self.broken_baselines => panic!("injected baseline panic"),
+            Variant::Flat if self.broken_baselines => {
+                return Err(AppError::Driver("injected baseline failure".to_string()))
+            }
+            _ => {}
+        }
+        let Some(label) = candidate_label(cfg) else {
+            return self.app.run(variant, cfg);
+        };
+        match self.faults.get(&label) {
+            Some(Fault::Panic) => panic!("injected candidate panic for {label}"),
+            Some(Fault::Fuel) => self.app.run(variant, &RunConfig { fuel: Some(4), ..cfg.clone() }),
+            Some(Fault::Delay(d)) => {
+                std::thread::sleep(*d);
+                self.app.run(variant, cfg)
+            }
+            None => self.app.run(variant, cfg),
+        }
+    }
+}
+
+fn tune_ok(app: &dyn Benchmark, o: &TuneOptions) -> TuneReport {
     tune(app, o).expect("the sweep must complete, faults or not")
 }
 
-fn fleet_with(plan: FaultPlan, app: &Sssp, o: &FleetOptions) -> FleetReport {
-    let _scope = fault::install(plan);
-    fleet_sweep(app, o).expect("the fleet sweep must complete, faults or not")
-}
-
-/// Labels of candidates that actually ran in a fault-free sweep (pruned ones
-/// never reach the injection hooks).
-fn evaluated_labels(report: &TuneReport) -> Vec<String> {
+/// Labels of candidates that actually ran in a fault-free sweep (pruned
+/// ones never reach `Benchmark::run`), except those in `spared`.
+fn evaluated_labels_except(report: &TuneReport, spared: &[String]) -> Vec<String> {
     report
         .candidates
         .iter()
         .filter(|c| matches!(c.status, Status::Evaluated(_)))
         .map(|c| c.knobs.label())
+        .filter(|l| !spared.contains(l))
         .collect()
 }
 
-/// Find a plan seed where the fault-free winner is NOT faulted but at least
-/// one other evaluated candidate is — the interesting case for the
-/// winner-stability property. Pure search over pure functions: stable.
-fn seed_sparing_the_winner(plan: &FaultPlan, app: &str, winner: &str, labels: &[String]) -> u64 {
-    (0..1000)
-        .find(|&seed| {
-            let p = FaultPlan { seed, ..*plan };
-            !fault::outcome_faulted(&p, app, winner)
-                && labels.iter().any(|l| fault::outcome_faulted(&p, app, l))
-        })
-        .expect("some seed in 0..1000 faults a non-winner candidate")
+/// Fault every label, alternating panics and fuel exhaustion.
+fn panics_and_fuel(labels: Vec<String>) -> Faulty {
+    let kinds = [Fault::Panic, Fault::Fuel];
+    Faulty::new(labels.into_iter().enumerate().map(|(i, l)| (l, kinds[i % 2])))
 }
 
 #[test]
 fn injected_panics_are_isolated_recorded_and_spare_the_winner() {
-    let app = sssp();
     let o = opts();
-    let clean = tune_with(no_faults(), &app, &o);
+    let clean = tune_ok(&sssp(), &o);
     let winner = clean.best_knobs().expect("fault-free sweep has a winner").label();
-    let labels = evaluated_labels(&clean);
+    let victims = evaluated_labels_except(&clean, std::slice::from_ref(&winner));
+    let app = Faulty::new(victims.iter().map(|l| (l.clone(), Fault::Panic)));
+    let faulted = tune_ok(&app, &o);
 
-    let base_plan = FaultPlan { panic_rate: 0.4, ..FaultPlan::new(0) };
-    let seed = seed_sparing_the_winner(&base_plan, app.name(), &winner, &labels);
-    let faulted = tune_with(FaultPlan { seed, ..base_plan }, &app, &o);
-
-    assert!(faulted.panicked > 0, "the chosen seed injects at least one panic");
+    assert!(faulted.panicked > 0, "every candidate but the winner panics");
     let panic_rows =
         faulted.candidates.iter().filter(|c| matches!(c.status, Status::Panicked(_))).count();
     assert_eq!(faulted.panicked, panic_rows, "the count matches the rows");
+    assert_eq!(panic_rows, victims.len(), "one row per injected panic");
     for (_, c) in faulted.faulted() {
         match &c.status {
             Status::Panicked(msg) => {
                 assert!(msg.contains("injected candidate panic"), "payload preserved: {msg}")
             }
-            other => panic!("panic-only plan produced a non-panic fault: {other:?}"),
+            other => panic!("panic-only faults produced a non-panic outcome: {other:?}"),
         }
     }
     // Winner stability: the winner was not faulted, so it must be the same.
@@ -119,15 +186,12 @@ fn injected_panics_are_isolated_recorded_and_spare_the_winner() {
 
 #[test]
 fn injected_fuel_exhaustion_times_candidates_out_deterministically() {
-    let app = sssp();
     let o = opts();
-    let clean = tune_with(no_faults(), &app, &o);
+    let clean = tune_ok(&sssp(), &o);
     let winner = clean.best_knobs().expect("winner").label();
-    let labels = evaluated_labels(&clean);
-
-    let base_plan = FaultPlan { fuel_rate: 0.4, ..FaultPlan::new(0) };
-    let seed = seed_sparing_the_winner(&base_plan, app.name(), &winner, &labels);
-    let faulted = tune_with(FaultPlan { seed, ..base_plan }, &app, &o);
+    let victims = evaluated_labels_except(&clean, std::slice::from_ref(&winner));
+    let app = Faulty::new(victims.into_iter().map(|l| (l, Fault::Fuel)));
+    let faulted = tune_ok(&app, &o);
 
     assert!(faulted.timed_out > 0, "forced tiny fuel budgets must exhaust");
     for (_, c) in faulted.faulted() {
@@ -135,27 +199,49 @@ fn injected_fuel_exhaustion_times_candidates_out_deterministically() {
             Status::TimedOut(msg) => {
                 assert!(msg.contains("fuel exhausted"), "outcome names the fuel budget: {msg}")
             }
-            other => panic!("fuel-only plan produced a non-timeout fault: {other:?}"),
+            other => panic!("fuel-only faults produced a non-timeout outcome: {other:?}"),
         }
     }
     assert_eq!(faulted.best_knobs().expect("winner survives").label(), winner);
 
-    // Same plan, same decisions: the faulted report replays byte-identically.
-    let again = tune_with(FaultPlan { seed, ..base_plan }, &app, &o);
+    // Same faults, same outcomes: the faulted report replays byte-identically.
+    let again = tune_ok(&app, &o);
     assert_eq!(again.to_text(), faulted.to_text());
 }
 
 #[test]
 fn soft_deadline_times_out_delayed_candidates() {
-    let app = sssp();
     let mut o = opts();
+    let every = evaluated_labels_except(&tune_ok(&sssp(), &o), &[]);
+    let app = Faulty::new(every.into_iter().map(|l| (l, Fault::Delay(Duration::from_millis(20)))));
     o.budget.max_candidate_ms = Some(5);
-    let plan = FaultPlan { delay_rate: 1.0, delay_ms: 20, ..FaultPlan::new(6) };
-    let faulted = tune_with(plan, &app, &o);
+    let faulted = tune_ok(&app, &o);
     assert!(faulted.timed_out > 0, "a 20ms injected delay must blow a 5ms deadline");
     assert!(faulted
         .faulted()
         .all(|(_, c)| matches!(&c.status, Status::TimedOut(m) if m.contains("soft deadline"))));
+}
+
+#[test]
+fn failing_baselines_are_omitted_and_never_fatal() {
+    let o = TuneOptions { with_baselines: true, ..opts() };
+    let clean = tune_ok(&sssp(), &o);
+    assert!(clean.baseline("basic-dp").is_some() && clean.baseline("no-dp").is_some());
+
+    let app = Faulty { broken_baselines: true, ..Faulty::new([]) };
+    let faulted = tune(&app, &o).expect("a failed or panicking baseline is never fatal");
+    assert_eq!(faulted.baseline("basic-dp"), None, "a panicking baseline is omitted");
+    assert_eq!(faulted.baseline("no-dp"), None, "a failed baseline is omitted");
+    assert_eq!(faulted.best_knobs(), clean.best_knobs());
+    assert_eq!(faulted.best_cycles(), clean.best_cycles());
+}
+
+/// Overwrite the disk entry `report`'s sweep wrote with garbage.
+fn corrupt_entry(dir: &std::path::Path, report: &TuneReport) -> std::path::PathBuf {
+    let entry = dir.join(format!("{:016x}.tune", report.key));
+    assert!(entry.exists(), "the sweep wrote its entry");
+    std::fs::write(&entry, "not a cache entry\n").expect("corrupt the entry");
+    entry
 }
 
 #[test]
@@ -173,68 +259,65 @@ fn corrupted_cache_writes_are_quarantined_and_recomputed() {
     let quarantine_counter = dpcons_obs::counter("tune.cache.quarantined");
     let (corrupt0, quarantine0) = (corrupt_counter.get(), quarantine_counter.get());
 
-    // Sweep with every cache write corrupted on disk.
-    let fresh = tune_with(FaultPlan { cache_corrupt_rate: 1.0, ..FaultPlan::new(7) }, &app, &o);
+    let fresh = tune_ok(&app, &o);
     assert!(!fresh.from_cache);
+    let entry = corrupt_entry(&dir, &fresh);
 
     // Cold read (fresh process simulated): the corrupt file must be detected,
     // quarantined to *.corrupt, treated as a miss, and the sweep recomputed
     // to the identical report.
     Cache::clear_memory();
-    let recomputed = tune_with(no_faults(), &app, &o);
+    let recomputed = tune_ok(&app, &o);
     assert!(!recomputed.from_cache, "corrupt entry must read as a miss");
     assert_eq!(recomputed.to_text(), fresh.to_text());
     assert!(corrupt_counter.get() > corrupt0, "corruption must be counted");
     assert!(quarantine_counter.get() > quarantine0, "quarantine must be counted");
-    let quarantined: Vec<_> = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "corrupt"))
-        .collect();
-    assert!(!quarantined.is_empty(), "the bad file is kept for post-mortem");
+    let mut quarantined = entry.into_os_string();
+    quarantined.push(".corrupt");
+    assert_eq!(
+        std::fs::read_to_string(&quarantined).expect("the bad file is kept for post-mortem"),
+        "not a cache entry\n"
+    );
 
     // The healthy rewrite now hits from disk.
     Cache::clear_memory();
-    assert!(tune_with(no_faults(), &app, &o).from_cache);
+    assert!(tune_ok(&app, &o).from_cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mixed_fault_campaign_meets_the_acceptance_bar() {
-    // The acceptance scenario: panics + fuel exhaustion + corrupted cache
-    // files injected into >= 10% of candidates; the sweep completes, reports
-    // every faulted candidate with its outcome class, and preserves the
-    // winner when the winner was spared.
-    let app = sssp();
+    // The acceptance scenario: panics + fuel exhaustion in >= 10% of
+    // evaluated candidates, plus a corrupted cache file; the sweep
+    // completes, reports every faulted candidate with its outcome class, and
+    // preserves the winner when the winner was spared.
     let dir = std::env::temp_dir().join(format!("dpcons-mixedfault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut o = opts();
     o.base.threshold += 13; // distinct cache key (see above)
-    let clean = tune_with(no_faults(), &app, &o);
+    let clean = tune_ok(&sssp(), &o);
     let winner = clean.best_knobs().expect("winner").label();
-    let labels = evaluated_labels(&clean);
-
-    let base_plan = FaultPlan {
-        panic_rate: 0.25,
-        fuel_rate: 0.25,
-        cache_corrupt_rate: 1.0,
-        ..FaultPlan::new(0)
-    };
-    let seed = seed_sparing_the_winner(&base_plan, app.name(), &winner, &labels);
-    let plan = FaultPlan { seed, ..base_plan };
-
-    let evaluated_n = labels.len();
-    let injected = labels.iter().filter(|l| fault::outcome_faulted(&plan, app.name(), l)).count();
+    let evaluated_n = evaluated_labels_except(&clean, &[]).len();
+    // Every third non-winner runs clean; the rest panic or run out of fuel.
+    let victims: Vec<String> = evaluated_labels_except(&clean, std::slice::from_ref(&winner))
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 2)
+        .map(|(_, l)| l)
+        .collect();
+    let injected = victims.len();
     assert!(
         injected * 10 >= evaluated_n,
         "campaign must fault >= 10% of evaluated candidates ({injected}/{evaluated_n})"
     );
+    let app = panics_and_fuel(victims);
 
     o.cache = Some(Cache::new(Some(dir.clone())));
-    let faulted = tune_with(plan, &app, &o);
+    let faulted = tune_ok(&app, &o);
     assert!(!faulted.from_cache);
     assert_eq!(faulted.fault_count(), faulted.panicked + faulted.timed_out + faulted.failed);
-    assert!(faulted.panicked + faulted.timed_out > 0, "outcome-changing faults landed");
+    assert_eq!(faulted.fault_count(), clean.fault_count() + injected, "every fault landed");
+    assert!(faulted.panicked > 0 && faulted.timed_out > 0, "both fault kinds landed");
     for (_, c) in faulted.faulted() {
         assert!(
             matches!(c.status, Status::Panicked(_) | Status::TimedOut(_) | Status::Failed(_)),
@@ -243,11 +326,12 @@ fn mixed_fault_campaign_meets_the_acceptance_bar() {
     }
     assert_eq!(faulted.best_knobs().expect("winner survives").label(), winner);
 
-    // The faulted report's cache write was itself corrupted: a cold re-run
-    // under the same plan quarantines it, recomputes, and converges on the
-    // identical faulted report — self-healing plus determinism in one step.
+    // Corrupt the faulted report's cache entry: a cold re-run with the same
+    // faults quarantines it, recomputes, and converges on the identical
+    // faulted report — self-healing plus determinism in one step.
+    corrupt_entry(&dir, &faulted);
     Cache::clear_memory();
-    let replay = tune_with(plan, &app, &o);
+    let replay = tune_ok(&app, &o);
     assert!(!replay.from_cache, "corrupted faulted entry must miss");
     assert_eq!(replay.to_text(), faulted.to_text());
     let _ = std::fs::remove_dir_all(&dir);
@@ -255,7 +339,6 @@ fn mixed_fault_campaign_meets_the_acceptance_bar() {
 
 #[test]
 fn fleet_sweep_survives_faults_and_keeps_unfaulted_winners() {
-    let app = sssp();
     let fo = FleetOptions {
         base: RunConfig::default(),
         space: tiny_space(),
@@ -263,27 +346,14 @@ fn fleet_sweep_survives_faults_and_keeps_unfaulted_winners() {
         fleet: vec![GpuConfig::k20c(), GpuConfig::k40()],
         cache: None,
     };
-    let clean = fleet_with(no_faults(), &app, &fo);
+    let clean = fleet_sweep(&sssp(), &fo).expect("fault-free fleet sweep");
     let winners: Vec<Option<String>> =
         (0..clean.devices.len()).map(|d| clean.winner_knobs(d).map(|k| k.label())).collect();
-    let labels: Vec<String> = clean
-        .candidates
-        .iter()
-        .filter(|c| matches!(c.status, Status::Evaluated(_)))
-        .map(|c| c.knobs.label())
-        .collect();
+    let spared: Vec<String> = winners.iter().flatten().cloned().collect();
+    let app = panics_and_fuel(evaluated_labels_except(&clean, &spared));
+    let faulted = fleet_sweep(&app, &fo).expect("the fleet sweep must complete, faults or not");
 
-    let base_plan = FaultPlan { panic_rate: 0.3, fuel_rate: 0.2, ..FaultPlan::new(0) };
-    let seed = (0..1000)
-        .find(|&s| {
-            let p = FaultPlan { seed: s, ..base_plan };
-            winners.iter().flatten().all(|w| !fault::outcome_faulted(&p, app.name(), w))
-                && labels.iter().any(|l| fault::outcome_faulted(&p, app.name(), l))
-        })
-        .expect("some seed spares every per-device winner while faulting another candidate");
-    let faulted = fleet_with(FaultPlan { seed, ..base_plan }, &app, &fo);
-
-    assert!(faulted.fault_count() > 0, "the chosen seed faults at least one candidate");
+    assert!(faulted.fault_count() > 0, "every candidate but the winners faults");
     for (_, c) in faulted.faulted() {
         assert!(matches!(c.status, Status::Panicked(_) | Status::TimedOut(_) | Status::Failed(_)));
     }

@@ -1,12 +1,13 @@
 //! Trees in CSR child-list form, and the paper's two tree datasets.
 //!
 //! The paper's recursive benchmarks (Tree Heights, Tree Descendants) use two
-//! synthetic trees from [3]: *dataset1* is a depth-5 tree with 128–256
-//! children per node where only half of the non-leaf nodes have children;
-//! *dataset2* is a depth-5 tree with 32–128 children where all non-leaf nodes
-//! have children. At those fanouts the trees have hundreds of millions of
-//! nodes, so the generators scale the fanout range while preserving the two
-//! distinguishing shapes (sparse-interior vs. dense-interior).
+//! synthetic trees from its reference \[3\]: *dataset1* is a depth-5 tree
+//! with 128–256 children per node where only half of the non-leaf nodes have
+//! children; *dataset2* is a depth-5 tree with 32–128 children where all
+//! non-leaf nodes have children. At those fanouts the trees have hundreds of
+//! millions of nodes, so the generators scale the fanout range while
+//! preserving the two distinguishing shapes (sparse-interior vs.
+//! dense-interior).
 
 use crate::rng::Rng64;
 
