@@ -4,7 +4,7 @@
 //! * [`Profile::Test`] — small inputs for fast CI-style runs,
 //! * [`Profile::Bench`] — the default experiment scale: the same
 //!   distribution shapes as the paper's datasets at a size one CPU core can
-//!   simulate in minutes (EXPERIMENTS.md records the scale used per figure).
+//!   simulate in minutes; every figure runs at these presets.
 
 use dpcons_workloads::{gen, generate_tree, CsrGraph, Tree, TreeParams};
 

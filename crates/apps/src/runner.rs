@@ -279,11 +279,7 @@ impl VariantSession {
                 };
                 // The directive's buffer clause follows the session allocator
                 // so Fig. 5 can sweep allocators from RunConfig.
-                dir.buffer = match cfg.alloc {
-                    AllocKind::Default => dpcons_core::BufferKind::Default,
-                    AllocKind::Halloc => dpcons_core::BufferKind::Halloc,
-                    AllocKind::PreAlloc => dpcons_core::BufferKind::Custom,
-                };
+                dir.buffer = cfg.alloc.into();
                 let cons = consolidate(module_dp, parent, &dir, &cfg.gpu, cfg.policy)?;
                 (cons.module.clone(), Some(cons))
             }

@@ -3,14 +3,13 @@
 //! ```text
 //! reproduce [fig5] [fig6] [fig7] [fig8] [fig9] [fig10] [ablations] [verify]
 //!           [headline] [tune] [fleet] [golden] [all] [--devices a,b,c]
-//!           [--profile test|bench] [--markdown] [--json PATH] [--trace PATH]
+//!           [--profile test|bench] [--json PATH] [--trace PATH]
 //!           [--metrics] [--quiet] [--strict]
 //! ```
 //!
 //! With no figure argument, everything except the tuning and fleet sweeps
-//! runs. `--profile bench` (default) uses the scaled-dataset shapes described
-//! in DESIGN.md; `--profile test` runs a fast smoke pass. `--markdown` emits
-//! GitHub tables (used to build EXPERIMENTS.md).
+//! runs. `--profile bench` (default) uses the scaled datasets of
+//! `dpcons_apps::datasets`; `--profile test` runs a fast smoke pass.
 //!
 //! The `tune` experiment runs the `dpcons-tune` directive autotuner over all
 //! seven apps and reports tuned-vs-paper-default speedups. Tuning results are
@@ -35,9 +34,9 @@
 //! variant, which the root package's `tests/golden.rs` checks. It ignores
 //! `--profile` and prints one summary line.
 //!
-//! The functional executor is the flat bytecode VM unless `DPCONS_INTERP=tree`
-//! selects the tree-walking interpreter kept as the differential oracle. Both
-//! produce bit-identical results; only host wall-clock differs.
+//! The functional executor is the flat bytecode VM. The tree-walking
+//! interpreter is the differential oracle the tests run beside it; both
+//! produce bit-identical results, and only host wall-clock differs.
 //!
 //! Observability: `--trace PATH` records spans from every stage of the run
 //! and writes a Chrome trace-event JSON (load it in Perfetto or
@@ -74,8 +73,7 @@ fn usage_err(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
     eprintln!(
         "usage: reproduce [verify|fig5..fig10|headline|ablations|tune|fleet|golden|all ...] \
-         [--profile test|bench] \
-         [--markdown] [--json PATH] \
+         [--profile test|bench] [--json PATH] \
          [--devices a,b,c] [--trace PATH] [--metrics] [--quiet] [--strict]"
     );
     std::process::exit(ErrorClass::Usage.exit_code());
@@ -105,7 +103,6 @@ fn experiments(mut figs: Vec<String>) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut profile = Profile::Bench;
-    let mut markdown = false;
     let mut quiet = false;
     let mut strict = false;
     let mut metrics = false;
@@ -121,7 +118,6 @@ fn main() {
                 Some("bench") => profile = Profile::Bench,
                 other => usage_err(&format!("unknown profile {other:?}")),
             },
-            "--markdown" => markdown = true,
             "--quiet" => quiet = true,
             "--strict" => strict = true,
             "--metrics" => metrics = true,
@@ -152,13 +148,7 @@ fn main() {
     let figs = experiments(figs);
 
     let cfg = RunConfig::default();
-    let emit = |t: &Table| {
-        if markdown {
-            println!("{}", t.render_markdown());
-        } else {
-            println!("{}", t.render());
-        }
-    };
+    let emit = |t: &Table| println!("{}", t.render());
     let progress = |line: String| {
         if !quiet {
             eprintln!("{line}");

@@ -59,24 +59,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a GitHub-flavored markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        ));
-        for r in &self.rows {
-            out.push_str(&format!("| {} |\n", r.join(" | ")));
-        }
-        for n in &self.notes {
-            out.push_str(&format!("\n_{n}_\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -94,15 +76,6 @@ mod tests {
         assert!(s.contains("note: a note"));
         // Separator spans all columns.
         assert!(s.lines().any(|l| l.starts_with("---")));
-    }
-
-    #[test]
-    fn markdown_has_header_separator() {
-        let mut t = Table::new("m", vec!["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let s = t.render_markdown();
-        assert!(s.contains("|---|---|"));
-        assert!(s.contains("| 1 | 2 |"));
     }
 
     #[test]

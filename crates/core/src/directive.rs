@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use dpcons_sim::AllocKind;
+
 /// Consolidation granularity (Section IV.B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
@@ -42,6 +44,30 @@ pub enum BufferKind {
     Halloc,
     #[default]
     Custom,
+}
+
+/// The simulator allocator that serves each `buffer` clause: `custom` is the
+/// pre-allocated pool.
+impl From<BufferKind> for AllocKind {
+    fn from(b: BufferKind) -> AllocKind {
+        match b {
+            BufferKind::Default => AllocKind::Default,
+            BufferKind::Halloc => AllocKind::Halloc,
+            BufferKind::Custom => AllocKind::PreAlloc,
+        }
+    }
+}
+
+/// The `buffer` clause that selects each simulator allocator; the inverse of
+/// `AllocKind::from(BufferKind)`.
+impl From<AllocKind> for BufferKind {
+    fn from(a: AllocKind) -> BufferKind {
+        match a {
+            AllocKind::Default => BufferKind::Default,
+            AllocKind::Halloc => BufferKind::Halloc,
+            AllocKind::PreAlloc => BufferKind::Custom,
+        }
+    }
 }
 
 /// Per-buffer capacity: a constant item count or a (uniform) variable naming
@@ -396,6 +422,19 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn buffer_clauses_map_one_to_one_onto_allocators() {
+        let pairs = [
+            (BufferKind::Default, AllocKind::Default),
+            (BufferKind::Halloc, AllocKind::Halloc),
+            (BufferKind::Custom, AllocKind::PreAlloc),
+        ];
+        for (b, a) in pairs {
+            assert_eq!(AllocKind::from(b), a);
+            assert_eq!(BufferKind::from(a), b);
+        }
+    }
 
     #[test]
     fn parses_figure4_example() {

@@ -9,10 +9,18 @@ use dpcons_core::{
     consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive, Granularity,
 };
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install, Module};
+use dpcons_ir::{install_with_engine, ExecEngine, Module};
 use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec};
 
 const POOL: u64 = 1 << 20;
+
+/// Run `f` on the bytecode VM and on the tree walker; both must leave the
+/// same arrays and `ProfileReport`. Returns the VM's result.
+fn on_both_executors<T: PartialEq>(what: &str, f: impl Fn(ExecEngine) -> T) -> T {
+    let vm = f(ExecEngine::Bytecode);
+    assert!(f(ExecEngine::Tree) == vm, "{what}: the tree executor diverged from the bytecode VM");
+    vm
+}
 
 #[allow(clippy::too_many_arguments)] // test harness: mirrors the host-launch surface
 fn run_consolidated(
@@ -27,11 +35,11 @@ fn run_consolidated(
 ) -> (Vec<Vec<i64>>, dpcons_sim::ProfileReport, ChildClass) {
     let dir = Directive::parse(pragma).unwrap();
     let cons = consolidate(module, parent, &dir, &GpuConfig::k20c(), policy).unwrap();
-    let run = |poison: Option<i64>| {
+    let run = |poison: Option<i64>, exec: ExecEngine| {
         let mut e = Engine::new(GpuConfig::k20c(), alloc, 1 << 22);
         let handles: Vec<_> =
             arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
-        let ids: HashMap<_, _> = install(&mut e, &cons.module).unwrap();
+        let ids: HashMap<_, _> = install_with_engine(&mut e, &cons.module, Some(exec)).unwrap();
         let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
         args.extend(&scalars);
         let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL).unwrap();
@@ -44,11 +52,12 @@ fn run_consolidated(
             handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
         (out, r)
     };
-    let clean = run(None);
+    let clean = on_both_executors(pragma, |exec| run(None, exec));
     // `reset_launch` clears the pool's count headers only: for every child
     // class, whatever else the pool holds must not reach the run.
     if cons.info.granularity == Granularity::Grid {
-        assert!(run(Some(0x5A5A_5A5A_5A5A_5A5A)) == clean, "{pragma}: stale pool is observable");
+        let dirty = on_both_executors(pragma, |exec| run(Some(0x5A5A_5A5A_5A5A_5A5A), exec));
+        assert!(dirty == clean, "{pragma}: stale pool is observable");
     }
     let (out, r) = clean;
     (out, r, cons.info.child_class)
@@ -61,13 +70,19 @@ fn run_basic(
     scalars: Vec<i64>,
     config: (u32, u32),
 ) -> Vec<Vec<i64>> {
-    let mut e = Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, 1 << 22);
-    let handles: Vec<_> = arrays.into_iter().map(|(n, d)| e.mem.alloc_array_init(n, d)).collect();
-    let ids = install(&mut e, module).unwrap();
-    let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
-    args.extend(scalars);
-    e.launch(LaunchSpec::new(ids[parent], config.0, config.1, args)).unwrap();
-    handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect()
+    let (out, _report) = on_both_executors(parent, |exec| {
+        let mut e = Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, 1 << 22);
+        let handles: Vec<_> =
+            arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
+        let ids = install_with_engine(&mut e, module, Some(exec)).unwrap();
+        let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+        args.extend(&scalars);
+        let r = e.launch(LaunchSpec::new(ids[parent], config.0, config.1, args)).unwrap();
+        let out: Vec<Vec<i64>> =
+            handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+        (out, r)
+    });
+    out
 }
 
 // ------------------------------------------------------------------

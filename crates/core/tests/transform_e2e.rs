@@ -10,7 +10,7 @@ use dpcons_core::{
     consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive, Granularity,
 };
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install, Module};
+use dpcons_ir::{install, install_with_engine, ExecEngine, Module};
 use dpcons_sim::{AllocKind, Engine, ExecRecord, GpuConfig, LaunchSpec, ProfileReport, SimError};
 
 const HEAP_WORDS: u64 = 1 << 20;
@@ -18,6 +18,14 @@ const POOL_WORDS: u64 = 1 << 20;
 
 fn engine() -> Engine {
     Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, HEAP_WORDS)
+}
+
+/// Run `f` on the bytecode VM and on the tree walker; both must leave the
+/// same arrays and `ProfileReport`. Returns the VM's result.
+fn on_both_executors<T: PartialEq>(what: &str, f: impl Fn(ExecEngine) -> T) -> T {
+    let vm = f(ExecEngine::Bytecode);
+    assert!(f(ExecEngine::Tree) == vm, "{what}: the tree executor diverged from the bytecode VM");
+    vm
 }
 
 // ---------------------------------------------------------------------
@@ -113,21 +121,23 @@ fn scatter_expected(d: &ScatterData) -> Vec<i64> {
 
 fn run_scatter_basic(n: usize, thr: i64) -> (Vec<i64>, ProfileReport) {
     let d = scatter_data(n);
-    let mut e = engine();
-    let deg = e.mem.alloc_array_init("deg", d.deg.clone());
-    let base = e.mem.alloc_array_init("base", d.base.clone());
-    let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
-    let ids = install(&mut e, &scatter_module()).unwrap();
-    let grid = (n as u32).div_ceil(128);
-    let r = e
-        .launch(LaunchSpec::new(
-            ids["expand_parent"],
-            grid,
-            128,
-            vec![deg as i64, base as i64, out as i64, n as i64, thr],
-        ))
-        .unwrap();
-    (e.mem.slice(out).unwrap().to_vec(), r)
+    on_both_executors("scatter basic-dp", |exec| {
+        let mut e = engine();
+        let deg = e.mem.alloc_array_init("deg", d.deg.clone());
+        let base = e.mem.alloc_array_init("base", d.base.clone());
+        let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
+        let ids = install_with_engine(&mut e, &scatter_module(), Some(exec)).unwrap();
+        let grid = (n as u32).div_ceil(128);
+        let r = e
+            .launch(LaunchSpec::new(
+                ids["expand_parent"],
+                grid,
+                128,
+                vec![deg as i64, base as i64, out as i64, n as i64, thr],
+            ))
+            .unwrap();
+        (e.mem.slice(out).unwrap().to_vec(), r)
+    })
 }
 
 fn run_scatter_consolidated(
@@ -144,24 +154,26 @@ fn run_scatter_consolidated(
         consolidate(&scatter_module(), "expand_parent", &dir, &GpuConfig::k20c(), policy).unwrap();
     assert_eq!(cons.info.child_class, ChildClass::SoloBlock);
 
-    let mut e = engine();
-    let deg = e.mem.alloc_array_init("deg", d.deg.clone());
-    let base = e.mem.alloc_array_init("base", d.base.clone());
-    let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
-    let ids: HashMap<_, _> = install(&mut e, &cons.module).unwrap();
-    let grid = (n as u32).div_ceil(128);
-    let mut prep = prepare_launch(
-        &mut e,
-        &cons.info,
-        &ids,
-        &[deg as i64, base as i64, out as i64, n as i64, thr],
-        (grid, 128),
-        POOL_WORDS,
-    )
-    .unwrap();
-    reset_launch(&mut e, &mut prep).unwrap();
-    let r = e.launch(prep.spec.clone()).unwrap();
-    (e.mem.slice(out).unwrap().to_vec(), r)
+    on_both_executors(&pragma, |exec| {
+        let mut e = engine();
+        let deg = e.mem.alloc_array_init("deg", d.deg.clone());
+        let base = e.mem.alloc_array_init("base", d.base.clone());
+        let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
+        let ids: HashMap<_, _> = install_with_engine(&mut e, &cons.module, Some(exec)).unwrap();
+        let grid = (n as u32).div_ceil(128);
+        let mut prep = prepare_launch(
+            &mut e,
+            &cons.info,
+            &ids,
+            &[deg as i64, base as i64, out as i64, n as i64, thr],
+            (grid, 128),
+            POOL_WORDS,
+        )
+        .unwrap();
+        reset_launch(&mut e, &mut prep).unwrap();
+        let r = e.launch(prep.spec.clone()).unwrap();
+        (e.mem.slice(out).unwrap().to_vec(), r)
+    })
 }
 
 #[test]
@@ -305,21 +317,23 @@ fn rec_module() -> Module {
 
 fn run_rec_basic() -> (i64, ProfileReport) {
     let (cp, ch, root, _) = small_tree();
-    let mut e = engine();
-    let cp_h = e.mem.alloc_array_init("childptr", cp.clone());
-    let ch_h = e.mem.alloc_array_init("children", ch);
-    let nd = e.mem.alloc_array("ndesc", 1);
-    let ids = install(&mut e, &rec_module()).unwrap();
-    let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
-    let r = e
-        .launch(LaunchSpec::new(
-            ids["treedesc"],
-            1,
-            rootdeg,
-            vec![cp_h as i64, ch_h as i64, nd as i64, root],
-        ))
-        .unwrap();
-    (e.mem.read(nd, 0).unwrap(), r)
+    on_both_executors("recursion basic-dp", |exec| {
+        let mut e = engine();
+        let cp_h = e.mem.alloc_array_init("childptr", cp.clone());
+        let ch_h = e.mem.alloc_array_init("children", ch.clone());
+        let nd = e.mem.alloc_array("ndesc", 1);
+        let ids = install_with_engine(&mut e, &rec_module(), Some(exec)).unwrap();
+        let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
+        let r = e
+            .launch(LaunchSpec::new(
+                ids["treedesc"],
+                1,
+                rootdeg,
+                vec![cp_h as i64, ch_h as i64, nd as i64, root],
+            ))
+            .unwrap();
+        (e.mem.read(nd, 0).unwrap(), r)
+    })
 }
 
 fn run_rec_consolidated(g: Granularity) -> (i64, ProfileReport) {
@@ -332,24 +346,26 @@ fn run_rec_consolidated(g: Granularity) -> (i64, ProfileReport) {
     let cons = consolidate(&rec_module(), "treedesc", &dir, &GpuConfig::k20c(), None).unwrap();
     assert!(cons.info.recursive);
 
-    let mut e = engine();
-    let cp_h = e.mem.alloc_array_init("childptr", cp.clone());
-    let ch_h = e.mem.alloc_array_init("children", ch);
-    let nd = e.mem.alloc_array("ndesc", 1);
-    let ids: HashMap<_, _> = install(&mut e, &cons.module).unwrap();
-    let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
-    let mut prep = prepare_launch(
-        &mut e,
-        &cons.info,
-        &ids,
-        &[cp_h as i64, ch_h as i64, nd as i64, root],
-        (1, rootdeg),
-        POOL_WORDS,
-    )
-    .unwrap();
-    reset_launch(&mut e, &mut prep).unwrap();
-    let r = e.launch(prep.spec.clone()).unwrap();
-    (e.mem.read(nd, 0).unwrap(), r)
+    on_both_executors(&pragma, |exec| {
+        let mut e = engine();
+        let cp_h = e.mem.alloc_array_init("childptr", cp.clone());
+        let ch_h = e.mem.alloc_array_init("children", ch.clone());
+        let nd = e.mem.alloc_array("ndesc", 1);
+        let ids: HashMap<_, _> = install_with_engine(&mut e, &cons.module, Some(exec)).unwrap();
+        let rootdeg = (cp[root as usize + 1] - cp[root as usize]) as u32;
+        let mut prep = prepare_launch(
+            &mut e,
+            &cons.info,
+            &ids,
+            &[cp_h as i64, ch_h as i64, nd as i64, root],
+            (1, rootdeg),
+            POOL_WORDS,
+        )
+        .unwrap();
+        reset_launch(&mut e, &mut prep).unwrap();
+        let r = e.launch(prep.spec.clone()).unwrap();
+        (e.mem.read(nd, 0).unwrap(), r)
+    })
 }
 
 #[test]
@@ -456,25 +472,27 @@ fn postwork_moves_to_consolidated_kernel_at_grid_level() {
         expected[id] = -7;
     }
     let run = |module: &Module, consolidated: Option<&dpcons_core::Consolidated>| {
-        let mut e = engine();
-        let deg = e.mem.alloc_array_init("deg", d.deg.clone());
-        let base = e.mem.alloc_array_init("base", d.base.clone());
-        let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
-        let ids = install(&mut e, module).unwrap();
-        let args = vec![deg as i64, base as i64, out as i64, n as i64, thr];
-        let grid = (n as u32).div_ceil(128);
-        match consolidated {
-            None => {
-                e.launch(LaunchSpec::new(ids["expand_parent"], grid, 128, args)).unwrap();
-            }
-            Some(c) => {
-                let mut prep =
-                    prepare_launch(&mut e, &c.info, &ids, &args, (grid, 128), POOL_WORDS).unwrap();
-                reset_launch(&mut e, &mut prep).unwrap();
-                e.launch(prep.spec.clone()).unwrap();
-            }
-        }
-        e.mem.slice(out).unwrap().to_vec()
+        on_both_executors("postwork", |exec| {
+            let mut e = engine();
+            let deg = e.mem.alloc_array_init("deg", d.deg.clone());
+            let base = e.mem.alloc_array_init("base", d.base.clone());
+            let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
+            let ids = install_with_engine(&mut e, module, Some(exec)).unwrap();
+            let args = vec![deg as i64, base as i64, out as i64, n as i64, thr];
+            let grid = (n as u32).div_ceil(128);
+            let r = match consolidated {
+                None => e.launch(LaunchSpec::new(ids["expand_parent"], grid, 128, args)).unwrap(),
+                Some(c) => {
+                    let mut prep =
+                        prepare_launch(&mut e, &c.info, &ids, &args, (grid, 128), POOL_WORDS)
+                            .unwrap();
+                    reset_launch(&mut e, &mut prep).unwrap();
+                    e.launch(prep.spec.clone()).unwrap()
+                }
+            };
+            (e.mem.slice(out).unwrap().to_vec(), r)
+        })
+        .0
     };
     let grid_out = run(&cons.module, Some(&cons));
     assert_eq!(grid_out, expected, "postwork consolidation broke synchronized semantics");
@@ -494,27 +512,31 @@ fn pre_alloc_buffer_reuse_across_host_launches() {
     let dir = Directive::parse("dp consldt(grid) work(id)").unwrap();
     let cons =
         consolidate(&scatter_module(), "expand_parent", &dir, &GpuConfig::k20c(), None).unwrap();
-    let mut e = engine();
-    let deg = e.mem.alloc_array_init("deg", d.deg.clone());
-    let base = e.mem.alloc_array_init("base", d.base.clone());
-    let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
-    let ids = install(&mut e, &cons.module).unwrap();
-    let grid = (n as u32).div_ceil(128);
-    let mut prep = prepare_launch(
-        &mut e,
-        &cons.info,
-        &ids,
-        &[deg as i64, base as i64, out as i64, n as i64, 32],
-        (grid, 128),
-        POOL_WORDS,
-    )
-    .unwrap();
-    for _ in 0..3 {
-        e.mem.fill(out, -1).unwrap();
-        reset_launch(&mut e, &mut prep).unwrap();
-        e.launch(prep.spec.clone()).unwrap();
-        assert_eq!(e.mem.slice(out).unwrap(), &expected[..]);
-    }
+    on_both_executors("buffer reuse", |exec| {
+        let mut e = engine();
+        let deg = e.mem.alloc_array_init("deg", d.deg.clone());
+        let base = e.mem.alloc_array_init("base", d.base.clone());
+        let out = e.mem.alloc_array_init("out", vec![-1; d.total]);
+        let ids = install_with_engine(&mut e, &cons.module, Some(exec)).unwrap();
+        let grid = (n as u32).div_ceil(128);
+        let mut prep = prepare_launch(
+            &mut e,
+            &cons.info,
+            &ids,
+            &[deg as i64, base as i64, out as i64, n as i64, 32],
+            (grid, 128),
+            POOL_WORDS,
+        )
+        .unwrap();
+        let mut reports = Vec::new();
+        for _ in 0..3 {
+            e.mem.fill(out, -1).unwrap();
+            reset_launch(&mut e, &mut prep).unwrap();
+            reports.push(e.launch(prep.spec.clone()).unwrap());
+            assert_eq!(e.mem.slice(out).unwrap(), &expected[..]);
+        }
+        reports
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -542,26 +564,28 @@ fn observe_grid(
     launches: usize,
     poison: Option<i64>,
 ) -> Observed {
-    let mut e = engine();
-    let handles: Vec<_> =
-        arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
-    let ids = install(&mut e, &cons.module).unwrap();
-    let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
-    args.extend_from_slice(scalars);
-    let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL_WORDS).unwrap();
-    let pool = prep.pool.expect("grid level uses the pool");
-    let (mut reports, mut dags) = (Vec::new(), Vec::new());
-    for _ in 0..launches {
-        if let Some(garbage) = poison {
-            e.mem.fill(pool, garbage).unwrap();
+    on_both_executors("grid-level host launches", |exec| {
+        let mut e = engine();
+        let handles: Vec<_> =
+            arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
+        let ids = install_with_engine(&mut e, &cons.module, Some(exec)).unwrap();
+        let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+        args.extend_from_slice(scalars);
+        let mut prep = prepare_launch(&mut e, &cons.info, &ids, &args, config, POOL_WORDS).unwrap();
+        let pool = prep.pool.expect("grid level uses the pool");
+        let (mut reports, mut dags) = (Vec::new(), Vec::new());
+        for _ in 0..launches {
+            if let Some(garbage) = poison {
+                e.mem.fill(pool, garbage).unwrap();
+            }
+            reset_launch(&mut e, &mut prep).unwrap();
+            let (report, records) = e.launch_traced(prep.spec.clone()).unwrap();
+            reports.push(report);
+            dags.push(records);
         }
-        reset_launch(&mut e, &mut prep).unwrap();
-        let (report, records) = e.launch_traced(prep.spec.clone()).unwrap();
-        reports.push(report);
-        dags.push(records);
-    }
-    let arrays = handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
-    Observed { arrays, reports, dags }
+        let arrays = handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+        Observed { arrays, reports, dags }
+    })
 }
 
 fn assert_poison_is_unobservable(

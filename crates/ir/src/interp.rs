@@ -25,8 +25,9 @@
 //!   kernel is lowered once into a flat `Vec<Op>` with explicit jump targets
 //!   and executed over a flat SoA register file,
 //! * the **tree walker** (this module) — the readable reference
-//!   implementation, kept as the differential oracle and reachable via
-//!   `DPCONS_INTERP=tree` (or [`set_engine_override`]).
+//!   implementation, kept as the differential oracle and selected in code:
+//!   per install with [`install_with_engine`], or process-wide with
+//!   [`set_engine_override`].
 //!
 //! Both funnel their warp traces through the same `assemble_block`, so the
 //! segment/phase assembly cannot diverge between them.
@@ -66,40 +67,8 @@ pub enum ExecEngine {
     Tree,
 }
 
-/// Process-wide override: 0 = none (env decides), 1 = bytecode, 2 = tree.
+/// Process-wide override: 0 = none (the VM), 1 = bytecode, 2 = tree.
 static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Parse a `DPCONS_INTERP` value: unset or `bytecode` selects the VM, `tree`
-/// the tree walker, and anything else is an error naming the value.
-fn parse_engine(value: Option<&str>) -> Result<ExecEngine, String> {
-    match value {
-        None | Some("bytecode") => Ok(ExecEngine::Bytecode),
-        Some("tree") => Ok(ExecEngine::Tree),
-        Some(other) => Err(format!(
-            "DPCONS_INTERP={other:?}: expected `bytecode` or `tree`, or leave it unset"
-        )),
-    }
-}
-
-fn env_engine() -> ExecEngine {
-    static ENV: OnceLock<ExecEngine> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let value = std::env::var_os("DPCONS_INTERP").map(|v| v.to_string_lossy().into_owned());
-        parse_engine(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-/// The executor used by kernels installed without an explicit pin: the
-/// process-wide override if set, else `DPCONS_INTERP` (unset or `bytecode`
-/// selects the bytecode VM, `tree` the tree walker; any other value panics
-/// at first use rather than silently running the VM).
-pub fn engine_choice() -> ExecEngine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => ExecEngine::Bytecode,
-        2 => ExecEngine::Tree,
-        _ => env_engine(),
-    }
-}
 
 /// Current process-wide override, if any (see [`set_engine_override`]).
 pub fn engine_override() -> Option<ExecEngine> {
@@ -110,11 +79,11 @@ pub fn engine_override() -> Option<ExecEngine> {
     }
 }
 
-/// Force every subsequently-launched kernel onto one executor (`None`
-/// restores `DPCONS_INTERP`/default selection). Process-global: callers that
-/// flip it around a measurement must restore the previous value and must not
-/// run concurrently with other launches they don't want affected — tests that
-/// need per-run pinning should use [`install_with_engine`] instead.
+/// Force every subsequently-launched kernel installed without a pin onto one
+/// executor (`None` restores the default, the bytecode VM). Process-global:
+/// callers that flip it around a run must restore the previous value and
+/// must not run concurrently with other launches they don't want affected —
+/// tests that need per-run pinning should use [`install_with_engine`].
 pub fn set_engine_override(engine: Option<ExecEngine>) {
     let v = match engine {
         None => 0,
@@ -296,7 +265,8 @@ pub struct IrKernelBody {
     idx: usize,
     /// Engine kernel ids for every module kernel, filled after registration.
     ids: Arc<OnceLock<Vec<KernelId>>>,
-    /// Per-install executor pin; `None` follows [`engine_choice`].
+    /// Per-install executor pin; `None` follows [`engine_override`], and
+    /// without an override the bytecode VM runs.
     engine: Option<ExecEngine>,
 }
 
@@ -310,8 +280,8 @@ pub fn install(
 }
 
 /// Like [`install`], but pins every kernel of this module to one executor
-/// regardless of `DPCONS_INTERP` or the process-wide override. Tests use this
-/// to run both executors side by side without global state.
+/// regardless of the process-wide override. Tests use this to run both
+/// executors side by side without global state.
 pub fn install_with_engine(
     engine: &mut dpcons_sim::Engine,
     module: &Module,
@@ -366,7 +336,7 @@ impl KernelBody for IrKernelBody {
             kernel: k.name.clone(),
             message: "module not fully installed before launch".to_string(),
         })?;
-        match self.engine.unwrap_or_else(engine_choice) {
+        match self.engine.or_else(engine_override).unwrap_or(ExecEngine::Bytecode) {
             ExecEngine::Bytecode => {
                 crate::bytecode::run_block(k, &self.bytecode[self.idx], ids, ctx)
             }
@@ -932,20 +902,4 @@ pub(crate) fn assemble_block(
     }
 
     Ok(BlockResult { segments })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interp_env_accepts_only_the_two_executor_names() {
-        assert_eq!(parse_engine(None), Ok(ExecEngine::Bytecode));
-        assert_eq!(parse_engine(Some("bytecode")), Ok(ExecEngine::Bytecode));
-        assert_eq!(parse_engine(Some("tree")), Ok(ExecEngine::Tree));
-        // A typo used to select the VM silently.
-        let err = parse_engine(Some("Tree")).unwrap_err();
-        assert!(err.contains("\"Tree\"") && err.contains("`tree`"), "{err}");
-        assert!(parse_engine(Some("tree-walker")).is_err() && parse_engine(Some("")).is_err());
-    }
 }

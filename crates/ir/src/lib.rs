@@ -10,8 +10,8 @@
 //!   trace assembly), producing warp-efficiency / DRAM / launch metrics per
 //!   block segment,
 //! * [`bytecode`] — the flat bytecode lowering + VM that serves as the
-//!   default functional executor (`DPCONS_INTERP=tree` restores the tree
-//!   walker),
+//!   default functional executor (the tree walker is selected in code, by
+//!   [`install_with_engine`] or [`set_engine_override`]),
 //! * [`printer`] — CUDA-flavoured source emission (the compiler is
 //!   source-to-source in the paper; golden tests pin the generated code).
 
@@ -29,8 +29,7 @@ pub use ast::{
 pub use bytecode::{lower_kernel, lower_module, set_fusion_override, ByteKernel};
 pub use compile::{compile_kernel, compile_module, CExpr, CKernel, CModule, CStmt, IrError};
 pub use interp::{
-    engine_choice, engine_override, install, install_with_engine, set_engine_override, ExecEngine,
-    IrKernelBody,
+    engine_override, install, install_with_engine, set_engine_override, ExecEngine, IrKernelBody,
 };
 pub use printer::{expr_to_string, kernel_to_string, module_to_string};
 
@@ -38,31 +37,63 @@ pub use printer::{expr_to_string, kernel_to_string, module_to_string};
 mod interp_tests {
     use super::dsl::*;
     use super::*;
-    use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec};
+    use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, ProfileReport, SimError};
 
     fn engine() -> Engine {
         Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 16)
     }
 
-    /// Helper: run a single-kernel module and return the engine afterwards.
+    /// Launch `entry` of `m` on a fresh engine holding `arrays`, once on each
+    /// executor. The tree walker must leave the same arrays and the same
+    /// report or fault as the bytecode VM, whose result is returned.
+    fn run_module(
+        m: &Module,
+        entry: &str,
+        arrays: Vec<(&str, Vec<i64>)>,
+        grid: u32,
+        block: u32,
+        scalars: Vec<i64>,
+    ) -> (Vec<Vec<i64>>, Result<ProfileReport, SimError>) {
+        let on = |exec| {
+            let mut e = engine();
+            let handles: Vec<_> =
+                arrays.iter().map(|(n, d)| e.mem.alloc_array_init(n, d.clone())).collect();
+            let ids = install_with_engine(&mut e, m, Some(exec)).unwrap();
+            let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+            args.extend(&scalars);
+            let r = e.launch(LaunchSpec::new(ids[entry], grid, block, args));
+            (handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect(), r)
+        };
+        let vm = on(ExecEngine::Bytecode);
+        assert!(
+            on(ExecEngine::Tree) == vm,
+            "{entry}: the tree executor diverged from the bytecode VM"
+        );
+        vm
+    }
+
+    /// Helper: run a single-kernel module that must not fault; returns the
+    /// final arrays and the report.
     fn run(
         k: Kernel,
         arrays: Vec<(&str, Vec<i64>)>,
         grid: u32,
         block: u32,
         scalars: Vec<i64>,
-    ) -> (Engine, Vec<dpcons_sim::ArrayId>, dpcons_sim::ProfileReport) {
-        let mut e = engine();
-        let handles: Vec<_> =
-            arrays.into_iter().map(|(n, d)| e.mem.alloc_array_init(n, d)).collect();
+    ) -> (Vec<Vec<i64>>, ProfileReport) {
+        let entry = k.name.clone();
         let mut m = Module::new();
         m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
-        args.extend(scalars);
-        let kid = *ids.values().next().unwrap();
-        let r = e.launch(LaunchSpec::new(kid, grid, block, args)).unwrap();
-        (e, handles, r)
+        let (out, r) = run_module(&m, &entry, arrays, grid, block, scalars);
+        (out, r.unwrap())
+    }
+
+    /// Helper: run a single-kernel module that must fault; returns the fault.
+    fn run_fault(k: Kernel, block: u32) -> SimError {
+        let entry = k.name.clone();
+        let mut m = Module::new();
+        m.add(k);
+        run_module(&m, &entry, vec![], 1, block, vec![]).1.unwrap_err()
     }
 
     #[test]
@@ -71,8 +102,8 @@ mod interp_tests {
             .array("out")
             .scalar("n")
             .body(vec![when(lt(gtid(), v("n")), vec![store(v("out"), gtid(), gtid())])]);
-        let (e, h, _) = run(k, vec![("out", vec![0; 96])], 3, 32, vec![96]);
-        let out = e.mem.slice(h[0]).unwrap();
+        let (arrays, _) = run(k, vec![("out", vec![0; 96])], 3, 32, vec![96]);
+        let out = &arrays[0];
         for (i, &x) in out.iter().enumerate() {
             assert_eq!(x, i as i64);
         }
@@ -83,7 +114,7 @@ mod interp_tests {
         // Lanes 0..16 do heavy work, lanes 16..32 do nothing.
         let k =
             KernelBuilder::new("div").body(vec![when(lt(tid(), i(16)), vec![compute(i(10_000))])]);
-        let (_, _, r) = run(k, vec![], 1, 32, vec![]);
+        let (_, r) = run(k, vec![], 1, 32, vec![]);
         assert!(
             r.warp_exec_efficiency < 0.6,
             "expected heavy divergence, got {}",
@@ -91,7 +122,7 @@ mod interp_tests {
         );
 
         let k2 = KernelBuilder::new("uni").body(vec![compute(i(10_000))]);
-        let (_, _, r2) = run(k2, vec![], 1, 32, vec![]);
+        let (_, r2) = run(k2, vec![], 1, 32, vec![]);
         assert!(r2.warp_exec_efficiency > 0.95, "uniform warp should be efficient");
     }
 
@@ -107,8 +138,8 @@ mod interp_tests {
             ),
             store(v("out"), tid(), v("n")),
         ]);
-        let (e, h, _) = run(k, vec![("out", vec![-1; 32])], 1, 32, vec![]);
-        let out = e.mem.slice(h[0]).unwrap();
+        let (arrays, _) = run(k, vec![("out", vec![-1; 32])], 1, 32, vec![]);
+        let out = &arrays[0];
         for (i, &x) in out.iter().enumerate() {
             assert_eq!(x, i as i64);
         }
@@ -121,8 +152,8 @@ mod interp_tests {
             for_("j", i(0), v("n"), vec![assign("acc", add(v("acc"), v("j")))]),
             when(eq(gtid(), i(0)), vec![store(v("out"), i(0), v("acc"))]),
         ]);
-        let (e, h, _) = run(k, vec![("out", vec![0])], 1, 32, vec![10]);
-        assert_eq!(e.mem.read(h[0], 0).unwrap(), 45);
+        let (arrays, _) = run(k, vec![("out", vec![0])], 1, 32, vec![10]);
+        assert_eq!(arrays[0][0], 45);
     }
 
     #[test]
@@ -131,11 +162,11 @@ mod interp_tests {
             atomic_add(Some("old"), v("out"), i(0), i(1)),
             store(v("out"), add(i(1), v("old")), tid()),
         ]);
-        let (e, h, _) = run(k, vec![("out", vec![0; 33])], 1, 32, vec![]);
+        let (arrays, _) = run(k, vec![("out", vec![0; 33])], 1, 32, vec![]);
         // Lane order: old values 0..31 in lane order.
-        assert_eq!(e.mem.read(h[0], 0).unwrap(), 32);
+        assert_eq!(arrays[0][0], 32);
         for l in 0..32 {
-            assert_eq!(e.mem.read(h[0], 1 + l).unwrap(), l as i64);
+            assert_eq!(arrays[0][1 + l], l as i64);
         }
     }
 
@@ -143,11 +174,11 @@ mod interp_tests {
     fn coalesced_vs_strided_dram() {
         let k_seq =
             KernelBuilder::new("seq").array("a").body(vec![let_("x", load(v("a"), gtid()))]);
-        let (_, _, r_seq) = run(k_seq, vec![("a", vec![1; 2048])], 1, 32, vec![]);
+        let (_, r_seq) = run(k_seq, vec![("a", vec![1; 2048])], 1, 32, vec![]);
         let k_str = KernelBuilder::new("strided")
             .array("a")
             .body(vec![let_("x", load(v("a"), mul(gtid(), i(64))))]);
-        let (_, _, r_str) = run(k_str, vec![("a", vec![1; 2048])], 1, 32, vec![]);
+        let (_, r_str) = run(k_str, vec![("a", vec![1; 2048])], 1, 32, vec![]);
         assert!(
             r_str.dram_transactions >= 8 * r_seq.dram_transactions,
             "strided {} vs sequential {}",
@@ -158,8 +189,6 @@ mod interp_tests {
 
     #[test]
     fn launch_per_active_lane() {
-        let mut e = engine();
-        let flag = e.mem.alloc_array("flag", 64);
         let mut m = Module::new();
         m.add(
             KernelBuilder::new("child")
@@ -171,21 +200,16 @@ mod interp_tests {
             lt(tid(), i(5)),
             vec![launch("child", i(1), i(32), vec![v("flag"), tid()])],
         )]));
-        let ids = install(&mut e, &m).unwrap();
-        let r = e.launch(LaunchSpec::new(ids["parent"], 1, 32, vec![flag as i64])).unwrap();
+        let (arrays, r) = run_module(&m, "parent", vec![("flag", vec![0; 64])], 1, 32, vec![]);
+        let r = r.unwrap();
         assert_eq!(r.device_launches, 5);
-        for l in 0..5 {
-            assert_eq!(e.mem.read(flag, l).unwrap(), 1);
-        }
-        assert_eq!(e.mem.read(flag, 5).unwrap(), 0);
+        assert_eq!(arrays[0][..6], [1, 1, 1, 1, 1, 0]);
         // Five serialized launches, each with one active lane: efficiency low.
         assert!(r.warp_exec_efficiency < 0.5);
     }
 
     #[test]
     fn recursion_via_self_launch() {
-        let mut e = engine();
-        let acc = e.mem.alloc_array("acc", 1);
         let mut m = Module::new();
         let mut k = KernelBuilder::new("rec").array("acc").scalar("level").body(vec![]);
         k.body = vec![
@@ -196,9 +220,9 @@ mod interp_tests {
             ),
         ];
         m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        let r = e.launch(LaunchSpec::new(ids["rec"], 1, 32, vec![acc as i64, 0])).unwrap();
-        assert_eq!(e.mem.read(acc, 0).unwrap(), 5);
+        let (arrays, r) = run_module(&m, "rec", vec![("acc", vec![0])], 1, 32, vec![0]);
+        let r = r.unwrap();
+        assert_eq!(arrays[0], [5]);
         assert_eq!(r.max_depth, 4);
         assert_eq!(r.kernels_executed, 5);
     }
@@ -212,7 +236,7 @@ mod interp_tests {
             sync(),
             if_(lt(tid(), i(32)), vec![compute(i(0))], vec![compute(i(10_000))]),
         ]);
-        let (_, _, r) = run(k, vec![], 1, 64, vec![]);
+        let (_, r) = run(k, vec![], 1, 64, vec![]);
         // Both phases cost ~10k: duration must be >= 20k.
         assert!(r.total_cycles > 20_000, "got {}", r.total_cycles);
     }
@@ -223,23 +247,14 @@ mod interp_tests {
             land(ge(tid(), i(32)), eq(rem(tid(), i(32)), i(0))),
             vec![device_sync()],
         )]);
-        let mut e = engine();
-        let mut m = Module::new();
-        m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        assert!(e.launch(LaunchSpec::new(ids["ok"], 1, 64, vec![])).is_ok());
+        run(k, vec![], 1, 64, vec![]);
     }
 
     #[test]
     fn device_sync_in_two_warps_faults() {
         let k = KernelBuilder::new("bad")
             .body(vec![when(eq(rem(tid(), i(32)), i(0)), vec![device_sync()])]);
-        let mut e = engine();
-        let mut m = Module::new();
-        m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        let err = e.launch(LaunchSpec::new(ids["bad"], 1, 64, vec![])).unwrap_err();
-        assert!(matches!(err, dpcons_sim::SimError::KernelFault { .. }));
+        assert!(matches!(run_fault(k, 64), SimError::KernelFault { .. }));
     }
 
     #[test]
@@ -250,14 +265,14 @@ mod interp_tests {
             land(lt(gtid(), v("n")), eq(load(v("a"), gtid()), i(0))),
             vec![store(v("a"), gtid(), i(7))],
         )]);
-        let (e, h, _) = run(k, vec![("a", vec![0; 10])], 1, 64, vec![10]);
-        assert_eq!(e.mem.slice(h[0]).unwrap(), &[7; 10]);
+        let (arrays, _) = run(k, vec![("a", vec![0; 10])], 1, 64, vec![10]);
+        assert_eq!(arrays[0], [7; 10]);
         // And `||` short-circuits symmetrically.
         let k2 = KernelBuilder::new("or_guard").array("a").scalar("n").body(vec![when(
             lor(ge(gtid(), v("n")), gt(load(v("a"), gtid()), i(-1))),
             vec![compute(i(1))],
         )]);
-        let (_, _, r) = run(k2, vec![("a", vec![0; 10])], 1, 64, vec![10]);
+        let (_, r) = run(k2, vec![("a", vec![0; 10])], 1, 64, vec![10]);
         assert!(r.total_cycles > 0);
     }
 
@@ -275,8 +290,8 @@ mod interp_tests {
                 ],
             ),
         ]);
-        let (e, h, _) = run(k, vec![("out", vec![-1; 16])], 1, 64, vec![]);
-        let out = e.mem.slice(h[0]).unwrap();
+        let (arrays, _) = run(k, vec![("out", vec![-1; 16])], 1, 64, vec![]);
+        let out = &arrays[0];
         // Two warps: distinct warp buffers, same block buffer.
         assert_ne!(out[0], out[1]);
         assert_eq!(out[8], out[9]);
@@ -285,13 +300,8 @@ mod interp_tests {
     #[test]
     fn division_by_zero_faults() {
         let k = KernelBuilder::new("dz").body(vec![let_("x", div(i(1), i(0)))]);
-        let mut e = engine();
-        let mut m = Module::new();
-        m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        let err = e.launch(LaunchSpec::new(ids["dz"], 1, 32, vec![])).unwrap_err();
-        match err {
-            dpcons_sim::SimError::KernelFault { message, .. } => {
+        match run_fault(k, 32) {
+            SimError::KernelFault { message, .. } => {
                 assert!(message.contains("division"));
             }
             other => panic!("unexpected {other:?}"),
@@ -303,8 +313,8 @@ mod interp_tests {
         let k = KernelBuilder::new("ret")
             .array("out")
             .body(vec![when(lt(tid(), i(16)), vec![ret()]), store(v("out"), tid(), i(1))]);
-        let (e, h, _) = run(k, vec![("out", vec![0; 32])], 1, 32, vec![]);
-        let out = e.mem.slice(h[0]).unwrap();
+        let (arrays, _) = run(k, vec![("out", vec![0; 32])], 1, 32, vec![]);
+        let out = &arrays[0];
         for l in 0..16 {
             assert_eq!(out[l], 0, "lane {l} should have returned");
         }
@@ -316,8 +326,8 @@ mod interp_tests {
     #[test]
     fn partial_warp_masks_high_lanes() {
         let k = KernelBuilder::new("partial").array("out").body(vec![store(v("out"), tid(), i(1))]);
-        let (e, h, _) = run(k, vec![("out", vec![0; 48])], 1, 40, vec![]);
-        let out = e.mem.slice(h[0]).unwrap();
+        let (arrays, _) = run(k, vec![("out", vec![0; 48])], 1, 40, vec![]);
+        let out = &arrays[0];
         assert_eq!(out[..40].iter().sum::<i64>(), 40);
         assert_eq!(out[40..].iter().sum::<i64>(), 0);
     }
@@ -325,11 +335,6 @@ mod interp_tests {
     #[test]
     fn wrong_arity_launch_faults() {
         let k = KernelBuilder::new("k").scalar("a").body(vec![]);
-        let mut e = engine();
-        let mut m = Module::new();
-        m.add(k);
-        let ids = install(&mut e, &m).unwrap();
-        let err = e.launch(LaunchSpec::new(ids["k"], 1, 32, vec![])).unwrap_err();
-        assert!(matches!(err, dpcons_sim::SimError::KernelFault { .. }));
+        assert!(matches!(run_fault(k, 32), SimError::KernelFault { .. }));
     }
 }

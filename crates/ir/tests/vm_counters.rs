@@ -1,8 +1,10 @@
 //! The VM's `ir.vm.*` counters are process-global, so this must stay the
-//! only test in its binary: any concurrent launch would move them.
+//! only test in its binary: any concurrent launch would move them. The
+//! kernel is installed without an executor pin, and only the VM moves these
+//! counters, so the test also proves that the default executor is the VM.
 
 use dpcons_ir::dsl::*;
-use dpcons_ir::{install_with_engine, ExecEngine, Module};
+use dpcons_ir::{install, Module};
 use dpcons_sim::obs;
 use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec};
 
@@ -33,7 +35,7 @@ fn run_once() -> [u64; 4] {
     let mut eng = Engine::new(GpuConfig::tiny(), AllocKind::PreAlloc, 1 << 12);
     let inp = eng.mem.alloc_array_init("inp", (0..64).collect());
     let out = eng.mem.alloc_array("out", 96);
-    let ids = install_with_engine(&mut eng, &m, Some(ExecEngine::Bytecode)).unwrap();
+    let ids = install(&mut eng, &m).unwrap();
     let before = read();
     let spec = LaunchSpec::new(ids["k"], 3, 96, vec![inp as i64, out as i64, 5]);
     eng.launch(spec).unwrap();

@@ -240,17 +240,29 @@ fn handle_conn(stream: TcpStream, ctx: &Ctx) {
     dpcons_obs::histogram("serve.request_us").record(began.elapsed().as_micros() as u64);
 }
 
+/// Bound on a request's line plus headers. Requests are tiny; a head that
+/// has not ended by here (one endless header line, or headers without end)
+/// is refused as unreadable instead of growing a buffer or looping forever.
+pub const MAX_REQUEST_HEAD_BYTES: u64 = 16 * 1024;
+
 /// Read one request: request line, headers, `Content-Length`-framed body.
+/// `None` when the request is malformed, truncated, or its head exceeds
+/// [`MAX_REQUEST_HEAD_BYTES`].
 fn read_request(reader: &mut BufReader<TcpStream>) -> Option<(String, String, String)> {
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let mut head = reader.by_ref().take(MAX_REQUEST_HEAD_BYTES);
+    // A line is whole only with its newline: EOF or the head bound cuts it.
+    let mut next_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line).ok()?;
+        line.ends_with('\n').then_some(line)
+    };
+    let line = next_line()?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let path = parts.next()?.to_string();
     let mut content_length = 0usize;
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).ok()?;
+        let h = next_line()?;
         let h = h.trim_end();
         if h.is_empty() {
             break;

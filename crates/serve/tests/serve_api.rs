@@ -8,10 +8,11 @@
 //! executions and others time requests, so the tests serialize on one mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use dpcons_serve::http::MAX_REQUEST_HEAD_BYTES;
 use dpcons_serve::pool::CacheMode;
 use dpcons_serve::{serve, Client, ErrorClass, ServerConfig};
 
@@ -62,7 +63,33 @@ fn bad_requests_get_typed_4xx_errors() {
     let err = client.stream_lines(99_999).unwrap_err();
     assert_eq!(err.class, ErrorClass::NotFound);
 
+    // A request head that has not ended by the bound is refused, whether it
+    // is one header line without a newline or a flood of short headers. Each
+    // head below is a valid `/healthz` request cut at exactly the bound.
+    let bound = MAX_REQUEST_HEAD_BYTES as usize;
+    let request_line = "GET /healthz HTTP/1.1\r\n";
+    let long_line = format!("{request_line}x-pad: {}", "a".repeat(bound));
+    let flood = format!("{request_line}{}", "x-a: 1\r\n".repeat(bound / 8));
+    for (what, head) in [("oversized header line", long_line), ("header flood", flood)] {
+        let response = send_raw(handle.addr(), &head.as_bytes()[..bound]);
+        assert!(response.starts_with("HTTP/1.1 400"), "{what}: {response}");
+        assert!(response.contains("\"bad_request\""), "{what}: {response}");
+    }
+    assert!(client.healthz().is_ok(), "the server outlives hostile request heads");
+
     handle.shutdown().expect("clean drain");
+}
+
+/// Send `bytes` on a fresh connection, close the sending half, and return
+/// the whole response.
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! guardrail for the flat bytecode executor.
 //!
 //! Every benchmark × every variant runs through **both** functional
-//! executors (`DPCONS_INTERP`-style process override, serialized behind one
-//! mutex because the override is process-global), and every observable must
+//! executors (the process-wide engine override, serialized behind one mutex
+//! because the override is process-global), and every observable must
 //! be bit-identical: the app's functional output (memory state), the full
 //! [`dpcons_sim::ProfileReport`] (cycle / active-thread / DRAM counters),
 //! and the captured [`dpcons_sim::ExecRecord`] DAGs block by block, segment

@@ -6,7 +6,7 @@
 //! form is part of the results-cache format, so it must round-trip exactly
 //! and never change behind a version.
 
-use dpcons_core::{BufferKind, Directive, Granularity, SizeSpec};
+use dpcons_core::{Directive, Granularity, SizeSpec};
 use dpcons_sim::AllocKind;
 
 /// One candidate point in the directive knob space.
@@ -26,11 +26,7 @@ impl Knobs {
     pub fn from_directive(d: &Directive) -> Knobs {
         Knobs {
             granularity: d.granularity,
-            alloc: match d.buffer {
-                BufferKind::Default => AllocKind::Default,
-                BufferKind::Halloc => AllocKind::Halloc,
-                BufferKind::Custom => AllocKind::PreAlloc,
-            },
+            alloc: d.buffer.into(),
             per_buffer_size: match &d.per_buffer_size {
                 Some(SizeSpec::Items(n)) => Some(*n),
                 _ => None,
@@ -134,12 +130,7 @@ mod tests {
         for d in base.enumerate(&KnobSpace::quick(13)) {
             let k = Knobs::from_directive(&d);
             assert_eq!(k.granularity, d.granularity);
-            let expected_alloc = match d.buffer {
-                BufferKind::Default => AllocKind::Default,
-                BufferKind::Halloc => AllocKind::Halloc,
-                BufferKind::Custom => AllocKind::PreAlloc,
-            };
-            assert_eq!(k.alloc, expected_alloc);
+            assert_eq!(k.alloc, AllocKind::from(d.buffer));
         }
     }
 }

@@ -82,6 +82,6 @@ pub use replay::{merge_reports, replay_timing_many};
 pub use report::{CandidateOutcome, FleetReport, Metrics, Status, TuneReport};
 pub use tuner::{
     cache_key_for, candidate_config, default_knobs, enumerate_candidates, evaluate_candidate,
-    fingerprint, materialize_directive, prune_reason, run_tuned, tune, tune_with_progress, Budget,
-    TuneError, TuneOptions, WaveHook, WaveProgress, WAVE_SIZE,
+    fingerprint, materialize_directive, prune_reason, run_tuned, tune, Budget, TuneError,
+    TuneOptions, WaveHook, WaveProgress, WAVE_SIZE,
 };

@@ -191,12 +191,13 @@ mod tests {
                 assert_eq!(w[0].end, w[1].start, "ranges must tile contiguously");
                 assert!(!w[0].is_empty());
             }
-            // No chunk is worth less than the minimum (except a sole chunk).
-            if ranges.len() > 1 {
-                for r in &ranges {
-                    let records: usize = dags[r.clone()].iter().map(|d| d.len()).sum();
-                    assert!(records > 0, "empty chunk");
-                }
+            // Every chunk but the last (the remainder) is worth the minimum.
+            for r in &ranges[..ranges.len() - 1] {
+                let records: usize = dags[r.clone()].iter().map(|d| d.len()).sum();
+                assert!(
+                    records >= MIN_RECORDS_PER_CHUNK,
+                    "chunk {r:?} holds {records} records at {max_chunks} chunks"
+                );
             }
         }
         assert!(chunk_ranges(&[], 4).is_empty());

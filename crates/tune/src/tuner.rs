@@ -73,8 +73,7 @@ pub struct Budget {
 }
 
 /// Progress of one completed evaluation wave, delivered to the optional
-/// observer of [`tune_with_progress`] / [`crate::fleet_sweep_with_progress`].
-/// Waves are strictly ordered within a sweep (`wave` counts 0, 1, 2, …), so
+/// observer of [`crate::fleet_sweep_with_progress`]. Waves are strictly ordered within a sweep (`wave` counts 0, 1, 2, …), so
 /// a streaming consumer can render monotonic progress without buffering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaveProgress {
@@ -338,11 +337,7 @@ pub fn prune_reason(model: &TuneModel, cfg: &RunConfig, k: &Knobs) -> Option<Str
 pub fn materialize_directive(model: &TuneModel, k: &Knobs) -> dpcons_core::Directive {
     let mut d = (model.directive)(k.granularity);
     d = d.with_per_buffer_size(k.per_buffer_size);
-    d = d.with_buffer(match k.alloc {
-        AllocKind::Default => dpcons_core::BufferKind::Default,
-        AllocKind::Halloc => dpcons_core::BufferKind::Halloc,
-        AllocKind::PreAlloc => dpcons_core::BufferKind::Custom,
-    });
+    d = d.with_buffer(k.alloc.into());
     d
 }
 
@@ -513,18 +508,7 @@ pub fn cache_key_for(
 
 /// Run (or fetch from cache) a full tuning sweep for `app` on `opts.base.gpu`.
 pub fn tune(app: &dyn Benchmark, opts: &TuneOptions) -> Result<TuneReport, TuneError> {
-    tune_with_progress(app, opts, &WaveHook::default())
-}
-
-/// [`tune`] with a per-wave progress callback. The hook fires after each
-/// evaluated wave is recorded; a cache hit replays no waves, so the hook is
-/// never called on that path.
-pub fn tune_with_progress(
-    app: &dyn Benchmark,
-    opts: &TuneOptions,
-    on_wave: &WaveHook,
-) -> Result<TuneReport, TuneError> {
-    sweep(app, opts, std::slice::from_ref(&opts.base.gpu), on_wave)
+    sweep(app, opts, std::slice::from_ref(&opts.base.gpu), &WaveHook::default())
 }
 
 /// The sweep (see the module docs) of `app` over `devices`, which the caller

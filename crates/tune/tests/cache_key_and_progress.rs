@@ -12,8 +12,8 @@ use std::sync::Mutex;
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons_sim::GpuConfig;
 use dpcons_tune::{
-    cache_key_for, fingerprint, fleet_sweep_with_progress, tune_with_progress, Budget,
-    FleetOptions, TuneOptions, WaveHook, WaveProgress,
+    cache_key_for, fingerprint, fleet_sweep_with_progress, tune, Budget, FleetOptions, TuneOptions,
+    WaveHook, WaveProgress,
 };
 
 fn app() -> Sssp {
@@ -62,7 +62,7 @@ fn report_key_matches_public_cache_key_for() {
                 with_baselines: false,
                 cache: None,
             };
-            let tuned = tune_with_progress(&app, &tune_opts, &WaveHook::default()).unwrap();
+            let tuned = tune(&app, &tune_opts).unwrap();
             assert_eq!(tuned.key, report.key);
         }
     }

@@ -6,8 +6,8 @@
 //! outdegree distribution — heavy-tailed irregularity — not on node
 //! identity, so we generate seeded synthetic graphs with matching shapes and
 //! a `scale` knob (scale = 1.0 approximates the paper's sizes; the default
-//! harness uses smaller scales to keep simulation times reasonable and
-//! records the scale in EXPERIMENTS.md).
+//! harness uses smaller scales to keep simulation times reasonable; the
+//! presets in `dpcons_apps::datasets` fix the scale of every experiment).
 
 use crate::graph::CsrGraph;
 use crate::rng::Rng64;

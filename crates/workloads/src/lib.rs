@@ -1,7 +1,7 @@
 //! # dpcons-workloads — datasets and CPU oracles
 //!
 //! Graph/tree data structures (CSR), seeded synthetic generators standing in
-//! for the paper's DIMACS datasets (see DESIGN.md for the substitution
+//! for the paper's DIMACS datasets (see [`gen`] for the substitution
 //! argument), fixed-point arithmetic helpers, and exact sequential reference
 //! implementations of all seven benchmark algorithms.
 

@@ -17,8 +17,8 @@
 //! * [`serve`] — the tuning-as-a-service daemon: std-only HTTP/JSON server
 //!   with request dedup, sharded workers, and streamed wave progress.
 //!
-//! See `examples/quickstart.rs` for an end-to-end tour, and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment inventory.
+//! See `examples/quickstart.rs` for an end-to-end tour, and the `reproduce`
+//! binary of `dpcons-bench` for the experiment inventory.
 
 pub use dpcons_apps as apps;
 pub use dpcons_core as compiler;

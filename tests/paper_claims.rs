@@ -1,4 +1,4 @@
-//! Integration tests pinning the paper's qualitative claims (DESIGN.md §5.3).
+//! Integration tests pinning the paper's qualitative claims.
 //!
 //! These assert *orderings and shapes*, not absolute numbers: who wins, in
 //! which direction each profiling metric moves, and how launch counts shrink
@@ -21,8 +21,8 @@ fn basic_dp_is_much_slower_than_flat() {
     // Section III / V.C: basic-dp underperforms flat implementations by
     // large factors (80-1100x on the paper's testbed). At the small Test
     // dataset profile the launch queue barely spills into the virtualized
-    // pool, so the gap is smaller; the Bench profile (see EXPERIMENTS.md)
-    // reaches two orders of magnitude.
+    // pool, so the gap is smaller; the Bench profile reaches two orders of
+    // magnitude.
     let app = sssp();
     let cfg = RunConfig::default();
     let basic = app.run(Variant::BasicDp, &cfg).unwrap().report;
@@ -166,7 +166,7 @@ fn one_to_one_mapping_underperforms_kc_policies() {
     // concurrency and loses to the KC defaults at block/warp level. At the
     // tiny Test profile the two policies run nearly identical schedules, so
     // the ordering is asserted with a 1% noise margin (the bench profile
-    // shows the full gap; see EXPERIMENTS.md).
+    // shows the full gap).
     use dpcons::compiler::ConfigPolicy;
     let app = td();
     for g in [Granularity::Warp, Granularity::Block] {
