@@ -393,8 +393,8 @@ impl VariantSession {
 /// The static tuning surface of a benchmark: the annotated basic-dp module,
 /// the parent kernel the directive applies to, and the per-granularity base
 /// directive (the seed's hand-written pragma, carrying the `work` clause and
-/// any app-specific sizes). `dpcons-tune` uses this to enumerate and prune
-/// directive candidates without running anything.
+/// any app-specific sizes). `dpcons-tune` uses this to enumerate directive
+/// candidates without running anything.
 pub struct TuneModel {
     pub module_dp: Module,
     pub parent: &'static str,

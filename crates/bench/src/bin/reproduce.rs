@@ -17,13 +17,12 @@
 //! cache and reproduces the identical report. `all tune` runs it beside the
 //! default set.
 //!
-//! The `fleet` experiment runs the device-fleet what-if sweep: each surviving
-//! tuner candidate is captured functionally **once** and re-timed on every
-//! device of `--devices` (default `k20c,k40,titan,tk1`; names from
-//! `dpcons_sim::GpuConfig::registry_names`) by timing-only replay, followed by
-//! a Test→Bench transfer-tuning check.
-//! It writes `BENCH_fleet.json`: the knobs × device cycle matrix, per-device
-//! winners, and per-app transfer regret.
+//! The `fleet` experiment runs the device-fleet what-if sweep, and nothing
+//! else: each tuner candidate is captured functionally **once** and re-timed
+//! on every device of `--devices` (default `k20c,k40,titan,tk1`; names from
+//! `dpcons_sim::GpuConfig::registry_names`) by timing-only replay, at the
+//! selected `--profile` only. It writes `BENCH_fleet.json`: the knobs × device
+//! cycle matrix and the per-device winners.
 //!
 //! Both records are pretty-printed JSON with sorted object keys
 //! ([`dpcons_obs::jsonv::Value::render_pretty`]), so they diff cleanly.
@@ -197,7 +196,7 @@ fn main() {
             "fig8" => emit(&fig8_warp_efficiency(matrix.as_ref().expect("matrix"))),
             "fig9" => emit(&fig9_occupancy(matrix.as_ref().expect("matrix"))),
             "fig10" => emit(&fig10_dram(matrix.as_ref().expect("matrix"))),
-            "headline" => emit(&headline_claims(matrix.as_ref().expect("matrix"))),
+            "headline" => emit(&headline_claims(profile, matrix.as_ref().expect("matrix"))),
             "tune" => {
                 let results = tune_all(profile, &cfg, Some(PathBuf::from(".dpcons-tune-cache")));
                 emit(&tuned_table(matrix.as_ref().expect("matrix"), &results));
@@ -206,7 +205,7 @@ fn main() {
             "fleet" => {
                 let cache = Some(PathBuf::from(".dpcons-tune-cache"));
                 let sweep_t0 = Instant::now();
-                let fleet = fleet_all(profile, &cfg, &fleet_devices, cache.clone());
+                let fleet = fleet_all(profile, &cfg, &fleet_devices, cache);
                 let sweep_s = sweep_t0.elapsed().as_secs_f64();
                 // Throughput of the batched parallel replay path; cache hits
                 // replay nothing, so they are excluded from the rate.
@@ -219,10 +218,8 @@ fn main() {
                     ));
                 }
                 emit(&fleet_table(&fleet));
-                let transfer = transfer_all(&cfg, cache);
-                emit(&transfer_table(&transfer));
                 let fleet_path = PathBuf::from("BENCH_fleet.json");
-                let record = fleet_json(profile, &cfg, &fleet, &transfer).render_pretty();
+                let record = fleet_json(profile, &cfg, &fleet).render_pretty();
                 match std::fs::write(&fleet_path, record) {
                     Ok(()) => progress(format!("[wrote {}]", fleet_path.display())),
                     Err(e) => eprintln!("[failed to write {}: {e}]", fleet_path.display()),

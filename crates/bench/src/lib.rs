@@ -21,13 +21,13 @@ use dpcons_apps::{all_benchmarks, AppOutcome, Profile, RunConfig, Variant};
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_obs::jsonv::Value;
 use dpcons_sim::{AllocKind, GpuConfig};
-use dpcons_tune::{fleet_sweep, transfer_check, tune, Budget, Cache, FleetOptions, TuneOptions};
+use dpcons_tune::{fleet_sweep, tune, Budget, Cache, FleetOptions, TuneOptions};
 
 pub mod golden;
 pub mod tables;
 
 pub use dpcons_tune::par::parallel_map;
-pub use dpcons_tune::{FleetReport, TransferReport, TuneReport};
+pub use dpcons_tune::{FleetReport, TuneReport};
 pub use golden::{golden_diff, golden_path, golden_record};
 pub use tables::Table;
 
@@ -336,12 +336,11 @@ pub fn fig10_dram(matrix: &[AppResults]) -> Table {
 }
 
 /// Headline-claims summary (paper abstract / Section V.C): speedup ranges of
-/// consolidation over basic-dp, over flat, and the basic-dp slowdown.
-pub fn headline_claims(matrix: &[AppResults]) -> Table {
-    let mut t = Table::new(
-        "Headline claims: measured vs paper",
-        vec!["claim", "paper", "measured (bench profile)"],
-    );
+/// consolidation over basic-dp, over flat, and the basic-dp slowdown, as
+/// measured by `matrix` at `profile`.
+pub fn headline_claims(profile: Profile, matrix: &[AppResults]) -> Table {
+    let measured = format!("measured ({} profile)", profile_name(profile));
+    let mut t = Table::new("Headline claims: measured vs paper", vec!["claim", "paper", &measured]);
     let grids: Vec<f64> = matrix
         .iter()
         .map(|a| a.speedup_over_basic(Variant::Consolidated(Granularity::Grid)))
@@ -581,30 +580,6 @@ pub fn fleet_all(
         .collect()
 }
 
-/// Transfer-tuning check over all seven benchmarks: knobs tuned on the
-/// Test-scale dataset re-scored on the Bench-scale dataset, against the
-/// Bench profile's own (same-budget) oracle sweep.
-pub fn transfer_all(cfg: &RunConfig, cache_dir: Option<PathBuf>) -> Vec<(String, TransferReport)> {
-    let test_apps = all_benchmarks(Profile::Test);
-    let bench_apps = all_benchmarks(Profile::Bench);
-    test_apps
-        .iter()
-        .zip(&bench_apps)
-        .map(|(t, b)| {
-            let opts = TuneOptions {
-                base: cfg.clone(),
-                space: KnobSpace::quick(cfg.gpu.num_sms),
-                budget: Budget { max_evals: Some(16), patience: Some(2), ..Budget::default() },
-                with_baselines: false,
-                cache: Some(Cache::new(cache_dir.clone())),
-            };
-            let report = transfer_check(t.as_ref(), b.as_ref(), &opts)
-                .unwrap_or_else(|e| panic!("transfer check for {} failed: {e}", t.name()));
-            (t.name().to_string(), report)
-        })
-        .collect()
-}
-
 /// Per-device winners of the fleet sweep, one row per app.
 pub fn fleet_table(results: &[(String, FleetReport)]) -> Table {
     let devices: Vec<String> = results.first().map(|(_, r)| r.devices.clone()).unwrap_or_default();
@@ -637,35 +612,6 @@ pub fn fleet_table(results: &[(String, FleetReport)]) -> Table {
     t
 }
 
-/// Test→Bench transfer regret, one row per app.
-pub fn transfer_table(results: &[(String, TransferReport)]) -> Table {
-    let mut t = Table::new(
-        "Transfer tuning: Test-profile knobs re-scored on the Bench profile",
-        vec![
-            "app",
-            "test-tuned knobs",
-            "transferred cycles",
-            "oracle knobs",
-            "oracle cycles",
-            "regret",
-        ],
-    );
-    for (name, r) in results {
-        t.row(vec![
-            name.clone(),
-            r.test_knobs.label(),
-            r.transferred_cycles.map(|c| c.to_string()).unwrap_or_else(|| "-".into()),
-            r.oracle_knobs.label(),
-            r.oracle_cycles.to_string(),
-            r.regret().map(|g| format!("{:.1}%", 100.0 * g)).unwrap_or_else(|| "inf".into()),
-        ]);
-    }
-    t.note(
-        "regret: transferred cycles over the Bench profile's own budgeted-oracle cycles, minus 1",
-    );
-    t
-}
-
 fn num(n: u64) -> Value {
     Value::Num(n as f64)
 }
@@ -674,23 +620,16 @@ fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn profile_name(profile: Profile) -> Value {
-    let name = match profile {
+fn profile_name(profile: Profile) -> &'static str {
+    match profile {
         Profile::Test => "test",
         Profile::Bench => "bench",
-    };
-    Value::Str(name.into())
+    }
 }
 
 /// Assemble the machine-readable fleet record (`BENCH_fleet.json`): the full
-/// knobs × device cycle matrix per app, per-device winners, and the
-/// Test→Bench transfer check.
-pub fn fleet_json(
-    profile: Profile,
-    cfg: &RunConfig,
-    fleet: &[(String, FleetReport)],
-    transfer: &[(String, TransferReport)],
-) -> Value {
+/// knobs × device cycle matrix per app and the per-device winners.
+pub fn fleet_json(profile: Profile, cfg: &RunConfig, fleet: &[(String, FleetReport)]) -> Value {
     let devices: Vec<String> = fleet.first().map(|(_, r)| r.devices.clone()).unwrap_or_default();
     let apps = fleet
         .iter()
@@ -719,31 +658,18 @@ pub fn fleet_json(
                     (dev.clone(), w)
                 })
                 .collect();
-            let mut fields = BTreeMap::from([
-                ("name".to_string(), Value::Str(name.clone())),
-                ("functional_runs".into(), num(r.functional_runs)),
-                ("retimings".into(), num(r.retimings)),
-                ("matrix".into(), Value::Arr(matrix)),
-                ("winners".into(), Value::Obj(winners)),
-            ]);
-            if let Some((_, tr)) = transfer.iter().find(|(n, _)| n == name) {
-                let transfer = obj([
-                    ("tuned_on", Value::Str("test".into())),
-                    ("scored_on", Value::Str("bench".into())),
-                    ("test_knobs", Value::Str(tr.test_knobs.label())),
-                    ("transferred_cycles", tr.transferred_cycles.map_or(Value::Null, num)),
-                    ("oracle_knobs", Value::Str(tr.oracle_knobs.label())),
-                    ("oracle_cycles", num(tr.oracle_cycles)),
-                    ("regret", tr.regret().map_or(Value::Null, Value::Num)),
-                ]);
-                fields.insert("transfer".into(), transfer);
-            }
-            Value::Obj(fields)
+            obj([
+                ("name", Value::Str(name.clone())),
+                ("functional_runs", num(r.functional_runs)),
+                ("retimings", num(r.retimings)),
+                ("matrix", Value::Arr(matrix)),
+                ("winners", Value::Obj(winners)),
+            ])
         })
         .collect();
     obj([
-        ("schema", Value::Str("dpcons-bench-fleet-v1".into())),
-        ("profile", profile_name(profile)),
+        ("schema", Value::Str("dpcons-bench-fleet-v2".into())),
+        ("profile", Value::Str(profile_name(profile).into())),
         ("captured_on", devices.first().map_or(Value::Null, |d| Value::Str(d.clone()))),
         ("devices", Value::Arr(devices.into_iter().map(Value::Str).collect())),
         ("threshold", num(cfg.threshold as u64)),
@@ -785,7 +711,6 @@ pub fn reproduce_json(
                     ("knobs", r.best_knobs().map_or(Value::Null, |k| Value::Str(k.label()))),
                     ("speedup_over_best_default", speedup),
                     ("evaluated", num(r.evaluated as u64)),
-                    ("pruned", num(r.pruned as u64)),
                     ("skipped", num(r.skipped as u64)),
                     ("collapsed", num(r.collapsed as u64)),
                     ("cache_hit", Value::Bool(r.from_cache)),
@@ -797,8 +722,8 @@ pub fn reproduce_json(
         })
         .collect();
     obj([
-        ("schema", Value::Str("dpcons-bench-reproduce-v1".into())),
-        ("profile", profile_name(profile)),
+        ("schema", Value::Str("dpcons-bench-reproduce-v2".into())),
+        ("profile", Value::Str(profile_name(profile).into())),
         ("gpu", Value::Str(cfg.gpu.name.clone())),
         ("threshold", num(cfg.threshold as u64)),
         ("apps", Value::Arr(apps)),
@@ -808,13 +733,6 @@ pub fn reproduce_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<_> = (0..32).map(|i| move || i * 2).collect();
-        let out = parallel_map(jobs);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn reproduce_json_has_all_variants_per_app() {
@@ -828,6 +746,8 @@ mod tests {
         for v in Variant::ALL {
             assert!(text.contains(&format!("\"{}\"", v.label())), "{} missing", v.label());
         }
-        assert!(text.contains("dpcons-bench-reproduce-v1"));
+        assert!(text.contains("dpcons-bench-reproduce-v2"));
+        let headline = headline_claims(Profile::Test, &matrix).render();
+        assert!(headline.contains("measured (test profile)"), "{headline}");
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's evaluation is built on device profiler counters, which
 //! `dpcons_sim::ProfileReport` mirrors for the *simulated* device. This crate
 //! is the complementary instrument for the reproduction itself: where does
-//! host wall-clock go across capture, replay, and tuning sweeps, why were
-//! candidates pruned, and is the results cache actually saving work?
+//! host wall-clock go across capture, replay, and tuning sweeps, why did
+//! candidates fail, and is the results cache actually saving work?
 //!
 //! Three pieces, all std-only and process-wide:
 //!

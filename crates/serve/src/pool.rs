@@ -249,7 +249,6 @@ fn execute(
         ("devices".to_string(), Value::Arr(devices)),
         ("key".to_string(), Value::Str(key_hex(report.key))),
         ("evaluated".to_string(), num(report.evaluated as u64)),
-        ("pruned".to_string(), num(report.pruned as u64)),
         ("faulted".to_string(), num(report.fault_count() as u64)),
         ("functional_runs".to_string(), num(report.functional_runs)),
         ("retimings".to_string(), num(report.retimings)),

@@ -15,13 +15,7 @@
 //!    [`dpcons_core::Directive::enumerate`] over the app's hand-written base
 //!    directives (exposed via [`dpcons_apps::TuneModel`]), collapsing
 //!    grid-level duplicates (buffer knobs do not reach grid-level codegen).
-//! 2. **Prune** ([`prune_reason`]) — reject statically-infeasible points
-//!    with the compiler's own analyses: template/child-class compatibility
-//!    (`dpcons_core::analyze`), SM-residency limits
-//!    (`dpcons_core::occupancy`), and device-heap capacity. Pruning is
-//!    conservative: a pruned candidate is guaranteed to fail if evaluated
-//!    (property-tested in `tests/`).
-//! 3. **Evaluate** — surviving candidates run end to end against
+//! 2. **Evaluate** — every candidate runs end to end against
 //!    `dpcons-sim`'s cycle model in parallel ([`par::parallel_map`]; scoped
 //!    std threads — the environment has no `rayon`), in fixed-size waves so
 //!    the optional [`Budget`] (evaluation cap + no-improvement patience)
@@ -30,7 +24,12 @@
 //!    and re-timed on each of the others via `Engine::replay_timing_on`, so
 //!    one functional run yields a whole row of the (knobs × device) matrix.
 //!    Candidates whose output diverges from the CPU oracle are never ranked.
-//! 4. **Rank & cache** — the [`TuneReport`] lists every candidate with its
+//!    Nothing is rejected before it runs: a statically infeasible point (a
+//!    template the compiler's analysis refuses, a block larger than the
+//!    device allows, a buffer larger than the device heap) fails during
+//!    evaluation with the compiler's or simulator's own error and is
+//!    recorded as [`Status::Failed`].
+//! 3. **Rank & cache** — the [`TuneReport`] lists every candidate with its
 //!    metrics and names one winner per device; it is stored in a
 //!    deterministic two-layer [`Cache`] keyed by (app, dataset fingerprint,
 //!    run configuration, knob space, budget, every device's description)
@@ -42,10 +41,8 @@
 //! speedups, and `examples/autotune.rs` demonstrates the flow.
 //!
 //! [`fleet`] holds the multi-device entry point — it only adds the check
-//! that every device can replay a capture from the first — and
-//! [`transfer_check`], which re-scores Test-profile-tuned knobs on the Bench
-//! profile and reports the regret against that profile's own oracle sweep.
-//! `reproduce fleet` and `examples/fleet.rs` drive both end to end.
+//! that every device can replay a capture from the first. `reproduce fleet`
+//! and `examples/fleet.rs` drive it end to end.
 //!
 //! The sweep substrate is **fault-tolerant**: candidate panics are isolated
 //! per job ([`par::parallel_map_robust`]) and recorded as
@@ -72,10 +69,7 @@ pub mod report;
 pub mod tuner;
 
 pub use cache::{fnv1a, Cache, Fnv64};
-pub use fleet::{
-    fleet_sweep, fleet_sweep_with_progress, transfer_check, FleetError, FleetOptions,
-    TransferReport,
-};
+pub use fleet::{fleet_sweep, fleet_sweep_with_progress, FleetError, FleetOptions};
 pub use knobs::Knobs;
 pub use par::{parallel_map, parallel_map_robust};
 pub use replay::{merge_reports, replay_timing_many};

@@ -4,7 +4,7 @@
 //! device matrix over the devices the sweep priced, and a single-device tune
 //! is simply the matrix with one column ([`FleetReport`] names the same
 //! type). It lists every enumerated candidate with what happened to it
-//! (evaluated, pruned, faulted, or skipped by the search budget), the
+//! (evaluated, faulted, or skipped by the search budget), the
 //! optional baseline runs, and one winner per device; the counts and the
 //! winners are functions of the rows (`TuneReport::new`), so they cannot
 //! disagree with them, in a sweep or in a cache file. A candidate runs
@@ -34,11 +34,11 @@ pub struct Metrics {
 /// What the search did with one candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Status {
-    /// Rejected up front without running (reason recorded).
-    Pruned(String),
     /// Ran to completion.
     Evaluated(Metrics),
-    /// The run itself errored (transform or simulator fault).
+    /// The run itself errored (transform or simulator fault) — including a
+    /// statically infeasible point, which fails with the compiler's or
+    /// simulator's own error.
     Failed(String),
     /// Not evaluated: the search budget stopped the sweep first.
     Skipped,
@@ -54,7 +54,7 @@ pub enum Status {
 
 impl Status {
     /// Whether this outcome is a fault the sweep survived (panicked, timed
-    /// out, or errored) rather than a normal evaluation/prune/skip.
+    /// out, or errored) rather than a normal evaluation or skip.
     pub fn is_fault(&self) -> bool {
         matches!(self, Status::Failed(_) | Status::Panicked(_) | Status::TimedOut(_))
     }
@@ -109,7 +109,6 @@ pub struct TuneReport {
     /// oracle-exact row, `None` when no row is ranked.
     pub winners: Vec<Option<usize>>,
     pub evaluated: usize,
-    pub pruned: usize,
     pub failed: usize,
     pub skipped: usize,
     /// Candidates whose evaluation panicked (isolated, sweep continued).
@@ -170,7 +169,6 @@ impl TuneReport {
         TuneReport {
             winners: (0..devices.len()).map(|d| column(d).min().map(|(_, i)| i)).collect(),
             evaluated,
-            pruned: count(|s| matches!(s, Status::Pruned(_))),
             failed,
             skipped: count(|s| matches!(s, Status::Skipped)),
             panicked,
@@ -279,7 +277,6 @@ impl TuneReport {
                     }
                     s.push('\n');
                 }
-                Status::Pruned(msg) => s.push_str(&format!("pruned {}\n", sanitize(msg))),
                 Status::Failed(msg) => s.push_str(&format!("failed {}\n", sanitize(msg))),
                 Status::Skipped => s.push_str("skipped\n"),
                 Status::Panicked(msg) => s.push_str(&format!("panicked {}\n", sanitize(msg))),
@@ -347,7 +344,7 @@ impl TuneReport {
 
 /// First line of the text form; its version moves with
 /// [`crate::tuner::CACHE_SCHEMA`].
-const HEADER: &str = "dpcons-tune v3";
+const HEADER: &str = "dpcons-tune v4";
 
 fn sanitize(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")
@@ -391,7 +388,6 @@ fn parse_candidate(rest: &str, n_devices: usize) -> Result<CandidateOutcome, Str
             }
             Status::Evaluated(captured)
         }
-        "pruned" => Status::Pruned(tail.to_string()),
         "failed" => Status::Failed(tail.to_string()),
         "skipped" => Status::Skipped,
         "panicked" => Status::Panicked(tail.to_string()),
@@ -438,7 +434,7 @@ mod tests {
             42,
             vec![("no-dp".into(), 1000), ("basic-dp".into(), 90_000)],
             vec![
-                row(Granularity::Warp, AllocKind::Default, Status::Pruned("analysis: no".into())),
+                row(Granularity::Warp, AllocKind::Default, Status::Failed("analysis: no".into())),
                 ranked(AllocKind::PreAlloc),
                 row(Granularity::Block, AllocKind::Halloc, Status::Skipped),
                 row(
@@ -462,9 +458,9 @@ mod tests {
     fn derived_fields_follow_from_the_rows() {
         let r = sample(3);
         assert_eq!(r.winners, vec![Some(1); 3], "the earlier candidate keeps a tie");
-        let counts = (r.evaluated, r.pruned, r.failed, r.skipped, r.panicked, r.timed_out);
-        assert_eq!(counts, (3, 1, 0, 1, 1, 1));
-        assert_eq!((r.functional_runs, r.retimings, r.collapsed), (5, 2 * 3, 2));
+        let counts = (r.evaluated, r.failed, r.skipped, r.panicked, r.timed_out);
+        assert_eq!(counts, (3, 1, 1, 1, 1));
+        assert_eq!((r.functional_runs, r.retimings, r.collapsed), (6, 2 * 3, 2));
         assert!(!r.from_cache);
     }
 
@@ -502,9 +498,9 @@ mod tests {
     #[test]
     fn fault_accessors_count_and_enumerate() {
         let r = sample(1);
-        assert_eq!(r.fault_count(), 2);
+        assert_eq!(r.fault_count(), 3);
         let faulted: Vec<usize> = r.faulted().map(|(i, _)| i).collect();
-        assert_eq!(faulted, vec![3, 4]);
+        assert_eq!(faulted, vec![0, 3, 4]);
         assert!(r.candidates[3].status.is_fault());
         assert!(!r.candidates[1].status.is_fault());
     }
@@ -512,7 +508,7 @@ mod tests {
     #[test]
     fn corrupt_entries_are_rejected() {
         assert!(TuneReport::from_text("").is_err());
-        assert!(TuneReport::from_text("dpcons-tune v2\n").is_err(), "stale schema is rejected");
+        assert!(TuneReport::from_text("dpcons-tune v3\n").is_err(), "stale schema is rejected");
         for n in 1..=2 {
             let text = sample(n).to_text();
             let broken = [

@@ -5,10 +5,11 @@
 //! the `dpcons-serve` daemon — is the private `sweep` below; `tune` is the
 //! sweep over `[base.gpu]`. Its stages: key the request ([`cache_key_for`])
 //! and look the results cache up → enumerate the knob space, collapsing
-//! redundant grid-level combinations → prune infeasible points with the
-//! compiler's own static analyses → optionally run the baselines → evaluate
-//! the survivors in parallel, in deterministic waves under the search budget
-//! → rank by cycles among oracle-exact runs, once per device → store.
+//! redundant grid-level combinations → optionally run the baselines →
+//! evaluate every candidate in parallel, in deterministic waves under the
+//! search budget → rank by cycles among oracle-exact runs, once per device →
+//! store. Nothing is rejected before it runs: a statically infeasible point
+//! fails during evaluation with the compiler's or simulator's own error.
 //!
 //! A candidate executes functionally **once**, on `devices[0]`, whatever the
 //! device count: only timing depends on a device's structural resources
@@ -22,12 +23,11 @@
 //! one-device column ≡ the single-device sweep).
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, TunedDirective, Variant};
-use dpcons_core::{
-    analyze, max_blocks_per_sm, ConfigPolicy, Granularity, KernelResources, KnobSpace,
-};
+use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_sim::{AllocKind, ExecRecord, GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
@@ -46,7 +46,8 @@ pub const WAVE_SIZE: usize = 16;
 /// entry would otherwise report pre-change cycles as current.
 /// v2: fault-tolerant sweeps (panicked/timed-out outcomes, `Budget` watchdog
 /// fields). v3: one report format for every device count, one key function.
-pub const CACHE_SCHEMA: u32 = 3;
+/// v4: no static pruning (no `pruned` rows).
+pub const CACHE_SCHEMA: u32 = 4;
 
 /// Search budget: caps and early stopping for large knob grids. The paper's
 /// per-granularity default candidates are always evaluated (they are ordered
@@ -83,7 +84,7 @@ pub struct WaveProgress {
     pub evaluated: usize,
     /// Candidates evaluated so far, this wave included.
     pub evaluated_total: usize,
-    /// Evaluable candidates the sweep planned after pruning; the budget may
+    /// Candidates the sweep planned: every enumerated one. The budget may
     /// legitimately stop the sweep before reaching them all.
     pub planned: usize,
     /// Whether this wave improved the incumbent best on any ranking.
@@ -133,7 +134,7 @@ pub enum TuneError {
     NotTunable { app: String },
     /// The knob space enumerates to nothing.
     EmptySpace,
-    /// Every candidate was pruned, failed, or corrupted its output.
+    /// Every candidate failed or corrupted its output.
     NoFeasibleCandidate { app: String },
     /// The budget is structurally unusable (e.g. `max_evals == Some(0)`).
     InvalidBudget { reason: &'static str },
@@ -163,20 +164,20 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// The budgeted wave driver: walk `eval_idx` in [`WAVE_SIZE`] batches,
-/// honoring the evaluation cap (the `n_defaults` leading defaults are always
-/// covered) and the no-improvement patience. `evaluate` runs one batch
-/// (parallel inside); `record` stores one result and reports whether it
-/// improved the incumbent on any device — patience only stops the sweep once
-/// at least one improvement has ever been recorded. Each wave is traced as a
+/// The budgeted wave driver: walk candidates `0..planned` in [`WAVE_SIZE`]
+/// batches, honoring the evaluation cap (the `n_defaults` leading defaults
+/// are always covered) and the no-improvement patience. `evaluate` runs one
+/// batch (parallel inside); `record` stores one result and reports whether
+/// it improved the incumbent on any device — patience only stops the sweep
+/// once at least one improvement has ever been recorded. Each wave is traced as a
 /// `tune.wave` span carrying the wave number, and reported to `hook` after
 /// its results are recorded.
 fn run_waves<S>(
-    eval_idx: &[usize],
+    planned: usize,
     n_defaults: usize,
     budget: &Budget,
     hook: &WaveHook,
-    evaluate: impl Fn(&[usize]) -> Vec<S>,
+    evaluate: impl Fn(Range<usize>) -> Vec<S>,
     mut record: impl FnMut(usize, S) -> bool,
 ) {
     let max_evals = budget.max_evals.map(|m| m.max(n_defaults)).unwrap_or(usize::MAX);
@@ -184,15 +185,15 @@ fn run_waves<S>(
     let mut stale_waves = 0usize;
     let mut any_best = false;
     let mut wave_no = 0u64;
-    while evaluated < eval_idx.len().min(max_evals) {
+    while evaluated < planned.min(max_evals) {
         let room = WAVE_SIZE.min(max_evals - evaluated);
-        let batch = &eval_idx[evaluated..(evaluated + room).min(eval_idx.len())];
+        let batch = evaluated..(evaluated + room).min(planned);
         let results = {
             let _wave = dpcons_obs::span_n("tune.wave", wave_no);
-            evaluate(batch)
+            evaluate(batch.clone())
         };
         let mut improved = false;
-        for (&i, st) in batch.iter().zip(results) {
+        for (i, st) in batch.clone().zip(results) {
             improved |= record(i, st);
         }
         evaluated += batch.len();
@@ -201,7 +202,7 @@ fn run_waves<S>(
             wave: wave_no,
             evaluated: batch.len(),
             evaluated_total: evaluated,
-            planned: eval_idx.len(),
+            planned,
             improved,
         });
         wave_no += 1;
@@ -274,60 +275,13 @@ pub fn enumerate_candidates(model: &TuneModel, space: &KnobSpace) -> (Vec<Knobs>
     (out, collapsed)
 }
 
-/// Static feasibility check; `Some(reason)` means the candidate cannot run.
-///
-/// Every predicate is conservative — a pruned candidate is *guaranteed* to
-/// fail when evaluated (compiler rejection, launch-config rejection, or heap
-/// exhaustion), which `crates/tune/tests/` verifies by force-evaluating
-/// pruned points.
-pub fn prune_reason(model: &TuneModel, cfg: &RunConfig, k: &Knobs) -> Option<String> {
-    let dir = materialize_directive(model, k);
-    // (a) template/analysis feasibility for this granularity (e.g. warp-level
-    // consolidation of a kernel that device-synchronizes is rejected).
-    let analysis = match analyze(&model.module_dp, model.parent, &dir) {
-        Ok(a) => a,
-        Err(e) => return Some(format!("analysis: {e}")),
-    };
-    // (b) launch-configuration limits of the consolidated kernel.
-    if let Some((_, t)) = k.config {
-        if t > cfg.gpu.max_threads_per_block {
-            return Some(format!(
-                "occupancy: block dimension {t} exceeds device limit {}",
-                cfg.gpu.max_threads_per_block
-            ));
-        }
-        // `analyze` resolved the child kernel above, so this lookup cannot
-        // miss; treat a miss as a (conservative) prune anyway rather than
-        // panicking inside a sweep worker.
-        let Some(child) = model.module_dp.get(&analysis.launch.target) else {
-            return Some(format!("analysis: child kernel `{}` not found", analysis.launch.target));
-        };
-        let res = KernelResources {
-            regs_per_thread: child.regs_per_thread,
-            shared_bytes: child.shared_bytes,
-        };
-        if max_blocks_per_sm(&cfg.gpu, t, res) == 0 {
-            return Some(format!(
-                "occupancy: no SM can host a {t}-thread block of `{}`",
-                analysis.launch.target
-            ));
-        }
-    }
-    // (c) heap capacity: a single warp/block consolidation buffer larger than
-    // the device heap can never be allocated. (Grid level uses the
-    // host-provided pool, not the device heap.)
-    if k.granularity != Granularity::Grid {
-        if let Some(n) = k.per_buffer_size {
-            let nv = analysis.launch.buffered.len() as u64;
-            let words = 1 + n * nv;
-            if words > cfg.heap_words {
-                return Some(format!(
-                    "heap: one {words}-word buffer exceeds the {}-word device heap",
-                    cfg.heap_words
-                ));
-            }
-        }
-    }
+/// Always `None`, kept only so existing callers still build: the sweep
+/// prunes nothing, and a statically infeasible point fails during evaluation
+/// with the compiler's or simulator's own error, as a [`Status::Failed`] row.
+/// The standalone benchmark's `tune.prune_us` probe still calls it; the two
+/// go together (ROADMAP item 3).
+#[doc(hidden)]
+pub fn prune_reason(_model: &TuneModel, _cfg: &RunConfig, _k: &Knobs) -> Option<String> {
     None
 }
 
@@ -366,9 +320,9 @@ fn attempt_config(base: &RunConfig, k: &Knobs, others: &[GpuConfig], budget: &Bu
     }
 }
 
-/// Run one candidate end to end on `base.gpu` and score it. Public so tests
-/// can force-evaluate pruned candidates: the sweep's own evaluation of one
-/// row, on one device, under a default (watchdog-free) budget.
+/// Run one candidate end to end on `base.gpu` and score it: the sweep's own
+/// evaluation of one row, on one device, under a default (watchdog-free)
+/// budget.
 pub fn evaluate_candidate(
     app: &dyn Benchmark,
     base: &RunConfig,
@@ -550,27 +504,13 @@ pub(crate) fn sweep(
         return Ok(hit);
     }
 
-    // Enumerate, then prune statically; what survives starts out `Skipped`
-    // and stays so if the budget stops the sweep before reaching it.
+    // Every enumerated candidate starts out `Skipped` and stays so if the
+    // budget stops the sweep before reaching it.
     let (cands, collapsed) = enumerate_candidates(&model, &opts.space);
     let mut rows: Vec<CandidateOutcome> = cands
         .iter()
-        .map(|&knobs| {
-            let status = match prune_reason(&model, &base, &knobs) {
-                Some(reason) => {
-                    // One `tune.pruned.<family>` counter per reason prefix
-                    // ("analysis", "occupancy", "heap") — a bounded set.
-                    let family = reason.split(':').next().unwrap_or("other").trim();
-                    dpcons_obs::counter(&format!("tune.pruned.{family}")).inc();
-                    Status::Pruned(reason)
-                }
-                None => Status::Skipped,
-            };
-            CandidateOutcome { knobs, status, retimed: Vec::new() }
-        })
+        .map(|&knobs| CandidateOutcome { knobs, status: Status::Skipped, retimed: Vec::new() })
         .collect();
-    let eval_idx: Vec<usize> =
-        (0..rows.len()).filter(|&i| rows[i].status == Status::Skipped).collect();
 
     // Baselines. A failed or panicking baseline run is omitted from the
     // report (never recorded as a fake cycle count, never fatal);
@@ -593,20 +533,20 @@ pub(crate) fn sweep(
     // the hand-written directive.
     let is_default =
         |k: &Knobs| opts.space.granularities.iter().any(|&g| default_knobs(&model, g) == *k);
-    let n_defaults = eval_idx.iter().take_while(|&&i| is_default(&cands[i])).count();
+    let n_defaults = cands.iter().take_while(|k| is_default(k)).count();
     // Best cycles so far per device; candidates are visited in index order,
     // so only a strictly faster run takes over — the report's tie-break.
     let mut best = vec![u64::MAX; devices.len()];
     run_waves(
-        &eval_idx,
+        cands.len(),
         n_defaults,
         &opts.budget,
         on_wave,
         |batch| {
-            let jobs: Vec<_> = batch
+            let jobs: Vec<_> = cands[batch]
                 .iter()
-                .map(|&i| {
-                    let (k, base, expected) = (&cands[i], &base, &expected);
+                .map(|k| {
+                    let (base, expected) = (&base, &expected);
                     move || evaluate(app, base, k, expected, &devices[1..], &opts.budget)
                 })
                 .collect();

@@ -139,8 +139,8 @@ fn tune_ok(app: &dyn Benchmark, o: &TuneOptions) -> TuneReport {
     tune(app, o).expect("the sweep must complete, faults or not")
 }
 
-/// Labels of candidates that actually ran in a fault-free sweep (pruned
-/// ones never reach `Benchmark::run`), except those in `spared`.
+/// Labels of candidates that ran to completion in a fault-free sweep, except
+/// those in `spared`.
 fn evaluated_labels_except(report: &TuneReport, spared: &[String]) -> Vec<String> {
     report
         .candidates

@@ -4,17 +4,18 @@
 //!   including under a budget (early stopping is machine-independent);
 //! * **cache-hit equivalence** — a cached result equals a fresh search,
 //!   through both the in-memory and the on-disk layer;
-//! * **pruning soundness** — no pruned candidate would have been feasible:
-//!   force-evaluating every pruned point fails.
+//! * **infeasible points** — a statically infeasible candidate is evaluated
+//!   like any other, fails with the compiler's or simulator's own error, and
+//!   never changes the winner.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp, TreeDescendants};
-use dpcons_core::{consolidate, BufferKind, Granularity, KnobSpace};
+use dpcons_core::{BufferKind, Granularity, KnobSpace};
 use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{
-    default_knobs, enumerate_candidates, evaluate_candidate, fleet_sweep, prune_reason, tune,
-    Budget, Cache, FleetOptions, Knobs, Status, TuneOptions,
+    default_knobs, enumerate_candidates, fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs,
+    Status, TuneOptions,
 };
 
 /// `Cache`'s memory layer is process-global and tests run in parallel: every
@@ -115,89 +116,57 @@ fn cache_hit_equals_fresh_search_across_both_layers() {
 }
 
 #[test]
-fn pruned_candidates_are_never_feasible() {
+fn infeasible_candidates_fail_and_never_win() {
     // A space salted with statically-infeasible points: an oversized block
-    // configuration and a per-buffer size beyond the device heap.
+    // configuration and a per-buffer size beyond the device heap. Nothing is
+    // rejected up front; each such point runs, fails with the compiler's or
+    // simulator's own error, and leaves the winner of the feasible
+    // sub-space unchanged.
     let app = sssp();
     let base = RunConfig { heap_words: 1 << 16, ..RunConfig::default() };
-    let space = KnobSpace {
+    let salted = KnobSpace {
         granularities: Granularity::ALL.to_vec(),
         buffers: vec![BufferKind::Custom],
         per_buffer_sizes: vec![None, Some(1 << 20)],
         configs: vec![None, Some((13, 2048))],
     };
-    let o = TuneOptions {
-        base: base.clone(),
-        space,
-        budget: Budget::default(),
-        with_baselines: false,
-        cache: None,
+    let feasible =
+        KnobSpace { per_buffer_sizes: vec![None], configs: vec![None], ..salted.clone() };
+    let sweep = |space: KnobSpace| {
+        let o = TuneOptions {
+            base: base.clone(),
+            space,
+            budget: Budget::default(),
+            with_baselines: false,
+            cache: None,
+        };
+        tune(&app, &o).unwrap()
     };
-    let report = tune(&app, &o).unwrap();
-    assert!(report.pruned > 0, "the salted space must trigger pruning");
-    assert!(report.best_knobs().is_some(), "feasible points remain");
+    let report = sweep(salted);
 
-    let expected = app.reference();
-    for c in &report.candidates {
-        if let Status::Pruned(reason) = &c.status {
-            let st = evaluate_candidate(&app, &base, &c.knobs, &expected);
-            assert!(
-                matches!(st, Status::Failed(_)),
-                "pruned candidate {} (reason: {reason}) evaluated to {st:?} — prune is unsound",
-                c.knobs.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn analysis_prune_matches_the_compiler_rejection() {
-    // Warp-level consolidation of a parent that device-synchronizes is
-    // rejected by `analyze`; the pruner must report it and `consolidate`
-    // (what evaluation would run) must fail identically. Built synthetically
-    // since none of the seven apps' parents use cudaDeviceSynchronize.
-    use dpcons_apps::TuneModel;
-    use dpcons_core::Directive;
-    use dpcons_ir::dsl::*;
-    use dpcons_ir::Module;
-
-    fn module() -> Module {
-        let mut m = Module::new();
-        m.add(KernelBuilder::new("child").array("d").scalar("w").body(vec![for_step(
-            "j",
-            tid(),
-            load(v("d"), v("w")),
-            ntid(),
-            vec![compute(i(1))],
-        )]));
-        m.add(KernelBuilder::new("parent").array("d").scalar("n").body(vec![
-            let_("u", gtid()),
-            when(lt(v("u"), v("n")), vec![launch("child", i(1), i(64), vec![v("d"), v("u")])]),
-            dpcons_ir::Stmt::DeviceSync,
-        ]));
-        m
-    }
-    fn directive(g: Granularity) -> Directive {
-        Directive::new(g, &["u"])
-    }
-    let model = TuneModel { module_dp: module(), parent: "parent", directive };
-    let cfg = RunConfig::default();
-    let warp = Knobs {
-        granularity: Granularity::Warp,
-        alloc: AllocKind::PreAlloc,
-        per_buffer_size: None,
-        config: None,
+    let is_salted = |k: &Knobs| {
+        k.config == Some((13, 2048))
+            || (k.granularity != Granularity::Grid && k.per_buffer_size == Some(1 << 20))
     };
-    let reason = prune_reason(&model, &cfg, &warp).expect("warp x device-sync must be pruned");
-    assert!(reason.contains("analysis"), "unexpected reason: {reason}");
-    let dir = directive(Granularity::Warp);
-    assert!(
-        consolidate(&model.module_dp, "parent", &dir, &cfg.gpu, None).is_err(),
-        "the compiler must reject exactly what the pruner pruned"
-    );
-    // Grid level is fine for the same kernel.
-    let grid = Knobs { granularity: Granularity::Grid, ..warp };
-    assert!(prune_reason(&model, &cfg, &grid).is_none());
+    let mut salted_rows = 0;
+    for c in report.candidates.iter().filter(|c| is_salted(&c.knobs)) {
+        salted_rows += 1;
+        assert!(
+            matches!(c.status, Status::Failed(_)),
+            "infeasible candidate {} evaluated to {:?}",
+            c.knobs.label(),
+            c.status
+        );
+    }
+    // cfg=13x2048 at each of the three granularities, plus pbs=1048576
+    // under either config at warp and block.
+    assert_eq!(salted_rows, 7, "the salted space must reach evaluation");
+    assert_eq!(report.failed, salted_rows, "only the salted points fail");
+
+    let clean = sweep(feasible);
+    assert!(clean.best_knobs().is_some(), "feasible points remain");
+    assert_eq!(report.best_knobs(), clean.best_knobs());
+    assert_eq!(report.best_cycles(), clean.best_cycles());
 }
 
 #[test]

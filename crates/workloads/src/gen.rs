@@ -4,10 +4,11 @@
 //! mean 73.9) and Kron_log16 (65k nodes, 5M edges, outdegree 8..36114), both
 //! from the DIMACS challenges. The experiments depend on the *shape* of the
 //! outdegree distribution — heavy-tailed irregularity — not on node
-//! identity, so we generate seeded synthetic graphs with matching shapes and
-//! a `scale` knob (scale = 1.0 approximates the paper's sizes; the default
-//! harness uses smaller scales to keep simulation times reasonable; the
-//! presets in `dpcons_apps::datasets` fix the scale of every experiment).
+//! identity, so we generate seeded synthetic graphs with matching shapes.
+//! Sizes are the generator arguments (node count, mean and maximum
+//! outdegree, or log2 node count); the presets in `dpcons_apps::datasets`
+//! fix them for every experiment, smaller than the paper's to keep
+//! simulation times reasonable.
 
 use crate::graph::CsrGraph;
 use crate::rng::Rng64;

@@ -5,9 +5,9 @@
 //! ```
 //!
 //! The tuner enumerates the directive knob space (granularity × buffer
-//! allocator × perBufferSize × kernel configuration), prunes
-//! statically-infeasible points with the compiler's own analyses, evaluates
-//! the survivors in parallel on the simulator, and returns a ranked report.
+//! allocator × perBufferSize × kernel configuration), evaluates every point
+//! in parallel on the simulator (an infeasible one fails with the compiler's
+//! or simulator's own error), and returns a ranked report.
 //! Running the example twice demonstrates the deterministic results cache:
 //! the second sweep is a hit and reproduces the identical report.
 
@@ -33,12 +33,12 @@ fn main() {
     // -----------------------------------------------------------------
     let (report, tuned_run) = run_tuned(&app, &opts).expect("SSSP is tunable");
     println!(
-        "# Autotuning {} on {} — {} candidates ({} evaluated, {} pruned, {} skipped, {} collapsed)\n",
+        "# Autotuning {} on {} — {} candidates ({} evaluated, {} faulted, {} skipped, {} collapsed)\n",
         report.app,
         report.captured_on(),
         report.candidates.len(),
         report.evaluated,
-        report.pruned,
+        report.fault_count(),
         report.skipped,
         report.collapsed,
     );

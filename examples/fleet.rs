@@ -6,19 +6,17 @@
 //!
 //! The fleet sweep is the tuner's one sweep handed several devices. It
 //! exploits the simulator's two-phase engine: a tuner candidate's
-//! *functional* execution is device-independent, so each surviving
-//! candidate runs **once** (on the capture device) and its
-//! captured launch DAGs are re-priced on every other device by timing-only
-//! replay. One functional run buys a whole row of the knobs × device
-//! matrix. The walkthrough sweeps SSSP across four Kepler-class profiles,
-//! prints the matrix and the per-device winners, then runs the Test→Bench
-//! transfer check: how much do knobs tuned on the small dataset regret on
-//! the large one, versus tuning there directly?
+//! *functional* execution is device-independent, so each candidate runs
+//! **once** (on the capture device) and its captured launch DAGs are
+//! re-priced on every other device by timing-only replay. One functional run
+//! buys a whole row of the knobs × device matrix. The walkthrough sweeps SSSP
+//! across four Kepler-class profiles and prints the matrix and the
+//! per-device winners.
 
 use dpcons::apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons::compiler::KnobSpace;
 use dpcons::sim::parse_fleet;
-use dpcons::tune::{fleet_sweep, transfer_check, Budget, FleetOptions, TuneOptions};
+use dpcons::tune::{fleet_sweep, Budget, FleetOptions};
 
 fn main() {
     // -----------------------------------------------------------------
@@ -72,32 +70,5 @@ fn main() {
             report.winner_knobs(d).expect("winner exists").label(),
             report.winner_cycles(d).expect("winner exists"),
         );
-    }
-
-    // -----------------------------------------------------------------
-    // 3. Transfer tuning: Test-scale knobs re-scored at Bench scale.
-    // -----------------------------------------------------------------
-    let bench_app = Sssp::new(datasets::citeseer(Profile::Bench).with_weights(15, 0xD15), 0);
-    let topts = TuneOptions {
-        base: RunConfig::default(),
-        space: KnobSpace::quick(RunConfig::default().gpu.num_sms),
-        budget: Budget { max_evals: Some(6), patience: Some(1), ..Budget::default() },
-        with_baselines: false,
-        cache: None,
-    };
-    let t = transfer_check(&app, &bench_app, &topts).expect("both profiles are tunable");
-    println!("\ntransfer check (Test -> Bench, on {}):", t.device);
-    println!("  test-tuned knobs   {}", t.test_knobs.label());
-    match (t.transferred_cycles, t.regret()) {
-        (Some(c), Some(r)) => {
-            println!("  transferred        {c} cycles");
-            println!(
-                "  bench oracle       {} cycles ({})",
-                t.oracle_cycles,
-                t.oracle_knobs.label()
-            );
-            println!("  regret             {:.1}%", 100.0 * r);
-        }
-        _ => println!("  transferred        infeasible at Bench scale"),
     }
 }
