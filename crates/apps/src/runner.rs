@@ -174,8 +174,8 @@ impl Default for RunConfig {
 pub struct CaptureSet {
     /// Device the functional run executed on. Codegen (configuration
     /// policies scale with SM count) and segment durations are baked in
-    /// against this device, so replay targets must share its warp size and
-    /// cost model (see [`Engine::replay_timing_on`]).
+    /// against this device, so replay targets must share its cost model
+    /// (see [`Engine::replay_timing_on`]).
     pub captured_on: GpuConfig,
     /// One record DAG per host launch.
     pub launches: Vec<Vec<ExecRecord>>,
@@ -192,10 +192,10 @@ impl CaptureSet {
         self.launches.iter().map(|l| l.len() as u64).sum()
     }
 
-    /// Whether `gpu` can validly re-time this capture (same warp size and
-    /// cost model as the capture device).
+    /// Whether `gpu` can validly re-time this capture (same cost model as
+    /// the capture device).
     pub fn compatible_with(&self, gpu: &GpuConfig) -> bool {
-        gpu.warp_size == self.captured_on.warp_size && gpu.costs == self.captured_on.costs
+        gpu.costs == self.captured_on.costs
     }
 
     /// Re-time the captured run on `gpu`: per-launch timing replays merged
@@ -206,7 +206,7 @@ impl CaptureSet {
     pub fn replay_on(&self, gpu: &GpuConfig) -> ProfileReport {
         assert!(
             self.compatible_with(gpu),
-            "device `{}` cannot replay a capture from `{}`: warp size or cost model differs",
+            "device `{}` cannot replay a capture from `{}`: the cost model differs",
             gpu.name,
             self.captured_on.name
         );

@@ -31,8 +31,9 @@ fn usage_err(msg: &str) -> ! {
     std::process::exit(ErrorClass::Usage.exit_code());
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parse the command line (program name excluded) into a server
+/// configuration; `Err` carries the usage message.
+fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:7070".to_string(),
         cache: CacheMode::Disk(PathBuf::from(".dpcons-tune-cache")),
@@ -43,17 +44,17 @@ fn main() {
         match a.as_str() {
             "--addr" => match it.next() {
                 Some(s) => cfg.addr = s.clone(),
-                None => usage_err("--addr needs HOST:PORT"),
+                None => return Err("--addr needs HOST:PORT".into()),
             },
             "--workers" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cfg.workers = n,
-                _ => usage_err("--workers needs a positive integer"),
+                _ => return Err("--workers needs a positive integer".into()),
             },
             "--cache-dir" => match it.next() {
                 Some(p) => cfg.cache = CacheMode::Disk(PathBuf::from(p)),
-                None => usage_err("--cache-dir needs a path"),
+                None => return Err("--cache-dir needs a path".into()),
             },
-            "--no-cache" => cfg.cache = CacheMode::Memory,
+            "--no-cache" => cfg.cache = CacheMode::Off,
             "--max-evals" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => {
                     cfg.limits = Limits {
@@ -62,15 +63,21 @@ fn main() {
                         ..Limits::default()
                     }
                 }
-                _ => usage_err("--max-evals needs a positive integer"),
+                _ => return Err("--max-evals needs a positive integer".into()),
             },
             "--drain-ms" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(ms) => cfg.drain_ms = ms,
-                None => usage_err("--drain-ms needs a millisecond count"),
+                None => return Err("--drain-ms needs a millisecond count".into()),
             },
-            other => usage_err(&format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    Ok(cfg)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = parse_args(&args).unwrap_or_else(|msg| usage_err(&msg));
 
     let handle = match serve(cfg) {
         Ok(h) => h,
@@ -89,5 +96,38 @@ fn main() {
             eprintln!("dpcons-serve: {e}");
             std::process::exit(e.class.exit_code());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ServerConfig, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_cache_turns_every_cache_layer_off() {
+        // Not `CacheMode::Memory`: the process-wide memory layer is never
+        // evicted, so it would keep every result the daemon computes.
+        let cfg = parse(&["--no-cache"]).unwrap();
+        assert!(matches!(cfg.cache, CacheMode::Off), "{:?}", cfg.cache);
+    }
+
+    #[test]
+    fn cache_dir_selects_the_disk_cache_and_the_default_is_on_disk() {
+        let cfg = parse(&["--cache-dir", "/tmp/elsewhere"]).unwrap();
+        assert!(matches!(&cfg.cache, CacheMode::Disk(d) if d == Path::new("/tmp/elsewhere")));
+        let cfg = parse(&[]).unwrap();
+        assert!(matches!(&cfg.cache, CacheMode::Disk(d) if d == Path::new(".dpcons-tune-cache")));
+        // The last cache flag wins.
+        assert!(matches!(
+            parse(&["--cache-dir", "x", "--no-cache"]).unwrap().cache,
+            CacheMode::Off
+        ));
+        assert!(parse(&["--cache-dir"]).unwrap_err().contains("--cache-dir"));
     }
 }

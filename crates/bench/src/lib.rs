@@ -467,7 +467,7 @@ pub fn tune_all(
             let opts = TuneOptions {
                 base: cfg.clone(),
                 space: KnobSpace::quick(cfg.gpu.num_sms),
-                budget: Budget { max_evals: Some(48), patience: Some(3), ..Budget::default() },
+                budget: Budget { max_evals: Some(48), ..Budget::default() },
                 with_baselines: true,
                 cache: Some(Cache::new(cache_dir.clone())),
             };
@@ -569,7 +569,7 @@ pub fn fleet_all(
             let opts = FleetOptions {
                 base: cfg.clone(),
                 space: KnobSpace::quick(fleet[0].num_sms),
-                budget: Budget { max_evals: Some(24), patience: Some(3), ..Budget::default() },
+                budget: Budget { max_evals: Some(24), ..Budget::default() },
                 fleet: fleet.to_vec(),
                 cache: Some(Cache::new(cache_dir.clone())),
             };

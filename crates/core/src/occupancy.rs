@@ -8,7 +8,7 @@
 //! `KC_1` for grid-level, `KC_16` for block-level, `KC_32` for warp-level
 //! consolidation, which Figure 6 shows reaches ~97% of exhaustive search.
 
-use dpcons_sim::GpuConfig;
+use dpcons_sim::{GpuConfig, WARP_SIZE};
 
 /// Resource requirements of a kernel, as used by the occupancy calculator
 /// and the SM residency model.
@@ -29,7 +29,7 @@ pub fn max_blocks_per_sm(gpu: &GpuConfig, threads_per_block: u32, res: KernelRes
     if threads_per_block == 0 || threads_per_block > gpu.max_threads_per_block {
         return 0;
     }
-    let threads = threads_per_block.div_ceil(gpu.warp_size) * gpu.warp_size;
+    let threads = threads_per_block.div_ceil(WARP_SIZE) * WARP_SIZE;
     let by_blocks = gpu.max_blocks_per_sm;
     let by_threads = gpu.max_threads_per_sm / threads;
     let by_regs =
@@ -41,7 +41,7 @@ pub fn max_blocks_per_sm(gpu: &GpuConfig, threads_per_block: u32, res: KernelRes
 /// Theoretical occupancy (active warps / max warps per SM) for a block size.
 pub fn occupancy(gpu: &GpuConfig, threads_per_block: u32, res: KernelResources) -> f64 {
     let blocks = max_blocks_per_sm(gpu, threads_per_block, res);
-    let warps = threads_per_block.div_ceil(gpu.warp_size);
+    let warps = threads_per_block.div_ceil(WARP_SIZE);
     (blocks * warps) as f64 / gpu.max_warps_per_sm as f64
 }
 

@@ -25,7 +25,7 @@
 
 use dpcons_ir::ast::{AllocScope, Expr, Kernel, Module, Param, ParamKind, Stmt};
 use dpcons_ir::dsl::*;
-use dpcons_sim::GpuConfig;
+use dpcons_sim::{GpuConfig, WARP_SIZE};
 
 use crate::analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
 use crate::directive::{BufferKind, Directive, Granularity, SizeSpec};
@@ -96,7 +96,9 @@ pub struct Consolidated {
     pub info: TransformInfo,
 }
 
-const WARP: i64 = 32;
+/// [`WARP_SIZE`] as an IR immediate.
+const WARP: i64 = WARP_SIZE as i64;
+
 /// Recursion levels that can execute (device nesting limit + root): the
 /// divisor of `totalSize` and, through [`GridExtras::levels`], the number of
 /// pool buffers and barrier counters the host runtime maintains.

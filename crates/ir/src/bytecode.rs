@@ -63,13 +63,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError};
+use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError, WARP_SIZE};
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, UnOp};
 use crate::compile::{CExpr, CKernel, CModule, CStmt};
 use crate::interp::{
     assemble_block, charge_group_from_addrs, launch_dim, resolve_addr, scalar_binop,
-    scalar_binop_total, Boundary, Chunk, Lanes, MAX_WARP_ITERATIONS, WARP_ITER_LIMIT_MSG,
+    scalar_binop_total, Boundary, Chunk, Lanes, LANES, MAX_WARP_ITERATIONS, WARP_ITER_LIMIT_MSG,
 };
 
 /// Sentinel register index meaning "absent" (`Atomic.old`, `Atomic.v2`).
@@ -605,7 +605,7 @@ thread_local! {
         regs: Vec::new(),
         masks: Vec::new(),
         arena: Vec::new(),
-        addrs: Vec::with_capacity(32),
+        addrs: Vec::with_capacity(LANES),
         block_allocs: HashMap::new(),
         traces: Vec::new(),
         trace_pool: Vec::new(),
@@ -672,21 +672,21 @@ fn run_block_with(
     ctx: &mut BlockCtx<'_>,
     s: &mut Scratch,
 ) -> Result<BlockResult, SimError> {
-    let warps = ctx.block_dim.div_ceil(ctx.warp_size);
+    let warps = ctx.block_dim.div_ceil(WARP_SIZE);
     let n_slots = bk.n_slots as usize;
     // Grow-only buffers: stale register and mask contents are unobservable
     // (temps and mask slots are written before every read, the argument
     // registers just below, and the variable slots `0..n_slots` are
     // re-zeroed per warp).
     if s.regs.len() < bk.n_regs as usize {
-        s.regs.resize(bk.n_regs as usize, [0; 32]);
+        s.regs.resize(bk.n_regs as usize, [0; LANES]);
     }
     if s.masks.len() < bk.n_masks as usize {
         s.masks.resize(bk.n_masks as usize, 0);
     }
     // Argument registers: splatted once here, read-only for every warp.
     for (r, &a) in s.regs[n_slots..].iter_mut().zip(ctx.args) {
-        *r = [a; 32];
+        *r = [a; LANES];
     }
     s.arena.clear();
     s.block_allocs.clear();
@@ -698,9 +698,9 @@ fn run_block_with(
     for w in 0..warps {
         // Variable slots start zeroed per warp (the tree walker's fresh
         // `env`); temporaries are always written before read and carry over.
-        s.regs[..n_slots].fill([0; 32]);
-        let nlanes = (ctx.block_dim - w * ctx.warp_size).min(ctx.warp_size);
-        let mask = if nlanes >= 32 { u32::MAX } else { (1u32 << nlanes) - 1 };
+        s.regs[..n_slots].fill([0; LANES]);
+        let nlanes = (ctx.block_dim - w * WARP_SIZE).min(WARP_SIZE);
+        let mask = if nlanes >= WARP_SIZE { u32::MAX } else { (1u32 << nlanes) - 1 };
         let chunk_launch_start = s.arena.len() as u32;
         let chunks = s.trace_pool.pop().unwrap_or_default();
         let mut vm = Vm {
@@ -721,7 +721,7 @@ fn run_block_with(
             chunk_launch_start,
             chunks,
             single_site: false,
-            sites: [(0, 0); 32],
+            sites: [(0, 0); LANES],
         };
         vm.run(&bk.ops)?;
         s.traces.push(vm.finish());
@@ -757,7 +757,7 @@ struct Vm<'a, 'b, 'c> {
     /// Per-lane `(array, index)` pairs resolved by the last [`Vm::group_cost`]
     /// call; `Load`/`Store`/`Atomic` reuse them via the validated accessors
     /// instead of re-resolving (and re-bounds-checking) every lane.
-    sites: [(usize, usize); 32],
+    sites: [(usize, usize); LANES],
 }
 
 /// Full-width `r[d] = r[a] op rhs(r, l)` over all 32 lanes, active or not,
@@ -783,7 +783,7 @@ fn vector_binop(
                     unreachable!("Div/Rem take the masked faulting path")
                 }
                 $(BinOp::$v => {
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         r[d][l] = scalar_binop_total(BinOp::$v, r[a][l], rhs(r, l));
                     }
                 })*
@@ -827,7 +827,7 @@ macro_rules! for_lanes {
     ($mask:expr, $l:ident, $body:block) => {{
         let __m = $mask;
         if __m == u32::MAX {
-            for $l in 0..32usize {
+            for $l in 0..LANES {
                 $body
             }
         } else {
@@ -972,7 +972,7 @@ impl Vm<'_, '_, '_> {
             let (a, idx) = self.sites[0];
             let v = self.ctx.mem.read_validated(a, idx);
             if self.mask == u32::MAX {
-                *d = [v; 32];
+                *d = [v; LANES];
             } else {
                 for_lanes!(self.mask, l, {
                     d[l] = v;
@@ -1014,28 +1014,28 @@ impl Vm<'_, '_, '_> {
             self.counts.ops_full_warp += (self.mask == u32::MAX) as u64;
             match op {
                 Op::Imm { dst, v } => {
-                    self.regs[dst as usize] = [v; 32];
+                    self.regs[dst as usize] = [v; LANES];
                 }
                 Op::Sp { dst, s } => {
                     let d = &mut self.regs[dst as usize];
                     match s {
                         Special::Gtid => {
                             let base = self.ctx.block_id as i64 * self.ctx.block_dim as i64
-                                + (self.warp * self.ctx.warp_size) as i64;
+                                + (self.warp * WARP_SIZE) as i64;
                             for (l, o) in d.iter_mut().enumerate() {
                                 *o = base + l as i64;
                             }
                         }
                         Special::Tid => {
-                            let base = (self.warp * self.ctx.warp_size) as i64;
+                            let base = (self.warp * WARP_SIZE) as i64;
                             for (l, o) in d.iter_mut().enumerate() {
                                 *o = base + l as i64;
                             }
                         }
-                        Special::CtaId => *d = [self.ctx.block_id as i64; 32],
-                        Special::NTid => *d = [self.ctx.block_dim as i64; 32],
-                        Special::NCta => *d = [self.ctx.grid_dim as i64; 32],
-                        Special::Depth => *d = [self.ctx.depth as i64; 32],
+                        Special::CtaId => *d = [self.ctx.block_id as i64; LANES],
+                        Special::NTid => *d = [self.ctx.block_dim as i64; LANES],
+                        Special::NCta => *d = [self.ctx.grid_dim as i64; LANES],
+                        Special::Depth => *d = [self.ctx.depth as i64; LANES],
                     }
                 }
                 Op::CopyMasked { dst, src } => {
@@ -1056,12 +1056,12 @@ impl Vm<'_, '_, '_> {
                     let (r, d, a) = (&mut *self.regs, dst as usize, a as usize);
                     match (self.mask == u32::MAX, op) {
                         (true, UnOp::Neg) => {
-                            for l in 0..32 {
+                            for l in 0..LANES {
                                 r[d][l] = r[a][l].wrapping_neg();
                             }
                         }
                         (true, UnOp::Not) => {
-                            for l in 0..32 {
+                            for l in 0..LANES {
                                 r[d][l] = (r[a][l] == 0) as i64;
                             }
                         }
@@ -1078,7 +1078,7 @@ impl Vm<'_, '_, '_> {
                         // Every active lane is computed before any is
                         // written, so a faulting lane leaves `dst` intact.
                         let (r, a, b) = (&*self.regs, a as usize, b as usize);
-                        let mut out = [0i64; 32];
+                        let mut out = [0i64; LANES];
                         for_lanes!(self.mask, l, {
                             out[l] = scalar_binop(op, r[a][l], r[b][l])
                                 .map_err(|f| self.fault(f.message()))?;
@@ -1148,7 +1148,7 @@ impl Vm<'_, '_, '_> {
                     let vv = &self.regs[v as usize];
                     // `Cas` is the only atomic with a second operand.
                     let desired = |l: usize| self.regs[v2 as usize][l];
-                    let mut olds = [0i64; 32];
+                    let mut olds = [0i64; LANES];
                     // Same read-modify-write semantics as the `GlobalMem`
                     // `atomic_*` helpers, over the sites `group_cost` already
                     // resolved and bounds-checked. A single site is folded
@@ -1300,7 +1300,7 @@ impl Vm<'_, '_, '_> {
                 Op::ForCond { var, hi, save, exit } => {
                     let (vv, hv) = (&self.regs[var as usize], &self.regs[hi as usize]);
                     let mut lt = 0u32;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         lt |= ((vv[l] < hv[l]) as u32) << l;
                     }
                     let next = lt & self.mask;
@@ -1314,7 +1314,7 @@ impl Vm<'_, '_, '_> {
                 Op::ForCondI { var, hi, save, exit } => {
                     let vv = &self.regs[var as usize];
                     let mut lt = 0u32;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         lt |= ((vv[l] < hi) as u32) << l;
                     }
                     let next = lt & self.mask;
@@ -1328,7 +1328,7 @@ impl Vm<'_, '_, '_> {
                 Op::ForStep { var, step } => {
                     let (r, d, s) = (&mut *self.regs, var as usize, step as usize);
                     let m = self.mask;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if m & (1 << l) != 0 {
                             r[d][l] = r[d][l].wrapping_add(r[s][l]);
                         }
@@ -1337,7 +1337,7 @@ impl Vm<'_, '_, '_> {
                 Op::ForStepI { var, step } => {
                     let d = &mut self.regs[var as usize];
                     let m = self.mask;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if m & (1 << l) != 0 {
                             d[l] = d[l].wrapping_add(step);
                         }
@@ -1408,10 +1408,10 @@ mod tests {
             // Few distinct values, so uniform rows are common; `i64::MIN`
             // and -1 catch sign and high-bit differences.
             let pick = [0, 7, -1, i64::MIN][round % 4];
-            let mut row = [pick; 32];
+            let mut row = [pick; LANES];
             let n_odd = next(&mut s) % 3;
             for _ in 0..n_odd {
-                let lane = (next(&mut s) % 32) as usize;
+                let lane = (next(&mut s) % LANES as u64) as usize;
                 row[lane] = [pick ^ 1, pick ^ (1 << 63), next(&mut s) as i64][lane % 3];
             }
             let lane = (next(&mut s) % 32) as u32;
@@ -1448,7 +1448,7 @@ mod tests {
         for _ in 0..500 {
             let mask = (next(&mut s) as u32) | 1 << (next(&mut s) % 32);
             let v = next(&mut s) as i64;
-            let mut row = [v; 32];
+            let mut row = [v; LANES];
             // Rows that differ from `v` only outside the mask.
             for (l, x) in row.iter_mut().enumerate() {
                 if mask & (1 << l) == 0 {
@@ -1463,7 +1463,7 @@ mod tests {
             assert!(!lanes_equal(&row, mask, v) && !bitmask_equal(&row, mask, v));
         }
         // Lane 31 alone, and a single lane anywhere, decide by that lane.
-        let mut row = [3i64; 32];
+        let mut row = [3i64; LANES];
         row[31] = 4;
         assert!(lanes_equal(&row, 1 << 31, 4) && !lanes_equal(&row, 1 << 31, 3));
         assert!(lanes_equal(&row, 1 << 5, 3) && !lanes_equal(&row, u32::MAX, 3));

@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 
 use dpcons_sim::{
     coalesced_transactions, BlockCtx, BlockResult, GlobalMem, KernelBody, KernelId, LaunchSpec,
-    SegmentResult, SimError,
+    SegmentResult, SimError, WARP_SIZE,
 };
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, Module, UnOp};
@@ -52,7 +52,10 @@ pub(crate) const MAX_WARP_ITERATIONS: u64 = 200_000_000;
 /// Fault message for the safety valve — identical in both executors.
 pub(crate) const WARP_ITER_LIMIT_MSG: &str = "warp exceeded the loop-iteration safety limit";
 
-pub(crate) type Lanes = [i64; 32];
+/// Lanes per warp ([`WARP_SIZE`]), as an array length and lane index bound.
+pub(crate) const LANES: usize = WARP_SIZE as usize;
+
+pub(crate) type Lanes = [i64; LANES];
 
 // ------------------------------------------------------------------------
 // Executor selection.
@@ -354,18 +357,18 @@ fn run_block_tree(
     ids: &[KernelId],
     ctx: &mut BlockCtx<'_>,
 ) -> Result<BlockResult, SimError> {
-    let warps = ctx.block_dim.div_ceil(ctx.warp_size);
+    let warps = ctx.block_dim.div_ceil(WARP_SIZE);
     let mut block_allocs: HashMap<u32, (i64, i64)> = HashMap::new();
     let mut arena: Vec<LaunchSpec> = Vec::new();
     let mut traces: Vec<Vec<Chunk>> = Vec::with_capacity(warps as usize);
     for w in 0..warps {
-        let nlanes = (ctx.block_dim - w * ctx.warp_size).min(ctx.warp_size);
+        let nlanes = (ctx.block_dim - w * WARP_SIZE).min(WARP_SIZE);
         let mut exec = WarpExec {
             ctx,
             k,
             ids,
             warp: w,
-            env: vec![[0i64; 32]; k.n_slots as usize],
+            env: vec![[0i64; LANES]; k.n_slots as usize],
             chunks: Vec::new(),
             cur: Chunk::default(),
             chunk_launch_start: arena.len() as u32,
@@ -373,9 +376,9 @@ fn run_block_tree(
             returned: 0,
             iters: 0,
             block_allocs: &mut block_allocs,
-            scratch: Vec::with_capacity(32),
+            scratch: Vec::with_capacity(LANES),
         };
-        let mask = if nlanes >= 32 { u32::MAX } else { (1u32 << nlanes) - 1 };
+        let mask = if nlanes >= WARP_SIZE { u32::MAX } else { (1u32 << nlanes) - 1 };
         exec.exec_block_body(mask)?;
         traces.push(exec.finish());
     }
@@ -451,7 +454,7 @@ impl WarpExec<'_, '_, '_> {
                 self.charge(*ops as u64 * costs.compute_cycles_per_op, mask);
                 let vals = self.eval(value, mask)?;
                 let dst = &mut self.env[*slot as usize];
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         dst[l] = vals[l];
                     }
@@ -463,7 +466,7 @@ impl WarpExec<'_, '_, '_> {
                 let idx = self.eval(index, mask)?;
                 let val = self.eval(value, mask)?;
                 self.mem_group_cost(&h, &idx, mask)?;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let (a, i) = self.resolve_addr(h[l], idx[l])?;
                         self.ctx.mem.write(a, i, val[l])?;
@@ -484,8 +487,8 @@ impl WarpExec<'_, '_, '_> {
                 let n = mask.count_ones() as u64;
                 self.cur.cycles += costs.atomic_cycles * n;
                 self.cur.active += costs.atomic_cycles * n;
-                let mut olds = [0i64; 32];
-                for l in 0..32 {
+                let mut olds = [0i64; LANES];
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let (a, i) = self.resolve_addr(h[l], idx[l])?;
                         olds[l] = match op {
@@ -502,7 +505,7 @@ impl WarpExec<'_, '_, '_> {
                 }
                 if let Some(slot) = old {
                     let dst = &mut self.env[*slot as usize];
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if mask & (1 << l) != 0 {
                             dst[l] = olds[l];
                         }
@@ -513,7 +516,7 @@ impl WarpExec<'_, '_, '_> {
                 self.charge(*ops as u64 * costs.compute_cycles_per_op, mask);
                 let c = self.eval(cond, mask)?;
                 let mut tmask = 0u32;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 && c[l] != 0 {
                         tmask |= 1 << l;
                     }
@@ -537,7 +540,7 @@ impl WarpExec<'_, '_, '_> {
                     self.charge(*ops as u64 * costs.compute_cycles_per_op, m);
                     let c = self.eval(cond, m)?;
                     let mut next = 0u32;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if m & (1 << l) != 0 && c[l] != 0 {
                             next |= 1 << l;
                         }
@@ -553,7 +556,7 @@ impl WarpExec<'_, '_, '_> {
                 let lov = self.eval(lo, mask)?;
                 {
                     let dst = &mut self.env[*var as usize];
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if mask & (1 << l) != 0 {
                             dst[l] = lov[l];
                         }
@@ -570,7 +573,7 @@ impl WarpExec<'_, '_, '_> {
                     let hiv = self.eval(hi, m)?;
                     let cur = self.env[*var as usize];
                     let mut next = 0u32;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if m & (1 << l) != 0 && cur[l] < hiv[l] {
                             next |= 1 << l;
                         }
@@ -581,7 +584,7 @@ impl WarpExec<'_, '_, '_> {
                     self.exec(body, next)?;
                     let stepv = self.eval(step, next)?;
                     let dst = &mut self.env[*var as usize];
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if next & (1 << l) != 0 {
                             dst[l] = dst[l].wrapping_add(stepv[l]);
                         }
@@ -594,7 +597,7 @@ impl WarpExec<'_, '_, '_> {
                 let u = self.eval(units, mask)?;
                 let mut maxu = 0u64;
                 let mut sum = 0u64;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let w = u[l].max(0) as u64;
                         maxu = maxu.max(w);
@@ -615,7 +618,7 @@ impl WarpExec<'_, '_, '_> {
                 // One child grid per active lane; launches serialize, and each
                 // lane is only active during its own launch — this is the warp
                 // divergence penalty of per-thread nested launches.
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let grid_l = launch_dim(&self.k.name, "grid", l, g[l])?;
                         let block_l = launch_dim(&self.k.name, "block", l, b[l])?;
@@ -675,7 +678,7 @@ impl WarpExec<'_, '_, '_> {
                 };
                 for (slot, val) in [(handle_slot, hv), (offset_slot, ov)] {
                     let dst = &mut self.env[*slot as usize];
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if mask & (1 << l) != 0 {
                             dst[l] = val;
                         }
@@ -713,7 +716,7 @@ impl WarpExec<'_, '_, '_> {
     fn mem_group_cost(&mut self, h: &Lanes, idx: &Lanes, mask: u32) -> Result<(), SimError> {
         let mut addrs = std::mem::take(&mut self.scratch);
         addrs.clear();
-        for l in 0..32 {
+        for l in 0..LANES {
             if mask & (1 << l) != 0 {
                 let (a, i) = self.resolve_addr(h[l], idx[l])?;
                 addrs.push(self.ctx.mem.global_addr(a, i)?);
@@ -727,33 +730,33 @@ impl WarpExec<'_, '_, '_> {
     }
 
     fn eval(&mut self, e: &CExpr, mask: u32) -> Result<Lanes, SimError> {
-        let mut out = [0i64; 32];
+        let mut out = [0i64; LANES];
         match e {
-            CExpr::I(v) => out = [*v; 32],
+            CExpr::I(v) => out = [*v; LANES],
             CExpr::Gtid => {
                 let base = self.ctx.block_id as i64 * self.ctx.block_dim as i64
-                    + (self.warp * self.ctx.warp_size) as i64;
+                    + (self.warp * WARP_SIZE) as i64;
                 for (l, o) in out.iter_mut().enumerate() {
                     *o = base + l as i64;
                 }
             }
             CExpr::Tid => {
-                let base = (self.warp * self.ctx.warp_size) as i64;
+                let base = (self.warp * WARP_SIZE) as i64;
                 for (l, o) in out.iter_mut().enumerate() {
                     *o = base + l as i64;
                 }
             }
-            CExpr::CtaId => out = [self.ctx.block_id as i64; 32],
-            CExpr::NTid => out = [self.ctx.block_dim as i64; 32],
-            CExpr::NCta => out = [self.ctx.grid_dim as i64; 32],
-            CExpr::Depth => out = [self.ctx.depth as i64; 32],
-            CExpr::Arg(i) => out = [self.ctx.args[*i as usize]; 32],
+            CExpr::CtaId => out = [self.ctx.block_id as i64; LANES],
+            CExpr::NTid => out = [self.ctx.block_dim as i64; LANES],
+            CExpr::NCta => out = [self.ctx.grid_dim as i64; LANES],
+            CExpr::Depth => out = [self.ctx.depth as i64; LANES],
+            CExpr::Arg(i) => out = [self.ctx.args[*i as usize]; LANES],
             CExpr::Var(s) => out = self.env[*s as usize],
             CExpr::Load(h, i) => {
                 let hv = self.eval(h, mask)?;
                 let iv = self.eval(i, mask)?;
                 self.mem_group_cost(&hv, &iv, mask)?;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let (a, idx) = self.resolve_addr(hv[l], iv[l])?;
                         out[l] = self.ctx.mem.read(a, idx)?;
@@ -762,7 +765,7 @@ impl WarpExec<'_, '_, '_> {
             }
             CExpr::Un(op, a) => {
                 let av = self.eval(a, mask)?;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         out[l] = match op {
                             UnOp::Neg => av[l].wrapping_neg(),
@@ -777,7 +780,7 @@ impl WarpExec<'_, '_, '_> {
                 // for lanes the left operand does not decide.
                 let av = self.eval(a, mask)?;
                 let mut need = 0u32;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         let decided = matches!(op, BinOp::LAnd) == (av[l] == 0);
                         if decided {
@@ -789,7 +792,7 @@ impl WarpExec<'_, '_, '_> {
                 }
                 if need != 0 {
                     let bv = self.eval(b, need)?;
-                    for l in 0..32 {
+                    for l in 0..LANES {
                         if need & (1 << l) != 0 {
                             out[l] = (bv[l] != 0) as i64;
                         }
@@ -799,7 +802,7 @@ impl WarpExec<'_, '_, '_> {
             CExpr::Bin(op, a, b) => {
                 let av = self.eval(a, mask)?;
                 let bv = self.eval(b, mask)?;
-                for l in 0..32 {
+                for l in 0..LANES {
                     if mask & (1 << l) != 0 {
                         out[l] =
                             scalar_binop(*op, av[l], bv[l]).map_err(|f| self.fault(f.message()))?;
@@ -836,7 +839,6 @@ pub(crate) fn assemble_block(
     traces: &[Vec<Chunk>],
     arena: &[LaunchSpec],
 ) -> Result<BlockResult, SimError> {
-    let warp_size = ctx.warp_size as u64;
     let sync_cost = ctx.cost.syncthreads_cycles;
     let device_sync = |c: &Chunk| c.boundary == Boundary::DeviceSync;
 
@@ -883,7 +885,7 @@ pub(crate) fn assemble_block(
             let seg = &mut segments[si];
             seg.warp_cycles_sum += c.cycles;
             seg.active_thread_cycles += c.active;
-            seg.thread_cycles_possible += c.cycles * warp_size;
+            seg.thread_cycles_possible += c.cycles * u64::from(WARP_SIZE);
             seg.dram_transactions += c.dram;
             let (ls, le) = c.launches;
             seg.launches.extend_from_slice(&arena[ls as usize..le as usize]);

@@ -121,11 +121,22 @@ fn field_u64(obj: &Value, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-/// Parse and clamp the optional `budget` object.
+/// The keys a `budget` object may carry.
+const BUDGET_KEYS: [&str; 3] = ["max_evals", "fuel", "max_candidate_ms"];
+
+/// Parse and clamp the optional `budget` object. An unknown key is refused
+/// rather than ignored, so a client never gets a different sweep than it
+/// asked for.
 fn parse_budget(v: &Value, limits: &Limits) -> Result<Budget, ServeError> {
     let budget = v.get("budget").cloned().unwrap_or(Value::Obj(BTreeMap::new()));
-    if budget.as_obj().is_none() {
+    let Some(obj) = budget.as_obj() else {
         return Err(ServeError::usage("`budget` must be an object"));
+    };
+    if let Some(key) = obj.keys().find(|k| !BUDGET_KEYS.contains(&k.as_str())) {
+        return Err(ServeError::usage(format!(
+            "unknown budget key `{key}` (expected one of: {})",
+            BUDGET_KEYS.join(", ")
+        )));
     }
     let max_evals = match field_u64(&budget, "max_evals")? {
         None => limits.default_max_evals,
@@ -140,14 +151,13 @@ fn parse_budget(v: &Value, limits: &Limits) -> Result<Budget, ServeError> {
         }
         Some(n) => n as usize,
     };
-    let patience = field_u64(&budget, "patience")?.map(|n| n as usize);
     // Fuel is always on: a client may tighten it below the cap, never
     // loosen it past the cap (or disable it).
     let fuel = field_u64(&budget, "fuel")?.unwrap_or(limits.fuel_cap).min(limits.fuel_cap);
     let fuel = if fuel == 0 { limits.fuel_cap } else { fuel };
     let max_candidate_ms =
         field_u64(&budget, "max_candidate_ms")?.map(|ms| ms.min(limits.max_candidate_ms_cap));
-    Ok(Budget { max_evals: Some(max_evals), patience, fuel: Some(fuel), max_candidate_ms })
+    Ok(Budget { max_evals: Some(max_evals), fuel: Some(fuel), max_candidate_ms })
 }
 
 fn parse_device(name: &str) -> Result<GpuConfig, ServeError> {
@@ -300,6 +310,18 @@ mod tests {
                 JobKind::Tune,
                 r#"{"app":"SSSP","device":"k20c","budget":{"max_evals":100000}}"#,
                 ErrorClass::OverBudget,
+            ),
+            // Unknown budget keys are refused, not ignored: a removed knob
+            // and one that never existed.
+            (
+                JobKind::Tune,
+                r#"{"app":"SSSP","device":"k20c","budget":{"patience":2}}"#,
+                ErrorClass::Usage,
+            ),
+            (
+                JobKind::Tune,
+                r#"{"app":"SSSP","device":"k20c","budget":{"max_wave":4}}"#,
+                ErrorClass::Usage,
             ),
             (JobKind::Fleet, r#"{"app":"SSSP","devices":[]}"#, ErrorClass::Invalid),
             (

@@ -8,6 +8,17 @@
 //! encode the *relative* magnitudes the paper describes (device-side launches
 //! are thousands of cycles, buffer insertions are tens) so that the shapes of
 //! the paper's figures emerge from the same mechanisms.
+//!
+//! Every field prices something: `tests/device_model.rs` perturbs each one
+//! and requires a run's result to change. The simulator reports cycles, not
+//! time, so the device has no clock. The warp width is not a field but the
+//! constant [`WARP_SIZE`]: the executors hold one lane per bit of a `u32`
+//! active mask.
+
+/// Threads per warp, on every simulated device. The IR executors keep a
+/// warp's active lanes in a `u32` mask, so this is fixed at `u32::BITS`.
+pub const WARP_SIZE: u32 = 32;
+const _: () = assert!(WARP_SIZE == u32::BITS);
 
 /// Per-operation cycle costs used by both the functional interpreter and the
 /// discrete-event timing engine.
@@ -31,8 +42,6 @@ pub struct CostModel {
     pub launch_dram_transactions: u64,
     /// Extra DRAM transactions for a kernel managed by the virtualized pool.
     pub virtual_pool_dram_transactions: u64,
-    /// Latency of one coalesced DRAM transaction.
-    pub dram_transaction_cycles: u64,
     /// Fixed issue cost of a warp-wide memory instruction (latency assumed
     /// mostly hidden by multithreading).
     pub mem_base_cycles: u64,
@@ -45,8 +54,6 @@ pub struct CostModel {
     pub atomic_cycles: u64,
     /// Cost of a `__syncthreads` barrier per participating warp.
     pub syncthreads_cycles: u64,
-    /// Per-block cost of the software global barrier (atomic counter round trip).
-    pub global_barrier_cycles: u64,
     /// Cycles to swap a parent block out (and later back in) around a
     /// device-side `cudaDeviceSynchronize` (Section III.B "Synchronization
     /// Overhead").
@@ -61,9 +68,6 @@ pub struct CostModel {
     pub alloc_prealloc_cycles: u64,
     /// Coalescing segment size in 8-byte words (128 bytes on Kepler).
     pub segment_words: u64,
-    /// Dual-issue width of one SMX scheduler group; bounds how much independent
-    /// warp work one block can overlap.
-    pub warp_issue_width: u64,
 }
 
 impl Default for CostModel {
@@ -82,20 +86,17 @@ impl Default for CostModel {
             virtual_pool_penalty_cycles: 12_000,
             launch_dram_transactions: 6,
             virtual_pool_dram_transactions: 16,
-            dram_transaction_cycles: 64,
             mem_base_cycles: 6,
             mem_cycles_per_transaction: 12,
             compute_cycles_per_op: 1,
             atomic_cycles: 24,
             syncthreads_cycles: 32,
-            global_barrier_cycles: 400,
             swap_cycles: 2_500,
             swap_dram_transactions: 128,
             alloc_default_cycles: 12_000,
             alloc_halloc_cycles: 900,
             alloc_prealloc_cycles: 24,
             segment_words: 16, // 16 * 8 B = 128 B segments
-            warp_issue_width: 4,
         }
     }
 }
@@ -105,7 +106,6 @@ impl Default for CostModel {
 pub struct GpuConfig {
     pub name: String,
     pub num_sms: u32,
-    pub warp_size: u32,
     pub max_threads_per_sm: u32,
     pub max_blocks_per_sm: u32,
     pub max_warps_per_sm: u32,
@@ -119,8 +119,6 @@ pub struct GpuConfig {
     pub fixed_pool_capacity: u32,
     /// Maximum device-side nesting depth (24).
     pub max_nesting_depth: u32,
-    /// Core clock in GHz, used only to convert cycles to wall-clock estimates.
-    pub clock_ghz: f64,
     pub costs: CostModel,
 }
 
@@ -130,7 +128,6 @@ impl GpuConfig {
         GpuConfig {
             name: "K20c-like".to_string(),
             num_sms: 13,
-            warp_size: 32,
             max_threads_per_sm: 2048,
             max_blocks_per_sm: 16,
             max_warps_per_sm: 64,
@@ -140,31 +137,20 @@ impl GpuConfig {
             max_concurrent_kernels: 32,
             fixed_pool_capacity: 2048,
             max_nesting_depth: 24,
-            clock_ghz: 0.706,
             costs: CostModel::default(),
         }
     }
 
-    /// A K40-class device (15 SMX, higher clock): used to check that the
-    /// consolidation results are not artifacts of one hardware configuration.
+    /// A K40-class device (15 SMX): used to check that the consolidation
+    /// results are not artifacts of one hardware configuration.
     pub fn k40() -> Self {
-        GpuConfig {
-            name: "K40-like".to_string(),
-            num_sms: 15,
-            clock_ghz: 0.745,
-            ..GpuConfig::k20c()
-        }
+        GpuConfig { name: "K40-like".to_string(), num_sms: 15, ..GpuConfig::k20c() }
     }
 
-    /// A Titan-class device (14 SMX GK110B at a higher clock): the "big
-    /// node" synthetic profile for fleet what-if sweeps.
+    /// A Titan-class device (14 SMX GK110B): the "big node" synthetic
+    /// profile for fleet what-if sweeps.
     pub fn titan() -> Self {
-        GpuConfig {
-            name: "Titan-like".to_string(),
-            num_sms: 14,
-            clock_ghz: 0.837,
-            ..GpuConfig::k20c()
-        }
+        GpuConfig { name: "Titan-like".to_string(), num_sms: 14, ..GpuConfig::k20c() }
     }
 
     /// An embedded Kepler profile (single SMX, half the register file, a
@@ -178,7 +164,6 @@ impl GpuConfig {
             registers_per_sm: 32_768,
             max_concurrent_kernels: 4,
             fixed_pool_capacity: 512,
-            clock_ghz: 0.852,
             ..GpuConfig::k20c()
         }
     }
@@ -189,7 +174,6 @@ impl GpuConfig {
         GpuConfig {
             name: "tiny-test-gpu".to_string(),
             num_sms: 2,
-            warp_size: 32,
             max_threads_per_sm: 256,
             max_blocks_per_sm: 4,
             max_warps_per_sm: 8,
@@ -199,25 +183,14 @@ impl GpuConfig {
             max_concurrent_kernels: 4,
             fixed_pool_capacity: 8,
             max_nesting_depth: 24,
-            clock_ghz: 1.0,
             costs: CostModel::default(),
         }
     }
 
-    /// Convert a cycle count into milliseconds at this device's clock.
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.clock_ghz * 1e6)
-    }
-
-    /// Number of warps needed for `threads` threads.
-    pub fn warps_for(&self, threads: u32) -> u32 {
-        threads.div_ceil(self.warp_size)
-    }
-
     /// Short names of every registered device profile, in canonical order.
     /// Each resolves via [`GpuConfig::by_name`]; all registered profiles
-    /// share the default [`CostModel`] and warp size, so any capture can be
-    /// replayed on any of them (`Engine::replay_timing_on`).
+    /// share the default [`CostModel`], so any capture can be replayed on
+    /// any of them (`Engine::replay_timing_on`).
     pub fn registry_names() -> &'static [&'static str] {
         &["k20c", "k40", "titan", "tk1", "tiny"]
     }
@@ -292,23 +265,7 @@ mod tests {
         assert_eq!(g.fixed_pool_capacity, 2048);
         assert_eq!(g.max_nesting_depth, 24);
         assert_eq!(g.num_sms, 13);
-        assert_eq!(g.warp_size, 32);
         assert_eq!(g.max_warps_per_sm, 64);
-    }
-
-    #[test]
-    fn cycles_to_ms_uses_clock() {
-        let g = GpuConfig::tiny();
-        assert!((g.cycles_to_ms(1_000_000) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warps_for_rounds_up() {
-        let g = GpuConfig::k20c();
-        assert_eq!(g.warps_for(1), 1);
-        assert_eq!(g.warps_for(32), 1);
-        assert_eq!(g.warps_for(33), 2);
-        assert_eq!(g.warps_for(1024), 32);
     }
 
     #[test]
@@ -330,12 +287,11 @@ mod tests {
     #[test]
     fn registry_devices_share_replay_compatible_substrate() {
         // Replay validity: segment durations are baked in at capture time, so
-        // every registered profile must share the cost model and warp size.
+        // every registered profile must share the cost model.
         let base = GpuConfig::k20c();
         for &name in GpuConfig::registry_names() {
             let g = GpuConfig::by_name(name).unwrap();
             assert_eq!(g.costs, base.costs, "{name} cost model diverges");
-            assert_eq!(g.warp_size, base.warp_size, "{name} warp size diverges");
         }
     }
 

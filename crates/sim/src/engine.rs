@@ -30,7 +30,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use crate::alloc::{AllocKind, DeviceHeap};
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, WARP_SIZE};
 use crate::kernel::{BlockCtx, BlockResult, FuelMeter, KernelBody, KernelId, LaunchSpec};
 use crate::mem::GlobalMem;
 use crate::profiler::ProfileReport;
@@ -159,13 +159,13 @@ impl Engine {
 
     /// Replay captured records against an arbitrary device description.
     ///
-    /// Valid when `gpu` shares the capture device's [`crate::CostModel`] and
-    /// warp size: segment durations are baked into the records at capture
-    /// time, while structural resources (SM count, residency limits,
-    /// concurrency, pending pools) are applied here. This is what lets a
-    /// K20c-captured run be re-timed on a K40-like device for free — the
-    /// `dpcons-tune` fleet sweep prices every candidate on a whole device
-    /// fleet from one capture this way.
+    /// Valid when `gpu` shares the capture device's [`crate::CostModel`]:
+    /// segment durations are baked into the records at capture time (every
+    /// device has the same [`WARP_SIZE`]), while structural resources (SM
+    /// count, residency limits, concurrency, pending pools) are applied
+    /// here. This is what lets a K20c-captured run be re-timed on a K40-like
+    /// device for free — the `dpcons-tune` fleet sweep prices every
+    /// candidate on a whole device fleet from one capture this way.
     ///
     /// The returned report covers timing-derived metrics only. The allocator
     /// statistics (`alloc_ops`, `alloc_cycles`) are **not** populated on
@@ -214,7 +214,6 @@ impl Engine {
                     block_dim: spec.block,
                     depth,
                     args: &spec.args,
-                    warp_size: self.gpu.warp_size,
                     mem: &mut self.mem,
                     heap: &mut self.heap,
                     cost: &self.gpu.costs,
@@ -572,7 +571,7 @@ impl<'a> TimingSim<'a> {
 
     fn block_footprint(&self, rec: usize) -> (u32, u32, u32) {
         let r = &self.records[rec];
-        let threads = r.spec.block.div_ceil(self.gpu.warp_size) * self.gpu.warp_size;
+        let threads = r.spec.block.div_ceil(WARP_SIZE) * WARP_SIZE;
         let regs = threads * r.regs_per_thread;
         (threads, regs, r.shared_bytes)
     }
@@ -613,7 +612,7 @@ impl<'a> TimingSim<'a> {
         bst.sm = Some(smi);
         let seg = &self.records[rec].blocks[block as usize].segments[bst.next_seg];
         let dur = seg.duration.max(1);
-        let warps = self.records[rec].spec.block.div_ceil(self.gpu.warp_size) as u128;
+        let warps = self.records[rec].spec.block.div_ceil(WARP_SIZE) as u128;
         self.warp_residency_integral += warps * dur as u128;
         self.seq += 1;
         self.events.push(Reverse((start + dur, self.seq, rec, block)));
@@ -671,7 +670,7 @@ impl<'a> TimingSim<'a> {
                 let smi = self.bstate[rec][block as usize].sm;
                 let seg = &self.records[rec].blocks[block as usize].segments[seg_idx + 1];
                 let dur = seg.duration.max(1);
-                let warps = self.records[rec].spec.block.div_ceil(self.gpu.warp_size) as u128;
+                let warps = self.records[rec].spec.block.div_ceil(WARP_SIZE) as u128;
                 self.warp_residency_integral += warps * dur as u128;
                 self.seq += 1;
                 self.events.push(Reverse((self.now + dur, self.seq, rec, block)));

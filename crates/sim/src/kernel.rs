@@ -66,7 +66,7 @@ pub struct SegmentResult {
     /// Sum over warps of per-lane *active* cycles (numerator of warp
     /// execution efficiency: "average active threads per warp").
     pub active_thread_cycles: u64,
-    /// `warp_cycles_sum * warp_size`: the efficiency denominator.
+    /// `warp_cycles_sum * `[`crate::WARP_SIZE`]: the efficiency denominator.
     pub thread_cycles_possible: u64,
     /// Coalesced DRAM transactions issued by this segment.
     pub dram_transactions: u64,
@@ -240,7 +240,6 @@ pub struct BlockCtx<'a> {
     /// Dynamic-parallelism nesting depth of this kernel (0 = host-launched).
     pub depth: u32,
     pub args: &'a [i64],
-    pub warp_size: u32,
     pub mem: &'a mut GlobalMem,
     pub heap: &'a mut DeviceHeap,
     pub cost: &'a CostModel,

@@ -32,7 +32,7 @@ pub mod profiler;
 pub mod trace;
 
 pub use alloc::{AllocKind, DeviceHeap, HeapStats};
-pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig};
+pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig, WARP_SIZE};
 /// The metrics registry, re-exported so kernel-body crates (the IR's VM)
 /// record counters in it without a dependency edge of their own.
 pub use dpcons_obs as obs;

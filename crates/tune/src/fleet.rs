@@ -26,7 +26,7 @@ pub struct FleetOptions {
     pub space: KnobSpace,
     pub budget: Budget,
     /// Devices every candidate is priced on; `fleet[0]` is the capture
-    /// device. All must share the capture device's warp size and cost model.
+    /// device. All must share the capture device's cost model.
     pub fleet: Vec<GpuConfig>,
     /// Results cache; `None` disables caching entirely.
     pub cache: Option<Cache>,
@@ -39,11 +39,10 @@ pub enum FleetError {
     Tune(TuneError),
     /// The fleet names no device.
     EmptyFleet,
-    /// Replay is only valid across devices sharing the capture device's warp
-    /// size and cost model (segment durations are baked into the capture).
+    /// Replay is only valid across devices sharing the capture device's cost
+    /// model (segment durations are baked into the capture).
     IncompatibleDevice {
         device: String,
-        reason: &'static str,
     },
 }
 
@@ -58,9 +57,10 @@ impl std::fmt::Display for FleetError {
         match self {
             FleetError::Tune(e) => write!(f, "{e}"),
             FleetError::EmptyFleet => write!(f, "the device fleet is empty"),
-            FleetError::IncompatibleDevice { device, reason } => {
-                write!(f, "device `{device}` cannot join the fleet: {reason}")
-            }
+            FleetError::IncompatibleDevice { device } => write!(
+                f,
+                "device `{device}` cannot join the fleet: cost model differs from the capture device"
+            ),
         }
     }
 }
@@ -72,17 +72,10 @@ fn check_fleet(fleet: &[GpuConfig]) -> Result<(), FleetError> {
     let Some((capture_dev, others)) = fleet.split_first() else {
         return Err(FleetError::EmptyFleet);
     };
-    for d in others {
-        let reason = if d.warp_size != capture_dev.warp_size {
-            "warp size differs from the capture device"
-        } else if d.costs != capture_dev.costs {
-            "cost model differs from the capture device"
-        } else {
-            continue;
-        };
-        return Err(FleetError::IncompatibleDevice { device: d.name.clone(), reason });
+    match others.iter().find(|d| d.costs != capture_dev.costs) {
+        Some(d) => Err(FleetError::IncompatibleDevice { device: d.name.clone() }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Run (or fetch from cache) a device-fleet what-if sweep for `app`: the

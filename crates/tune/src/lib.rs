@@ -17,12 +17,12 @@
 //!    grid-level duplicates (buffer knobs do not reach grid-level codegen).
 //! 2. **Evaluate** — every candidate runs end to end against
 //!    `dpcons-sim`'s cycle model in parallel ([`par::parallel_map`]; scoped
-//!    std threads — the environment has no `rayon`), in fixed-size waves so
-//!    the optional [`Budget`] (evaluation cap + no-improvement patience)
-//!    stops deterministically on every machine. Each runs functionally
-//!    **once**, on the first device; with more devices the run is captured
-//!    and re-timed on each of the others via `Engine::replay_timing_on`, so
-//!    one functional run yields a whole row of the (knobs × device) matrix.
+//!    std threads — the environment has no `rayon`), in fixed-size waves;
+//!    the optional [`Budget`] evaluation cap stops the sweep at the same
+//!    candidate on every machine. Each runs functionally **once**, on the
+//!    first device; with more devices the run is captured and re-timed on
+//!    each of the others via `Engine::replay_timing_on`, so one functional
+//!    run yields a whole row of the (knobs × device) matrix.
 //!    Candidates whose output diverges from the CPU oracle are never ranked.
 //!    Nothing is rejected before it runs: a statically infeasible point (a
 //!    template the compiler's analysis refuses, a block larger than the

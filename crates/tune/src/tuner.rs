@@ -37,7 +37,8 @@ use crate::replay::{merge_reports, replay_timing_many};
 use crate::report::{CandidateOutcome, Metrics, Status, TuneReport};
 
 /// Candidates evaluated per deterministic wave. Fixed (not tied to the core
-/// count) so that budget-driven early stopping is machine-independent.
+/// count) so that the waves a progress observer sees are the same on every
+/// machine.
 pub const WAVE_SIZE: usize = 16;
 
 /// Version salt folded into every cache key, together with the crate
@@ -49,17 +50,14 @@ pub const WAVE_SIZE: usize = 16;
 /// v4: no static pruning (no `pruned` rows).
 pub const CACHE_SCHEMA: u32 = 4;
 
-/// Search budget: caps and early stopping for large knob grids. The paper's
-/// per-granularity default candidates are always evaluated (they are ordered
-/// first and exempt from the cap), so a budgeted sweep can never do worse
-/// than the hand-written directive.
+/// Search budget: an evaluation cap for large knob grids and per-candidate
+/// watchdogs. The paper's per-granularity default candidates are always
+/// evaluated (they are ordered first and exempt from the cap), so a budgeted
+/// sweep can never do worse than the hand-written directive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
     /// Stop after this many evaluations (`None` = unbounded).
     pub max_evals: Option<usize>,
-    /// Stop after this many consecutive waves without an improvement
-    /// (`None` = never stop early).
-    pub patience: Option<usize>,
     /// Per-candidate functional step budget (blocks + warp loop
     /// iterations); a candidate that exceeds it is recorded as
     /// [`Status::TimedOut`] instead of hanging the sweep. Deterministic:
@@ -166,12 +164,10 @@ impl std::error::Error for TuneError {}
 
 /// The budgeted wave driver: walk candidates `0..planned` in [`WAVE_SIZE`]
 /// batches, honoring the evaluation cap (the `n_defaults` leading defaults
-/// are always covered) and the no-improvement patience. `evaluate` runs one
-/// batch (parallel inside); `record` stores one result and reports whether
-/// it improved the incumbent on any device — patience only stops the sweep
-/// once at least one improvement has ever been recorded. Each wave is traced as a
-/// `tune.wave` span carrying the wave number, and reported to `hook` after
-/// its results are recorded.
+/// are always covered). `evaluate` runs one batch (parallel inside);
+/// `record` stores one result and reports whether it improved the incumbent
+/// on any device. Each wave is traced as a `tune.wave` span carrying the
+/// wave number, and reported to `hook` after its results are recorded.
 fn run_waves<S>(
     planned: usize,
     n_defaults: usize,
@@ -182,8 +178,6 @@ fn run_waves<S>(
 ) {
     let max_evals = budget.max_evals.map(|m| m.max(n_defaults)).unwrap_or(usize::MAX);
     let mut evaluated = 0usize;
-    let mut stale_waves = 0usize;
-    let mut any_best = false;
     let mut wave_no = 0u64;
     while evaluated < planned.min(max_evals) {
         let room = WAVE_SIZE.min(max_evals - evaluated);
@@ -197,7 +191,6 @@ fn run_waves<S>(
             improved |= record(i, st);
         }
         evaluated += batch.len();
-        any_best |= improved;
         hook.call(WaveProgress {
             wave: wave_no,
             evaluated: batch.len(),
@@ -206,16 +199,6 @@ fn run_waves<S>(
             improved,
         });
         wave_no += 1;
-        if let Some(p) = budget.patience {
-            if improved {
-                stale_waves = 0;
-            } else {
-                stale_waves += 1;
-                if stale_waves >= p && any_best {
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -468,8 +451,7 @@ pub fn tune(app: &dyn Benchmark, opts: &TuneOptions) -> Result<TuneReport, TuneE
 /// The sweep (see the module docs) of `app` over `devices`, which the caller
 /// guarantees non-empty and replay-compatible with `devices[0]` (the fleet
 /// adapter checks); `opts.base.gpu` is overridden by
-/// `devices[0]`, the capture device. Paper defaults are always evaluated;
-/// patience counts waves without an improvement on *any* device.
+/// `devices[0]`, the capture device. Paper defaults are always evaluated.
 pub(crate) fn sweep(
     app: &dyn Benchmark,
     opts: &TuneOptions,

@@ -5,15 +5,16 @@
 //!    — an out-of-process dedup table keyed through it can never disagree
 //!    with the disk cache.
 //! 2. The `WaveHook` progress callback reports every evaluated wave, in
-//!    order, and its per-wave counts sum to exactly the evaluated candidates.
+//!    order, and its per-wave counts sum to exactly the evaluated candidates,
+//!    also when the evaluation cap ends the sweep inside a wave.
 
 use std::sync::Mutex;
 
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
 use dpcons_sim::GpuConfig;
 use dpcons_tune::{
-    cache_key_for, fingerprint, fleet_sweep_with_progress, tune, Budget, FleetOptions, TuneOptions,
-    WaveHook, WaveProgress,
+    cache_key_for, fingerprint, fleet_sweep_with_progress, tune, Budget, FleetOptions, Status,
+    TuneOptions, WaveHook, WaveProgress,
 };
 
 fn app() -> Sssp {
@@ -138,4 +139,30 @@ fn wave_progress_arrives_in_order_and_sums_to_candidates() {
         let planned = report.candidates.len();
         assert!(waves.iter().all(|w| w.planned == planned), "planned is every candidate");
     }
+}
+
+#[test]
+fn an_evaluation_cap_inside_a_later_wave_cuts_that_wave_short() {
+    // 20 is one full wave of 16 plus 4 of the next: the cap must cut the
+    // second wave, not round it up to a whole wave or stop after the first.
+    let app = app();
+    let seen = std::sync::Arc::new(Mutex::new(Vec::<WaveProgress>::new()));
+    let sink = seen.clone();
+    let hook = WaveHook::new(move |p| sink.lock().unwrap().push(p));
+    let opts = FleetOptions {
+        space: dpcons_core::KnobSpace::quick(GpuConfig::k20c().num_sms),
+        ..fleet_opts(vec![GpuConfig::k20c()], Budget { max_evals: Some(20), ..Budget::default() })
+    };
+    let report = fleet_sweep_with_progress(&app, &opts, &hook).unwrap();
+    let waves = seen.lock().unwrap();
+
+    assert_eq!(report.candidates.len(), 52, "SSSP's quick space");
+    let sizes: Vec<usize> = waves.iter().map(|w| w.evaluated).collect();
+    assert_eq!(sizes, [16, 4]);
+    assert_eq!(waves.last().unwrap().evaluated_total, 20);
+    assert_eq!(report.functional_runs, 20, "exactly the capped candidates ran");
+    assert_eq!(report.skipped, 32);
+    let skipped = report.candidates.iter().filter(|c| c.status == Status::Skipped).count();
+    assert_eq!(skipped, 32);
+    assert!(report.candidates[20..].iter().all(|c| c.status == Status::Skipped), "the tail is cut");
 }

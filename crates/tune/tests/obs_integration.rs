@@ -20,7 +20,7 @@ fn opts(cache: Option<PathBuf>) -> TuneOptions {
     TuneOptions {
         base: RunConfig::default(),
         space: dpcons_core::KnobSpace::quick(RunConfig::default().gpu.num_sms),
-        budget: Budget { max_evals: Some(6), patience: Some(1), ..Budget::default() },
+        budget: Budget { max_evals: Some(6), ..Budget::default() },
         with_baselines: false,
         cache,
     }

@@ -21,7 +21,7 @@ use dpcons_tune::{fleet_sweep, tune, Budget, FleetOptions, Status, TuneOptions};
 fn tune_is_the_one_device_column_of_fleet_sweep() {
     let fleet = vec![GpuConfig::k20c(), GpuConfig::k40(), GpuConfig::titan(), GpuConfig::tk1()];
     let space = KnobSpace::quick(fleet[0].num_sms);
-    let budget = Budget { max_evals: Some(8), patience: Some(2), ..Budget::default() };
+    let budget = Budget { max_evals: Some(8), ..Budget::default() };
     let fleet_opts = |fleet: &[GpuConfig]| FleetOptions {
         base: RunConfig::default(),
         space: space.clone(),

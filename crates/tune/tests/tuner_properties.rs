@@ -65,7 +65,7 @@ fn same_inputs_produce_identical_reports() {
 fn budgeted_search_is_deterministic_and_never_worse_than_defaults() {
     let app = sssp();
     let mut o = opts(KnobSpace::quick(13));
-    o.budget = Budget { max_evals: Some(6), patience: Some(1), ..Budget::default() };
+    o.budget = Budget { max_evals: Some(6), ..Budget::default() };
     let a = tune(&app, &o).unwrap();
     let b = tune(&app, &o).unwrap();
     assert_eq!(a, b);
@@ -221,7 +221,7 @@ fn fleet_cache_key_covers_every_dimension_including_device() {
     thr.base.threshold += 1;
     assert!(!fleet_sweep(&app, &thr).unwrap().from_cache, "run config must be keyed");
     let mut budget = base_opts.clone();
-    budget.budget = Budget { max_evals: Some(3), patience: None, ..Budget::default() };
+    budget.budget = Budget { max_evals: Some(3), ..Budget::default() };
     assert!(!fleet_sweep(&app, &budget).unwrap().from_cache, "budget must be keyed");
     let other = Sssp::new(datasets::citeseer(Profile::Test).with_weights(15, 0xBEEF), 0);
     let other_report = fleet_sweep(&other, &base_opts).unwrap();
@@ -250,7 +250,7 @@ fn fleet_rejects_empty_and_incompatible_fleets() {
     alien.costs.swap_cycles += 1;
     opts.fleet = vec![GpuConfig::k20c(), alien];
     match fleet_sweep(&app, &opts).unwrap_err() {
-        FleetError::IncompatibleDevice { device, .. } => assert_eq!(device, "K40-like"),
+        FleetError::IncompatibleDevice { device } => assert_eq!(device, "K40-like"),
         other => panic!("expected IncompatibleDevice, got {other:?}"),
     }
 }

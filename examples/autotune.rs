@@ -23,7 +23,7 @@ fn main() {
     let opts = TuneOptions {
         base: cfg.clone(),
         space: KnobSpace::quick(cfg.gpu.num_sms),
-        budget: Budget { max_evals: Some(32), patience: Some(3), ..Budget::default() },
+        budget: Budget { max_evals: Some(32), ..Budget::default() },
         with_baselines: true,
         cache: Some(Cache::in_temp_dir()),
     };

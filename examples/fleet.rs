@@ -33,7 +33,7 @@ fn main() {
     let opts = FleetOptions {
         base: RunConfig::default(),
         space: KnobSpace::quick(fleet[0].num_sms),
-        budget: Budget { max_evals: Some(8), patience: Some(2), ..Budget::default() },
+        budget: Budget { max_evals: Some(8), ..Budget::default() },
         fleet,
         cache: None,
     };
