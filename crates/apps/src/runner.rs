@@ -132,6 +132,10 @@ pub struct RunConfig {
     pub policy: Option<ConfigPolicy>,
     /// Work-delegation threshold (`neighbors.size > THRESHOLD` in Fig. 1b).
     pub threshold: i64,
+    /// Simulated capacity of the device heap in words (default 2^26 words,
+    /// 512 MB, the paper's default pool size): what allocations are checked
+    /// against. The heap is sparse, so host memory is spent only on the
+    /// 64-word pages kernels write non-zero words into.
     pub heap_words: u64,
     pub pool_words: u64,
     /// Autotuned directive knobs; required by [`Variant::ConsolidatedTuned`].
@@ -156,7 +160,7 @@ impl Default for RunConfig {
             alloc: AllocKind::PreAlloc,
             policy: None,
             threshold: 4,
-            heap_words: 1 << 26, // 512 MB, the paper's default pool size
+            heap_words: 1 << 26,
             pool_words: 1 << 22,
             tuned: None,
             capture: false,

@@ -8,6 +8,12 @@
 //! *mechanism* (free list vs. size-class slabs vs. bump pointer) and in their
 //! modeled per-operation cycle cost, which is what produces the Figure 5
 //! comparison.
+//!
+//! The heap array is *sparse* ([`GlobalMem::alloc_sparse_array`]): its full
+//! capacity is addressable and bounds-checked, but host memory is spent only
+//! on the 64-word pages kernels store non-zero words into, so the thousands
+//! of buffers a warp- or block-level run allocates (each with one zero count
+//! header) cost no host page each.
 
 use crate::config::CostModel;
 use crate::mem::{ArrayId, GlobalMem};
@@ -85,9 +91,10 @@ fn size_class(words: u64) -> u32 {
 }
 
 impl DeviceHeap {
-    /// Create a heap of `capacity_words` backed by a fresh global-memory array.
+    /// Create a heap of `capacity_words` backed by a fresh sparse
+    /// global-memory array.
     pub fn new(kind: AllocKind, capacity_words: u64, mem: &mut GlobalMem) -> Self {
-        let array = mem.alloc_array("__device_heap", capacity_words as usize);
+        let array = mem.alloc_sparse_array("__device_heap", capacity_words as usize);
         let backend = match kind {
             AllocKind::Default => {
                 Backend::FreeList { holes: vec![(0, capacity_words)], live: Vec::new() }

@@ -53,6 +53,13 @@ fn replays_counter() -> &'static obs::Counter {
     C.get_or_init(|| obs::counter("sim.replays"))
 }
 
+/// Counter of device-heap pages materialized (`sim.heap.pages`), cached like
+/// the above; each [`Engine`] adds its heap's pages once, when dropped.
+fn heap_pages_counter() -> &'static obs::Counter {
+    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::counter("sim.heap.pages"))
+}
+
 /// Total functional kernel executions so far in this process. Timing-only
 /// replays ([`Engine::replay_timing_on`]) never advance this counter, so
 /// tests can prove that what-if re-timing across a device fleet adds no
@@ -87,6 +94,13 @@ pub struct Engine {
     /// meter per candidate session so pathological knob combinations fault
     /// with [`SimError::FuelExhausted`] instead of hanging the sweep.
     pub fuel: FuelMeter,
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        let pages = self.mem.sparse_pages(self.heap.array).unwrap_or(0);
+        heap_pages_counter().add(pages as u64);
+    }
 }
 
 impl Engine {

@@ -63,6 +63,12 @@ pub enum SimError {
         expected: usize,
         got: usize,
     },
+    /// A host bulk operation (`slice`, `upload`, `fill`) on a sparse array
+    /// (the device heap), which has no contiguous contents to hand out.
+    SparseBulkAccess {
+        array: String,
+        op: &'static str,
+    },
     HeapExhausted {
         kind: &'static str,
         requested: u64,
@@ -112,6 +118,9 @@ impl std::fmt::Display for SimError {
                 f,
                 "upload to `{array}` has wrong length: expected {expected}, got {got}"
             ),
+            SimError::SparseBulkAccess { array, op } => {
+                write!(f, "host {op} of sparse array `{array}` is not supported")
+            }
             SimError::HeapExhausted { kind, requested, capacity, in_use } => write!(
                 f,
                 "device heap ({kind}) exhausted: requested {requested} words, capacity {capacity}, in use {in_use}"
