@@ -56,13 +56,7 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             },
             "--no-cache" => cfg.cache = CacheMode::Off,
             "--max-evals" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => {
-                    cfg.limits = Limits {
-                        max_evals_cap: n,
-                        default_max_evals: n.min(Limits::default().default_max_evals),
-                        ..Limits::default()
-                    }
-                }
+                Some(n) if n >= 1 => cfg.limits = Limits { max_evals_cap: n },
                 _ => return Err("--max-evals needs a positive integer".into()),
             },
             "--drain-ms" => match it.next().and_then(|s| s.parse::<u64>().ok()) {

@@ -204,19 +204,7 @@ fn main() {
             }
             "fleet" => {
                 let cache = Some(PathBuf::from(".dpcons-tune-cache"));
-                let sweep_t0 = Instant::now();
                 let fleet = fleet_all(profile, &cfg, &fleet_devices, cache);
-                let sweep_s = sweep_t0.elapsed().as_secs_f64();
-                // Throughput of the batched parallel replay path; cache hits
-                // replay nothing, so they are excluded from the rate.
-                let retimings: u64 =
-                    fleet.iter().filter(|(_, r)| !r.from_cache).map(|(_, r)| r.retimings).sum();
-                if retimings > 0 && sweep_s > 0.0 {
-                    progress(format!(
-                        "[fleet: {retimings} re-timings in {sweep_s:.1}s ({:.0}/s)]",
-                        retimings as f64 / sweep_s
-                    ));
-                }
                 emit(&fleet_table(&fleet));
                 let fleet_path = PathBuf::from("BENCH_fleet.json");
                 let record = fleet_json(profile, &cfg, &fleet).render_pretty();

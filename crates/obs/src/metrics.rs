@@ -59,7 +59,7 @@ impl Counter {
     }
 }
 
-/// Last-write-wins signed gauge.
+/// Last-write-wins signed gauge; [`Gauge::raise_to`] keeps a high-water mark.
 pub struct Gauge {
     value: AtomicI64,
 }
@@ -77,6 +77,12 @@ impl Gauge {
     #[inline]
     pub fn add(&self, d: i64) {
         self.value.fetch_add(d, Ordering::Relaxed);
+    }
+
+    /// Raise the gauge to `v` if it reads lower.
+    #[inline]
+    pub fn raise_to(&self, v: i64) {
+        self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -347,6 +353,10 @@ mod tests {
         g.set(5);
         g.add(-2);
         assert_eq!(g.get(), 3);
+        g.raise_to(2);
+        assert_eq!(g.get(), 3, "a lower value leaves a high-water mark alone");
+        g.raise_to(7);
+        assert_eq!(g.get(), 7);
     }
 
     #[test]

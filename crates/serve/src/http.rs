@@ -46,9 +46,10 @@ pub struct ServerConfig {
     /// Drain deadline on shutdown: how long queued/running jobs get to
     /// finish before [`ServerHandle::shutdown`] reports an unclean drain.
     pub drain_ms: u64,
-    /// Max terminal jobs retained for late pollers.
-    pub registry_capacity: usize,
 }
+
+/// Max terminal jobs retained for late pollers.
+const REGISTRY_CAPACITY: usize = 1024;
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -58,7 +59,6 @@ impl Default for ServerConfig {
             cache: CacheMode::Memory,
             limits: Limits::default(),
             drain_ms: 60_000,
-            registry_capacity: 1024,
         }
     }
 }
@@ -184,7 +184,7 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
     let addr =
         listener.local_addr().map_err(|e| ServeError::internal(format!("local_addr: {e}")))?;
 
-    let registry = Arc::new(Registry::new(cfg.registry_capacity));
+    let registry = Arc::new(Registry::new(REGISTRY_CAPACITY));
     let (pool, submitter) = Pool::start(cfg.workers, registry.clone(), cfg.cache.clone());
     let draining = Arc::new(Drain::default());
     let stopped = Arc::new(AtomicBool::new(false));

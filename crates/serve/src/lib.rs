@@ -27,7 +27,10 @@
 //!   over the job's devices through the [`dpcons_tune::WaveHook`] progress
 //!   callback, streaming wave events into the registry as they complete, and
 //!   render one result shape; job panics are isolated with `catch_unwind`
-//!   and reported as `failed`, never fatal.
+//!   and reported as `failed`, never fatal. A sweep's wave is its only
+//!   fan-out and a shard runs one sweep at a time, so the daemon holds at
+//!   most `workers × min(WAVE_SIZE, cores)` pool threads besides its shard
+//!   and connection threads; shards share no budget (two on 2 cores: 4).
 //! * [`http`] — the router/server: `GET /jobs/{id}` (status + partial wave
 //!   results), `GET /jobs/{id}/stream` (chunked-transfer NDJSON progress),
 //!   `GET /metrics` (the [`dpcons_obs`] registry), `GET /healthz`, and

@@ -24,37 +24,27 @@ use crate::error::ServeError;
 /// Protocol identifier carried in every response body.
 pub const PROTO: &str = "dpcons-serve v1";
 
-/// Server-side budget clamps. Every admitted job's [`Budget`] is bounded by
-/// these regardless of what the client asked for; `max_evals` beyond the cap
-/// is a typed `over_budget` rejection, while `fuel` and `max_candidate_ms`
-/// are clamped silently (and fuel is always forced on, so no candidate can
-/// run unbounded). Wave size is a crate constant
+/// Per-candidate fuel ceiling, also forced on a request that sets none or 0.
+pub const FUEL_CAP: u64 = 50_000_000;
+/// Ceiling for a request's per-candidate wall-clock soft deadline.
+pub const MAX_CANDIDATE_MS_CAP: u64 = 60_000;
+/// Most devices one `/fleet` request may name.
+pub const MAX_FLEET: usize = 5;
+
+/// Server-side budget clamps. With the constants above they bound every
+/// admitted job's [`Budget`]: `max_evals` beyond the cap is a typed
+/// `over_budget` rejection, `fuel` and `max_candidate_ms` are clamped
+/// silently, and fuel is always on. Wave size is a crate constant
 /// ([`dpcons_tune::WAVE_SIZE`]) — clients cannot widen it.
 #[derive(Debug, Clone)]
 pub struct Limits {
     /// Hard ceiling on `budget.max_evals`; requests above it are rejected.
     pub max_evals_cap: usize,
-    /// `max_evals` granted when the request omits it.
-    pub default_max_evals: usize,
-    /// Ceiling (and forced default) for the deterministic per-candidate
-    /// fuel budget.
-    pub fuel_cap: u64,
-    /// Ceiling for the per-candidate wall-clock soft deadline; `None` in the
-    /// request stays `None` (fuel is the hard stop).
-    pub max_candidate_ms_cap: u64,
-    /// Maximum devices in one fleet request.
-    pub max_fleet: usize,
 }
 
 impl Default for Limits {
     fn default() -> Limits {
-        Limits {
-            max_evals_cap: 64,
-            default_max_evals: 24,
-            fuel_cap: 50_000_000,
-            max_candidate_ms_cap: 60_000,
-            max_fleet: 5,
-        }
+        Limits { max_evals_cap: 64 }
     }
 }
 
@@ -139,7 +129,8 @@ fn parse_budget(v: &Value, limits: &Limits) -> Result<Budget, ServeError> {
         )));
     }
     let max_evals = match field_u64(&budget, "max_evals")? {
-        None => limits.default_max_evals,
+        // Omitted: 24 evaluations, or the cap when it is lower.
+        None => limits.max_evals_cap.min(24),
         Some(0) => {
             return Err(ServeError::invalid("budget.max_evals must be nonzero"));
         }
@@ -153,10 +144,10 @@ fn parse_budget(v: &Value, limits: &Limits) -> Result<Budget, ServeError> {
     };
     // Fuel is always on: a client may tighten it below the cap, never
     // loosen it past the cap (or disable it).
-    let fuel = field_u64(&budget, "fuel")?.unwrap_or(limits.fuel_cap).min(limits.fuel_cap);
-    let fuel = if fuel == 0 { limits.fuel_cap } else { fuel };
+    let fuel = field_u64(&budget, "fuel")?.unwrap_or(FUEL_CAP).min(FUEL_CAP);
+    let fuel = if fuel == 0 { FUEL_CAP } else { fuel };
     let max_candidate_ms =
-        field_u64(&budget, "max_candidate_ms")?.map(|ms| ms.min(limits.max_candidate_ms_cap));
+        field_u64(&budget, "max_candidate_ms")?.map(|ms| ms.min(MAX_CANDIDATE_MS_CAP));
     Ok(Budget { max_evals: Some(max_evals), fuel: Some(fuel), max_candidate_ms })
 }
 
@@ -203,11 +194,11 @@ pub fn parse_request(kind: JobKind, body: &str, limits: &Limits) -> Result<JobSp
                 Some(_) => return Err(ServeError::usage("`devices` must be an array of strings")),
                 None => return Err(ServeError::usage("missing required field `devices`")),
             };
-            if list.len() > limits.max_fleet {
+            if list.len() > MAX_FLEET {
                 return Err(ServeError::over_budget(format!(
                     "{} devices exceeds this server's fleet cap of {}",
                     list.len(),
-                    limits.max_fleet
+                    MAX_FLEET
                 )));
             }
             let mut fleet = Vec::with_capacity(list.len());
@@ -291,7 +282,7 @@ mod tests {
         let capped =
             parse_request(JobKind::Tune, r#"{"app":"SSSP","device":"k20c"}"#, &limits()).unwrap();
         assert_eq!(big.key, capped.key);
-        assert_eq!(big.budget.fuel, Some(limits().fuel_cap));
+        assert_eq!(big.budget.fuel, Some(FUEL_CAP));
     }
 
     #[test]

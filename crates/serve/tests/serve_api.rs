@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use dpcons_serve::http::MAX_REQUEST_HEAD_BYTES;
 use dpcons_serve::pool::CacheMode;
-use dpcons_serve::{serve, Client, ErrorClass, ServerConfig};
+use dpcons_serve::proto::{FUEL_CAP, MAX_CANDIDATE_MS_CAP, MAX_FLEET};
+use dpcons_serve::{parse_request, serve, Client, ErrorClass, JobKind, Limits, ServerConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -28,6 +29,29 @@ fn start() -> (dpcons_serve::ServerHandle, Client) {
             .expect("server starts");
     let client = Client::new(handle.addr().to_string());
     (handle, client)
+}
+
+/// The clamps an admitted budget gets: the one configurable cap
+/// (`dpcons-serve --max-evals`) and the fixed ones.
+#[test]
+fn budgets_are_clamped_to_the_cap_and_the_fixed_limits() {
+    let _guard = serialize();
+    let budget = |body: &str, cap: usize| {
+        parse_request(JobKind::Tune, body, &Limits { max_evals_cap: cap }).map(|spec| spec.budget)
+    };
+    let plain = r#"{"app":"TH","device":"k20c"}"#;
+    // An omitted `max_evals` gets 24, or the cap when it is lower.
+    assert_eq!(budget(plain, Limits::default().max_evals_cap).unwrap().max_evals, Some(24));
+    assert_eq!(budget(plain, 8).unwrap().max_evals, Some(8));
+    let err = budget(r#"{"app":"TH","device":"k20c","budget":{"max_evals":9}}"#, 8).unwrap_err();
+    assert_eq!(err.class, ErrorClass::OverBudget, "{err}");
+    assert_eq!(budget(plain, 8).unwrap().fuel, Some(FUEL_CAP), "fuel is always on");
+    let slow = r#"{"app":"TH","device":"k20c","budget":{"max_candidate_ms":999999999}}"#;
+    assert_eq!(budget(slow, 8).unwrap().max_candidate_ms, Some(MAX_CANDIDATE_MS_CAP));
+    let names = ["\"k20c\""; MAX_FLEET + 1].join(",");
+    let wide = format!(r#"{{"app":"TH","devices":[{names}]}}"#);
+    let err = parse_request(JobKind::Fleet, &wide, &Limits::default()).unwrap_err();
+    assert!(err.to_string().contains(&format!("fleet cap of {MAX_FLEET}")), "{err}");
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Scoped-thread fork/join helper with per-job panic isolation.
 //!
-//! The build environment is offline, so `rayon` is unavailable; this module
-//! provides the only parallel primitive the tuner (and the bench harness)
-//! needs: run a batch of independent closures across the machine's cores and
-//! collect the results *in submission order*, so downstream selection stays
-//! deterministic regardless of scheduling.
+//! The workspace has no `rayon`; this is the only parallel primitive the
+//! tuner (and the bench harness) needs: run independent closures across the
+//! cores and collect the results *in submission order*, so downstream
+//! selection stays deterministic regardless of scheduling.
 //!
 //! [`parallel_map_robust`] is the foundation: every job runs under
 //! [`std::panic::catch_unwind`], so one exploding candidate is returned as an
@@ -16,8 +15,14 @@
 //! ([`std::sync::PoisonError::into_inner`]) rather than re-panicking.
 //! [`parallel_map`] keeps the historical strict contract as a thin wrapper:
 //! any job panic is resumed on the caller's thread after the batch drains.
+//!
+//! The pool is [`pool_width`] wide, derived here only. No library caller
+//! nests a batch inside another's job, so a sweep, whose wave is its only
+//! fan-out, holds at most `min(WAVE_SIZE, pool_width())` workers; the
+//! `par.workers.peak` gauge shows it (`tests/thread_budget.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Render a caught panic payload the way the default panic hook would.
@@ -31,7 +36,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `jobs` on up to `available_parallelism` scoped threads, preserving
+/// The pool width: one worker per core granted to this process, else 1.
+pub fn pool_width() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Live pool workers, process-wide; `par.workers.peak` keeps its high-water mark.
+static LIVE_WORKERS: AtomicI64 = AtomicI64::new(0);
+
+/// Run `jobs` on up to [`pool_width`] scoped threads, preserving
 /// result order. Each job is isolated with `catch_unwind`: index `i` of the
 /// returned vector holds `Ok(result)` or `Err(panic message)` for job `i`,
 /// and one panicking job never disturbs the others' results or order.
@@ -45,24 +58,30 @@ where
         return Vec::new();
     }
     let run = |f: F| catch_unwind(AssertUnwindSafe(f)).map_err(panic_message);
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n).max(1);
+    let workers = pool_width().min(n);
     if workers == 1 {
         return jobs.into_iter().map(run).collect();
     }
     let results: Mutex<Vec<Option<Result<T, String>>>> = Mutex::new((0..n).map(|_| None).collect());
     // LIFO over a reversed list = FIFO by original index.
     let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
+    let peak = dpcons_obs::gauge("par.workers.peak");
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
-                match job {
-                    Some((idx, f)) => {
-                        let r = run(f);
-                        results.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(r);
+            s.spawn(|| {
+                // `run` catches every job panic, so the decrement is reached.
+                peak.raise_to(LIVE_WORKERS.fetch_add(1, Ordering::SeqCst) + 1);
+                loop {
+                    let job = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                    match job {
+                        Some((idx, f)) => {
+                            let r = run(f);
+                            results.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(r);
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
+                LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
             });
         }
     });

@@ -1,43 +1,35 @@
 //! Batched parallel timing replay: price many captured launch DAGs at once.
 //!
-//! Timing replay ([`Engine::replay_timing_on`]) is pure over `&[ExecRecord]`
-//! — it builds a private discrete-event simulation per DAG and touches no
-//! shared state — so a batch of captures can be priced on all cores with
+//! Timing replay ([`Engine::replay_timing_on`]) is pure over `&[ExecRecord]`,
+//! so a batch of captures can be priced on all cores with
 //! [`crate::par::parallel_map`] and still yield exactly the results of a
-//! serial loop. [`replay_timing_many`] is that batch entry; the fleet sweep's
-//! per-device re-timing ([`crate::fleet::fleet_sweep`]) and, through it, the
-//! serve worker pool run on top of it, and the benchmark's `retime_fleet`
-//! workload times it against the serial loop.
+//! serial loop. [`replay_timing_many`] is that batch entry. DAGs are grouped
+//! into at most one **contiguous, record-count-balanced chunk per worker**
+//! (`chunk_ranges`), so the per-job overhead amortizes over a chunk rather
+//! than one tiny DAG; a single-chunk batch (one core, or too few records)
+//! runs as the plain serial loop.
 //!
-//! The batch is not one thread-pool job per DAG: DAGs are grouped into at
-//! most one **contiguous, record-count-balanced chunk per worker**
-//! (`chunk_ranges`), so the per-job overhead (closure dispatch, panic
-//! fence, result slotting) amortizes over a whole chunk instead of repeating
-//! for every tiny DAG — a capture holds hundreds of single-kernel launches
-//! for a few big ones. A single-chunk batch (one core, or fewer records
-//! than one chunk is worth) skips the thread machinery entirely and runs as
-//! the plain serial loop it would otherwise emulate.
+//! No library code calls it: the sweep re-times each candidate with the
+//! serial `dpcons_apps::CaptureSet::replay_on` inside its wave job, where a
+//! batch would start a second pool. On 2 cores the serial loop was faster on
+//! all 49 captures a test-scale sweep makes (7 apps' default candidates on
+//! K40, Titan and TK1: 46.0 ms against 52.7 ms batched; GC's warp-level
+//! captures, 741 records and the only ones split into chunks, 3.0 against
+//! 3.8 ms). The batch is kept for the benchmark's `retime_fleet` workload:
+//! on scale-M basic-dp captures it is 1.1–1.8× faster on SSSP, PageRank and
+//! GC.
 //!
-//! The chunked parallelism is kept because it measured faster. With a serial
-//! loop in its place, the benchmark's `retime_fleet` workload read
-//! `ops_per_s` 10 % lower (medians of 4 alternating 18 s runs each on
-//! 2 cores; the batched entry was faster in 3 of 4 pairs). The sweep's
-//! re-timing uses this one entry too.
-//!
-//! Determinism contract: results come back **in submission order** (chunks
-//! are contiguous and order-preserving, so flattening them is the identity
-//! permutation), and merging them in that order ([`merge_reports`]) is
-//! bit-identical to the serial per-launch merge in
-//! `dpcons_apps::CaptureSet::replay_on` — the ratio metrics
-//! (`warp_exec_efficiency`, `achieved_occupancy`) are weighted f64 folds, so
-//! merge *order* matters even though each individual replay is
-//! deterministic. The unit tests below pin the equivalence.
+//! Determinism contract: results come back **in submission order**, and
+//! merging them in that order ([`merge_reports`]) is bit-identical to the
+//! serial per-launch merge in `dpcons_apps::CaptureSet::replay_on` — the
+//! ratio metrics are weighted f64 folds, so merge *order* matters. The unit
+//! tests below pin the equivalence.
 
 use std::ops::Range;
 
 use dpcons_sim::{Engine, ExecRecord, GpuConfig, ProfileReport};
 
-use crate::par::parallel_map;
+use crate::par::{parallel_map, pool_width};
 
 /// Fewer captured records than this are not worth a second thread: one
 /// record replays in a few microseconds, so a chunk below this size would
@@ -77,26 +69,19 @@ fn chunk_ranges(dags: &[&[ExecRecord]], max_chunks: usize) -> Vec<Range<usize>> 
     ranges
 }
 
-/// Worker count the chunking targets — the same bound the thread pool in
-/// [`crate::par`] uses.
-fn workers() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
-
 /// Re-time every captured DAG in `dags` on `gpu`, in parallel, returning one
 /// [`ProfileReport`] per DAG in submission order. Equivalent to (and
 /// bit-identical with) calling [`Engine::replay_timing_on`] in a serial loop.
 ///
 /// Panics in a replay are resumed on the caller's thread after the batch
-/// drains ([`parallel_map`]'s strict contract). The sweep calls this inside
-/// a candidate's job, so there a replay panic becomes that candidate's
-/// `Status::Panicked`.
+/// drains ([`parallel_map`]'s strict contract). Call it from outside any
+/// pool job: inside one it would start a second pool.
 pub fn replay_timing_many(gpu: &GpuConfig, dags: &[&[ExecRecord]]) -> Vec<ProfileReport> {
     let _span = dpcons_obs::span("tune.replay.batch");
     batched_dags_counter().add(dags.len() as u64);
     let replay_range =
         |r: Range<usize>| dags[r].iter().map(|&d| Engine::replay_timing_on(gpu, d)).collect();
-    let mut ranges = chunk_ranges(dags, workers());
+    let mut ranges = chunk_ranges(dags, pool_width());
     if ranges.len() <= 1 {
         // One core or one chunk's worth of records: plain serial loop, no
         // thread machinery at all.

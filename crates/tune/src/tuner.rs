@@ -16,11 +16,13 @@
 //! (`dpcons-sim`'s two-phase engine bakes segment durations into a capture
 //! and applies SM counts, residency limits, concurrency and pending pools at
 //! replay). With further devices the run keeps its launch DAGs and each
-//! device re-prices them by timing-only replay; with none it drops them, as
-//! a plain run does. Pinned by `crates/sim/tests/replay_differential.rs`
-//! (replayed timing ≡ fresh execution) and, in `crates/tune/tests/`, by
-//! `fleet_exec_count.rs` (no extra functional work) and `one_sweep.rs` (the
-//! one-device column ≡ the single-device sweep).
+//! device re-prices them by timing-only replay, serially in the candidate's
+//! wave job; with none it drops them, as a plain run does. Pinned by
+//! `crates/sim/tests/replay_differential.rs` (replayed timing ≡ fresh
+//! execution) and, in `crates/tune/tests/`, by `fleet_exec_count.rs` (no
+//! extra functional work), `one_sweep.rs` (the one-device column ≡ the
+//! single-device sweep) and `thread_budget.rs` (the wave is the only
+//! fan-out: at most `min(WAVE_SIZE, cores)` pool threads).
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -28,12 +30,11 @@ use std::sync::Arc;
 
 use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, TunedDirective, Variant};
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
-use dpcons_sim::{AllocKind, ExecRecord, GpuConfig, ProfileReport, SimError};
+use dpcons_sim::{AllocKind, GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
 use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
-use crate::replay::{merge_reports, replay_timing_many};
 use crate::report::{CandidateOutcome, Metrics, Status, TuneReport};
 
 /// Candidates evaluated per deterministic wave. Fixed (not tied to the core
@@ -272,10 +273,10 @@ pub fn prune_reason(_model: &TuneModel, _cfg: &RunConfig, _k: &Knobs) -> Option<
 /// base directive at that granularity with the knob overrides applied) —
 /// useful for printing the winning pragma.
 pub fn materialize_directive(model: &TuneModel, k: &Knobs) -> dpcons_core::Directive {
-    let mut d = (model.directive)(k.granularity);
-    d = d.with_per_buffer_size(k.per_buffer_size);
-    d = d.with_buffer(k.alloc.into());
-    d
+    (model.directive)(k.granularity)
+        .with_per_buffer_size(k.per_buffer_size)
+        .with_buffer(k.alloc.into())
+        .with_config(k.config)
 }
 
 /// The run configuration a candidate evaluates under.
@@ -371,10 +372,8 @@ fn evaluate(
 
 /// Price a captured run on each of `others`. The run's own report *is* the
 /// replay on the capture device (pinned bit-exact by
-/// `replay_differential.rs`), so only the other devices need one. Each goes
-/// through the batched parallel entry: every captured host-launch DAG
-/// re-timed in record-balanced chunks, then merged in launch order, so the
-/// result is bit-identical to a serial `CaptureSet::replay_on`. A replay
+/// `replay_differential.rs`), so only the other devices need one: a serial
+/// `CaptureSet::replay_on` each, starting no thread of its own. A replay
 /// panic is a panic of this candidate's job: the wave's
 /// [`parallel_map_robust`] fence records it as [`Status::Panicked`].
 fn retime(out: &AppOutcome, others: &[GpuConfig]) -> Result<Vec<Metrics>, Status> {
@@ -384,11 +383,7 @@ fn retime(out: &AppOutcome, others: &[GpuConfig]) -> Result<Vec<Metrics>, Status
     let Some(caps) = out.captures.as_ref() else {
         return Err(Status::Failed("capture was requested but none was recorded".to_string()));
     };
-    let dags: Vec<&[ExecRecord]> = caps.launches.iter().map(|l| l.as_slice()).collect();
-    Ok(others
-        .iter()
-        .map(|d| metrics_of(&merge_reports(&replay_timing_many(d, &dags)), true))
-        .collect())
+    Ok(others.iter().map(|d| metrics_of(&caps.replay_on(d), true)).collect())
 }
 
 fn metrics_of(r: &ProfileReport, output_ok: bool) -> Metrics {
@@ -611,6 +606,21 @@ mod tests {
             assert_eq!(attempt_config(&base, &k, &[], &budget).fuel, Some(9));
             let tight = Budget { fuel: Some(5), ..budget };
             assert_eq!(attempt_config(&base, &k, &[], &tight).fuel, Some(5));
+        }
+    }
+
+    /// The printed winning pragma, parsed back, is the knob point it came
+    /// from: every coordinate, the `cfg=BxT` launch shape included.
+    #[test]
+    fn a_materialized_pragma_parses_back_to_its_knobs() {
+        let app = dpcons_apps::benchmark_by_name("SSSP", dpcons_apps::Profile::Test).unwrap();
+        let model = app.tune_model().unwrap();
+        let (cands, _) = enumerate_candidates(&model, &KnobSpace::quick(13));
+        assert!(cands.iter().any(|k| k.config.is_some()), "the space must hold cfg= points");
+        for k in cands {
+            let pragma = materialize_directive(&model, &k).to_pragma();
+            let parsed = dpcons_core::Directive::parse(&pragma).unwrap();
+            assert_eq!(Knobs::from_directive(&parsed), k, "{} printed `{pragma}`", k.label());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Observability contract of the tuner: disabled tracing records **zero**
 //! spans, enabled tracing covers the sweep, every wave exactly once, the
 //! host-launch `app.launch`/`app.prepare`/`app.reset` stages, capture and
-//! (batched) timing replay, and a warm second sweep is visible as cache hits
+//! timing replay (serial, never the batched entry), and a warm second sweep is visible as cache hits
 //! in the metrics registry.
 //!
 //! This is deliberately the only test in this integration-test binary — the
@@ -90,10 +90,15 @@ fn tracing_and_cache_metrics_across_cold_and_warm_sweeps() {
 
     spans.extend(dpcons_obs::take_spans());
     // The two-device sweep captures each candidate, replays it, and re-times
-    // it on the second device through the batched entry.
-    for name in ["app.launch", "sim.capture", "sim.replay", "tune.replay.batch"] {
+    // it on the second device with the serial `CaptureSet::replay_on`, never
+    // through the batched parallel entry.
+    for name in ["app.launch", "sim.capture", "sim.replay"] {
         assert!(spans.iter().any(|s| s.name == name), "trace must contain a {name} span");
     }
+    assert!(
+        !spans.iter().any(|s| s.name == "tune.replay.batch"),
+        "the sweep must not re-time through the batched replay"
+    );
     let sweeps = spans.iter().filter(|s| s.name == "tune.sweep").count();
     assert_eq!(sweeps, 3, "all three traced sweeps open a tune.sweep span");
     // Wave spans nest under the sweep.
