@@ -17,7 +17,10 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use dpcons_apps::{all_benchmarks, AppOutcome, Profile, RunConfig, Variant};
+use dpcons_apps::{
+    all_benchmarks, benchmark_by_name, benchmark_names, AppOutcome, Benchmark, Profile, RunConfig,
+    Variant,
+};
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_obs::jsonv::Value;
 use dpcons_sim::{AllocKind, GpuConfig};
@@ -53,25 +56,21 @@ impl AppResults {
 /// the three consolidation granularities). This is the data behind Figures
 /// 7, 8, 9 and 10.
 pub fn overall_matrix(profile: Profile, cfg: &RunConfig) -> Vec<AppResults> {
-    let names: Vec<&'static str> = all_benchmarks(profile).iter().map(|a| a.name()).collect();
-    let napps = names.len();
     let mut jobs: Vec<Box<dyn FnOnce() -> (usize, String, AppOutcome) + Send>> = Vec::new();
-    for app_idx in 0..napps {
+    for (app_idx, name) in benchmark_names().enumerate() {
         for variant in Variant::ALL {
             let cfg = cfg.clone();
             jobs.push(Box::new(move || {
-                let apps = all_benchmarks(profile);
-                let app = &apps[app_idx];
-                let out = app
+                let out = build(name, profile)
                     .run(variant, &cfg)
-                    .unwrap_or_else(|e| panic!("{} ({}) failed: {e}", app.name(), variant.label()));
+                    .unwrap_or_else(|e| panic!("{name} ({}) failed: {e}", variant.label()));
                 (app_idx, variant.label(), out)
             }));
         }
     }
     let results = parallel_map(jobs);
     let mut out: Vec<AppResults> =
-        names.iter().map(|n| AppResults { name: n, outcomes: BTreeMap::new() }).collect();
+        benchmark_names().map(|name| AppResults { name, outcomes: BTreeMap::new() }).collect();
     for (idx, label, o) in results {
         out[idx].outcomes.insert(label, o);
     }
@@ -81,21 +80,24 @@ pub fn overall_matrix(profile: Profile, cfg: &RunConfig) -> Vec<AppResults> {
 /// Verify every (benchmark, variant) pair against the CPU oracle; returns
 /// failures. Used by integration tests and `reproduce --verify`.
 pub fn verify_all(profile: Profile, cfg: &RunConfig) -> Vec<String> {
-    let napps = all_benchmarks(profile).len();
     let mut jobs: Vec<Box<dyn FnOnce() -> Option<String> + Send>> = Vec::new();
-    for app_idx in 0..napps {
+    for name in benchmark_names() {
         for variant in Variant::ALL {
             let cfg = cfg.clone();
             jobs.push(Box::new(move || {
-                let apps = all_benchmarks(profile);
-                let app = &apps[app_idx];
-                app.verify(variant, &cfg)
+                build(name, profile)
+                    .verify(variant, &cfg)
                     .err()
-                    .map(|e| format!("{} ({}): {e}", app.name(), variant.label()))
+                    .map(|e| format!("{name} ({}): {e}", variant.label()))
             }));
         }
     }
     parallel_map(jobs).into_iter().flatten().collect()
+}
+
+/// Build the one registered benchmark `name` — never the other six datasets.
+fn build(name: &str, profile: Profile) -> Box<dyn Benchmark> {
+    benchmark_by_name(name, profile).unwrap_or_else(|| panic!("{name} is registered"))
 }
 
 // ----------------------------------------------------------------- Fig 5 --
@@ -103,10 +105,7 @@ pub fn verify_all(profile: Profile, cfg: &RunConfig) -> Vec<String> {
 /// Figure 5: SSSP runtime under the three buffer allocators, per
 /// consolidation granularity, normalized to basic-dp (higher = faster).
 pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> Table {
-    let sssp = || {
-        let apps = all_benchmarks(profile);
-        apps.into_iter().next().expect("SSSP is first")
-    };
+    let sssp = || build("SSSP", profile);
     let basic = sssp().run(Variant::BasicDp, cfg).expect("basic-dp runs").report.total_cycles;
     let nodp = sssp().run(Variant::Flat, cfg).expect("no-dp runs").report.total_cycles;
 
@@ -148,7 +147,7 @@ pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> Table {
 /// policies, per granularity and tree dataset, normalized to basic-dp.
 /// `exhaustive` searches a (blocks, threads) grid and reports the best.
 pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
-    use dpcons_apps::{Benchmark, TreeDescendants};
+    use dpcons_apps::TreeDescendants;
     let datasets = [
         ("dataset1", dpcons_apps::datasets::tree1(profile)),
         ("dataset2", dpcons_apps::datasets::tree2(profile)),
@@ -401,7 +400,7 @@ pub fn headline_claims(profile: Profile, matrix: &[AppResults]) -> Table {
 /// Ablation (beyond the paper): fixed pending-pool capacity sweep on
 /// PageRank basic-dp — the `cudaDeviceSetLimit` effect of Section III.B.
 pub fn ablation_pool_capacity(profile: Profile, cfg: &RunConfig) -> Table {
-    use dpcons_apps::{Benchmark, PageRank};
+    use dpcons_apps::PageRank;
     let caps = [64u32, 256, 1024, 2048, 8192];
     let jobs: Vec<_> = caps
         .iter()
@@ -434,9 +433,9 @@ pub fn ablation_threshold(profile: Profile, cfg: &RunConfig) -> Table {
         .map(|&thr| {
             let cfg = RunConfig { threshold: thr, ..cfg.clone() };
             move || {
-                let apps = all_benchmarks(profile);
-                let out =
-                    apps[0].run(Variant::Consolidated(Granularity::Grid), &cfg).expect("runs");
+                let out = build("SSSP", profile)
+                    .run(Variant::Consolidated(Granularity::Grid), &cfg)
+                    .expect("runs");
                 (thr, out.report.total_cycles, out.report.device_launches)
             }
         })

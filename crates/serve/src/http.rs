@@ -13,25 +13,25 @@
 //! stream owes its client the terminal line.
 //!
 //! "SIGTERM-style" drain works without signal handlers: a drain request
-//! (programmatic or `POST /shutdown`) stops admissions and wakes whoever
-//! sleeps in [`ServerHandle::wait_drain_requested`];
-//! [`ServerHandle::shutdown`] then lets the worker pool finish its queues
-//! while reads are still answered, sets `stopped`, wakes the accept thread
-//! with one loopback connection, and joins workers and accept thread against
-//! a single deadline.
+//! (programmatic or `POST /shutdown`) sets the registry's drain flag, which
+//! stops admissions and wakes whoever sleeps in
+//! [`ServerHandle::wait_drain_requested`]; [`ServerHandle::shutdown`] then
+//! lets the workers finish the queue while reads are still answered, sets
+//! `stopped`, wakes the accept thread with one loopback connection, and
+//! joins workers and accept thread against a single deadline.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpcons_obs::jsonv::Value;
 
 use crate::error::ServeError;
 use crate::jobs::{JobView, Registry};
-use crate::pool::{CacheMode, Pool, Submitter, Threads};
+use crate::pool::{start_workers, CacheMode, Threads};
 use crate::proto::{error_body, key_hex, parse_request, JobKind, Limits, PROTO};
 
 /// Everything configuring one server instance.
@@ -39,7 +39,7 @@ use crate::proto::{error_body, key_hex, parse_request, JobKind, Limits, PROTO};
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker shards (>= 1).
+    /// Worker threads (>= 1), each running one job at a time.
     pub workers: usize,
     pub cache: CacheMode,
     pub limits: Limits,
@@ -63,42 +63,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// The drain request: a one-way flag a thread can sleep on.
-#[derive(Default)]
-struct Drain {
-    requested: Mutex<bool>,
-    changed: Condvar,
-}
-
-impl Drain {
-    fn lock(&self) -> MutexGuard<'_, bool> {
-        // A bool is valid whatever happened to a thread that held the lock.
-        self.requested.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn request(&self) {
-        *self.lock() = true;
-        self.changed.notify_all();
-    }
-
-    fn requested(&self) -> bool {
-        *self.lock()
-    }
-
-    fn wait(&self) {
-        let mut requested = self.lock();
-        while !*requested {
-            requested = self.changed.wait(requested).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
 struct Ctx {
     registry: Arc<Registry>,
-    submitter: Submitter,
     limits: Limits,
-    /// Requested on shutdown: new submissions get 503.
-    draining: Arc<Drain>,
 }
 
 /// A running server. Dropping the handle without calling
@@ -106,11 +73,10 @@ struct Ctx {
 /// lifetime; call `shutdown` for the graceful drain contract.
 pub struct ServerHandle {
     addr: SocketAddr,
-    draining: Arc<Drain>,
     /// Read by the accept thread after every `accept()`.
     stopped: Arc<AtomicBool>,
     accept: Threads,
-    pool: Pool,
+    workers: Threads,
     registry: Arc<Registry>,
     drain_ms: u64,
 }
@@ -123,30 +89,31 @@ impl ServerHandle {
 
     /// Request the drain without joining — what `POST /shutdown` does.
     pub fn begin_shutdown(&self) {
-        self.draining.request();
+        self.registry.request_drain();
     }
 
     /// Whether a drain was requested (by [`ServerHandle::begin_shutdown`] or
     /// a client's `POST /shutdown`).
     pub fn draining(&self) -> bool {
-        self.draining.requested()
+        self.registry.draining()
     }
 
     /// Sleep until a drain is requested. The daemon binary parks its main
     /// thread here, then runs the final drain-and-join.
     pub fn wait_drain_requested(&self) {
-        self.draining.wait();
+        self.registry.wait_drain_requested();
     }
 
     /// Graceful drain: stop admitting, let workers finish queued jobs, join
     /// everything within the configured deadline. `Ok(())` is the "server
     /// drains and exits 0" contract; an unclean drain is `Internal`.
     /// The server keeps answering reads (and 503ing submissions) until the
-    /// worker pool has drained; only then does the accept loop stop.
+    /// workers have emptied the queue and exited; only then does the accept
+    /// loop stop.
     pub fn shutdown(self) -> Result<(), ServeError> {
         self.begin_shutdown();
         let until = Instant::now() + Duration::from_millis(self.drain_ms);
-        let clean = self.pool.drain(until);
+        let clean = self.workers.join_until(until);
         self.stopped.store(true, Ordering::SeqCst);
         // The accept thread looks at `stopped` when `accept()` returns: give
         // it a connection. A wildcard bind is reached through loopback.
@@ -185,15 +152,9 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
         listener.local_addr().map_err(|e| ServeError::internal(format!("local_addr: {e}")))?;
 
     let registry = Arc::new(Registry::new(REGISTRY_CAPACITY));
-    let (pool, submitter) = Pool::start(cfg.workers, registry.clone(), cfg.cache.clone());
-    let draining = Arc::new(Drain::default());
+    let workers = start_workers(cfg.workers, &registry, &cfg.cache);
     let stopped = Arc::new(AtomicBool::new(false));
-    let ctx = Arc::new(Ctx {
-        registry: registry.clone(),
-        submitter,
-        limits: cfg.limits.clone(),
-        draining: draining.clone(),
-    });
+    let ctx = Arc::new(Ctx { registry: registry.clone(), limits: cfg.limits.clone() });
 
     let accept_stopped = stopped.clone();
     let mut accept = Threads::new();
@@ -217,7 +178,7 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
         })
         .map_err(|e| ServeError::internal(format!("spawn accept thread: {e}")))?;
 
-    Ok(ServerHandle { addr, draining, stopped, accept, pool, registry, drain_ms: cfg.drain_ms })
+    Ok(ServerHandle { addr, stopped, accept, workers, registry, drain_ms: cfg.drain_ms })
 }
 
 fn handle_conn(stream: TcpStream, ctx: &Ctx) {
@@ -287,7 +248,7 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
             let mut o = BTreeMap::new();
             o.insert("proto".to_string(), Value::Str(PROTO.to_string()));
             o.insert("ok".to_string(), Value::Bool(true));
-            o.insert("draining".to_string(), Value::Bool(ctx.draining.requested()));
+            o.insert("draining".to_string(), Value::Bool(ctx.registry.draining()));
             let _ = write_json(stream, (200, "OK"), &Value::Obj(o));
         }
         ("GET", "/metrics") => {
@@ -297,7 +258,7 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
         ("POST", "/tune") => submit(stream, ctx, JobKind::Tune, body),
         ("POST", "/fleet") => submit(stream, ctx, JobKind::Fleet, body),
         ("POST", "/shutdown") => {
-            ctx.draining.request();
+            ctx.registry.request_drain();
             let mut o = BTreeMap::new();
             o.insert("proto".to_string(), Value::Str(PROTO.to_string()));
             o.insert("draining".to_string(), Value::Bool(true));
@@ -312,23 +273,16 @@ fn route(stream: &mut TcpStream, ctx: &Ctx, method: &str, path: &str, body: &str
 }
 
 fn submit(stream: &mut TcpStream, ctx: &Ctx, kind: JobKind, body: &str) {
-    if ctx.draining.requested() {
-        let err = ServeError::unavailable("server is draining; not admitting new jobs");
-        let _ = write_json(stream, err.class.http_status(), &error_body(&err));
-        return;
-    }
-    let spec = match parse_request(kind, body, &ctx.limits) {
-        Ok(spec) => spec,
+    // The registry decides admission, the drain included, under one lock.
+    let admitted = parse_request(kind, body, &ctx.limits)
+        .and_then(|spec| Ok((spec.key, ctx.registry.submit(spec)?)));
+    let (key, admission) = match admitted {
+        Ok(admitted) => admitted,
         Err(err) => {
             let _ = write_json(stream, err.class.http_status(), &error_body(&err));
             return;
         }
     };
-    let key = spec.key;
-    let admission = ctx.registry.submit(spec);
-    if !admission.deduped {
-        ctx.submitter.enqueue(key, admission.id);
-    }
     let mut o = BTreeMap::new();
     o.insert("proto".to_string(), Value::Str(PROTO.to_string()));
     o.insert("job".to_string(), Value::Num(admission.id as f64));

@@ -1,4 +1,4 @@
-//! In-memory job registry + request-dedup table.
+//! In-memory job registry, request-dedup table and the daemon's job queue.
 //!
 //! Identity is the normalized cache key from [`crate::proto`]. The dedup
 //! table maps each key to the most recent job for it: while that job is
@@ -7,9 +7,19 @@
 //! submission retries fresh. Completed jobs are kept (bounded, FIFO-evicted)
 //! so late pollers and dedup-attached clients can still read results.
 //!
-//! Nobody polls the table: every wave and every terminal transition notifies
-//! one `Condvar`, and [`Registry::wait_change`] is how a progress stream
-//! sleeps until its job has something new to say.
+//! The registry is the only job state. One mutex and one `Condvar` carry a
+//! job from admission through a FIFO queue of fresh ids, hand-out to any
+//! idle worker ([`Registry::next_job`]), its waves and its terminal
+//! transition; the drain flag sits under the same lock. Since a key has at
+//! most one queued or running job, two sweeps of one key never run at once,
+//! and since [`Registry::submit`] refuses under that lock once the drain is
+//! requested, every admitted job is handed out before `next_job` reports
+//! the drain: a job is run or refused, never stranded.
+//!
+//! Nobody polls the table: every admission, wave, terminal transition and
+//! the drain notify the one `Condvar`, on which idle workers, progress
+//! streams ([`Registry::wait_change`]) and drain sleepers each wait for
+//! their own condition.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -91,7 +101,7 @@ pub struct Admission {
     pub id: u64,
     pub state: JobState,
     /// True if this submission attached to an existing job instead of
-    /// creating one. Only `!deduped` admissions need a worker.
+    /// queueing a fresh one.
     pub deduped: bool,
 }
 
@@ -102,12 +112,18 @@ struct Inner {
     by_key: HashMap<u64, u64>,
     /// Insertion order, for bounded eviction of terminal jobs.
     order: VecDeque<u64>,
+    /// Fresh jobs waiting for a worker, oldest first.
+    queue: VecDeque<u64>,
+    /// Set by the drain request: admissions are refused, and workers exit
+    /// once `queue` is empty.
+    draining: bool,
 }
 
-/// The process-wide job table. All methods are short critical sections.
+/// The process-wide job table and queue. All methods are short critical
+/// sections; the waits sleep on `changed`.
 pub struct Registry {
     inner: Mutex<Inner>,
-    /// Notified by every `push_wave` and `finish`.
+    /// Notified by every admission, wave, terminal transition and the drain.
     changed: Condvar,
     /// Terminal jobs beyond this count are evicted oldest-first.
     capacity: usize,
@@ -121,6 +137,8 @@ impl Registry {
                 jobs: HashMap::new(),
                 by_key: HashMap::new(),
                 order: VecDeque::new(),
+                queue: VecDeque::new(),
+                draining: false,
             }),
             changed: Condvar::new(),
             capacity: capacity.max(1),
@@ -134,15 +152,19 @@ impl Registry {
     }
 
     /// Admit a request: attach to the live/done job with the same key, or
-    /// create a fresh queued job. The caller enqueues fresh jobs on a worker.
-    pub fn submit(&self, spec: JobSpec) -> Admission {
+    /// queue a fresh job for the next idle worker. Once the drain is
+    /// requested every submission is refused as `Unavailable`.
+    pub fn submit(&self, spec: JobSpec) -> Result<Admission, ServeError> {
         let mut g = self.lock();
+        if g.draining {
+            return Err(ServeError::unavailable("server is draining; not admitting new jobs"));
+        }
         if let Some(&id) = g.by_key.get(&spec.key) {
             if let Some(job) = g.jobs.get_mut(&id) {
                 if job.state != JobState::Failed {
                     job.clients += 1;
                     dpcons_obs::counter("serve.deduped").inc();
-                    return Admission { id, state: job.state, deduped: true };
+                    return Ok(Admission { id, state: job.state, deduped: true });
                 }
             }
         }
@@ -163,8 +185,11 @@ impl Registry {
         );
         g.by_key.insert(spec.key, id);
         g.order.push_back(id);
+        g.queue.push_back(id);
+        dpcons_obs::gauge("serve.queue_depth").add(1);
         self.evict(&mut g);
-        Admission { id, state: JobState::Queued, deduped: false }
+        self.changed.notify_all();
+        Ok(Admission { id, state: JobState::Queued, deduped: false })
     }
 
     /// Drop the oldest terminal jobs beyond capacity. Live jobs are never
@@ -188,17 +213,29 @@ impl Registry {
         }
     }
 
-    /// Worker picked the job up.
-    pub fn start(&self, id: u64) -> Option<JobSpec> {
+    /// A worker's blocking take: the oldest queued job, marked `Running`.
+    /// `None` only once the drain is requested and the queue is empty —
+    /// the worker's cue to exit.
+    pub fn next_job(&self) -> Option<(u64, JobSpec)> {
         let mut g = self.lock();
-        let job = g.jobs.get_mut(&id)?;
-        job.state = JobState::Running;
-        let now = Instant::now();
-        job.started_at = Some(now);
-        dpcons_obs::counter("serve.jobs_running").inc();
-        dpcons_obs::histogram("serve.queue_wait_us")
-            .record((now - job.queued_at).as_micros() as u64);
-        Some(job.spec.clone())
+        loop {
+            if let Some(id) = g.queue.pop_front() {
+                dpcons_obs::gauge("serve.queue_depth").add(-1);
+                // Queued jobs are live, and eviction keeps live jobs.
+                let Some(job) = g.jobs.get_mut(&id) else { continue };
+                job.state = JobState::Running;
+                let now = Instant::now();
+                job.started_at = Some(now);
+                dpcons_obs::counter("serve.jobs_running").inc();
+                dpcons_obs::histogram("serve.queue_wait_us")
+                    .record((now - job.queued_at).as_micros() as u64);
+                return Some((id, job.spec.clone()));
+            }
+            if g.draining {
+                return None;
+            }
+            g = self.changed.wait(g).unwrap_or_else(|p| p.into_inner());
+        }
     }
 
     /// Record one completed sweep wave.
@@ -263,13 +300,32 @@ impl Registry {
         let g = self.lock();
         g.jobs.values().all(|j| j.state.terminal())
     }
+
+    /// Stop admitting and let the workers exit once the queue is empty.
+    pub fn request_drain(&self) {
+        self.lock().draining = true;
+        self.changed.notify_all();
+    }
+
+    /// Whether the drain was requested.
+    pub fn draining(&self) -> bool {
+        self.lock().draining
+    }
+
+    /// Sleep until the drain is requested.
+    pub fn wait_drain_requested(&self) {
+        let mut g = self.lock();
+        while !g.draining {
+            g = self.changed.wait(g).unwrap_or_else(|p| p.into_inner());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{parse_request, JobKind, Limits};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     fn spec(body: &str) -> JobSpec {
@@ -280,8 +336,8 @@ mod tests {
     fn identical_submissions_share_one_job_until_failure() {
         let reg = Registry::new(64);
         let s = spec(r#"{"app":"TH","device":"k20c"}"#);
-        let a = reg.submit(s.clone());
-        let b = reg.submit(s.clone());
+        let a = reg.submit(s.clone()).unwrap();
+        let b = reg.submit(s.clone()).unwrap();
         assert!(!a.deduped);
         assert!(b.deduped);
         assert_eq!(a.id, b.id);
@@ -289,16 +345,16 @@ mod tests {
 
         // Done jobs still dedup (instant answers)...
         reg.finish(a.id, Ok(Value::Null));
-        let c = reg.submit(s.clone());
+        let c = reg.submit(s.clone()).unwrap();
         assert!(c.deduped);
         assert_eq!(c.id, a.id);
         assert_eq!(c.state, JobState::Done);
 
         // ...but a failed job releases the key.
-        let other = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let other = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         assert!(!other.deduped);
         reg.finish(other.id, Err(ServeError::faulted("boom")));
-        let retry = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let retry = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         assert!(!retry.deduped, "failure must not poison the key");
         assert_ne!(retry.id, other.id);
     }
@@ -306,18 +362,18 @@ mod tests {
     #[test]
     fn eviction_drops_only_terminal_jobs_and_releases_keys() {
         let reg = Registry::new(2);
-        let live = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
-        let d1 = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let live = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
+        let d1 = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         reg.finish(d1.id, Ok(Value::Null));
-        let d2 = reg.submit(spec(r#"{"app":"SSSP","device":"k20c"}"#));
+        let d2 = reg.submit(spec(r#"{"app":"SSSP","device":"k20c"}"#)).unwrap();
         reg.finish(d2.id, Ok(Value::Null));
         // Capacity 2 with 3 jobs: the oldest terminal one (d1) is evicted.
-        let d3 = reg.submit(spec(r#"{"app":"SpMV","device":"k20c"}"#));
+        let d3 = reg.submit(spec(r#"{"app":"SpMV","device":"k20c"}"#)).unwrap();
         assert!(reg.view(d1.id).is_none(), "oldest done job evicted");
         assert!(reg.view(live.id).is_some(), "live job never evicted");
         assert!(reg.view(d3.id).is_some());
         // The evicted key is free again: resubmitting creates a fresh job.
-        let again = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let again = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         assert!(!again.deduped);
     }
 
@@ -354,7 +410,7 @@ mod tests {
     #[test]
     fn waiter_is_woken_by_push_wave_and_sees_the_wave() {
         let reg = Registry::new(64);
-        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
         let view = woken_by(&reg, job.id, 0, || reg.push_wave(job.id, wave(0))).unwrap();
         assert_eq!(view.waves.len(), 1);
         assert!(!view.state.terminal());
@@ -366,12 +422,12 @@ mod tests {
     #[test]
     fn waiter_is_woken_by_finish_with_either_outcome() {
         let reg = Registry::new(64);
-        let ok = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let ok = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
         let view = woken_by(&reg, ok.id, 0, || reg.finish(ok.id, Ok(Value::Null))).unwrap();
         assert_eq!(view.state, JobState::Done);
         assert_eq!(view.result, Some(Value::Null));
 
-        let bad = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let bad = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         let boom = || reg.finish(bad.id, Err(ServeError::faulted("boom")));
         let view = woken_by(&reg, bad.id, 0, boom).unwrap();
         assert_eq!(view.state, JobState::Failed);
@@ -381,7 +437,7 @@ mod tests {
     #[test]
     fn wait_returns_the_unchanged_view_at_its_deadline() {
         let reg = Registry::new(64);
-        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
         reg.push_wave(job.id, wave(0));
         let began = Instant::now();
         let view = reg.wait_change(job.id, 1, began + Duration::from_millis(30)).unwrap();
@@ -395,10 +451,96 @@ mod tests {
         let reg = Registry::new(1);
         let soon = || Instant::now() + Duration::from_secs(60);
         assert!(reg.wait_change(42, 0, soon()).is_none(), "unknown id");
-        let old = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#));
+        let old = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
         reg.finish(old.id, Ok(Value::Null));
-        let _new = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#));
+        let _new = reg.submit(spec(r#"{"app":"TD","device":"k20c"}"#)).unwrap();
         assert!(reg.view(old.id).is_none(), "capacity 1: the done job was evicted");
         assert!(reg.wait_change(old.id, 0, soon()).is_none(), "evicted id");
+    }
+
+    #[test]
+    fn queued_jobs_go_to_any_taker_in_fifo_order() {
+        let reg = Registry::new(64);
+        let ids: Vec<u64> = ["TH", "TD", "SSSP"]
+            .iter()
+            .map(|app| reg.submit(spec(&format!(r#"{{"app":"{app}","device":"k20c"}}"#))))
+            .map(|a| a.unwrap().id)
+            .collect();
+        // Two takers, no `finish` in between: each gets the next job in
+        // admission order, whatever their keys.
+        let first = reg.next_job().unwrap();
+        let second = reg.next_job().unwrap();
+        assert_eq!([first.0, second.0], [ids[0], ids[1]]);
+        assert_eq!((first.1.app.as_str(), second.1.app.as_str()), ("TH", "TD"));
+        for id in &ids[..2] {
+            assert_eq!(reg.view(*id).unwrap().state, JobState::Running);
+        }
+        assert_eq!(reg.view(ids[2]).unwrap().state, JobState::Queued);
+        // A duplicate of a running job attaches to it and queues nothing.
+        let dup = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
+        assert!(dup.deduped);
+        assert_eq!(reg.next_job().unwrap().0, ids[2]);
+        reg.request_drain();
+        assert!(reg.next_job().is_none(), "the duplicate must not have queued a second sweep");
+    }
+
+    #[test]
+    fn a_submission_after_the_drain_request_is_refused() {
+        let reg = Registry::new(64);
+        let s = spec(r#"{"app":"TH","device":"k20c"}"#);
+        let admitted = reg.submit(s.clone()).unwrap();
+        assert!(!reg.draining());
+        reg.request_drain();
+        assert!(reg.draining());
+        for late in [s, spec(r#"{"app":"TD","device":"k20c"}"#)] {
+            let err = reg.submit(late).unwrap_err();
+            assert_eq!(err.class, crate::error::ErrorClass::Unavailable);
+        }
+        assert_eq!(
+            reg.view(admitted.id).unwrap().clients,
+            1,
+            "a refused duplicate attaches to nothing"
+        );
+    }
+
+    #[test]
+    fn a_job_queued_before_the_drain_is_handed_out_before_none() {
+        let reg = Registry::new(64);
+        let job = reg.submit(spec(r#"{"app":"TH","device":"k20c"}"#)).unwrap();
+        reg.request_drain();
+        let (id, spec) = reg.next_job().expect("an admitted job is run, never stranded");
+        assert_eq!((id, spec.app.as_str()), (job.id, "TH"));
+        assert!(reg.next_job().is_none(), "draining with an empty queue: the worker exits");
+        reg.finish(id, Ok(Value::Null));
+        assert!(reg.idle());
+    }
+
+    /// Run `sleeper` on a second thread and request the drain once that
+    /// thread announced it is about to sleep. The sleepers have no deadline
+    /// of their own, so the answer is awaited for 60 s, far beyond any
+    /// passing run: a prompt answer proves the drain woke them.
+    fn woken_by_drain<T: Send + 'static>(
+        reg: &Arc<Registry>,
+        sleeper: impl FnOnce(&Registry) -> T + Send + 'static,
+    ) -> T {
+        let (ready_tx, ready) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
+        let sleeping = reg.clone();
+        std::thread::spawn(move || {
+            ready_tx.send(()).unwrap();
+            let _ = done_tx.send(sleeper(&sleeping));
+        });
+        ready.recv().unwrap();
+        reg.request_drain();
+        done.recv_timeout(Duration::from_secs(60)).expect("the drain must wake the sleeper")
+    }
+
+    #[test]
+    fn drain_sleepers_and_idle_workers_are_woken_by_the_drain() {
+        let reg = Arc::new(Registry::new(64));
+        woken_by_drain(&reg, Registry::wait_drain_requested);
+        assert!(reg.draining());
+        let reg = Arc::new(Registry::new(64));
+        assert!(woken_by_drain(&reg, Registry::next_job).is_none(), "an idle worker exits");
     }
 }

@@ -18,19 +18,22 @@
 //!   ([`dpcons_tune::cache_key_for`]) — so serve-side dedup and the result
 //!   cache cannot disagree. The endpoints differ only in naming one `device`
 //!   or a list of `devices`; a one-device `/fleet` is that device's `/tune`.
-//! * [`jobs`] — the in-memory job registry and dedup table. N concurrent
-//!   identical requests attach to one job (one functional sweep, N
-//!   responses); failed jobs release their key so retries are fresh;
-//!   terminal jobs are retained bounded-FIFO for late pollers.
-//! * [`pool`] — the sharded worker pool. Jobs route to `key % shards`, so
-//!   identical keys are serialized structurally. Workers run the one sweep
-//!   over the job's devices through the [`dpcons_tune::WaveHook`] progress
-//!   callback, streaming wave events into the registry as they complete, and
-//!   render one result shape; job panics are isolated with `catch_unwind`
-//!   and reported as `failed`, never fatal. A sweep's wave is its only
-//!   fan-out and a shard runs one sweep at a time, so the daemon holds at
-//!   most `workers × min(WAVE_SIZE, cores)` pool threads besides its shard
-//!   and connection threads; shards share no budget (two on 2 cores: 4).
+//! * [`jobs`] — the in-memory job registry, dedup table and job queue: the
+//!   daemon's only job state, under one lock. N concurrent identical
+//!   requests attach to one job (one functional sweep, N responses); a key
+//!   has at most one queued or running job, so identical keys never sweep
+//!   at once; failed jobs release their key so retries are fresh; terminal
+//!   jobs are retained bounded-FIFO for late pollers. Fresh jobs are handed
+//!   out FIFO to whichever worker is idle, and a drain refuses admission
+//!   under the same lock, so an admitted job is always run.
+//! * [`pool`] — the worker threads. Each runs the one sweep over its job's
+//!   devices through the [`dpcons_tune::WaveHook`] progress callback,
+//!   streaming wave events into the registry as they complete, and renders
+//!   one result shape; job panics are isolated with `catch_unwind` and
+//!   reported as `failed`, never fatal. A sweep's wave is its only fan-out
+//!   and a worker runs one sweep at a time, so the daemon holds at most
+//!   `workers × min(WAVE_SIZE, cores)` pool threads besides its worker and
+//!   connection threads (two workers on 2 cores: 4).
 //! * [`http`] — the router/server: `GET /jobs/{id}` (status + partial wave
 //!   results), `GET /jobs/{id}/stream` (chunked-transfer NDJSON progress),
 //!   `GET /metrics` (the [`dpcons_obs`] registry), `GET /healthz`, and
@@ -60,5 +63,5 @@ pub use client::{Client, Submission};
 pub use error::{ErrorClass, ServeError};
 pub use http::{serve, ServerConfig, ServerHandle};
 pub use jobs::{JobState, JobView, Registry};
-pub use pool::{CacheMode, Pool, Submitter};
+pub use pool::CacheMode;
 pub use proto::{parse_request, JobKind, JobSpec, Limits, PROTO};

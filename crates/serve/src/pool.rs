@@ -1,19 +1,15 @@
-//! Sharded worker pool.
-//!
-//! Jobs are routed to a shard by `key % shards`, so two jobs with the same
-//! key can never run concurrently on different workers — the dedup table
-//! makes that unlikely, and sharding makes it structurally impossible (the
-//! property that keeps "exactly one sweep per key" true even across a
-//! fail-then-retry race). Each shard is one worker thread sleeping on a
-//! `Condvar` over its queue and stop flag — both under one mutex, so neither
-//! an enqueue nor the stop can slip between a worker's check and its wait.
-//! Drain sets the flags, then joins the workers against a deadline
+//! The worker pool: `workers` threads, each taking the oldest queued job
+//! from the registry ([`Registry::next_job`]) whenever it is idle, running
+//! its sweep and recording the outcome. The registry admits at most one
+//! queued or running job per key, so no routing is needed to keep two
+//! sweeps of one key apart. A worker exits when `next_job` reports the
+//! drain; the server joins the workers against its drain deadline
 //! (`Threads`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -42,44 +38,6 @@ impl CacheMode {
             CacheMode::Memory => Some(Cache::new(None)),
             CacheMode::Disk(dir) => Some(Cache::new(Some(dir.clone()))),
         }
-    }
-}
-
-#[derive(Default)]
-struct ShardState {
-    queue: VecDeque<u64>,
-    /// Set by drain: exit once `queue` is empty.
-    stop: bool,
-}
-
-#[derive(Default)]
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Notified on every enqueue and on stop.
-    ready: Condvar,
-}
-
-impl Shard {
-    fn lock(&self) -> MutexGuard<'_, ShardState> {
-        // Only pushes, pops and a flag store happen under this lock; none can
-        // leave the state half-updated, so a poisoned guard is still valid.
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// Cloneable submission side of the pool.
-#[derive(Clone)]
-pub struct Submitter {
-    shards: Arc<[Shard]>,
-}
-
-impl Submitter {
-    /// Enqueue a fresh job on the shard owning its key.
-    pub fn enqueue(&self, key: u64, job_id: u64) {
-        let shard = &self.shards[(key % self.shards.len() as u64) as usize];
-        shard.lock().queue.push_back(job_id);
-        dpcons_obs::gauge("serve.queue_depth").add(1);
-        shard.ready.notify_all();
     }
 }
 
@@ -130,64 +88,29 @@ impl Threads {
     }
 }
 
-/// The joinable pool: owns the worker threads.
-pub struct Pool {
-    shards: Arc<[Shard]>,
-    workers: Threads,
+/// Spawn `workers` threads that run queued jobs until the drain.
+pub(crate) fn start_workers(
+    workers: usize,
+    registry: &Arc<Registry>,
+    cache: &CacheMode,
+) -> Threads {
+    let mut threads = Threads::new();
+    for i in 0..workers.max(1) {
+        let registry = registry.clone();
+        let cache = cache.clone();
+        threads
+            .spawn(format!("dpcons-serve-worker-{i}"), move || worker_loop(&registry, &cache))
+            .unwrap_or_else(|e| panic!("failed to spawn worker thread: {e}"));
+    }
+    threads
 }
 
-impl Pool {
-    /// Spawn `shards` worker threads draining their own queues into
-    /// `execute`.
-    pub fn start(shards: usize, registry: Arc<Registry>, cache: CacheMode) -> (Pool, Submitter) {
-        let shards: Arc<[Shard]> = (0..shards.max(1)).map(|_| Shard::default()).collect();
-        let mut workers = Threads::new();
-        for i in 0..shards.len() {
-            let shards = shards.clone();
-            let registry = registry.clone();
-            let cache = cache.clone();
-            workers
-                .spawn(format!("dpcons-serve-worker-{i}"), move || {
-                    worker_loop(&shards[i], &registry, &cache)
-                })
-                .unwrap_or_else(|e| panic!("failed to spawn worker thread: {e}"));
-        }
-        (Pool { shards: shards.clone(), workers }, Submitter { shards })
-    }
-
-    /// Tell every worker to exit once its queue is empty, then join them
-    /// against `until`. Returns `true` on a clean join — the
-    /// drain-on-shutdown contract. Workers finish their queued jobs first;
-    /// only a wedged sweep makes this return `false`.
-    pub fn drain(self, until: Instant) -> bool {
-        for shard in self.shards.iter() {
-            shard.lock().stop = true;
-            shard.ready.notify_all();
-        }
-        self.workers.join_until(until)
-    }
-}
-
-fn worker_loop(shard: &Shard, registry: &Arc<Registry>, cache: &CacheMode) {
-    loop {
-        let job_id = {
-            let mut st = shard.lock();
-            loop {
-                if let Some(id) = st.queue.pop_front() {
-                    break id;
-                }
-                if st.stop {
-                    return;
-                }
-                st = shard.ready.wait(st).unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        dpcons_obs::gauge("serve.queue_depth").add(-1);
-        let Some(spec) = registry.start(job_id) else { continue };
+fn worker_loop(registry: &Arc<Registry>, cache: &CacheMode) {
+    while let Some((job_id, spec)) = registry.next_job() {
         let _span = dpcons_obs::span("serve.job");
-        // One bad job must never take the worker (and its whole shard) down:
-        // sweeps already isolate candidate panics, and this isolates
-        // everything else (setup, result shaping).
+        // One bad job must never take the worker down: sweeps already
+        // isolate candidate panics, and this isolates everything else
+        // (setup, result shaping).
         let outcome =
             catch_unwind(AssertUnwindSafe(|| execute(&spec, registry.clone(), job_id, cache)))
                 .unwrap_or_else(|p| {

@@ -76,7 +76,6 @@ pub struct JobSpec {
     pub devices: Vec<GpuConfig>,
     pub budget: Budget,
     pub space: KnobSpace,
-    pub fingerprint: u64,
     pub key: u64,
 }
 
@@ -217,16 +216,7 @@ pub fn parse_request(kind: JobKind, body: &str, limits: &Limits) -> Result<JobSp
     let space = KnobSpace::quick(devices[0].num_sms);
     let key =
         cache_key_for(app.name(), fp, &RunConfig::default(), &space, &budget, &devices, false);
-    Ok(JobSpec {
-        kind,
-        app: app.name().to_string(),
-        profile,
-        devices,
-        budget,
-        space,
-        fingerprint: fp,
-        key,
-    })
+    Ok(JobSpec { kind, app: app.name().to_string(), profile, devices, budget, space, key })
 }
 
 /// Render a `u64` key for the wire. Keys are full-width hashes; `jsonv`

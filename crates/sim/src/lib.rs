@@ -29,7 +29,6 @@ pub mod engine;
 pub mod kernel;
 pub mod mem;
 pub mod profiler;
-pub mod trace;
 
 pub use alloc::{AllocKind, DeviceHeap, HeapStats};
 pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig, WARP_SIZE};
@@ -42,7 +41,6 @@ pub use kernel::{
 };
 pub use mem::{coalesced_transactions, ArrayId, GlobalMem};
 pub use profiler::ProfileReport;
-pub use trace::{summarize, DepthLevel, KernelSummary, LaunchTree};
 
 /// Errors surfaced by the simulator. These model device-side faults
 /// (out-of-bounds accesses, heap exhaustion, launch-config violations) as

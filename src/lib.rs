@@ -15,7 +15,7 @@
 //! * [`obs`] — host-side observability: metrics registry, span tracing, and
 //!   Chrome-trace export for the capture/replay/tune pipeline,
 //! * [`serve`] — the tuning-as-a-service daemon: std-only HTTP/JSON server
-//!   with request dedup, sharded workers, and streamed wave progress.
+//!   with request dedup, a FIFO job queue, and streamed wave progress.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour, and the `reproduce`
 //! binary of `dpcons-bench` for the experiment inventory.

@@ -1,23 +1,49 @@
-//! Launch-tree summaries (`sim::trace::summarize`) on real captures: a
+//! The launch tree a capture records (`ExecRecord`s), on real captures: a
 //! hand-built deep recursion chain (depth > 8), a hand-built branching tree,
 //! and a generated Tree Descendants dataset. Every expectation is either
-//! hand-computed from the tree shape or derived independently of the
-//! summarizer, so these pin the `kernels_per_level` / `subtree_launches`
-//! semantics against the actual capture pipeline.
+//! hand-computed from the tree shape or derived from the `Tree` itself, so
+//! these pin the records' kernel count, `depth`, launch `spec` and `parent`
+//! links against the actual capture pipeline.
 
-use dpcons::apps::{Benchmark, RunConfig, TreeDescendants, Variant};
-use dpcons::sim::trace::summarize;
+use std::sync::Arc;
+
+use dpcons::apps::{Benchmark, CaptureSet, RunConfig, TreeDescendants, Variant};
+use dpcons::sim::ExecRecord;
 use dpcons::workloads::{generate_tree, Tree, TreeParams};
 
-/// Capture the BasicDp run of Tree Descendants on `tree` and summarize its
-/// single host launch.
-fn capture_summary(tree: Tree) -> (dpcons::sim::trace::LaunchTree, i64) {
+/// Capture the BasicDp run of Tree Descendants on `tree`: the capture of
+/// its single host launch, and the descendant count it computed.
+fn capture(tree: Tree) -> (Arc<CaptureSet>, i64) {
     let app = TreeDescendants::new(tree);
     let cfg = RunConfig { capture: true, ..RunConfig::default() };
     let out = app.run(Variant::BasicDp, &cfg).expect("basic-dp run");
     let caps = out.captures.expect("capture was enabled");
     assert_eq!(caps.launches.len(), 1, "TD basic-dp is a single host launch");
-    (summarize(&caps.launches[0]), out.output[0])
+    (caps, out.output[0])
+}
+
+/// Kernels executed at each depth, root first.
+fn kernels_per_level(records: &[ExecRecord]) -> Vec<u64> {
+    let max_depth = records.iter().map(|r| r.depth).max().unwrap_or(0);
+    let mut levels = vec![0u64; max_depth as usize + 1];
+    for r in records {
+        levels[r.depth as usize] += 1;
+    }
+    levels
+}
+
+/// Device launches made by each record, from the children's `parent` links.
+fn child_counts(records: &[ExecRecord]) -> Vec<u32> {
+    let mut kids = vec![0u32; records.len()];
+    for (parent, _, _) in records.iter().filter_map(|r| r.parent) {
+        kids[parent] += 1;
+    }
+    kids
+}
+
+/// `(grid, block)` of every record's launch.
+fn shapes(records: &[ExecRecord]) -> Vec<(u32, u32)> {
+    records.iter().map(|r| (r.spec.grid, r.spec.block)).collect()
 }
 
 #[test]
@@ -32,22 +58,19 @@ fn deep_chain_summary_is_exact() {
     let tree = Tree { n, child_ptr, children, root: 0 };
     tree.validate().expect("hand-built path tree is well-formed");
 
-    let (t, descendants) = capture_summary(tree);
+    let (caps, descendants) = capture(tree);
+    let records = &caps.launches[0];
     assert_eq!(descendants, 11);
 
     // Kernels: the host launch for node 0, plus one device launch per
     // interior non-root node (1..=10) — node 11 is a leaf.
-    assert_eq!(t.kernels.len(), 11);
-    assert_eq!(t.max_depth(), 10, "the chain must recurse past depth 8");
-    assert_eq!(t.kernels_per_level(), vec![1; 11]);
-    // Each link launches the rest of the chain below it: 10, 9, ..., 0.
-    let subtrees: Vec<u64> = t.kernels.iter().map(|k| k.subtree_launches).collect();
-    assert_eq!(subtrees, (0..=10).rev().collect::<Vec<u64>>());
+    assert_eq!(records.len(), 11);
+    assert_eq!(records.iter().map(|r| r.depth).max(), Some(10), "must recurse past depth 8");
+    assert_eq!(kernels_per_level(records), vec![1; 11]);
     // Every kernel launches exactly one child except the deepest.
-    let kids: Vec<u32> = t.kernels.iter().map(|k| k.children).collect();
-    assert_eq!(kids, [vec![1; 10], vec![0]].concat());
+    assert_eq!(child_counts(records), [vec![1; 10], vec![0]].concat());
     // Single-child nodes run one block of one thread.
-    assert!(t.kernels.iter().all(|k| k.grid == 1 && k.block == 1));
+    assert_eq!(shapes(records), vec![(1, 1); 11]);
 }
 
 #[test]
@@ -58,25 +81,21 @@ fn branching_tree_summary_is_exact() {
         Tree { n: 6, child_ptr: vec![0, 2, 4, 4, 5, 5, 5], children: vec![1, 2, 3, 4, 5], root: 0 };
     tree.validate().expect("hand-built branching tree is well-formed");
 
-    let (t, descendants) = capture_summary(tree);
+    let (caps, descendants) = capture(tree);
+    let records = &caps.launches[0];
     assert_eq!(descendants, 5);
-    assert_eq!(t.kernels.len(), 3);
-    assert_eq!(t.kernels_per_level(), vec![1, 1, 1]);
-    let subtrees: Vec<u64> = t.kernels.iter().map(|k| k.subtree_launches).collect();
-    assert_eq!(subtrees, vec![2, 1, 0]);
-    let kids: Vec<u32> = t.kernels.iter().map(|k| k.children).collect();
-    assert_eq!(kids, vec![1, 1, 0]);
+    assert_eq!(records.len(), 3);
+    assert_eq!(kernels_per_level(records), vec![1, 1, 1]);
+    assert_eq!(child_counts(records), vec![1, 1, 0]);
     // The root kernel runs with block = root degree; recursion launches
     // block = min(child degree, 256).
-    assert_eq!((t.kernels[0].grid, t.kernels[0].block), (1, 2));
-    assert_eq!((t.kernels[1].grid, t.kernels[1].block), (1, 2));
-    assert_eq!((t.kernels[2].grid, t.kernels[2].block), (1, 1));
+    assert_eq!(shapes(records), vec![(1, 2), (1, 2), (1, 1)]);
 }
 
 #[test]
 fn generated_dataset_summary_matches_tree_shape() {
     // A real TD dataset: expectations computed from the Tree itself (node
-    // depths + interior counts), independently of the summarizer.
+    // depths + interior counts), independently of the capture.
     let tree = generate_tree(TreeParams::dataset2_scaled(3, 6, 23));
     let mut depth = vec![0u32; tree.n];
     let mut order = vec![tree.root as usize];
@@ -101,12 +120,13 @@ fn generated_dataset_summary_matches_tree_shape() {
         }
     }
 
-    let (t, descendants) = capture_summary(tree.clone());
+    let (caps, descendants) = capture(tree.clone());
+    let records = &caps.launches[0];
     assert_eq!(descendants, tree.descendants());
-    assert_eq!(t.kernels_per_level(), expect_per_level);
-    // The root's subtree covers every device launch in the capture.
+    assert_eq!(kernels_per_level(records), expect_per_level);
+    // One host launch, then one device launch per interior non-root node.
     let interior_below_root =
         (0..tree.n).filter(|&v| v != tree.root as usize && tree.degree(v) > 0).count();
-    assert_eq!(t.kernels[0].subtree_launches, interior_below_root as u64);
-    assert_eq!(t.kernels.len(), interior_below_root + 1);
+    assert_eq!(records.len(), interior_below_root + 1);
+    assert!(records[0].parent.is_none() && records[1..].iter().all(|r| r.parent.is_some()));
 }
