@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use dpcons_core::{
     consolidate, prepare_launch, reset_launch, ConfigPolicy, Consolidated, Directive, Granularity,
-    PreparedLaunch, SizeSpec, TransformError,
+    Knobs, PreparedLaunch, TransformError,
 };
 use dpcons_ir::{install, IrError, Module};
 use dpcons_sim::{
@@ -44,10 +44,10 @@ pub enum Variant {
     BasicDp,
     /// Compiler-consolidated dynamic parallelism.
     Consolidated(Granularity),
-    /// Consolidation under an autotuned directive: the knobs come from
-    /// [`RunConfig::tuned`] (granularity and per-buffer capacity) together
-    /// with the session's `alloc`/`policy` fields, normally filled in by
-    /// `dpcons-tune` after a knob-space search.
+    /// Consolidation under the knob point [`RunConfig::tuned`] (every
+    /// clause: granularity, buffer allocator, per-buffer capacity, launch
+    /// shape) applied to the app's directive at that granularity, normally
+    /// set by `dpcons-tune` after a knob-space search.
     ConsolidatedTuned,
 }
 
@@ -110,25 +110,15 @@ impl From<TransformError> for AppError {
     }
 }
 
-/// Directive knobs selected by an autotuner for [`Variant::ConsolidatedTuned`].
-/// The remaining knobs ride on the session config: the buffer mechanism
-/// follows [`RunConfig::alloc`] and the consolidated-kernel configuration
-/// follows [`RunConfig::policy`], exactly as for [`Variant::Consolidated`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunedDirective {
-    pub granularity: Granularity,
-    /// Per-buffer capacity override in items; `None` keeps the app's
-    /// hand-written `perBufferSize`.
-    pub per_buffer_size: Option<u64>,
-}
-
-/// Execution configuration shared by all benchmarks.
+/// Execution configuration shared by all benchmarks. The directive knobs of
+/// a consolidated run are not here: they are the app's directive, or
+/// [`RunConfig::tuned`] applied to it.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     pub gpu: GpuConfig,
-    pub alloc: AllocKind,
-    /// Nested-kernel configuration policy; `None` = the paper's default
-    /// (KC_1 / KC_16 / KC_32 by granularity).
+    /// Nested-kernel configuration policy for a consolidated run whose
+    /// directive has no `blocks`/`threads` clauses; `None` = the paper's
+    /// default (KC_1 / KC_16 / KC_32 by granularity).
     pub policy: Option<ConfigPolicy>,
     /// Work-delegation threshold (`neighbors.size > THRESHOLD` in Fig. 1b).
     pub threshold: i64,
@@ -138,8 +128,8 @@ pub struct RunConfig {
     /// 64-word pages kernels write non-zero words into.
     pub heap_words: u64,
     pub pool_words: u64,
-    /// Autotuned directive knobs; required by [`Variant::ConsolidatedTuned`].
-    pub tuned: Option<TunedDirective>,
+    /// The knob point [`Variant::ConsolidatedTuned`] runs (required by it).
+    pub tuned: Option<Knobs>,
     /// Keep the functional launch DAG of every host launch so the run can
     /// be re-timed on other devices ([`AppOutcome::captures`]). Every run
     /// captures and prices each launch the same way; this flag only decides
@@ -157,7 +147,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             gpu: GpuConfig::k20c(),
-            alloc: AllocKind::PreAlloc,
             policy: None,
             threshold: 4,
             heap_words: 1 << 26,
@@ -262,33 +251,26 @@ impl VariantSession {
         variant: Variant,
         cfg: &RunConfig,
     ) -> Result<VariantSession, AppError> {
-        let (module, cons) = match variant {
-            Variant::Flat => (module_flat.clone(), None),
-            Variant::BasicDp => (module_dp.clone(), None),
+        // The engine's allocator is the one the applied `buffer` clause
+        // names; the unconsolidated variants allocate nothing on the device.
+        let (module, cons, alloc) = match variant {
+            Variant::Flat => (module_flat.clone(), None, AllocKind::PreAlloc),
+            Variant::BasicDp => (module_dp.clone(), None, AllocKind::PreAlloc),
             Variant::Consolidated(_) | Variant::ConsolidatedTuned => {
-                let mut dir = match variant {
-                    Variant::Consolidated(g) => directive(g),
-                    _ => {
-                        let t = cfg.tuned.as_ref().ok_or_else(|| {
-                            AppError::Driver(
-                                "Variant::ConsolidatedTuned requires RunConfig.tuned".to_string(),
-                            )
-                        })?;
-                        let mut d = directive(t.granularity);
-                        if let Some(n) = t.per_buffer_size {
-                            d.per_buffer_size = Some(SizeSpec::Items(n));
-                        }
-                        d
-                    }
+                let k = match variant {
+                    Variant::Consolidated(g) => Knobs::of(&directive(g)),
+                    _ => cfg.tuned.ok_or_else(|| {
+                        AppError::Driver(
+                            "Variant::ConsolidatedTuned requires RunConfig.tuned".to_string(),
+                        )
+                    })?,
                 };
-                // The directive's buffer clause follows the session allocator
-                // so Fig. 5 can sweep allocators from RunConfig.
-                dir.buffer = cfg.alloc.into();
+                let dir = k.apply(&directive(k.granularity));
                 let cons = consolidate(module_dp, parent, &dir, &cfg.gpu, cfg.policy)?;
-                (cons.module.clone(), Some(cons))
+                (cons.module.clone(), Some(cons), dir.buffer)
             }
         };
-        let mut engine = Engine::new(cfg.gpu.clone(), cfg.alloc, cfg.heap_words);
+        let mut engine = Engine::new(cfg.gpu.clone(), alloc, cfg.heap_words);
         engine.fuel = dpcons_sim::FuelMeter::new(cfg.fuel);
         let ids = install(&mut engine, &module)?;
         Ok(VariantSession {

@@ -24,7 +24,10 @@ use dpcons_apps::{
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_obs::jsonv::Value;
 use dpcons_sim::{AllocKind, GpuConfig};
-use dpcons_tune::{fleet_sweep, tune, Budget, Cache, FleetOptions, TuneOptions};
+use dpcons_tune::{
+    candidate_config, default_knobs, fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs,
+    TuneOptions,
+};
 
 pub mod golden;
 pub mod tables;
@@ -109,15 +112,16 @@ pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> Table {
     let basic = sssp().run(Variant::BasicDp, cfg).expect("basic-dp runs").report.total_cycles;
     let nodp = sssp().run(Variant::Flat, cfg).expect("no-dp runs").report.total_cycles;
 
+    let model = sssp().tune_model().expect("SSSP is tunable");
     let allocators = [AllocKind::Default, AllocKind::Halloc, AllocKind::PreAlloc];
     let jobs: Vec<_> = Granularity::ALL
         .iter()
         .flat_map(|&g| allocators.iter().map(move |&a| (g, a)))
         .map(|(g, a)| {
-            let cfg = RunConfig { alloc: a, ..cfg.clone() };
+            let cfg = candidate_config(cfg, &Knobs { alloc: a, ..default_knobs(&model, g) });
             move || {
                 let out = sssp()
-                    .run(Variant::Consolidated(g), &cfg)
+                    .run(Variant::ConsolidatedTuned, &cfg)
                     .unwrap_or_else(|e| panic!("fig5 {}/{} failed: {e}", g.label(), a.label()));
                 (g, a, out.report.total_cycles)
             }

@@ -11,7 +11,14 @@
 //! | `blocks`  | blocks of the consolidated kernel (override)             |
 //!
 //! `consldt` and `work` are mandatory; the rest are tuning knobs
-//! (Section IV.D).
+//! (Section IV.D). The `buffer` kind names the simulator allocator that
+//! serves the consolidation buffers: `default` and `halloc` are the device
+//! heap allocators, `custom` is the pre-allocated pool
+//! ([`AllocKind::PreAlloc`]).
+//!
+//! A [`Knobs`] value is one point of that tuning surface. [`Knobs::apply`]
+//! is the only way a knob point becomes a directive and [`Knobs::of`] the
+//! only way back.
 
 use std::fmt;
 
@@ -37,39 +44,6 @@ impl Granularity {
     pub const ALL: [Granularity; 3] = [Granularity::Warp, Granularity::Block, Granularity::Grid];
 }
 
-/// Buffer allocation mechanism (Section IV.E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BufferKind {
-    Default,
-    Halloc,
-    #[default]
-    Custom,
-}
-
-/// The simulator allocator that serves each `buffer` clause: `custom` is the
-/// pre-allocated pool.
-impl From<BufferKind> for AllocKind {
-    fn from(b: BufferKind) -> AllocKind {
-        match b {
-            BufferKind::Default => AllocKind::Default,
-            BufferKind::Halloc => AllocKind::Halloc,
-            BufferKind::Custom => AllocKind::PreAlloc,
-        }
-    }
-}
-
-/// The `buffer` clause that selects each simulator allocator; the inverse of
-/// `AllocKind::from(BufferKind)`.
-impl From<AllocKind> for BufferKind {
-    fn from(a: AllocKind) -> BufferKind {
-        match a {
-            AllocKind::Default => BufferKind::Default,
-            AllocKind::Halloc => BufferKind::Halloc,
-            AllocKind::PreAlloc => BufferKind::Custom,
-        }
-    }
-}
-
 /// Per-buffer capacity: a constant item count or a (uniform) variable naming
 /// a runtime bound, e.g. the maximum child count of a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +56,8 @@ pub enum SizeSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Directive {
     pub granularity: Granularity,
-    pub buffer: BufferKind,
+    /// The allocator the `buffer` clause selects (`custom` = the pool).
+    pub buffer: AllocKind,
     /// Per-buffer capacity in work items (warp/block level).
     pub per_buffer_size: Option<SizeSpec>,
     /// Total size of the pre-allocated pool, in items (grid level / custom).
@@ -98,7 +73,7 @@ impl Directive {
     pub fn new(granularity: Granularity, work: &[&str]) -> Self {
         Directive {
             granularity,
-            buffer: BufferKind::Custom,
+            buffer: AllocKind::PreAlloc,
             per_buffer_size: None,
             total_size: None,
             work: work.iter().map(|s| s.to_string()).collect(),
@@ -112,81 +87,13 @@ impl Directive {
         Parser::new(text).parse()
     }
 
-    // ---------------------------------------------------- tuning knobs --
-
-    /// Replace the consolidation granularity.
-    pub fn with_granularity(mut self, g: Granularity) -> Self {
-        self.granularity = g;
-        self
-    }
-
-    /// Replace the buffer allocation mechanism.
-    pub fn with_buffer(mut self, b: BufferKind) -> Self {
-        self.buffer = b;
-        self
-    }
-
-    /// Override the per-buffer capacity (`None` keeps the directive's own).
-    pub fn with_per_buffer_size(mut self, items: Option<u64>) -> Self {
-        if let Some(n) = items {
-            self.per_buffer_size = Some(SizeSpec::Items(n));
-        }
-        self
-    }
-
-    /// Override the consolidated kernel's `(blocks, threads)` clauses
-    /// (`None` leaves configuration to the active [`crate::ConfigPolicy`]).
-    pub fn with_config(mut self, config: Option<(u32, u32)>) -> Self {
-        match config {
-            Some((b, t)) => {
-                self.blocks = Some(b);
-                self.threads = Some(t);
-            }
-            None => {
-                self.blocks = None;
-                self.threads = None;
-            }
-        }
-        self
-    }
-
-    /// Enumerate every tuning-knob variation of this directive over `space`
-    /// (Section IV.D: the pragma's clauses *are* the tuning surface). The
-    /// directive's `work` clause and any `totalSize` are preserved; each
-    /// returned directive differs only in granularity, buffer kind,
-    /// `perBufferSize`, and the `blocks`/`threads` configuration clauses.
-    /// Degenerate configurations (`blocks == 0` or `threads == 0`) are
-    /// silently skipped. Order is deterministic (row-major over the space).
-    pub fn enumerate(&self, space: &KnobSpace) -> Vec<Directive> {
-        let mut out = Vec::with_capacity(space.len());
-        for &g in &space.granularities {
-            for &b in &space.buffers {
-                for &pbs in &space.per_buffer_sizes {
-                    for &cfg in &space.configs {
-                        if matches!(cfg, Some((bl, t)) if bl == 0 || t == 0) {
-                            continue;
-                        }
-                        out.push(
-                            self.clone()
-                                .with_granularity(g)
-                                .with_buffer(b)
-                                .with_per_buffer_size(pbs)
-                                .with_config(cfg),
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Render back to pragma text (round-trip tested).
     pub fn to_pragma(&self) -> String {
         let mut s = format!("#pragma dp consldt({})", self.granularity.label());
         let kind = match self.buffer {
-            BufferKind::Default => "default",
-            BufferKind::Halloc => "halloc",
-            BufferKind::Custom => "custom",
+            AllocKind::Default => "default",
+            AllocKind::Halloc => "halloc",
+            AllocKind::PreAlloc => "custom",
         };
         s.push_str(&format!(" buffer({kind}"));
         if let Some(p) = &self.per_buffer_size {
@@ -210,14 +117,111 @@ impl Directive {
     }
 }
 
+/// One candidate point in the directive knob space: consolidation
+/// granularity × buffer allocator × `perBufferSize` × consolidated-kernel
+/// `(blocks, threads)`. The [`Knobs::label`] form is part of the
+/// results-cache format, so it must round-trip exactly and never change
+/// behind a version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Knobs {
+    pub granularity: Granularity,
+    /// The allocator of the `buffer` clause.
+    pub alloc: AllocKind,
+    /// Per-buffer capacity in items; `None` = the app directive's own value.
+    pub per_buffer_size: Option<u64>,
+    /// `(blocks, threads)` of the consolidated kernel; `None` = no clauses,
+    /// so `consolidate`'s policy argument or the paper's per-granularity
+    /// `KC_X` policy picks the shape for the device (`cfg=-`).
+    pub config: Option<(u32, u32)>,
+}
+
+impl Knobs {
+    /// The knob coordinates of `d`: a symbolic `perBufferSize` and a lone
+    /// `blocks` or `threads` clause have none (`None`).
+    pub fn of(d: &Directive) -> Knobs {
+        Knobs {
+            granularity: d.granularity,
+            alloc: d.buffer,
+            per_buffer_size: match &d.per_buffer_size {
+                Some(SizeSpec::Items(n)) => Some(*n),
+                _ => None,
+            },
+            config: d.blocks.zip(d.threads),
+        }
+    }
+
+    /// `d` with these knobs written into its clauses. `work` and `totalSize`
+    /// are kept, and so is `d`'s `perBufferSize` when this point has none;
+    /// the `blocks`/`threads` clauses are both set or both cleared.
+    pub fn apply(&self, d: &Directive) -> Directive {
+        let per_buffer_size =
+            self.per_buffer_size.map(SizeSpec::Items).or_else(|| d.per_buffer_size.clone());
+        Directive {
+            granularity: self.granularity,
+            buffer: self.alloc,
+            per_buffer_size,
+            blocks: self.config.map(|(b, _)| b),
+            threads: self.config.map(|(_, t)| t),
+            ..d.clone()
+        }
+    }
+
+    /// Human-readable and cache-stable label, e.g.
+    /// `grid/pre-alloc/pbs=256/cfg=13x64` or `warp/halloc/pbs=-/cfg=-`.
+    pub fn label(&self) -> String {
+        let pbs = match self.per_buffer_size {
+            Some(n) => n.to_string(),
+            None => "-".to_string(),
+        };
+        let cfg = match self.config {
+            Some((b, t)) => format!("{b}x{t}"),
+            None => "-".to_string(),
+        };
+        format!("{}/{}/pbs={}/cfg={}", self.granularity.label(), self.alloc.label(), pbs, cfg)
+    }
+
+    /// Parse the [`Knobs::label`] form back.
+    pub fn parse(s: &str) -> Result<Knobs, String> {
+        let parts: Vec<&str> = s.split('/').collect();
+        if parts.len() != 4 {
+            return Err(format!("bad knobs `{s}`"));
+        }
+        let granularity = Granularity::ALL
+            .into_iter()
+            .find(|g| g.label() == parts[0])
+            .ok_or_else(|| format!("bad granularity `{}`", parts[0]))?;
+        let alloc = [AllocKind::Default, AllocKind::Halloc, AllocKind::PreAlloc]
+            .into_iter()
+            .find(|a| a.label() == parts[1])
+            .ok_or_else(|| format!("bad allocator `{}`", parts[1]))?;
+        let pbs = parts[2].strip_prefix("pbs=").ok_or_else(|| format!("bad pbs field in `{s}`"))?;
+        let per_buffer_size = match pbs {
+            "-" => None,
+            n => Some(n.parse::<u64>().map_err(|e| format!("bad pbs `{n}`: {e}"))?),
+        };
+        let cfg = parts[3].strip_prefix("cfg=").ok_or_else(|| format!("bad cfg field in `{s}`"))?;
+        let config = match cfg {
+            "-" => None,
+            c => {
+                let (b, t) = c.split_once('x').ok_or_else(|| format!("bad cfg `{c}`"))?;
+                Some((
+                    b.parse::<u32>().map_err(|e| format!("bad blocks `{b}`: {e}"))?,
+                    t.parse::<u32>().map_err(|e| format!("bad threads `{t}`: {e}"))?,
+                ))
+            }
+        };
+        Ok(Knobs { granularity, alloc, per_buffer_size, config })
+    }
+}
+
 /// The grid of directive tuning knobs an autotuner sweeps: the cartesian
-/// product of consolidation granularity, buffer mechanism, per-buffer
+/// product of consolidation granularity, buffer allocator, per-buffer
 /// capacity, and consolidated-kernel `(blocks, threads)` configuration.
 /// `None` entries mean "keep the base directive's / policy's choice".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnobSpace {
     pub granularities: Vec<Granularity>,
-    pub buffers: Vec<BufferKind>,
+    pub buffers: Vec<AllocKind>,
     pub per_buffer_sizes: Vec<Option<u64>>,
     pub configs: Vec<Option<(u32, u32)>>,
 }
@@ -229,13 +233,16 @@ impl KnobSpace {
     pub fn quick(sms: u32) -> KnobSpace {
         KnobSpace {
             granularities: Granularity::ALL.to_vec(),
-            buffers: vec![BufferKind::Custom, BufferKind::Halloc, BufferKind::Default],
+            buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc, AllocKind::Default],
             per_buffer_sizes: vec![None, Some(128)],
             configs: vec![None, Some((sms, 64)), Some((sms, 256)), Some((4 * sms, 256))],
         }
     }
 
-    /// Upper bound on the number of enumerated candidates.
+    /// The size of the knob product: an upper bound on the enumerated
+    /// candidates, which skip degenerate configurations (`blocks` or
+    /// `threads` of 0) and collapse grid-level points that differ only in
+    /// knobs grid-level codegen ignores.
     pub fn len(&self) -> usize {
         self.granularities.len()
             * self.buffers.len()
@@ -278,8 +285,8 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.text[self.pos..].starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.text[self.pos..].chars().next().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
     }
 
@@ -314,6 +321,12 @@ impl<'a> Parser<'a> {
         word.parse::<u64>().map_err(|_| self.err(format!("expected number, found `{word}`")))
     }
 
+    /// A `u32` clause argument; a larger number is an error naming `clause`.
+    fn count(&mut self, clause: &str) -> Result<u32, DirectiveError> {
+        let n = self.number()?;
+        u32::try_from(n).map_err(|_| self.err(format!("`{clause}({n})` exceeds {}", u32::MAX)))
+    }
+
     fn expect(&mut self, tok: &str) -> Result<(), DirectiveError> {
         if !self.eat(tok) {
             return Err(self.err(format!("expected `{tok}`")));
@@ -327,7 +340,7 @@ impl<'a> Parser<'a> {
         self.expect("dp")?;
 
         let mut granularity = None;
-        let mut buffer = BufferKind::Custom;
+        let mut buffer = AllocKind::PreAlloc;
         let mut per_buffer_size = None;
         let mut total_size = None;
         let mut work: Option<Vec<String>> = None;
@@ -358,9 +371,9 @@ impl<'a> Parser<'a> {
                 "buffer" => {
                     let kind = self.ident()?;
                     buffer = match kind.as_str() {
-                        "default" => BufferKind::Default,
-                        "halloc" => BufferKind::Halloc,
-                        "custom" => BufferKind::Custom,
+                        "default" => AllocKind::Default,
+                        "halloc" => AllocKind::Halloc,
+                        "custom" => AllocKind::PreAlloc,
                         other => {
                             return Err(self.err(format!(
                                 "unknown buffer type `{other}` (expected default|halloc|custom)"
@@ -398,12 +411,8 @@ impl<'a> Parser<'a> {
                     }
                     work = Some(vars);
                 }
-                "threads" => {
-                    threads = Some(self.number()? as u32);
-                }
-                "blocks" => {
-                    blocks = Some(self.number()? as u32);
-                }
+                "threads" => threads = Some(self.count("threads")?),
+                "blocks" => blocks = Some(self.count("blocks")?),
                 other => return Err(self.err(format!("unknown clause `{other}`"))),
             }
             self.expect(")")?;
@@ -426,13 +435,14 @@ mod tests {
     #[test]
     fn buffer_clauses_map_one_to_one_onto_allocators() {
         let pairs = [
-            (BufferKind::Default, AllocKind::Default),
-            (BufferKind::Halloc, AllocKind::Halloc),
-            (BufferKind::Custom, AllocKind::PreAlloc),
+            ("default", AllocKind::Default),
+            ("halloc", AllocKind::Halloc),
+            ("custom", AllocKind::PreAlloc),
         ];
-        for (b, a) in pairs {
-            assert_eq!(AllocKind::from(b), a);
-            assert_eq!(BufferKind::from(a), b);
+        for (token, a) in pairs {
+            let d = Directive::parse(&format!("dp consldt(warp) buffer({token}) work(x)")).unwrap();
+            assert_eq!(d.buffer, a);
+            assert!(d.to_pragma().contains(&format!("buffer({token})")), "{}", d.to_pragma());
         }
     }
 
@@ -445,7 +455,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.granularity, Granularity::Block);
-        assert_eq!(d.buffer, BufferKind::Custom);
+        assert_eq!(d.buffer, AllocKind::PreAlloc);
         assert_eq!(d.per_buffer_size, Some(SizeSpec::Items(256)));
         assert_eq!(d.work, vec!["curr"]);
         assert_eq!(d.threads, None);
@@ -459,7 +469,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.granularity, Granularity::Grid);
-        assert_eq!(d.buffer, BufferKind::Halloc);
+        assert_eq!(d.buffer, AllocKind::Halloc);
         assert_eq!(d.per_buffer_size, Some(SizeSpec::Var("maxdeg".into())));
         assert_eq!(d.total_size, Some(1_000_000));
         assert_eq!(d.work, vec!["node", "deg"]);
@@ -507,60 +517,97 @@ mod tests {
         assert_eq!(d.granularity, Granularity::Warp);
     }
 
+    /// Whitespace is skipped a whole character at a time: a multi-byte
+    /// space (U+3000, three bytes) between tokens parses, and one inside a
+    /// token is a typed error, not a panic on a char boundary.
+    #[test]
+    fn non_ascii_whitespace_is_skipped_by_whole_characters() {
+        let d = Directive::parse("dp\u{3000}consldt(warp)\u{a0}work(\u{2003}x)").unwrap();
+        assert_eq!(d.granularity, Granularity::Warp);
+        assert_eq!(d.work, vec!["x"]);
+        let e = Directive::parse("dp consldt(\u{3000}) work(x)").unwrap_err();
+        assert!(e.message.contains("identifier"), "{e}");
+    }
+
+    #[test]
+    fn launch_shape_clauses_larger_than_u32_are_rejected() {
+        let e = Directive::parse("dp consldt(warp) work(x) threads(4294967360)").unwrap_err();
+        assert!(e.message.contains("threads(4294967360)"), "{e}");
+        let e = Directive::parse("dp consldt(warp) work(x) blocks(4294967296)").unwrap_err();
+        assert!(e.message.contains("blocks(4294967296)"), "{e}");
+        let d = Directive::parse("dp consldt(warp) work(x) blocks(4294967295)").unwrap();
+        assert_eq!(d.blocks, Some(u32::MAX));
+    }
+
     #[test]
     fn empty_work_rejected() {
         assert!(Directive::parse("dp consldt(warp) work()").is_err());
     }
 
     #[test]
-    fn enumerate_covers_the_knob_grid_and_preserves_work() {
+    fn knobs_label_roundtrips() {
+        let cases = [
+            Knobs {
+                granularity: Granularity::Warp,
+                alloc: AllocKind::Halloc,
+                per_buffer_size: None,
+                config: None,
+            },
+            Knobs {
+                granularity: Granularity::Grid,
+                alloc: AllocKind::PreAlloc,
+                per_buffer_size: Some(256),
+                config: Some((13, 64)),
+            },
+            Knobs {
+                granularity: Granularity::Block,
+                alloc: AllocKind::Default,
+                per_buffer_size: Some(1),
+                config: Some((1, 1024)),
+            },
+        ];
+        for k in cases {
+            assert_eq!(Knobs::parse(&k.label()).unwrap(), k, "{}", k.label());
+        }
+        assert!(Knobs::parse("warp/pre-alloc/pbs=1").is_err());
+        assert!(Knobs::parse("nope/pre-alloc/pbs=-/cfg=-").is_err());
+        assert!(Knobs::parse("warp/custom/pbs=-/cfg=-").is_err());
+    }
+
+    /// `apply` writes every knob into its clause and keeps the rest of the
+    /// directive; `of` reads the knobs back, and a point without a
+    /// `perBufferSize` or launch shape keeps the directive's own or has none.
+    #[test]
+    fn knobs_apply_and_of_are_inverse() {
         let base = Directive::parse(
-            "dp consldt(block) buffer(custom, perBufferSize: 64, totalSize: 4096) work(a, b)",
+            "dp consldt(block) buffer(custom, perBufferSize: 64, totalSize: 4096) work(a, b) \
+             threads(32) blocks(2)",
         )
         .unwrap();
-        let space = KnobSpace {
-            granularities: vec![Granularity::Warp, Granularity::Grid],
-            buffers: vec![BufferKind::Custom, BufferKind::Halloc],
-            per_buffer_sizes: vec![None, Some(256)],
-            configs: vec![None, Some((13, 128))],
+        let k = Knobs {
+            granularity: Granularity::Grid,
+            alloc: AllocKind::Halloc,
+            per_buffer_size: Some(256),
+            config: Some((13, 128)),
         };
-        let cands = base.enumerate(&space);
-        assert_eq!(cands.len(), space.len());
-        assert_eq!(cands.len(), 16);
-        for c in &cands {
-            assert_eq!(c.work, base.work, "work clause is not a tuning knob");
-            assert_eq!(c.total_size, base.total_size);
-        }
-        // None per-buffer-size keeps the base's 64; Some overrides.
-        assert!(cands.iter().any(|c| c.per_buffer_size == Some(SizeSpec::Items(64))));
-        assert!(cands.iter().any(|c| c.per_buffer_size == Some(SizeSpec::Items(256))));
-        // Config knob sets both clauses or clears both.
-        assert!(cands.iter().any(|c| c.blocks == Some(13) && c.threads == Some(128)));
-        assert!(cands.iter().any(|c| c.blocks.is_none() && c.threads.is_none()));
-        // Deterministic order.
-        assert_eq!(cands, base.enumerate(&space));
-    }
+        let d = k.apply(&base);
+        assert_eq!(Knobs::of(&d), k);
+        assert_eq!((d.work.clone(), d.total_size), (base.work.clone(), base.total_size));
+        assert_eq!((d.blocks, d.threads), (Some(13), Some(128)));
 
-    #[test]
-    fn enumerate_skips_degenerate_configs() {
-        let base = Directive::new(Granularity::Warp, &["x"]);
-        let space = KnobSpace {
-            granularities: vec![Granularity::Warp],
-            buffers: vec![BufferKind::Custom],
-            per_buffer_sizes: vec![None],
-            configs: vec![Some((0, 128)), Some((4, 0)), Some((4, 128))],
-        };
-        let cands = base.enumerate(&space);
-        assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0].blocks, Some(4));
-    }
+        let k = Knobs { per_buffer_size: None, config: None, ..k };
+        let d = k.apply(&base);
+        assert_eq!(d.per_buffer_size, Some(SizeSpec::Items(64)), "None keeps the base's size");
+        assert_eq!((d.blocks, d.threads), (None, None), "None clears both shape clauses");
+        assert_eq!(Knobs::of(&d), Knobs { per_buffer_size: Some(64), ..k });
 
-    #[test]
-    fn enumerated_candidates_roundtrip_through_pragma_text() {
-        let base = Directive::parse("dp consldt(warp) buffer(custom) work(u)").unwrap();
-        for c in base.enumerate(&KnobSpace::quick(13)) {
-            let reparsed = Directive::parse(&c.to_pragma()).unwrap();
-            assert_eq!(c, reparsed);
-        }
+        let symbolic = Directive::parse(
+            "dp consldt(warp) buffer(custom, perBufferSize: deg) \
+                                         work(u) blocks(4)",
+        )
+        .unwrap();
+        let k = Knobs::of(&symbolic);
+        assert_eq!((k.per_buffer_size, k.config), (None, None));
+        assert_eq!(k.apply(&symbolic), Directive { blocks: None, ..symbolic });
     }
 }

@@ -29,7 +29,7 @@ pub mod runtime;
 pub mod transform;
 
 pub use analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
-pub use directive::{BufferKind, Directive, DirectiveError, Granularity, KnobSpace, SizeSpec};
+pub use directive::{Directive, DirectiveError, Granularity, KnobSpace, Knobs, SizeSpec};
 pub use occupancy::{
     best_single_kernel_config, max_blocks_per_sm, occupancy, ConfigPolicy, KernelResources,
 };

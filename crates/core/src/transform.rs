@@ -28,7 +28,7 @@ use dpcons_ir::dsl::*;
 use dpcons_sim::{GpuConfig, WARP_SIZE};
 
 use crate::analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
-use crate::directive::{BufferKind, Directive, Granularity, SizeSpec};
+use crate::directive::{Directive, Granularity, SizeSpec};
 use crate::occupancy::{ConfigPolicy, KernelResources};
 
 /// Names of the extra parameters a grid-level transformed kernel receives.
@@ -69,12 +69,10 @@ impl GridExtras {
 #[derive(Debug, Clone)]
 pub struct TransformInfo {
     pub granularity: Granularity,
-    pub buffer: BufferKind,
     pub recursive: bool,
     /// Kernel the host launches (the transformed parent, or the consolidated
     /// recursive kernel).
     pub entry: String,
-    pub child_cons: String,
     pub postwork: Option<String>,
     /// Number of buffered variables per work item.
     pub nv: usize,
@@ -115,7 +113,9 @@ fn last_warp_leader() -> Expr {
 
 /// Apply the workload-consolidation transformation to `parent_name` in
 /// `module` according to `directive`, selecting nested-kernel configurations
-/// for `gpu` with `policy` (defaults to the paper's per-granularity policy).
+/// for `gpu`. The consolidated kernel's launch shape comes from the
+/// directive's `blocks`/`threads` clauses when it has both, else from
+/// `policy`, else from the paper's per-granularity `KC_X` policy.
 pub fn consolidate(
     module: &Module,
     parent_name: &str,
@@ -124,19 +124,17 @@ pub fn consolidate(
     policy: Option<ConfigPolicy>,
 ) -> Result<Consolidated, TransformError> {
     let analysis = analyze(module, parent_name, directive)?;
-    let policy = policy.unwrap_or_else(|| default_policy(directive));
+    let policy = directive
+        .blocks
+        .zip(directive.threads)
+        .map(|(b, t)| ConfigPolicy::Custom(b, t))
+        .or(policy)
+        .unwrap_or_else(|| ConfigPolicy::default_for(directive.granularity));
     let ctx = Ctx::new(module, parent_name, directive, &analysis, gpu, policy)?;
     if analysis.recursive {
         ctx.transform_recursive()
     } else {
         ctx.transform_irregular_loop()
-    }
-}
-
-fn default_policy(d: &Directive) -> ConfigPolicy {
-    match (d.blocks, d.threads) {
-        (Some(b), Some(t)) => ConfigPolicy::Custom(b, t),
-        _ => ConfigPolicy::default_for(d.granularity),
     }
 }
 
@@ -493,10 +491,8 @@ impl<'a> Ctx<'a> {
             module,
             info: TransformInfo {
                 granularity: g,
-                buffer: self.directive.buffer,
                 recursive: false,
                 entry,
-                child_cons: self.child_cons_name(),
                 postwork: postwork_kernel,
                 nv: self.nv(),
                 buffered_positions: self.launch().buffered.clone(),
@@ -662,10 +658,8 @@ impl<'a> Ctx<'a> {
             module,
             info: TransformInfo {
                 granularity: g,
-                buffer: self.directive.buffer,
                 recursive: true,
-                entry: name.clone(),
-                child_cons: name,
+                entry: name,
                 postwork: None,
                 nv: self.nv(),
                 buffered_positions: launch_info.buffered.clone(),
@@ -877,6 +871,26 @@ mod tests {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// The launch shape's one precedence: both `blocks`/`threads` clauses,
+    /// then the policy argument, then the paper's per-granularity default.
+    #[test]
+    fn launch_shape_clauses_beat_the_policy_argument_which_beats_the_default() {
+        let gpu = GpuConfig::k20c();
+        let policy = |pragma: &str, arg: Option<ConfigPolicy>| {
+            let dir = Directive::parse(pragma).unwrap();
+            consolidate(&irregular_module(), "parent", &dir, &gpu, arg).unwrap().info.child_config
+        };
+        let shaped = "dp consldt(block) work(id) blocks(7) threads(96)";
+        let bare = "dp consldt(block) work(id)";
+        let arg = Some(ConfigPolicy::OneToOne);
+        assert_eq!(policy(shaped, arg), ConfigPolicy::Custom(7, 96));
+        assert_eq!(policy(shaped, None), ConfigPolicy::Custom(7, 96));
+        assert_eq!(policy(bare, arg), ConfigPolicy::OneToOne);
+        assert_eq!(policy(bare, None), ConfigPolicy::default_for(Granularity::Block));
+        // A lone clause is not a launch shape.
+        assert_eq!(policy("dp consldt(block) work(id) blocks(7)", arg), ConfigPolicy::OneToOne);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! datapoint would silently be wrong.
 
 use dpcons_apps::{all_benchmarks, Profile, RunConfig, Variant};
+use dpcons_core::{Granularity, Knobs};
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, Module};
 use dpcons_sim::{AllocKind, ArrayId, Engine, ExecRecord, GpuConfig, LaunchSpec, ProfileReport};
@@ -157,12 +158,11 @@ fn raw_replay_leaves_allocator_stats_empty() {
     let apps = all_benchmarks(Profile::Test);
     // A halloc-buffered consolidated run device-allocates its consolidation
     // buffers, so the capture has nonzero allocator stats.
-    let cfg = RunConfig { alloc: AllocKind::Halloc, capture: true, ..RunConfig::default() };
-    let warp = Variant::ALL
-        .into_iter()
-        .find(|v| v.label() == "warp-level")
-        .expect("warp-level is a standard variant");
-    let out = apps[0].run(warp, &cfg).expect("SSSP warp-level halloc runs");
+    let model = apps[0].tune_model().expect("SSSP is tunable");
+    let warp = Knobs::of(&(model.directive)(Granularity::Warp));
+    let tuned = Some(Knobs { alloc: AllocKind::Halloc, ..warp });
+    let cfg = RunConfig { tuned, capture: true, ..RunConfig::default() };
+    let out = apps[0].run(Variant::ConsolidatedTuned, &cfg).expect("SSSP warp-level halloc runs");
     assert!(out.report.alloc_ops > 0, "expected device allocations in this configuration");
     assert!(out.report.alloc_cycles > 0);
     let caps = out.captures.expect("capture mode fills AppOutcome::captures");

@@ -11,10 +11,15 @@
 //! There is one sweep pipeline ([`tuner`]), over however many devices it is
 //! handed — [`tune`] prices one, [`fleet_sweep`] a whole fleet:
 //!
-//! 1. **Enumerate** — [`dpcons_core::KnobSpace`] ×
-//!    [`dpcons_core::Directive::enumerate`] over the app's hand-written base
-//!    directives (exposed via [`dpcons_apps::TuneModel`]), collapsing
-//!    grid-level duplicates (buffer knobs do not reach grid-level codegen).
+//! 1. **Enumerate** — [`enumerate_candidates`] walks the
+//!    [`dpcons_core::KnobSpace`] product into [`Knobs`] points, filling
+//!    unset sizes from the app's hand-written base directives (exposed via
+//!    [`dpcons_apps::TuneModel`]) and collapsing grid-level duplicates
+//!    (buffer knobs do not reach grid-level codegen). A candidate stays one
+//!    `Knobs` value from here on: [`candidate_config`] puts it in
+//!    `RunConfig::tuned`, the runner applies it to the base directive
+//!    ([`Knobs::apply`]) and the report prints that directive as the
+//!    winning pragma ([`materialize_directive`]).
 //! 2. **Evaluate** — every candidate runs end to end against
 //!    `dpcons-sim`'s cycle model in parallel ([`par::parallel_map`]; scoped
 //!    std threads — the environment has no `rayon`), in fixed-size waves;
@@ -62,15 +67,14 @@
 
 pub mod cache;
 pub mod fleet;
-pub mod knobs;
 pub mod par;
 pub mod replay;
 pub mod report;
 pub mod tuner;
 
 pub use cache::{fnv1a, Cache, Fnv64};
+pub use dpcons_core::Knobs;
 pub use fleet::{fleet_sweep, fleet_sweep_with_progress, FleetError, FleetOptions};
-pub use knobs::Knobs;
 pub use par::{parallel_map, parallel_map_robust};
 pub use replay::{merge_reports, replay_timing_many};
 pub use report::{CandidateOutcome, FleetReport, Metrics, Status, TuneReport};

@@ -16,7 +16,7 @@
 //! reproducible, order-preserving, with `f64` metrics stored as IEEE bit
 //! patterns so a cache round trip is exact.
 
-use crate::knobs::Knobs;
+use dpcons_core::Knobs;
 
 /// Profile metrics of one evaluated candidate (full app run) on one device.
 #[derive(Debug, Clone, Copy, PartialEq)]

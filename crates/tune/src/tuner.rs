@@ -28,12 +28,11 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, TunedDirective, Variant};
-use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
+use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, Variant};
+use dpcons_core::{Directive, Granularity, KnobSpace, Knobs};
 use dpcons_sim::{AllocKind, GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
-use crate::knobs::Knobs;
 use crate::par::parallel_map_robust;
 use crate::report::{CandidateOutcome, Metrics, Status, TuneReport};
 
@@ -114,8 +113,8 @@ impl WaveHook {
 /// Everything configuring one single-device sweep.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
-    /// Base run configuration (device, threshold, heap sizes). The
-    /// `alloc`/`policy`/`tuned` fields are overridden per candidate.
+    /// Base run configuration (device, threshold, heap sizes). Each
+    /// candidate sets its `tuned` field.
     pub base: RunConfig,
     pub space: KnobSpace,
     pub budget: Budget,
@@ -224,32 +223,41 @@ fn fingerprint_of(name: &str, reference: &[i64]) -> u64 {
 
 /// The knob coordinates of the app's hand-written directive at `g`.
 pub fn default_knobs(model: &TuneModel, g: Granularity) -> Knobs {
-    Knobs::from_directive(&(model.directive)(g))
+    Knobs::of(&(model.directive)(g))
 }
 
-/// Enumerate the candidate list in deterministic search order. Grid-level
-/// combinations that differ only in buffer allocator or per-buffer size are
-/// collapsed onto one canonical candidate (neither knob reaches grid-level
-/// codegen: the buffer is the host-provided pool), and the paper-default
-/// candidates are moved to the front so budgeted sweeps always cover them.
-/// Returns the candidates plus the number of collapsed duplicates.
+/// Enumerate the candidate list in deterministic search order: the
+/// `space` product, row-major (granularity, buffer, per-buffer size, launch
+/// shape), skipping degenerate shapes (`blocks` or `threads` of 0). A `None`
+/// per-buffer size keeps the app directive's own. Grid-level combinations
+/// that differ only in buffer allocator or per-buffer size are collapsed
+/// onto one canonical candidate (neither knob reaches grid-level codegen:
+/// the buffer is the host-provided pool), and the paper-default candidates
+/// are moved to the front so budgeted sweeps always cover them. Returns the
+/// candidates plus the number of collapsed duplicates.
 pub fn enumerate_candidates(model: &TuneModel, space: &KnobSpace) -> (Vec<Knobs>, usize) {
     let mut seen: HashSet<Knobs> = HashSet::new();
     let mut out: Vec<Knobs> = Vec::new();
     let mut collapsed = 0usize;
-    for &g in &space.granularities {
-        let base = (model.directive)(g);
-        let sub = KnobSpace { granularities: vec![g], ..space.clone() };
-        for d in base.enumerate(&sub) {
-            let mut k = Knobs::from_directive(&d);
-            if g == Granularity::Grid {
-                k.alloc = AllocKind::PreAlloc;
-                k.per_buffer_size = Knobs::from_directive(&base).per_buffer_size;
-            }
-            if seen.insert(k) {
-                out.push(k);
-            } else {
-                collapsed += 1;
+    for &granularity in &space.granularities {
+        let own = default_knobs(model, granularity);
+        for &alloc in &space.buffers {
+            for &pbs in &space.per_buffer_sizes {
+                for &config in &space.configs {
+                    if matches!(config, Some((b, t)) if b == 0 || t == 0) {
+                        continue;
+                    }
+                    let (alloc, per_buffer_size) = match granularity {
+                        Granularity::Grid => (AllocKind::PreAlloc, own.per_buffer_size),
+                        _ => (alloc, pbs.or(own.per_buffer_size)),
+                    };
+                    let k = Knobs { granularity, alloc, per_buffer_size, config };
+                    if seen.insert(k) {
+                        out.push(k);
+                    } else {
+                        collapsed += 1;
+                    }
+                }
             }
         }
     }
@@ -269,27 +277,16 @@ pub fn prune_reason(_model: &TuneModel, _cfg: &RunConfig, _k: &Knobs) -> Option<
     None
 }
 
-/// The full [`dpcons_core::Directive`] a knob point stands for (the app's
-/// base directive at that granularity with the knob overrides applied) —
-/// useful for printing the winning pragma.
-pub fn materialize_directive(model: &TuneModel, k: &Knobs) -> dpcons_core::Directive {
-    (model.directive)(k.granularity)
-        .with_per_buffer_size(k.per_buffer_size)
-        .with_buffer(k.alloc.into())
-        .with_config(k.config)
+/// The full [`Directive`] a knob point stands for (the app's base directive
+/// at that granularity with the knobs applied) — the winning pragma a report
+/// prints.
+pub fn materialize_directive(model: &TuneModel, k: &Knobs) -> Directive {
+    k.apply(&(model.directive)(k.granularity))
 }
 
-/// The run configuration a candidate evaluates under.
+/// The run configuration a candidate evaluates under: `base` running `k`.
 pub fn candidate_config(base: &RunConfig, k: &Knobs) -> RunConfig {
-    RunConfig {
-        alloc: k.alloc,
-        policy: k.config.map(|(b, t)| ConfigPolicy::Custom(b, t)).or(base.policy),
-        tuned: Some(TunedDirective {
-            granularity: k.granularity,
-            per_buffer_size: k.per_buffer_size,
-        }),
-        ..base.clone()
-    }
+    RunConfig { tuned: Some(*k), ..base.clone() }
 }
 
 /// The configuration one evaluation of `k` runs under: [`candidate_config`]
@@ -421,7 +418,6 @@ pub fn cache_key_for(
     h.write_str(env!("CARGO_PKG_VERSION"));
     h.write_str(app);
     h.write_u64(fp);
-    h.write_str(&format!("{:?}", base.alloc));
     h.write_str(&format!("{:?}", base.policy));
     h.write_u64(base.threshold as u64);
     h.write_u64(base.heap_words);
@@ -610,17 +606,26 @@ mod tests {
     }
 
     /// The printed winning pragma, parsed back, is the knob point it came
-    /// from: every coordinate, the `cfg=BxT` launch shape included.
+    /// from, for every app: every coordinate, the `cfg=BxT` launch shape
+    /// included, and the base directive's `work` and `totalSize` clauses
+    /// survive (BFS-Rec, TH and TD carry `perBufferSize` and `totalSize`).
     #[test]
     fn a_materialized_pragma_parses_back_to_its_knobs() {
-        let app = dpcons_apps::benchmark_by_name("SSSP", dpcons_apps::Profile::Test).unwrap();
-        let model = app.tune_model().unwrap();
-        let (cands, _) = enumerate_candidates(&model, &KnobSpace::quick(13));
-        assert!(cands.iter().any(|k| k.config.is_some()), "the space must hold cfg= points");
-        for k in cands {
-            let pragma = materialize_directive(&model, &k).to_pragma();
-            let parsed = dpcons_core::Directive::parse(&pragma).unwrap();
-            assert_eq!(Knobs::from_directive(&parsed), k, "{} printed `{pragma}`", k.label());
+        let apps = dpcons_apps::all_benchmarks(dpcons_apps::Profile::Test);
+        assert_eq!(apps.len(), 7);
+        for app in &apps {
+            let model = app.tune_model().unwrap();
+            let (cands, _) = enumerate_candidates(&model, &KnobSpace::quick(13));
+            assert!(cands.iter().any(|k| k.config.is_some()), "the space must hold cfg= points");
+            for k in cands {
+                let base = (model.directive)(k.granularity);
+                let pragma = materialize_directive(&model, &k).to_pragma();
+                let parsed = Directive::parse(&pragma).unwrap();
+                let name = app.name();
+                assert_eq!(Knobs::of(&parsed), k, "{name} {} printed `{pragma}`", k.label());
+                assert_eq!(parsed.work, base.work, "{name} `{pragma}`");
+                assert_eq!(parsed.total_size, base.total_size, "{name} `{pragma}`");
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ fn app() -> Sssp {
 fn space() -> dpcons_core::KnobSpace {
     dpcons_core::KnobSpace {
         granularities: dpcons_core::Granularity::ALL.to_vec(),
-        buffers: vec![dpcons_core::BufferKind::Custom, dpcons_core::BufferKind::Halloc],
+        buffers: vec![dpcons_sim::AllocKind::PreAlloc, dpcons_sim::AllocKind::Halloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64))],
     }

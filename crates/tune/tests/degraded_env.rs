@@ -5,8 +5,8 @@
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use dpcons_apps::{datasets, Profile, RunConfig, Sssp};
-use dpcons_core::{BufferKind, Granularity, KnobSpace};
-use dpcons_sim::{parse_fleet, FleetSpecError, GpuConfig};
+use dpcons_core::{Granularity, KnobSpace};
+use dpcons_sim::{parse_fleet, AllocKind, FleetSpecError, GpuConfig};
 use dpcons_tune::{
     fleet_sweep, tune, Budget, Cache, FleetError, FleetOptions, TuneError, TuneOptions,
 };
@@ -26,7 +26,7 @@ fn sssp() -> Sssp {
 fn tiny_space() -> KnobSpace {
     KnobSpace {
         granularities: Granularity::ALL.to_vec(),
-        buffers: vec![BufferKind::Custom, BufferKind::Halloc],
+        buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64))],
     }

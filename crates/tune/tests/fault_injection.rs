@@ -25,10 +25,10 @@ use std::time::Duration;
 use dpcons_apps::{
     datasets, AppError, AppOutcome, Benchmark, Profile, RunConfig, Sssp, TuneModel, Variant,
 };
-use dpcons_core::{BufferKind, ConfigPolicy, Granularity, KnobSpace};
-use dpcons_sim::GpuConfig;
+use dpcons_core::{Granularity, KnobSpace};
+use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{
-    fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs, Status, TuneOptions, TuneReport,
+    fleet_sweep, tune, Budget, Cache, FleetOptions, Status, TuneOptions, TuneReport,
 };
 
 fn sssp() -> Sssp {
@@ -38,7 +38,7 @@ fn sssp() -> Sssp {
 fn tiny_space() -> KnobSpace {
     KnobSpace {
         granularities: Granularity::ALL.to_vec(),
-        buffers: vec![BufferKind::Custom, BufferKind::Halloc],
+        buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64))],
     }
@@ -82,23 +82,6 @@ impl Faulty {
     }
 }
 
-/// The knobs label of the candidate a sweep runs under `cfg`, rebuilt from
-/// what `candidate_config` sets; `None` for a baseline run.
-fn candidate_label(cfg: &RunConfig) -> Option<String> {
-    let tuned = cfg.tuned?;
-    let config = match cfg.policy {
-        Some(ConfigPolicy::Custom(b, t)) => Some((b, t)),
-        _ => None,
-    };
-    let knobs = Knobs {
-        granularity: tuned.granularity,
-        alloc: cfg.alloc,
-        per_buffer_size: tuned.per_buffer_size,
-        config,
-    };
-    Some(knobs.label())
-}
-
 impl Benchmark for Faulty {
     fn name(&self) -> &'static str {
         self.app.name()
@@ -120,7 +103,7 @@ impl Benchmark for Faulty {
             }
             _ => {}
         }
-        let Some(label) = candidate_label(cfg) else {
+        let Some(label) = cfg.tuned.map(|k| k.label()) else {
             return self.app.run(variant, cfg);
         };
         match self.faults.get(&label) {

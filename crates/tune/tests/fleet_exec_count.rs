@@ -17,7 +17,7 @@ fn fleet_retiming_adds_no_functional_kernel_executions() {
     let app = Sssp::new(datasets::citeseer(Profile::Test).with_weights(15, 0xD15), 0);
     let space = dpcons_core::KnobSpace {
         granularities: dpcons_core::Granularity::ALL.to_vec(),
-        buffers: vec![dpcons_core::BufferKind::Custom, dpcons_core::BufferKind::Halloc],
+        buffers: vec![dpcons_sim::AllocKind::PreAlloc, dpcons_sim::AllocKind::Halloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64))],
     };

@@ -3,7 +3,8 @@
 //! granularity's default), and the tuned run still matches the CPU oracle.
 
 use dpcons_apps::{all_benchmarks, Profile, RunConfig, Variant};
-use dpcons_core::{BufferKind, Granularity, KnobSpace};
+use dpcons_core::{Granularity, KnobSpace};
+use dpcons_sim::AllocKind;
 use dpcons_tune::{candidate_config, default_knobs, tune, Budget, TuneOptions};
 
 #[test]
@@ -14,7 +15,7 @@ fn tuner_never_loses_to_the_hand_written_directive() {
     // the winner is <= them by construction; this test pins that end to end.
     let space = KnobSpace {
         granularities: Granularity::ALL.to_vec(),
-        buffers: vec![BufferKind::Custom],
+        buffers: vec![AllocKind::PreAlloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64)), Some((52, 256))],
     };

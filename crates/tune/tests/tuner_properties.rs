@@ -6,16 +6,21 @@
 //!   through both the in-memory and the on-disk layer;
 //! * **infeasible points** — a statically infeasible candidate is evaluated
 //!   like any other, fails with the compiler's or simulator's own error, and
-//!   never changes the winner.
+//!   never changes the winner;
+//! * **enumeration** — candidates walk the knob product in row-major order
+//!   behind the paper defaults, skip degenerate launch shapes, keep the app
+//!   directive's `work` and sizes, and collapse grid-level duplicates.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use dpcons_apps::{datasets, Benchmark, Profile, RunConfig, Sssp, TreeDescendants};
-use dpcons_core::{BufferKind, Granularity, KnobSpace};
+use dpcons_apps::{
+    benchmark_by_name, datasets, Benchmark, Profile, RunConfig, Sssp, TreeDescendants,
+};
+use dpcons_core::{Granularity, KnobSpace};
 use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{
-    default_knobs, enumerate_candidates, fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs,
-    Status, TuneOptions,
+    default_knobs, enumerate_candidates, fleet_sweep, materialize_directive, tune, Budget, Cache,
+    FleetOptions, Knobs, Status, TuneOptions,
 };
 
 /// `Cache`'s memory layer is process-global and tests run in parallel: every
@@ -33,7 +38,7 @@ fn sssp() -> Sssp {
 fn tiny_space() -> KnobSpace {
     KnobSpace {
         granularities: Granularity::ALL.to_vec(),
-        buffers: vec![BufferKind::Custom, BufferKind::Halloc],
+        buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc],
         per_buffer_sizes: vec![None],
         configs: vec![None, Some((13, 64))],
     }
@@ -126,7 +131,7 @@ fn infeasible_candidates_fail_and_never_win() {
     let base = RunConfig { heap_words: 1 << 16, ..RunConfig::default() };
     let salted = KnobSpace {
         granularities: Granularity::ALL.to_vec(),
-        buffers: vec![BufferKind::Custom],
+        buffers: vec![AllocKind::PreAlloc],
         per_buffer_sizes: vec![None, Some(1 << 20)],
         configs: vec![None, Some((13, 2048))],
     };
@@ -261,7 +266,7 @@ fn grid_level_duplicates_are_collapsed() {
     let model = app.tune_model().unwrap();
     let space = KnobSpace {
         granularities: vec![Granularity::Grid],
-        buffers: vec![BufferKind::Custom, BufferKind::Halloc, BufferKind::Default],
+        buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc, AllocKind::Default],
         per_buffer_sizes: vec![None, Some(64), Some(256)],
         configs: vec![None, Some((13, 128))],
     };
@@ -273,4 +278,66 @@ fn grid_level_duplicates_are_collapsed() {
     for k in &cands {
         assert_eq!(k.alloc, AllocKind::PreAlloc);
     }
+}
+
+/// Candidates walk the knob product row-major (granularity, buffer,
+/// per-buffer size, launch shape) behind the paper defaults, which lead.
+#[test]
+fn candidates_walk_the_knob_product_in_row_major_order() {
+    let model = sssp().tune_model().unwrap();
+    let space = KnobSpace {
+        granularities: vec![Granularity::Warp, Granularity::Block],
+        buffers: vec![AllocKind::PreAlloc, AllocKind::Halloc],
+        per_buffer_sizes: vec![None, Some(256)],
+        configs: vec![None, Some((13, 128))],
+    };
+    let (cands, collapsed) = enumerate_candidates(&model, &space);
+    assert_eq!((cands.len(), collapsed), (space.len(), 0));
+    let mut want = Vec::new();
+    for &granularity in &space.granularities {
+        for &alloc in &space.buffers {
+            for &per_buffer_size in &space.per_buffer_sizes {
+                for &config in &space.configs {
+                    want.push(Knobs { granularity, alloc, per_buffer_size, config });
+                }
+            }
+        }
+    }
+    // The paper defaults, `{warp,block}/pre-alloc/pbs=-/cfg=-`, lead.
+    let (defaults, rest): (Vec<Knobs>, Vec<Knobs>) =
+        want.into_iter().partition(|k| *k == default_knobs(&model, k.granularity));
+    assert_eq!(defaults.len(), 2);
+    assert_eq!(cands, [defaults, rest].concat());
+    assert_eq!(enumerate_candidates(&model, &space), (cands, 0), "deterministic");
+}
+
+#[test]
+fn candidates_skip_degenerate_launch_shapes() {
+    let space = KnobSpace {
+        granularities: vec![Granularity::Warp],
+        buffers: vec![AllocKind::PreAlloc],
+        per_buffer_sizes: vec![None],
+        configs: vec![Some((0, 128)), Some((4, 0)), Some((4, 128))],
+    };
+    let (cands, collapsed) = enumerate_candidates(&sssp().tune_model().unwrap(), &space);
+    assert_eq!(collapsed, 0);
+    assert_eq!(cands.iter().map(|k| k.config).collect::<Vec<_>>(), [Some((4, 128))]);
+}
+
+/// A candidate keeps the app directive's `work` and `totalSize` clauses and,
+/// where the point sets none, its `perBufferSize`.
+#[test]
+fn candidates_keep_the_directives_work_and_sizes() {
+    let app = benchmark_by_name("BFS-Rec", Profile::Test).unwrap();
+    let model = app.tune_model().unwrap();
+    let (cands, _) = enumerate_candidates(&model, &KnobSpace::quick(13));
+    for k in &cands {
+        let base = (model.directive)(k.granularity);
+        let d = materialize_directive(&model, k);
+        assert_eq!((&d.work, d.total_size), (&base.work, base.total_size), "{}", k.label());
+        assert!(d.total_size.is_some());
+    }
+    let own = default_knobs(&model, Granularity::Warp).per_buffer_size.expect("BFS-Rec sizes");
+    let sized = |n| cands.iter().filter(|k| k.per_buffer_size == Some(n)).count();
+    assert!(sized(own) > 0 && sized(128) > 0, "`None` keeps {own}; `Some(128)` overrides it");
 }

@@ -19,6 +19,7 @@ use dpcons::compiler::Granularity;
 use dpcons::ir::dsl::*;
 use dpcons::ir::{install, Module};
 use dpcons::sim::{AllocKind, CostModel, Engine, GpuConfig, LaunchSpec, ProfileReport};
+use dpcons::tune::{default_knobs, Knobs};
 use dpcons::workloads::gen;
 
 /// What a scenario produces: its profile, or the error that stopped it.
@@ -69,7 +70,17 @@ impl Scenario {
         match self {
             Sssp(variant, alloc) => {
                 let app = benchmark_by_name("SSSP", Profile::Test).expect("SSSP is registered");
-                run_app(app.as_ref(), variant, RunConfig { gpu, alloc, ..RunConfig::default() })
+                let (variant, tuned) = match variant {
+                    Variant::Consolidated(g) => {
+                        let model = app.tune_model().expect("SSSP is tunable");
+                        (
+                            Variant::ConsolidatedTuned,
+                            Some(Knobs { alloc, ..default_knobs(&model, g) }),
+                        )
+                    }
+                    v => (v, None),
+                };
+                run_app(app.as_ref(), variant, RunConfig { gpu, tuned, ..RunConfig::default() })
             }
             PoolOverflow => {
                 let app = benchmark_by_name("TH", Profile::Test).expect("TH is registered");

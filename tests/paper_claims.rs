@@ -105,12 +105,15 @@ fn prealloc_beats_default_and_halloc_at_warp_and_block_level() {
     // Figure 5: the pre-allocated pool wins where allocations are frequent;
     // at grid level (single runtime-provided buffer) allocators tie.
     use dpcons::sim::AllocKind;
+    use dpcons::tune::{candidate_config, default_knobs, Knobs};
     let app = sssp();
+    let model = app.tune_model().unwrap();
     let mut cycles = std::collections::HashMap::new();
     for alloc in [AllocKind::Default, AllocKind::Halloc, AllocKind::PreAlloc] {
         for g in Granularity::ALL {
-            let cfg = RunConfig { alloc, ..Default::default() };
-            let r = app.run(Variant::Consolidated(g), &cfg).unwrap().report;
+            let k = Knobs { alloc, ..default_knobs(&model, g) };
+            let cfg = candidate_config(&RunConfig::default(), &k);
+            let r = app.run(Variant::ConsolidatedTuned, &cfg).unwrap().report;
             cycles.insert((alloc.label(), g.label()), r.total_cycles);
         }
     }
