@@ -149,19 +149,16 @@ pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> Table {
 
 /// Figure 6: Tree Descendants under different nested-kernel configuration
 /// policies, per granularity and tree dataset, normalized to basic-dp.
-/// `exhaustive` searches a (blocks, threads) grid and reports the best.
+/// `exhaustive` runs a (blocks, threads) grid of knob points (the
+/// directive's `blocks`/`threads` clauses) and reports the best.
 pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
     use dpcons_apps::TreeDescendants;
     let datasets = [
         ("dataset1", dpcons_apps::datasets::tree1(profile)),
         ("dataset2", dpcons_apps::datasets::tree2(profile)),
     ];
-    let policies: Vec<(String, Option<ConfigPolicy>)> = vec![
-        ("KC_1".into(), Some(ConfigPolicy::Kc(1))),
-        ("KC_16".into(), Some(ConfigPolicy::Kc(16))),
-        ("KC_32".into(), Some(ConfigPolicy::Kc(32))),
-        ("1-1".into(), Some(ConfigPolicy::OneToOne)),
-    ];
+    let policies =
+        [ConfigPolicy::Kc(1), ConfigPolicy::Kc(16), ConfigPolicy::Kc(32), ConfigPolicy::OneToOne];
     // A coarse but representative configuration grid: block counts spanning
     // KC_32..KC_1 and two block sizes. (The full 24-point grid of an earlier
     // revision changed the best-found config by <3%.)
@@ -175,29 +172,29 @@ pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
         s
     };
 
+    let mut headers = vec!["dataset".to_string(), "granularity".to_string()];
+    headers.extend(policies.iter().map(ConfigPolicy::label));
+    headers.extend(["exhaustive".to_string(), "KC/exh".to_string()]);
     let mut t = Table::new(
         "Figure 6: TD kernel-configuration policies (speedup over basic-dp)",
-        vec!["dataset", "granularity", "KC_1", "KC_16", "KC_32", "1-1", "exhaustive", "KC/exh"],
+        headers.iter().map(String::as_str).collect(),
     );
     for (dname, tree) in datasets {
-        let basic = TreeDescendants::new(tree.clone())
-            .run(Variant::BasicDp, cfg)
-            .expect("basic-dp runs")
-            .report
-            .total_cycles;
+        let td = TreeDescendants::new(tree.clone());
+        let basic = td.run(Variant::BasicDp, cfg).expect("basic-dp runs").report.total_cycles;
+        let td_model = td.tune_model().expect("TD is tunable");
         for g in Granularity::ALL {
             // Policy runs in parallel.
             let jobs: Vec<_> = policies
                 .iter()
-                .map(|(label, p)| {
+                .map(|&p| {
                     let tree = tree.clone();
-                    let cfg = RunConfig { policy: *p, ..cfg.clone() };
-                    let label = label.clone();
+                    let cfg = RunConfig { policy: Some(p), ..cfg.clone() };
                     move || {
                         let out = TreeDescendants::new(tree)
                             .run(Variant::Consolidated(g), &cfg)
-                            .unwrap_or_else(|e| panic!("fig6 {label} failed: {e}"));
-                        (label, out.report.total_cycles)
+                            .unwrap_or_else(|e| panic!("fig6 {} failed: {e}", p.label()));
+                        (p, out.report.total_cycles)
                     }
                 })
                 .collect();
@@ -208,11 +205,11 @@ pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
                 .iter()
                 .map(|&(b, tt)| {
                     let tree = tree.clone();
-                    let cfg =
-                        RunConfig { policy: Some(ConfigPolicy::Custom(b, tt)), ..cfg.clone() };
+                    let k = Knobs { config: Some((b, tt)), ..default_knobs(&td_model, g) };
+                    let cfg = candidate_config(cfg, &k);
                     move || {
                         TreeDescendants::new(tree)
-                            .run(Variant::Consolidated(g), &cfg)
+                            .run(Variant::ConsolidatedTuned, &cfg)
                             .map(|o| o.report.total_cycles)
                             .unwrap_or(u64::MAX)
                     }
@@ -221,18 +218,13 @@ pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
             let best = parallel_map(ejobs).into_iter().min().unwrap_or(u64::MAX);
 
             let mut row = vec![dname.to_string(), format!("{}-level", g.label())];
-            for (label, _) in &policies {
-                let c = policy_cycles.iter().find(|(l, _)| l == label).expect("ran").1;
+            for &(_, c) in &policy_cycles {
                 row.push(format!("{:.1}x", basic as f64 / c as f64));
             }
             row.push(format!("{:.1}x", basic as f64 / best as f64));
             // Ratio of the paper-default policy to exhaustive best.
-            let default_label = match g {
-                Granularity::Grid => "KC_1",
-                Granularity::Block => "KC_16",
-                Granularity::Warp => "KC_32",
-            };
-            let def = policy_cycles.iter().find(|(l, _)| l == default_label).expect("ran").1;
+            let default = ConfigPolicy::default_for(g);
+            let def = policy_cycles.iter().find(|(p, _)| *p == default).expect("ran").1;
             row.push(format!("{:.0}%", 100.0 * best as f64 / def as f64));
             t.row(row);
         }

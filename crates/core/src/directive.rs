@@ -300,7 +300,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, DirectiveError> {
+    /// The next word: a run of alphanumerics and `_` (a keyword, a number
+    /// or a variable name).
+    fn word(&mut self) -> Result<String, DirectiveError> {
         self.skip_ws();
         let rest = &self.text[self.pos..];
         let end = rest
@@ -316,14 +318,33 @@ impl<'a> Parser<'a> {
         Ok(s)
     }
 
-    fn number(&mut self) -> Result<u64, DirectiveError> {
-        let word = self.ident()?;
-        word.parse::<u64>().map_err(|_| self.err(format!("expected number, found `{word}`")))
+    /// Whether the next word starts with a digit, so it can only be a number.
+    fn at_number(&mut self) -> bool {
+        self.skip_ws();
+        self.text[self.pos..].starts_with(char::is_numeric)
+    }
+
+    /// A `u64` argument of `clause`; anything else is an error naming it.
+    fn number(&mut self, clause: &str) -> Result<u64, DirectiveError> {
+        let word = self.word()?;
+        word.parse::<u64>().map_err(|_| {
+            self.err(format!("`{clause}` expects a number below 2^64, found `{word}`"))
+        })
+    }
+
+    /// A variable name argument of `clause`: a word not led by a digit.
+    fn var(&mut self, clause: &str) -> Result<String, DirectiveError> {
+        let digit_led = self.at_number();
+        let word = self.word()?;
+        if digit_led {
+            return Err(self.err(format!("`{clause}` expects a variable name, found `{word}`")));
+        }
+        Ok(word)
     }
 
     /// A `u32` clause argument; a larger number is an error naming `clause`.
     fn count(&mut self, clause: &str) -> Result<u32, DirectiveError> {
-        let n = self.number()?;
+        let n = self.number(clause)?;
         u32::try_from(n).map_err(|_| self.err(format!("`{clause}({n})` exceeds {}", u32::MAX)))
     }
 
@@ -352,11 +373,11 @@ impl<'a> Parser<'a> {
             if self.pos >= self.text.len() {
                 break;
             }
-            let clause = self.ident()?;
+            let clause = self.word()?;
             self.expect("(")?;
             match clause.as_str() {
                 "consldt" => {
-                    let g = self.ident()?;
+                    let g = self.word()?;
                     granularity = Some(match g.as_str() {
                         "warp" => Granularity::Warp,
                         "block" => Granularity::Block,
@@ -369,7 +390,7 @@ impl<'a> Parser<'a> {
                     });
                 }
                 "buffer" => {
-                    let kind = self.ident()?;
+                    let kind = self.word()?;
                     buffer = match kind.as_str() {
                         "default" => AllocKind::Default,
                         "halloc" => AllocKind::Halloc,
@@ -381,20 +402,17 @@ impl<'a> Parser<'a> {
                         }
                     };
                     while self.eat(",") {
-                        let key = self.ident()?;
+                        let key = self.word()?;
                         self.expect(":")?;
                         match key.as_str() {
                             "perBufferSize" => {
-                                let save = self.pos;
-                                match self.number() {
-                                    Ok(n) => per_buffer_size = Some(SizeSpec::Items(n)),
-                                    Err(_) => {
-                                        self.pos = save;
-                                        per_buffer_size = Some(SizeSpec::Var(self.ident()?));
-                                    }
-                                }
+                                per_buffer_size = Some(if self.at_number() {
+                                    SizeSpec::Items(self.number("perBufferSize")?)
+                                } else {
+                                    SizeSpec::Var(self.var("perBufferSize")?)
+                                })
                             }
-                            "totalSize" => total_size = Some(self.number()?),
+                            "totalSize" => total_size = Some(self.number("totalSize")?),
                             other => {
                                 return Err(self.err(format!(
                                     "unknown buffer option `{other}` \
@@ -405,9 +423,9 @@ impl<'a> Parser<'a> {
                     }
                 }
                 "work" => {
-                    let mut vars = vec![self.ident()?];
+                    let mut vars = vec![self.var("work")?];
                     while self.eat(",") {
-                        vars.push(self.ident()?);
+                        vars.push(self.var("work")?);
                     }
                     work = Some(vars);
                 }
@@ -537,6 +555,29 @@ mod tests {
         assert!(e.message.contains("blocks(4294967296)"), "{e}");
         let d = Directive::parse("dp consldt(warp) work(x) blocks(4294967295)").unwrap();
         assert_eq!(d.blocks, Some(u32::MAX));
+    }
+
+    /// A word led by a digit is a number or an error naming its clause,
+    /// never a variable name.
+    #[test]
+    fn digit_led_words_are_numbers_or_errors_naming_the_clause() {
+        let cases = [
+            ("buffer(custom, perBufferSize: 12abc) work(x)", "perBufferSize", "12abc"),
+            (
+                "buffer(custom, perBufferSize: 99999999999999999999) work(x)",
+                "perBufferSize",
+                "9999",
+            ),
+            ("buffer(custom, totalSize: 12abc) work(x)", "totalSize", "12abc"),
+            ("work(9u)", "work", "9u"),
+        ];
+        for (clauses, name, word) in cases {
+            let e = Directive::parse(&format!("dp consldt(warp) {clauses}")).unwrap_err();
+            assert!(e.message.contains(&format!("`{name}`")), "{clauses}: {e}");
+            assert!(e.message.contains(word), "{clauses}: {e}");
+        }
+        let d = Directive::parse("dp consldt(warp) buffer(custom, perBufferSize: 12) work(x)");
+        assert_eq!(d.unwrap().per_buffer_size, Some(SizeSpec::Items(12)));
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! 3. [`transform::consolidate`] — generate the consolidated child (+
 //!    postwork kernel at grid level) and rewrite the parent: buffer
 //!    allocation, buffer insertions, the granularity's barrier, and the
-//!    consolidated launch with a [`occupancy::ConfigPolicy`]-selected
-//!    configuration (`KC_1` / `KC_16` / `KC_32`, Section IV.E).
+//!    consolidated launch, each step one piece of code shared by the
+//!    irregular-loop and recursion templates. The launch's one
+//!    [`occupancy::LaunchShape`] is decided here and nowhere else: the
+//!    `blocks`/`threads` clauses, else a [`occupancy::ConfigPolicy`]
+//!    (`KC_1` / `KC_16` / `KC_32` by default, Section IV.E, or 1-1); a
+//!    recursive entry's host launch is the same shape at its seeded item.
 //!
 //! The output is a plain `dpcons_ir::Module` — run it on `dpcons_sim`, or
 //! pretty-print it with `dpcons_ir::module_to_string` to inspect the
@@ -32,6 +36,7 @@ pub use analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
 pub use directive::{Directive, DirectiveError, Granularity, KnobSpace, Knobs, SizeSpec};
 pub use occupancy::{
     best_single_kernel_config, max_blocks_per_sm, occupancy, ConfigPolicy, KernelResources,
+    LaunchShape,
 };
 pub use runtime::{prepare_launch, reset_launch, PreparedLaunch};
 pub use transform::{consolidate, prework_slice, Consolidated, GridExtras, TransformInfo};

@@ -7,8 +7,20 @@
 //! Kernel Concurrency (KC): `KC_X = (ceil(B / X), T)`. The paper's policy:
 //! `KC_1` for grid-level, `KC_16` for block-level, `KC_32` for warp-level
 //! consolidation, which Figure 6 shows reaches ~97% of exhaustive search.
+//!
+//! A consolidated kernel has one [`LaunchShape`], resolved once inside
+//! [`crate::consolidate`]: the directive's `blocks`/`threads` clauses when it
+//! has both, else a [`ConfigPolicy`] (its argument, else the paper's default
+//! for the granularity). [`LaunchShape::exprs`] is the one rule for
+//! launching it over N items, from the device and, folded at the seeded
+//! count, from the host.
 
+use dpcons_ir::ast::Expr;
+use dpcons_ir::dsl::{add, div, i, min_};
 use dpcons_sim::{GpuConfig, WARP_SIZE};
+
+use crate::analysis::{const_eval, ChildClass, LaunchInfo};
+use crate::directive::Granularity;
 
 /// Resource requirements of a kernel, as used by the occupancy calculator
 /// and the SM residency model.
@@ -68,7 +80,9 @@ pub fn best_single_kernel_config(gpu: &GpuConfig, res: KernelResources) -> (u32,
     (best.0.max(1), best.1)
 }
 
-/// Configuration policy for consolidated child kernels.
+/// Configuration policy for a consolidated child kernel whose directive
+/// has no `blocks`/`threads` clauses (those clauses are the only explicit
+/// shape; [`crate::consolidate`] resolves both into one [`LaunchShape`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigPolicy {
     /// `KC_X`: downgrade the single-kernel optimum to allow X concurrent
@@ -77,30 +91,35 @@ pub enum ConfigPolicy {
     /// One block (or thread, for thread-mapped children) per buffered item;
     /// the launch configuration depends on the runtime buffer count.
     OneToOne,
-    /// Explicit `(blocks, threads)` from the directive's `blocks`/`threads`
-    /// clauses.
-    Custom(u32, u32),
 }
 
 impl ConfigPolicy {
     /// The paper's default policy per consolidation granularity.
-    pub fn default_for(g: crate::directive::Granularity) -> ConfigPolicy {
+    pub fn default_for(g: Granularity) -> ConfigPolicy {
         match g {
-            crate::directive::Granularity::Grid => ConfigPolicy::Kc(1),
-            crate::directive::Granularity::Block => ConfigPolicy::Kc(16),
-            crate::directive::Granularity::Warp => ConfigPolicy::Kc(32),
+            Granularity::Grid => ConfigPolicy::Kc(1),
+            Granularity::Block => ConfigPolicy::Kc(16),
+            Granularity::Warp => ConfigPolicy::Kc(32),
         }
     }
 
-    /// Resolve to a static `(B, T)` if the policy is static.
-    pub fn resolve(&self, gpu: &GpuConfig, res: KernelResources) -> Option<(u32, u32)> {
-        match self {
-            ConfigPolicy::Kc(x) => {
+    /// The shape this policy gives the consolidated form of `launch`'s child
+    /// on `gpu`. 1-1 keeps a static child block size, else 256 threads.
+    pub(crate) fn shape(
+        &self,
+        gpu: &GpuConfig,
+        res: KernelResources,
+        launch: &LaunchInfo,
+    ) -> LaunchShape {
+        match (self, launch.class) {
+            (ConfigPolicy::Kc(x), _) => {
                 let (b, t) = best_single_kernel_config(gpu, res);
-                Some((b.div_ceil((*x).max(1)).max(1), t))
+                LaunchShape::Fixed(b.div_ceil((*x).max(1)).max(1), t)
             }
-            ConfigPolicy::OneToOne => None,
-            ConfigPolicy::Custom(b, t) => Some((*b, *t)),
+            (ConfigPolicy::OneToOne, ChildClass::SoloThread) => LaunchShape::ThreadPerItem,
+            (ConfigPolicy::OneToOne, _) => LaunchShape::BlockPerItem(
+                const_eval(&launch.block).and_then(|t| u32::try_from(t).ok()).unwrap_or(256),
+            ),
         }
     }
 
@@ -108,15 +127,52 @@ impl ConfigPolicy {
         match self {
             ConfigPolicy::Kc(x) => format!("KC_{x}"),
             ConfigPolicy::OneToOne => "1-1".to_string(),
-            ConfigPolicy::Custom(b, t) => format!("custom({b},{t})"),
         }
+    }
+}
+
+/// The consolidated kernel's launch shape, resolved once by
+/// [`crate::consolidate`]: every launch of it, from the device or (for
+/// recursion) from the host, takes its `<<<grid, block>>>` from
+/// [`LaunchShape::exprs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaunchShape {
+    /// `<<<blocks, threads>>>` whatever the item count: the directive's
+    /// `blocks`/`threads` clauses or a `KC_X` policy.
+    Fixed(u32, u32),
+    /// 1-1 for a thread-mapped child: one thread per item.
+    ThreadPerItem,
+    /// 1-1 for a block-mapped child: one block of this many threads per item.
+    BlockPerItem(u32),
+}
+
+impl LaunchShape {
+    /// `(grid, block)` expressions of a launch over `items` buffered items.
+    pub fn exprs(&self, items: Expr) -> (Expr, Expr) {
+        match *self {
+            LaunchShape::Fixed(b, t) => (i(b as i64), i(t as i64)),
+            // <<<ceil(items/1024), min(items,1024)>>>
+            LaunchShape::ThreadPerItem => {
+                (div(add(items.clone(), i(1023)), i(1024)), min_(items, i(1024)))
+            }
+            LaunchShape::BlockPerItem(t) => (items, i(t as i64)),
+        }
+    }
+
+    /// [`LaunchShape::exprs`] folded at a constant item count: the host's
+    /// launch of a recursive kernel over its seeded items.
+    pub fn at(&self, items: u32) -> (u32, u32) {
+        let (grid, block) = self.exprs(i(items as i64));
+        let fold = |e: &Expr| {
+            const_eval(e).and_then(|x| u32::try_from(x).ok()).expect("a constant count folds")
+        };
+        (fold(&grid), fold(&block))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directive::Granularity;
 
     #[test]
     fn k20c_occupancy_hand_checked() {
@@ -157,13 +213,28 @@ mod tests {
         assert_eq!(b, max_blocks_per_sm(&g, t, KernelResources::default()) * g.num_sms);
     }
 
+    fn launch_of(class: ChildClass, block: Expr) -> LaunchInfo {
+        LaunchInfo {
+            target: "child".into(),
+            grid: i(1),
+            block,
+            args: Vec::new(),
+            top_level_index: 0,
+            class,
+            buffered: Vec::new(),
+            passthrough: Vec::new(),
+        }
+    }
+
     #[test]
     fn kc_downgrades_block_count() {
         let g = GpuConfig::k20c();
-        let res = KernelResources::default();
-        let (b1, t1) = ConfigPolicy::Kc(1).resolve(&g, res).unwrap();
-        let (b16, t16) = ConfigPolicy::Kc(16).resolve(&g, res).unwrap();
-        let (b32, t32) = ConfigPolicy::Kc(32).resolve(&g, res).unwrap();
+        let launch = launch_of(ChildClass::SoloBlock, i(32));
+        let kc = |x| match ConfigPolicy::Kc(x).shape(&g, KernelResources::default(), &launch) {
+            LaunchShape::Fixed(b, t) => (b, t),
+            other => panic!("KC_{x} resolved to {other:?}"),
+        };
+        let ((b1, t1), (b16, t16), (b32, t32)) = (kc(1), kc(16), kc(32));
         assert_eq!(t1, t16);
         assert_eq!(t16, t32);
         assert!(b1 >= 16 * b16 - 16 && b1 <= 16 * b16);
@@ -178,10 +249,27 @@ mod tests {
         assert_eq!(ConfigPolicy::default_for(Granularity::Warp), ConfigPolicy::Kc(32));
     }
 
+    /// 1-1 maps an item to a thread of a thread-mapped child, else to a
+    /// block of the child's static size (256 when it is not static).
     #[test]
-    fn one_to_one_is_dynamic() {
+    fn one_to_one_follows_the_child_launch() {
         let g = GpuConfig::k20c();
-        assert_eq!(ConfigPolicy::OneToOne.resolve(&g, KernelResources::default()), None);
+        let shape = |class, block| {
+            ConfigPolicy::OneToOne.shape(&g, KernelResources::default(), &launch_of(class, block))
+        };
+        assert_eq!(shape(ChildClass::SoloThread, i(1)), LaunchShape::ThreadPerItem);
+        assert_eq!(shape(ChildClass::SoloBlock, i(32)), LaunchShape::BlockPerItem(32));
+        let deg = dpcons_ir::dsl::min_(dpcons_ir::dsl::v("deg"), i(256));
+        assert_eq!(shape(ChildClass::MultiBlock, deg), LaunchShape::BlockPerItem(256));
+    }
+
+    /// The host's count-folded shape is the device launch rule at that count.
+    #[test]
+    fn launch_shape_at_a_count_folds_its_exprs() {
+        assert_eq!(LaunchShape::Fixed(7, 96).at(1), (7, 96));
+        assert_eq!(LaunchShape::BlockPerItem(32).at(1), (1, 32));
+        assert_eq!(LaunchShape::ThreadPerItem.at(1), (1, 1));
+        assert_eq!(LaunchShape::ThreadPerItem.at(3000), (3, 1024));
     }
 
     #[test]

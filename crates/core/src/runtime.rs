@@ -3,16 +3,18 @@
 //! The consolidation transforms change what the host must do before a launch:
 //! grid-level kernels receive a pre-allocated buffer pool and a global-barrier
 //! counter, and consolidated recursive kernels are launched over a *seeded*
-//! work buffer instead of the original root configuration. This module
+//! work buffer, in their [`LaunchShape`] at that one item, instead of the
+//! original root configuration. This module
 //! encapsulates that setup so that applications (and tests) can launch any
 //! transformed module uniformly.
+//!
+//! [`LaunchShape`]: crate::occupancy::LaunchShape
 
 use std::collections::HashMap;
 
 use dpcons_sim::{ArrayId, Engine, KernelId, LaunchSpec, SimError};
 
 use crate::directive::Granularity;
-use crate::occupancy::ConfigPolicy;
 use crate::transform::TransformInfo;
 
 /// Everything allocated for a consolidated host launch.
@@ -76,10 +78,11 @@ pub fn prepare_launch(
     };
 
     // Recursion launches over one seeded work item (the original host
-    // arguments at the buffered positions) instead of the root configuration.
+    // arguments at the buffered positions), shaped as the device-side
+    // launches of the same kernel are, instead of the root configuration.
     let (mut args, seed_items, (grid, block)) = if info.recursive {
         let seed_items = pick(&info.buffered_positions)?;
-        (pick(&info.passthrough_positions)?, seed_items, entry_config(info, 1))
+        (pick(&info.passthrough_positions)?, seed_items, info.shape.at(1))
     } else {
         (original_args.to_vec(), Vec::new(), original_config)
     };
@@ -91,11 +94,11 @@ pub fn prepare_launch(
             .grid_extras
             .as_ref()
             .ok_or_else(|| fault("grid-level transform carries no pool layout".into()))?;
-        let p = engine.mem.alloc_array(&extras.pool_param, pool_words as usize);
-        let c = engine.mem.alloc_array(&extras.counter_param, extras.levels());
+        let p = engine.mem.alloc_array("__cons_pool", pool_words as usize);
+        let c = engine.mem.alloc_array("__cons_counter", extras.levels);
         pool_headers = extras.header_offsets().filter(|&off| (off as u64) < pool_words).collect();
         args.extend([p as i64, c as i64]);
-        if extras.level_param.is_some() {
+        if info.recursive {
             args.push(0); // level
         }
         pool = Some(p);
@@ -163,19 +166,4 @@ fn seed(engine: &mut Engine, buf: ArrayId, items: &[i64]) -> Result<usize, SimEr
         engine.mem.write(buf, 1 + j, x)?;
     }
     Ok(1 + items.len())
-}
-
-/// Host launch configuration for a consolidated recursive entry kernel
-/// processing `items` seeded work items.
-fn entry_config(info: &TransformInfo, items: u32) -> (u32, u32) {
-    match (info.child_config, info.resolved_config) {
-        (ConfigPolicy::OneToOne, _) => match info.child_class {
-            crate::analysis::ChildClass::SoloThread => {
-                (items.div_ceil(1024).max(1), items.clamp(1, 1024))
-            }
-            _ => (items.max(1), 256),
-        },
-        (_, Some((b, t))) => (b, t),
-        (_, None) => (items.max(1), 256),
-    }
 }

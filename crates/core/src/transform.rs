@@ -22,6 +22,13 @@
 //! For parallel recursion (parent == child) the two transformations are
 //! applied to the single kernel sequentially, yielding one consolidated
 //! kernel per recursion level at grid granularity.
+//!
+//! Both templates build each step from the same code: the warp/block buffer
+//! allocation, the insertion, the granularity barrier with its one launching
+//! thread, the consolidated kernel's header and item fetch loop, and the
+//! launch itself, whose `<<<grid, block>>>` is the one [`LaunchShape`]
+//! [`consolidate`] resolves (the host launch of a recursive entry is that
+//! shape at its seeded item).
 
 use dpcons_ir::ast::{AllocScope, Expr, Kernel, Module, Param, ParamKind, Stmt};
 use dpcons_ir::dsl::*;
@@ -29,31 +36,22 @@ use dpcons_sim::{GpuConfig, WARP_SIZE};
 
 use crate::analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
 use crate::directive::{Directive, Granularity, SizeSpec};
-use crate::occupancy::{ConfigPolicy, KernelResources};
+use crate::occupancy::{ConfigPolicy, KernelResources, LaunchShape};
 
-/// Names of the extra parameters a grid-level transformed kernel receives.
+/// The grid-level pool layout. The host passes the pool `__cons_pool`, one
+/// barrier counter per buffer in `__cons_counter`, and for recursion the
+/// level `__cons_level` (0) after them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridExtras {
-    pub pool_param: String,
-    pub counter_param: String,
-    /// Present only for recursion: the recursion level scalar.
-    pub level_param: Option<String>,
-    /// Word stride between per-level buffers in the pool (recursion).
+    /// Buffers the generated code addresses in the pool, one barrier-counter
+    /// slot each: the single buffer of the irregular-loop template, or one
+    /// per recursion level plus the buffer the deepest level inserts into.
+    pub levels: usize,
+    /// Word stride between per-level buffers in the pool (0 without recursion).
     pub level_stride: i64,
 }
 
 impl GridExtras {
-    /// Buffers the generated code addresses in the pool, one barrier-counter
-    /// slot each: the single buffer of the irregular-loop template, or one
-    /// per recursion level plus the buffer the deepest level inserts into.
-    pub fn levels(&self) -> usize {
-        if self.level_param.is_some() {
-            GRID_LEVELS + 1
-        } else {
-            1
-        }
-    }
-
     /// Pool word offsets of the per-buffer count headers. A buffer is its
     /// count at `off` followed by items at `off + 1 + slot * nv + j` with
     /// `slot < count`, so these are the only pool words consolidated code
@@ -61,7 +59,7 @@ impl GridExtras {
     /// launches.
     pub fn header_offsets(&self) -> impl Iterator<Item = usize> {
         let stride = self.level_stride as usize;
-        (0..self.levels()).map(move |level| level.saturating_mul(stride))
+        (0..self.levels).map(move |level| level.saturating_mul(stride))
     }
 }
 
@@ -74,16 +72,15 @@ pub struct TransformInfo {
     /// recursive kernel).
     pub entry: String,
     pub postwork: Option<String>,
-    /// Number of buffered variables per work item.
-    pub nv: usize,
-    /// Launch-argument positions buffered per item (buffer layout order).
+    /// Launch-argument positions buffered per item (buffer layout order):
+    /// an item is `buffered_positions.len()` words.
     pub buffered_positions: Vec<usize>,
     /// Launch-argument positions passed through to the consolidated child.
     pub passthrough_positions: Vec<usize>,
     pub child_class: ChildClass,
-    pub child_config: ConfigPolicy,
-    /// Static `(blocks, threads)` when the policy is static.
-    pub resolved_config: Option<(u32, u32)>,
+    /// The consolidated kernel's launch shape; a recursive entry's host
+    /// launch is this shape at its one seeded item.
+    pub shape: LaunchShape,
     pub grid_extras: Option<GridExtras>,
 }
 
@@ -113,9 +110,9 @@ fn last_warp_leader() -> Expr {
 
 /// Apply the workload-consolidation transformation to `parent_name` in
 /// `module` according to `directive`, selecting nested-kernel configurations
-/// for `gpu`. The consolidated kernel's launch shape comes from the
-/// directive's `blocks`/`threads` clauses when it has both, else from
-/// `policy`, else from the paper's per-granularity `KC_X` policy.
+/// for `gpu`. This is the one place a consolidated launch shape is decided:
+/// the directive's `blocks`/`threads` clauses when it has both, else
+/// `policy`, else the paper's per-granularity `KC_X` policy.
 pub fn consolidate(
     module: &Module,
     parent_name: &str,
@@ -124,12 +121,6 @@ pub fn consolidate(
     policy: Option<ConfigPolicy>,
 ) -> Result<Consolidated, TransformError> {
     let analysis = analyze(module, parent_name, directive)?;
-    let policy = directive
-        .blocks
-        .zip(directive.threads)
-        .map(|(b, t)| ConfigPolicy::Custom(b, t))
-        .or(policy)
-        .unwrap_or_else(|| ConfigPolicy::default_for(directive.granularity));
     let ctx = Ctx::new(module, parent_name, directive, &analysis, gpu, policy)?;
     if analysis.recursive {
         ctx.transform_recursive()
@@ -144,8 +135,7 @@ struct Ctx<'a> {
     child: &'a Kernel,
     directive: &'a Directive,
     a: &'a Analysis,
-    policy: ConfigPolicy,
-    resolved: Option<(u32, u32)>,
+    shape: LaunchShape,
 }
 
 impl<'a> Ctx<'a> {
@@ -155,7 +145,7 @@ impl<'a> Ctx<'a> {
         directive: &'a Directive,
         a: &'a Analysis,
         gpu: &GpuConfig,
-        policy: ConfigPolicy,
+        policy: Option<ConfigPolicy>,
     ) -> Result<Self, TransformError> {
         let parent = module.get(parent_name).expect("analysis checked existence");
         let child = module.get(&a.launch.target).expect("analysis checked existence");
@@ -169,12 +159,19 @@ impl<'a> Ctx<'a> {
                 });
             }
         }
-        let res = KernelResources {
-            regs_per_thread: child.regs_per_thread,
-            shared_bytes: child.shared_bytes,
+        let shape = match directive.blocks.zip(directive.threads) {
+            Some((b, t)) => LaunchShape::Fixed(b, t),
+            None => {
+                let res = KernelResources {
+                    regs_per_thread: child.regs_per_thread,
+                    shared_bytes: child.shared_bytes,
+                };
+                policy
+                    .unwrap_or_else(|| ConfigPolicy::default_for(directive.granularity))
+                    .shape(gpu, res, &a.launch)
+            }
         };
-        let resolved = policy.resolve(gpu, res);
-        Ok(Ctx { module, parent, child, directive, a, policy, resolved })
+        Ok(Ctx { module, parent, child, directive, a, shape })
     }
 
     fn launch(&self) -> &LaunchInfo {
@@ -220,11 +217,45 @@ impl<'a> Ctx<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Shared codegen pieces.
+    // The paper's steps, shared by both templates.
     // ------------------------------------------------------------------
 
-    /// Buffer insertion replacing the child launch: reserve a slot with an
-    /// atomic counter bump, then store the work variables.
+    /// Step (1) at warp/block level: allocate the buffer `buf`/`off` in the
+    /// granularity's scope and zero its count from one thread (at block
+    /// level behind a barrier). `None` at grid level, whose buffers live in
+    /// the host's pool.
+    fn alloc_buffer(&self, buf: &str, off: &str) -> Option<Vec<Stmt>> {
+        let zero = vec![store(v(buf), v(off), i(0))];
+        let words = self.buffer_words_expr();
+        match self.directive.granularity {
+            Granularity::Warp => Some(vec![
+                alloc(buf, off, words, AllocScope::Warp),
+                when(eq(rem(tid(), i(WARP)), i(0)), zero),
+            ]),
+            Granularity::Block => Some(vec![
+                alloc(buf, off, words, AllocScope::Block),
+                when(eq(tid(), i(0)), zero),
+                sync(),
+            ]),
+            Granularity::Grid => None,
+        }
+    }
+
+    /// The grid-level pool parameters: pool, barrier counters, and for
+    /// recursion the level.
+    fn grid_params(&self) -> Vec<Param> {
+        let mut out = vec![
+            Param { name: "__cons_pool".into(), kind: ParamKind::Array },
+            Param { name: "__cons_counter".into(), kind: ParamKind::Array },
+        ];
+        if self.a.recursive {
+            out.push(Param { name: "__cons_level".into(), kind: ParamKind::Scalar });
+        }
+        out
+    }
+
+    /// Step (3): the buffer insertion replacing the child launch: reserve a
+    /// slot with an atomic counter bump, then store the work variables.
     fn insertion_stmts(&self, buf: &str, off: &str) -> Vec<Stmt> {
         let nv = self.nv() as i64;
         let mut out = vec![atomic_add(Some("__cons_slot"), v(buf), v(off), i(1))];
@@ -262,24 +293,35 @@ impl<'a> Ctx<'a> {
         out
     }
 
-    /// `(grid, block)` expressions for launching the consolidated child,
-    /// given the in-scope count variable name.
-    fn child_config_exprs(&self, cnt: &str) -> (Expr, Expr) {
-        match (self.policy, self.resolved) {
-            (ConfigPolicy::OneToOne, _) => match self.launch().class {
-                ChildClass::SoloThread => {
-                    // As many threads as items: <<<ceil(cnt/1024), min(cnt,1024)>>>.
-                    (div(add(v(cnt), i(1023)), i(1024)), min_(v(cnt), i(1024)))
-                }
-                _ => {
-                    // As many blocks as items; threads from the original child
-                    // config when static, else a reasonable default.
-                    let t = crate::analysis::const_eval(&self.launch().block).unwrap_or(256);
-                    (v(cnt), i(t))
-                }
-            },
-            (_, Some((b, t))) => (i(b as i64), i(t as i64)),
-            (_, None) => unreachable!("static policies always resolve"),
+    /// The consolidated launch over the items buffered in `buf`/`off`: read
+    /// their count into `cnt` and launch the consolidated child with `args`
+    /// in the one [`LaunchShape`] when there are any. A recursive grid-level
+    /// launch first records the next level's block count for its barrier.
+    fn launch_buffered(&self, cnt: &str, buf: &str, off: &str, args: Vec<Expr>) -> Vec<Stmt> {
+        let (grid, block) = self.shape.exprs(v(cnt));
+        let mut then = Vec::new();
+        if self.a.recursive && self.directive.granularity == Granularity::Grid {
+            then.push(store(v("__cons_counter"), add(v("__cons_level"), i(1)), grid.clone()));
+        }
+        then.push(launch(&self.child_cons_name(), grid, block, args));
+        vec![let_(cnt, load(v(buf), v(off))), when(gt(v(cnt), i(0)), then)]
+    }
+
+    /// Step (4): the granularity's barrier, after which one thread runs
+    /// `launch`: lane 0 of each warp (a warp runs in lockstep), the last
+    /// warp's leader after `__syncthreads`, or the last warp's leader of the
+    /// last block to arrive at the grid barrier counter `__cons_counter[slot]`.
+    fn barrier_then(&self, slot: Expr, launch: Vec<Stmt>) -> Vec<Stmt> {
+        match self.directive.granularity {
+            Granularity::Warp => vec![when(eq(rem(tid(), i(WARP)), i(0)), launch)],
+            Granularity::Block => vec![sync(), when(last_warp_leader(), launch)],
+            Granularity::Grid => vec![when(
+                last_warp_leader(),
+                vec![
+                    atomic_add(Some("__cons_bar"), v("__cons_counter"), slot, i(-1)),
+                    when(eq(v("__cons_bar"), i(1)), launch),
+                ],
+            )],
         }
     }
 
@@ -289,71 +331,70 @@ impl<'a> Ctx<'a> {
         self.launch().passthrough.iter().map(|&p| self.launch().args[p].clone()).collect()
     }
 
+    fn info(&self, postwork: Option<String>) -> TransformInfo {
+        let recursive = self.a.recursive;
+        TransformInfo {
+            granularity: self.directive.granularity,
+            recursive,
+            entry: if recursive { self.child_cons_name() } else { self.parent.name.clone() },
+            postwork,
+            buffered_positions: self.launch().buffered.clone(),
+            passthrough_positions: self.launch().passthrough.clone(),
+            child_class: self.launch().class,
+            shape: self.shape,
+            grid_extras: (self.directive.granularity == Granularity::Grid).then(|| GridExtras {
+                levels: if recursive { GRID_LEVELS + 1 } else { 1 },
+                level_stride: if recursive { self.level_stride() } else { 0 },
+            }),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Child transformation.
     // ------------------------------------------------------------------
 
-    /// Build the consolidated child kernel: fetch loop + original body.
-    fn build_child_cons(&self) -> Kernel {
-        let child = self.child;
-        let launch = self.launch();
+    /// The consolidated child's header: the child's resources and its
+    /// pass-through parameters (the buffer parameters follow).
+    fn cons_kernel(&self) -> Kernel {
         let mut k = Kernel::new(&self.child_cons_name());
-        k.regs_per_thread = child.regs_per_thread;
-        k.shared_bytes = child.shared_bytes;
-        for &p in &launch.passthrough {
-            k.params.push(child.params[p].clone());
+        k.regs_per_thread = self.child.regs_per_thread;
+        k.shared_bytes = self.child.shared_bytes;
+        for &p in &self.launch().passthrough {
+            k.params.push(self.child.params[p].clone());
         }
-        k.params.push(Param { name: "__cons_buf".into(), kind: ParamKind::Array });
-        k.params.push(Param { name: "__cons_off".into(), kind: ParamKind::Scalar });
-
-        // Per-item prologue: bind each buffered child parameter from the buffer.
-        let nv = self.nv() as i64;
-        let mut item_prologue = Vec::new();
-        for (j, &pos) in launch.buffered.iter().enumerate() {
-            let idx =
-                add(add(v("__cons_off"), i(1)), add(mul(v("__cons_item"), i(nv)), i(j as i64)));
-            item_prologue.push(let_(&child.params[pos].name, load(v("__cons_buf"), idx)));
-        }
-
-        let body = child.body.clone();
-        k.body = self.fetch_loop(item_prologue, body);
         k
     }
 
-    /// Wrap `body` in the item-fetch loop appropriate to the child class.
-    fn fetch_loop(&self, item_prologue: Vec<Stmt>, body: Vec<Stmt>) -> Vec<Stmt> {
-        let mut inner = item_prologue;
-        inner.extend(body);
-        let header = vec![let_("__cons_cnt", load(v("__cons_buf"), v("__cons_off")))];
-        match self.launch().class {
-            ChildClass::SoloThread => {
-                // Moldable grid-stride loop: every thread fetches items.
-                inner.push(assign("__cons_item", add(v("__cons_item"), mul(ntid(), ncta()))));
-                let mut out = header;
-                out.push(let_("__cons_item", gtid()));
-                out.push(while_(lt(v("__cons_item"), v("__cons_cnt")), inner));
-                out
-            }
-            ChildClass::SoloBlock => {
-                // Moldable block-stride loop: each block fetches an item and
-                // its threads process it cooperatively; a barrier separates
-                // consecutive items.
-                inner.push(sync());
-                inner.push(assign("__cons_item", add(v("__cons_item"), ncta())));
-                let mut out = header;
-                out.push(let_("__cons_item", cta_id()));
-                out.push(while_(lt(v("__cons_item"), v("__cons_cnt")), inner));
-                out
-            }
-            ChildClass::MultiBlock => {
-                // The whole grid cooperates on each item in turn.
-                inner.push(assign("__cons_item", add(v("__cons_item"), i(1))));
-                let mut out = header;
-                out.push(let_("__cons_item", i(0)));
-                out.push(while_(lt(v("__cons_item"), v("__cons_cnt")), inner));
-                out
-            }
+    /// Wrap `body` in the item-fetch loop appropriate to the child class,
+    /// binding each buffered child parameter from the buffer per item.
+    fn fetch_loop(&self, body: Vec<Stmt>) -> Vec<Stmt> {
+        let nv = self.nv() as i64;
+        let mut inner = Vec::new();
+        for (j, &pos) in self.launch().buffered.iter().enumerate() {
+            let idx =
+                add(add(v("__cons_off"), i(1)), add(mul(v("__cons_item"), i(nv)), i(j as i64)));
+            inner.push(let_(&self.child.params[pos].name, load(v("__cons_buf"), idx)));
         }
+        inner.extend(body);
+        let (first, stride) = match self.launch().class {
+            // Moldable grid-stride loop: every thread fetches items.
+            ChildClass::SoloThread => (gtid(), mul(ntid(), ncta())),
+            // Moldable block-stride loop: each block fetches an item and its
+            // threads process it cooperatively; a barrier separates
+            // consecutive items.
+            ChildClass::SoloBlock => {
+                inner.push(sync());
+                (cta_id(), ncta())
+            }
+            // The whole grid cooperates on each item in turn.
+            ChildClass::MultiBlock => (i(0), i(1)),
+        };
+        inner.push(assign("__cons_item", add(v("__cons_item"), stride)));
+        vec![
+            let_("__cons_cnt", load(v("__cons_buf"), v("__cons_off"))),
+            let_("__cons_item", first),
+            while_(lt(v("__cons_item"), v("__cons_cnt")), inner),
+        ]
     }
 
     // ------------------------------------------------------------------
@@ -364,8 +405,10 @@ impl<'a> Ctx<'a> {
         let g = self.directive.granularity;
         let mut module = self.module.clone();
 
-        // 1. Consolidated child.
-        let child_cons = self.build_child_cons();
+        // 1. Consolidated child: fetch loop + original body.
+        let mut child_cons = self.cons_kernel();
+        child_cons.params.extend(buffer_params());
+        child_cons.body = self.fetch_loop(self.child.body.clone());
         module.add(child_cons);
 
         // 2. Transformed parent.
@@ -374,135 +417,49 @@ impl<'a> Ctx<'a> {
         let prework: Vec<Stmt> = parent.body[..=split].to_vec();
         let postwork: Vec<Stmt> = parent.body[split + 1..].to_vec();
 
-        let mut body = Vec::new();
-        let mut grid_extras = None;
-
         // (1) buffer allocation before the prework.
-        match g {
-            Granularity::Warp => {
-                body.push(alloc(
-                    "__cons_buf",
-                    "__cons_off",
-                    self.buffer_words_expr(),
-                    AllocScope::Warp,
-                ));
-                body.push(when(
-                    eq(rem(tid(), i(WARP)), i(0)),
-                    vec![store(v("__cons_buf"), v("__cons_off"), i(0))],
-                ));
+        let mut body = match self.alloc_buffer("__cons_buf", "__cons_off") {
+            Some(alloc) => alloc,
+            None => {
+                parent.params.extend(self.grid_params());
+                vec![let_("__cons_buf", v("__cons_pool")), let_("__cons_off", i(0))]
             }
-            Granularity::Block => {
-                body.push(alloc(
-                    "__cons_buf",
-                    "__cons_off",
-                    self.buffer_words_expr(),
-                    AllocScope::Block,
-                ));
-                body.push(when(
-                    eq(tid(), i(0)),
-                    vec![store(v("__cons_buf"), v("__cons_off"), i(0))],
-                ));
-                body.push(sync());
-            }
-            Granularity::Grid => {
-                parent.params.push(Param { name: "__cons_pool".into(), kind: ParamKind::Array });
-                parent.params.push(Param { name: "__cons_counter".into(), kind: ParamKind::Array });
-                grid_extras = Some(GridExtras {
-                    pool_param: "__cons_pool".into(),
-                    counter_param: "__cons_counter".into(),
-                    level_param: None,
-                    level_stride: 0,
-                });
-                body.push(let_("__cons_buf", v("__cons_pool")));
-                body.push(let_("__cons_off", i(0)));
-            }
-        }
+        };
 
         // (2)+(3) prework with the launch replaced by buffer insertions.
         let insertion = self.insertion_stmts("__cons_buf", "__cons_off");
         body.extend(self.replace_launch(&prework, &insertion));
 
         // (4) barrier + consolidated launch.
-        let (grid_e, block_e) = self.child_config_exprs("__cons_cnt");
         let mut cons_args = self.passthrough_args();
-        cons_args.push(v("__cons_buf"));
-        cons_args.push(v("__cons_off"));
-        let do_launch = vec![
-            let_("__cons_cnt", load(v("__cons_buf"), v("__cons_off"))),
-            when(
-                gt(v("__cons_cnt"), i(0)),
-                vec![launch(&self.child_cons_name(), grid_e, block_e, cons_args)],
-            ),
-        ];
-        match g {
-            Granularity::Warp => {
-                body.push(when(eq(rem(tid(), i(WARP)), i(0)), do_launch));
-            }
-            Granularity::Block => {
-                body.push(sync());
-                body.push(when(last_warp_leader(), do_launch));
-            }
-            Granularity::Grid => {
-                let mut last_block = do_launch;
-                if self.a.has_postwork {
-                    // (5) postwork consolidated into its own kernel, launched
-                    // after the children complete.
-                    last_block.push(device_sync());
-                    let pw_args: Vec<Expr> =
-                        self.parent.params.iter().map(|p| v(&p.name)).collect();
-                    last_block.push(launch(&self.postwork_name(), ncta(), ntid(), pw_args));
-                }
-                body.push(when(
-                    last_warp_leader(),
-                    vec![
-                        atomic_add(Some("__cons_bar"), v("__cons_counter"), i(0), i(-1)),
-                        when(eq(v("__cons_bar"), i(1)), last_block),
-                    ],
-                ));
-            }
-        }
+        cons_args.extend([v("__cons_buf"), v("__cons_off")]);
+        let mut do_launch =
+            self.launch_buffered("__cons_cnt", "__cons_buf", "__cons_off", cons_args);
 
-        // (5) postwork: in place for warp/block; moved for grid.
+        // (5) postwork: in place for warp/block; at grid level consolidated
+        // into its own kernel, launched after the children complete.
         let mut postwork_kernel = None;
-        match g {
-            Granularity::Grid => {
-                if self.a.has_postwork {
-                    let mut pw = Kernel::new(&self.postwork_name());
-                    pw.params = self.parent.params.clone();
-                    pw.regs_per_thread = self.parent.regs_per_thread;
-                    pw.shared_bytes = self.parent.shared_bytes;
-                    let mut pw_body = prework_slice(&prework, &postwork);
-                    pw_body.extend(strip_device_sync(&postwork));
-                    pw.body = pw_body;
-                    postwork_kernel = Some(pw.name.clone());
-                    module.add(pw);
-                }
-            }
-            _ => {
-                body.extend(guard_device_sync(&postwork));
-            }
+        if g == Granularity::Grid && self.a.has_postwork {
+            do_launch.push(device_sync());
+            let pw_args: Vec<Expr> = self.parent.params.iter().map(|p| v(&p.name)).collect();
+            do_launch.push(launch(&self.postwork_name(), ncta(), ntid(), pw_args));
+            let mut pw = Kernel::new(&self.postwork_name());
+            pw.params = self.parent.params.clone();
+            pw.regs_per_thread = self.parent.regs_per_thread;
+            pw.shared_bytes = self.parent.shared_bytes;
+            pw.body = prework_slice(&prework, &postwork);
+            pw.body.extend(strip_device_sync(&postwork));
+            postwork_kernel = Some(pw.name.clone());
+            module.add(pw);
+        }
+        body.extend(self.barrier_then(i(0), do_launch));
+        if g != Granularity::Grid {
+            body.extend(guard_device_sync(&postwork));
         }
 
         parent.body = body;
-        let entry = parent.name.clone();
         module.replace(parent);
-
-        Ok(Consolidated {
-            module,
-            info: TransformInfo {
-                granularity: g,
-                recursive: false,
-                entry,
-                postwork: postwork_kernel,
-                nv: self.nv(),
-                buffered_positions: self.launch().buffered.clone(),
-                passthrough_positions: self.launch().passthrough.clone(),
-                child_class: self.launch().class,
-                child_config: self.policy,
-                resolved_config: self.resolved,
-                grid_extras,
-            },
-        })
+        Ok(Consolidated { module, info: self.info(postwork_kernel) })
     }
 
     // ------------------------------------------------------------------
@@ -511,166 +468,59 @@ impl<'a> Ctx<'a> {
     // ------------------------------------------------------------------
 
     fn transform_recursive(self) -> Result<Consolidated, TransformError> {
-        let g = self.directive.granularity;
         let mut module = self.module.clone();
-        let launch_info = self.launch();
-        let name = self.child_cons_name();
+        let mut k = self.cons_kernel();
 
-        let mut k = Kernel::new(&name);
-        k.regs_per_thread = self.child.regs_per_thread;
-        k.shared_bytes = self.child.shared_bytes;
-        for &p in &launch_info.passthrough {
-            k.params.push(self.child.params[p].clone());
-        }
+        // This level's buffer (`__cons_buf`/`__cons_off`) arrives as
+        // parameters (warp/block) or is this level's pool slice (grid); the
+        // next level's (`__cons_nbuf`/`__cons_noff`) is allocated or is the
+        // next slice.
+        let mut body = match self.alloc_buffer("__cons_nbuf", "__cons_noff") {
+            Some(alloc) => {
+                k.params.extend(buffer_params());
+                alloc
+            }
+            None => {
+                k.params.extend(self.grid_params());
+                let stride = self.level_stride();
+                vec![
+                    let_("__cons_buf", v("__cons_pool")),
+                    let_("__cons_off", mul(v("__cons_level"), i(stride))),
+                    let_("__cons_nbuf", v("__cons_pool")),
+                    let_("__cons_noff", mul(add(v("__cons_level"), i(1)), i(stride))),
+                ]
+            }
+        };
 
-        let mut prologue: Vec<Stmt> = Vec::new();
-        let mut grid_extras = None;
-        let stride = self.level_stride();
-        // Current-level buffer (`__cons_buf`/`__cons_off`) and next-level
-        // buffer (`__cons_nbuf`/`__cons_noff`).
-        match g {
-            Granularity::Grid => {
-                k.params.push(Param { name: "__cons_pool".into(), kind: ParamKind::Array });
-                k.params.push(Param { name: "__cons_counter".into(), kind: ParamKind::Array });
-                k.params.push(Param { name: "__cons_level".into(), kind: ParamKind::Scalar });
-                grid_extras = Some(GridExtras {
-                    pool_param: "__cons_pool".into(),
-                    counter_param: "__cons_counter".into(),
-                    level_param: Some("__cons_level".into()),
-                    level_stride: stride,
-                });
-                prologue.push(let_("__cons_buf", v("__cons_pool")));
-                prologue.push(let_("__cons_off", mul(v("__cons_level"), i(stride))));
-                prologue.push(let_("__cons_nbuf", v("__cons_pool")));
-                prologue.push(let_("__cons_noff", mul(add(v("__cons_level"), i(1)), i(stride))));
-            }
-            Granularity::Warp => {
-                k.params.push(Param { name: "__cons_buf".into(), kind: ParamKind::Array });
-                k.params.push(Param { name: "__cons_off".into(), kind: ParamKind::Scalar });
-                prologue.push(alloc(
-                    "__cons_nbuf",
-                    "__cons_noff",
-                    self.buffer_words_expr(),
-                    AllocScope::Warp,
-                ));
-                prologue.push(when(
-                    eq(rem(tid(), i(WARP)), i(0)),
-                    vec![store(v("__cons_nbuf"), v("__cons_noff"), i(0))],
-                ));
-            }
-            Granularity::Block => {
-                k.params.push(Param { name: "__cons_buf".into(), kind: ParamKind::Array });
-                k.params.push(Param { name: "__cons_off".into(), kind: ParamKind::Scalar });
-                prologue.push(alloc(
-                    "__cons_nbuf",
-                    "__cons_noff",
-                    self.buffer_words_expr(),
-                    AllocScope::Block,
-                ));
-                prologue.push(when(
-                    eq(tid(), i(0)),
-                    vec![store(v("__cons_nbuf"), v("__cons_noff"), i(0))],
-                ));
-                prologue.push(sync());
-            }
-        }
-
-        // Child-transformation: fetch loop over this level's items, with the
+        // Child transformation: fetch loop over this level's items, with the
         // recursive launch replaced by insertion into the next-level buffer.
         let insertion = self.insertion_stmts("__cons_nbuf", "__cons_noff");
-        let body = self.replace_launch(&self.child.body, &insertion);
-        let nv = self.nv() as i64;
-        let mut item_prologue = Vec::new();
-        for (j, &pos) in launch_info.buffered.iter().enumerate() {
-            let idx =
-                add(add(v("__cons_off"), i(1)), add(mul(v("__cons_item"), i(nv)), i(j as i64)));
-            item_prologue.push(let_(&self.child.params[pos].name, load(v("__cons_buf"), idx)));
-        }
-        let fetch = self.fetch_loop(item_prologue, body);
+        body.extend(self.fetch_loop(self.replace_launch(&self.child.body, &insertion)));
 
-        // Parent-transformation: barrier + next-level launch.
-        let (grid_e, block_e) = self.child_config_exprs("__cons_ncnt");
-        let mut next_args: Vec<Expr> = self.passthrough_args();
-        match g {
-            Granularity::Grid => {
-                next_args.push(v("__cons_pool"));
-                next_args.push(v("__cons_counter"));
-                next_args.push(add(v("__cons_level"), i(1)));
-            }
-            _ => {
-                next_args.push(v("__cons_nbuf"));
-                next_args.push(v("__cons_noff"));
-            }
+        // Parent transformation: barrier + next-level launch.
+        let mut next_args = self.passthrough_args();
+        if self.directive.granularity == Granularity::Grid {
+            next_args.extend([v("__cons_pool"), v("__cons_counter"), add(v("__cons_level"), i(1))]);
+        } else {
+            next_args.extend([v("__cons_nbuf"), v("__cons_noff")]);
         }
-        let mut do_launch = vec![let_("__cons_ncnt", load(v("__cons_nbuf"), v("__cons_noff")))];
-        match g {
-            Granularity::Grid => {
-                // Record the next level's block count for its global barrier,
-                // then recurse.
-                do_launch.push(when(
-                    gt(v("__cons_ncnt"), i(0)),
-                    vec![
-                        store(v("__cons_counter"), add(v("__cons_level"), i(1)), grid_e.clone()),
-                        launch(&name, grid_e, block_e, next_args),
-                    ],
-                ));
-            }
-            _ => {
-                do_launch.push(when(
-                    gt(v("__cons_ncnt"), i(0)),
-                    vec![launch(&name, grid_e, block_e, next_args)],
-                ));
-            }
-        }
+        let do_launch =
+            self.launch_buffered("__cons_ncnt", "__cons_nbuf", "__cons_noff", next_args);
+        body.extend(self.barrier_then(v("__cons_level"), do_launch));
 
-        let mut tail = Vec::new();
-        match g {
-            Granularity::Warp => {
-                tail.push(when(eq(rem(tid(), i(WARP)), i(0)), do_launch));
-            }
-            Granularity::Block => {
-                tail.push(sync());
-                tail.push(when(last_warp_leader(), do_launch));
-            }
-            Granularity::Grid => {
-                tail.push(when(
-                    last_warp_leader(),
-                    vec![
-                        atomic_add(
-                            Some("__cons_bar"),
-                            v("__cons_counter"),
-                            v("__cons_level"),
-                            i(-1),
-                        ),
-                        when(eq(v("__cons_bar"), i(1)), do_launch),
-                    ],
-                ));
-            }
-        }
-
-        let mut body = prologue;
-        body.extend(fetch);
-        body.extend(tail);
         k.body = body;
         module.add(k);
-
-        Ok(Consolidated {
-            module,
-            info: TransformInfo {
-                granularity: g,
-                recursive: true,
-                entry: name,
-                postwork: None,
-                nv: self.nv(),
-                buffered_positions: launch_info.buffered.clone(),
-                passthrough_positions: launch_info.passthrough.clone(),
-                child_class: launch_info.class,
-                child_config: self.policy,
-                resolved_config: self.resolved,
-                grid_extras,
-            },
-        })
+        Ok(Consolidated { module, info: self.info(None) })
     }
+}
+
+/// The `__cons_buf`/`__cons_off` parameters through which a consolidated
+/// kernel receives the buffer it fetches from.
+fn buffer_params() -> [Param; 2] {
+    [
+        Param { name: "__cons_buf".into(), kind: ParamKind::Array },
+        Param { name: "__cons_off".into(), kind: ParamKind::Scalar },
+    ]
 }
 
 // ----------------------------------------------------------------------
@@ -878,19 +728,48 @@ mod tests {
     #[test]
     fn launch_shape_clauses_beat_the_policy_argument_which_beats_the_default() {
         let gpu = GpuConfig::k20c();
-        let policy = |pragma: &str, arg: Option<ConfigPolicy>| {
+        let shape = |pragma: &str, arg: Option<ConfigPolicy>| {
             let dir = Directive::parse(pragma).unwrap();
-            consolidate(&irregular_module(), "parent", &dir, &gpu, arg).unwrap().info.child_config
+            consolidate(&irregular_module(), "parent", &dir, &gpu, arg).unwrap().info.shape
         };
         let shaped = "dp consldt(block) work(id) blocks(7) threads(96)";
         let bare = "dp consldt(block) work(id)";
         let arg = Some(ConfigPolicy::OneToOne);
-        assert_eq!(policy(shaped, arg), ConfigPolicy::Custom(7, 96));
-        assert_eq!(policy(shaped, None), ConfigPolicy::Custom(7, 96));
-        assert_eq!(policy(bare, arg), ConfigPolicy::OneToOne);
-        assert_eq!(policy(bare, None), ConfigPolicy::default_for(Granularity::Block));
+        let kc16 = shape(bare, Some(ConfigPolicy::Kc(16)));
+        assert!(matches!(kc16, LaunchShape::Fixed(..)), "{kc16:?}");
+        // The child `<<<1, 32>>>` is block-mapped: 1-1 is a 32-thread block per item.
+        assert_eq!(shape(shaped, arg), LaunchShape::Fixed(7, 96));
+        assert_eq!(shape(shaped, None), LaunchShape::Fixed(7, 96));
+        assert_eq!(shape(bare, arg), LaunchShape::BlockPerItem(32));
+        assert_eq!(shape(bare, None), kc16, "block level defaults to KC_16");
         // A lone clause is not a launch shape.
-        assert_eq!(policy("dp consldt(block) work(id) blocks(7)", arg), ConfigPolicy::OneToOne);
+        assert_eq!(
+            shape("dp consldt(block) work(id) blocks(7)", arg),
+            LaunchShape::BlockPerItem(32)
+        );
+    }
+
+    /// A recursive kernel's host entry is launched in the shape its device
+    /// launches use: under 1-1 with the child's static `<<<1, 32>>>`, one
+    /// 32-thread block for the one seeded item, at every granularity.
+    #[test]
+    fn one_to_one_recursive_host_entry_uses_the_child_block() {
+        let gpu = GpuConfig::k20c();
+        for g in Granularity::ALL {
+            let dir = Directive::parse(&format!("dp consldt({}) work(c)", g.label())).unwrap();
+            let cons =
+                consolidate(&recursive_module(), "rec", &dir, &gpu, Some(ConfigPolicy::OneToOne))
+                    .unwrap();
+            let device = dpcons_ir::module_to_string(&cons.module);
+            assert!(device.contains("rec__cons<<<__cons_ncnt, 32>>>"), "{device}");
+            let mut engine =
+                dpcons_sim::Engine::new(gpu.clone(), dpcons_sim::AllocKind::PreAlloc, 1 << 16);
+            let ids = std::collections::HashMap::from([(cons.info.entry.clone(), 0)]);
+            let prepared =
+                crate::prepare_launch(&mut engine, &cons.info, &ids, &[0, 1], (1, 32), 1 << 12)
+                    .unwrap();
+            assert_eq!((prepared.spec.grid, prepared.spec.block), (1, 32), "{}", g.label());
+        }
     }
 
     #[test]
@@ -913,7 +792,7 @@ mod tests {
             let extras = cons.info.grid_extras.as_ref().unwrap();
             let cleared: Vec<usize> = extras.header_offsets().collect();
             assert_eq!(cleared, count_load_offsets(&cons), "{pragma}");
-            assert_eq!(cleared.len(), extras.levels());
+            assert_eq!(cleared.len(), extras.levels);
         }
     }
 }

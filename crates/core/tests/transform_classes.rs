@@ -283,7 +283,7 @@ fn two_work_variables_buffer_layout() {
         let dir = Directive::parse(&pragma).unwrap();
         let cons =
             consolidate(&two_var_module(), "parent", &dir, &GpuConfig::k20c(), None).unwrap();
-        assert_eq!(cons.info.nv, 2);
+        assert_eq!(cons.info.buffered_positions.len(), 2);
         assert_eq!(cons.info.buffered_positions, vec![1, 2]);
 
         let (out, _, _) = run_consolidated(

@@ -146,15 +146,24 @@ fn run_scatter_consolidated(
     g: Granularity,
     policy: Option<ConfigPolicy>,
 ) -> (Vec<i64>, ProfileReport) {
-    let d = scatter_data(n);
     let pragma =
         format!("#pragma dp consldt({}) buffer(custom, perBufferSize: 256) work(id)", g.label());
-    let dir = Directive::parse(&pragma).unwrap();
+    run_scatter_pragma(n, thr, &pragma, policy)
+}
+
+fn run_scatter_pragma(
+    n: usize,
+    thr: i64,
+    pragma: &str,
+    policy: Option<ConfigPolicy>,
+) -> (Vec<i64>, ProfileReport) {
+    let d = scatter_data(n);
+    let dir = Directive::parse(pragma).unwrap();
     let cons =
         consolidate(&scatter_module(), "expand_parent", &dir, &GpuConfig::k20c(), policy).unwrap();
     assert_eq!(cons.info.child_class, ChildClass::SoloBlock);
 
-    on_both_executors(&pragma, |exec| {
+    on_both_executors(pragma, |exec| {
         let mut e = engine();
         let deg = e.mem.alloc_array_init("deg", d.deg.clone());
         let base = e.mem.alloc_array_init("base", d.base.clone());
@@ -240,8 +249,9 @@ fn scatter_custom_policy_respects_directive() {
     let n = 300;
     let d = scatter_data(n);
     let expected = scatter_expected(&d);
-    let (out, _) =
-        run_scatter_consolidated(n, 32, Granularity::Block, Some(ConfigPolicy::Custom(4, 64)));
+    let pragma = "#pragma dp consldt(block) buffer(custom, perBufferSize: 256) work(id) \
+                  blocks(4) threads(64)";
+    let (out, _) = run_scatter_pragma(n, 32, pragma, None);
     assert_eq!(out, expected);
 }
 

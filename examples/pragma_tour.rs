@@ -5,7 +5,7 @@
 //! cargo run --release --example pragma_tour
 //! ```
 
-use dpcons::compiler::{analyze, consolidate, ConfigPolicy, Directive, Granularity};
+use dpcons::compiler::{analyze, consolidate, ConfigPolicy, Directive};
 use dpcons::ir::dsl::*;
 use dpcons::ir::{kernel_to_string, Module};
 use dpcons::sim::GpuConfig;
@@ -61,22 +61,17 @@ fn main() {
         );
 
         let cons = consolidate(&m, "traverse", &d, &gpu, None).unwrap();
-        println!(
-            "policy {} resolved to {:?}\n",
-            cons.info.child_config.label(),
-            cons.info.resolved_config
-        );
+        println!("launch shape: {:?}\n", cons.info.shape);
         println!("{}", kernel_to_string(cons.module.get("traverse").unwrap()));
         println!("{}", kernel_to_string(cons.module.get("process_node__cons").unwrap()));
     }
 
-    // The occupancy calculator behind KC_1/KC_16/KC_32.
+    // The occupancy calculator behind KC_1/KC_16/KC_32, through the one
+    // place a launch shape is resolved.
     println!("=== KC configurations for the consolidated child on the K20c ===");
+    let d = Directive::parse("dp consldt(grid) work(node)").unwrap();
     for x in [1u32, 16, 32] {
-        let (b, t) = ConfigPolicy::Kc(x)
-            .resolve(&gpu, dpcons::compiler::KernelResources::default())
-            .unwrap();
-        println!("KC_{x:<2} -> <<<{b}, {t}>>>");
+        let cons = consolidate(&m, "traverse", &d, &gpu, Some(ConfigPolicy::Kc(x))).unwrap();
+        println!("KC_{x:<2} -> {:?}", cons.info.shape);
     }
-    let _ = Granularity::ALL;
 }
