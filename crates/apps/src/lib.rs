@@ -31,7 +31,8 @@ pub use datasets::Profile;
 pub use graph_coloring::GraphColoring;
 pub use pagerank::PageRank;
 pub use runner::{
-    AppError, AppOutcome, Benchmark, CaptureSet, RunConfig, TuneModel, Variant, VariantSession,
+    output_mismatch, AppError, AppOutcome, Benchmark, CaptureSet, RunConfig, TuneModel, Variant,
+    VariantSession,
 };
 pub use spmv::Spmv;
 pub use sssp::Sssp;

@@ -405,25 +405,30 @@ pub trait Benchmark: Send + Sync {
     /// Run and check against the oracle; returns the profile on success.
     fn verify(&self, variant: Variant, cfg: &RunConfig) -> Result<ProfileReport, AppError> {
         let out = self.run(variant, cfg)?;
-        let expected = self.reference();
-        if out.output != expected {
-            let diffs = out
-                .output
-                .iter()
-                .zip(&expected)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .take(5)
-                .map(|(i, (a, b))| format!("[{i}] got {a} want {b}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            return Err(AppError::Driver(format!(
-                "{} ({}) output mismatch: {diffs}{}",
-                self.name(),
-                variant.label(),
-                if out.output.len() != expected.len() { " (length mismatch)" } else { "" },
-            )));
+        match output_mismatch(&out.output, &self.reference()) {
+            None => Ok(out.report),
+            Some(m) => Err(AppError::Driver(format!("{} ({}) {m}", self.name(), variant.label()))),
         }
-        Ok(out.report)
     }
+}
+
+/// How a run's `output` differs from the oracle's `expected`: its first five
+/// differing elements, and a note when the lengths differ; `None` when they
+/// are equal. [`Benchmark::verify`] and the reproduction harness report
+/// mismatches through it.
+pub fn output_mismatch(output: &[i64], expected: &[i64]) -> Option<String> {
+    if output == expected {
+        return None;
+    }
+    let diffs = output
+        .iter()
+        .zip(expected)
+        .enumerate()
+        .filter(|(_, (a, b))| a != b)
+        .take(5)
+        .map(|(i, (a, b))| format!("[{i}] got {a} want {b}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let length = if output.len() != expected.len() { " (length mismatch)" } else { "" };
+    Some(format!("output mismatch: {diffs}{length}"))
 }

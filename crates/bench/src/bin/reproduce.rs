@@ -49,11 +49,16 @@
 //! performance trajectory to compare against; `--json PATH` overrides the
 //! destination.
 //!
-//! Exit status: `0` clean, `2` usage error, `1` hard failure (verification
-//! mismatch, or any faulted candidate under `--strict`), `3` the sweeps
-//! completed but some candidates faulted (panicked / timed out / failed) and
-//! were skipped. Faulted candidates are listed one per line and summarized
-//! even under `--quiet`, so automation never silently loses a data point.
+//! Every figure and ablation run is checked against its app's CPU oracle at
+//! the selected `--profile` (`verify` reports the check on the overall sweep);
+//! one that fails or differs still prints its cell and is listed on stderr.
+//!
+//! Exit status: `0` clean, `2` usage error, `1` hard failure (a run that
+//! failed or differs from its oracle, or any faulted candidate under
+//! `--strict`), `3` the sweeps completed but some candidates faulted
+//! (panicked / timed out / failed) and were skipped. Faulted candidates are
+//! listed one per line and summarized even under `--quiet`, so automation
+//! never silently loses a data point.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -162,44 +167,48 @@ fn main() {
         );
     }
 
-    // Figures 7-10, the tuning comparison, and the JSON record share one
-    // profiled sweep.
-    let needs_matrix = figs
-        .iter()
-        .any(|f| matches!(f.as_str(), "fig7" | "fig8" | "fig9" | "fig10" | "headline" | "tune"));
+    // Reference points that failed or differ from their app's CPU oracle;
+    // any is a hard failure once every selected experiment has printed.
+    let mut inexact = Vec::new();
+    // `verify`, Figures 7-10, the tuning comparison, and the JSON record
+    // share one profiled, oracle-checked sweep.
+    let needs_matrix = figs.iter().any(|f| {
+        matches!(f.as_str(), "verify" | "fig7" | "fig8" | "fig9" | "fig10" | "headline" | "tune")
+    });
     let matrix = if needs_matrix {
         let t0 = Instant::now();
-        let m = overall_matrix(profile, &cfg);
+        let m;
+        (m, inexact) = overall_matrix(profile, &cfg);
         progress(format!("[overall sweep finished in {:.1}s]", t0.elapsed().as_secs_f64()));
-        Some(m)
+        m
     } else {
-        None
+        Vec::new()
     };
+    let matrix_faults = inexact.len();
 
     let mut tuned: Option<Vec<(String, TuneReport)>> = None;
     let mut fleet_results: Option<Vec<(String, FleetReport)>> = None;
     for f in &figs {
         let t0 = Instant::now();
+        let mut emit_checked = |(t, faults): (Table, Vec<String>)| {
+            emit(&t);
+            inexact.extend(faults);
+        };
         match f.as_str() {
-            "verify" => {
-                let failures = verify_all(Profile::Test, &cfg);
-                if failures.is_empty() {
-                    println!("verify: all 7 benchmarks x 5 variants match the CPU oracle\n");
-                } else {
-                    eprintln!("VERIFICATION FAILURES:\n{}", failures.join("\n"));
-                    std::process::exit(ErrorClass::Internal.exit_code());
-                }
-            }
-            "fig5" => emit(&fig5_allocators(profile, &cfg)),
-            "fig6" => emit(&fig6_kernel_config(profile, &cfg)),
-            "fig7" => emit(&fig7_overall(matrix.as_ref().expect("matrix"))),
-            "fig8" => emit(&fig8_warp_efficiency(matrix.as_ref().expect("matrix"))),
-            "fig9" => emit(&fig9_occupancy(matrix.as_ref().expect("matrix"))),
-            "fig10" => emit(&fig10_dram(matrix.as_ref().expect("matrix"))),
-            "headline" => emit(&headline_claims(profile, matrix.as_ref().expect("matrix"))),
+            "verify" => match matrix_faults {
+                0 => println!("verify: all 7 benchmarks x 5 variants match the CPU oracle\n"),
+                n => println!("verify: {n} of 35 matrix runs fail or differ from the CPU oracle\n"),
+            },
+            "fig5" => emit_checked(fig5_allocators(profile, &cfg)),
+            "fig6" => emit_checked(fig6_kernel_config(profile, &cfg)),
+            "fig7" => emit(&fig7_overall(&matrix)),
+            "fig8" => emit(&fig8_warp_efficiency(&matrix)),
+            "fig9" => emit(&fig9_occupancy(&matrix)),
+            "fig10" => emit(&fig10_dram(&matrix)),
+            "headline" => emit(&headline_claims(profile, &matrix)),
             "tune" => {
                 let results = tune_all(profile, &cfg, Some(PathBuf::from(".dpcons-tune-cache")));
-                emit(&tuned_table(matrix.as_ref().expect("matrix"), &results));
+                emit(&tuned_table(&matrix, &results));
                 tuned = Some(results);
             }
             "fleet" => {
@@ -224,16 +233,16 @@ fn main() {
                 println!("golden: wrote {n} datapoints ({faults} faulted) to {}", path.display());
             }
             "ablations" => {
-                emit(&ablation_pool_capacity(profile, &cfg));
-                emit(&ablation_threshold(profile, &cfg));
+                emit_checked(ablation_pool_capacity(profile, &cfg));
+                emit_checked(ablation_threshold(profile, &cfg));
             }
             other => usage_err(&format!("unknown experiment `{other}`")),
         }
         progress(format!("[{f} finished in {:.1}s]", t0.elapsed().as_secs_f64()));
     }
 
-    if let Some(matrix) = &matrix {
-        let record = reproduce_json(profile, &cfg, matrix, tuned.as_deref()).render_pretty();
+    if needs_matrix {
+        let record = reproduce_json(profile, &cfg, &matrix, tuned.as_deref()).render_pretty();
         match std::fs::write(&json_path, record) {
             Ok(()) => progress(format!("[wrote {}]", json_path.display())),
             Err(e) => eprintln!("[failed to write {}: {e}]", json_path.display()),
@@ -259,26 +268,32 @@ fn main() {
     // Fault accounting decides the exit status, so downstream automation can
     // distinguish "completed, but some candidates were skipped" from a clean
     // run. The summary line always prints when a sweep ran — `--quiet` only
-    // silences progress, never fault reporting.
-    if tuned.is_some() || fleet_results.is_some() {
-        let sweeps = [("tune", tuned.as_deref()), ("fleet", fleet_results.as_deref())];
-        let mut faults = 0;
-        for (sweep, rows) in sweeps {
-            let rows = rows.unwrap_or(&[]);
-            faults += fault_count(rows);
-            for line in fault_lines(sweep, rows) {
-                eprintln!("fault: {line}");
-            }
-        }
-        println!("fault summary: {faults} faulted candidate(s) across the selected sweeps");
-        if faults > 0 {
-            if strict {
-                eprintln!("reproduce: --strict and {faults} candidate(s) faulted");
-                std::process::exit(ErrorClass::Internal.exit_code());
-            }
-            std::process::exit(ErrorClass::Faulted.exit_code());
-        }
+    // silences progress, never fault or oracle reporting.
+    let sweeps = [("tune", tuned.as_deref()), ("fleet", fleet_results.as_deref())];
+    let faults: Vec<String> =
+        sweeps.iter().flat_map(|(sweep, rows)| fault_lines(sweep, rows.unwrap_or(&[]))).collect();
+    for line in &faults {
+        eprintln!("fault: {line}");
     }
+    let (n, m) = (faults.len(), inexact.len());
+    if tuned.is_some() || fleet_results.is_some() {
+        println!("fault summary: {n} faulted candidate(s) across the selected sweeps");
+    }
+    for point in &inexact {
+        eprintln!("oracle: {point}");
+    }
+    let status = if m > 0 {
+        eprintln!("reproduce: {m} reference point(s) failed or differ from the CPU oracle");
+        ErrorClass::Internal
+    } else if n > 0 && strict {
+        eprintln!("reproduce: --strict and {n} candidate(s) faulted");
+        ErrorClass::Internal
+    } else if n > 0 {
+        ErrorClass::Faulted
+    } else {
+        return;
+    };
+    std::process::exit(status.exit_code());
 }
 
 #[cfg(test)]

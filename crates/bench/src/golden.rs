@@ -10,10 +10,12 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use dpcons_apps::{all_benchmarks, AppOutcome, Benchmark, Profile, RunConfig, Variant};
+use dpcons_apps::{all_benchmarks, AppError, AppOutcome, Profile, RunConfig, Variant};
 use dpcons_core::KnobSpace;
 use dpcons_sim::GpuConfig;
-use dpcons_tune::{candidate_config, enumerate_candidates, fnv1a, parallel_map};
+use dpcons_tune::{candidate_config, enumerate_candidates, fnv1a};
+
+use crate::run_points;
 
 /// Devices every capture is re-timed on.
 const DEVICES: [&str; 4] = ["k20c", "k40", "titan", "tk1"];
@@ -30,28 +32,24 @@ pub fn golden_record() -> String {
     let apps = all_benchmarks(Profile::Test);
     let base = RunConfig { capture: true, ..RunConfig::default() };
     let space = KnobSpace::quick(base.gpu.num_sms);
-    let mut points = Vec::new();
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
     for app in &apps {
         let app = app.as_ref();
         for v in [Variant::BasicDp, Variant::Flat] {
-            points.push((app, v.label(), v, base.clone()));
+            keys.push(format!("{} {}", app.name(), v.label()));
+            points.push((app, v, base.clone()));
         }
         let model = app.tune_model().expect("every app exposes a tune model");
         for k in enumerate_candidates(&model, &space).0 {
-            points.push((app, k.label(), Variant::ConsolidatedTuned, candidate_config(&base, &k)));
+            keys.push(format!("{} {}", app.name(), k.label()));
+            points.push((app, Variant::ConsolidatedTuned, candidate_config(&base, &k)));
         }
     }
-    let jobs =
-        points.into_iter().map(|(app, label, v, cfg)| move || datapoint(app, &label, v, &cfg));
-    parallel_map(jobs.collect()).concat()
-}
-
-fn datapoint(app: &dyn Benchmark, label: &str, variant: Variant, cfg: &RunConfig) -> String {
-    let facts = match app.run(variant, cfg) {
-        Ok(out) => facts(&out),
-        Err(e) => format!("error={}", e.to_string().replace('\n', " ")),
+    let line = |i: usize, r: Result<AppOutcome, AppError>| {
+        let error = |e: AppError| format!("error={}", e.to_string().replace('\n', " "));
+        format!("{} {}\n", keys[i], r.map_or_else(error, |out| facts(&out)))
     };
-    format!("{} {label} {facts}\n", app.name())
+    run_points(points, line).concat()
 }
 
 fn facts(out: &AppOutcome) -> String {

@@ -10,440 +10,429 @@
 //!   Figures 7–10 (shared, since they profile the same runs),
 //! * ablations beyond the paper (pending-pool capacity, threshold sweep).
 //!
-//! Independent simulations are fanned out over scoped worker threads
-//! ([`dpcons_tune::par::parallel_map`]; each simulation itself stays
-//! deterministic and single-threaded).
+//! Every datapoint runs through one private runner, which fans the points
+//! out in order over scoped worker threads ([`dpcons_tune::par::parallel_map`];
+//! each simulation stays deterministic and single-threaded). An app is built
+//! once per dataset and its CPU oracle computed once; every figure and
+//! ablation run is compared with that oracle, and each experiment returns,
+//! beside its table, one line per reference point that failed or differs.
+//! The [`golden`] record records its facts unchecked.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dpcons_apps::{
-    all_benchmarks, benchmark_by_name, benchmark_names, AppOutcome, Benchmark, Profile, RunConfig,
-    Variant,
+    all_benchmarks, benchmark_by_name, output_mismatch, AppError, AppOutcome, Benchmark, Profile,
+    RunConfig, Variant,
 };
 use dpcons_core::{ConfigPolicy, Granularity, KnobSpace};
 use dpcons_obs::jsonv::Value;
-use dpcons_sim::{AllocKind, GpuConfig};
+use dpcons_sim::{AllocKind, GpuConfig, ProfileReport};
 use dpcons_tune::{
-    candidate_config, default_knobs, fleet_sweep, tune, Budget, Cache, FleetOptions, Knobs,
-    TuneOptions,
+    candidate_config, default_knobs, fleet_sweep, parallel_map, tune, Budget, Cache, FleetOptions,
+    Knobs, TuneOptions,
 };
 
 pub mod golden;
 pub mod tables;
 
-pub use dpcons_tune::par::parallel_map;
 pub use dpcons_tune::{FleetReport, TuneReport};
 pub use golden::{golden_diff, golden_path, golden_record};
 pub use tables::Table;
 
+/// Run every `(app, variant, config)` point in order on the worker pool —
+/// apps are shared by reference — and hand each outcome, with its point's
+/// index, to `finish` on the worker that ran it. Results come in point order.
+fn run_points<T: Send>(
+    points: Vec<(&dyn Benchmark, Variant, RunConfig)>,
+    finish: impl Fn(usize, Result<AppOutcome, AppError>) -> T + Sync,
+) -> Vec<T> {
+    let finish = &finish;
+    let jobs = points.into_iter().enumerate();
+    parallel_map(jobs.map(|(i, (app, v, cfg))| move || finish(i, app.run(v, &cfg))).collect())
+}
+
+/// A benchmark built once, with its CPU oracle computed once.
+struct Subject(Box<dyn Benchmark>, Vec<i64>);
+
+impl Subject {
+    fn new(app: Box<dyn Benchmark>) -> Subject {
+        let oracle = app.reference();
+        Subject(app, oracle)
+    }
+}
+
+/// A run compared with its app's CPU oracle.
+struct Checked {
+    /// The outcome when the run completed, exact or not.
+    outcome: Option<AppOutcome>,
+    /// `point: why` when the run failed or its output differs from the oracle.
+    fault: Option<String>,
+}
+
+impl Checked {
+    fn cycles(&self) -> Option<u64> {
+        self.outcome.as_ref().map(|o| o.report.total_cycles)
+    }
+}
+
+/// Run the points, each named for its fault line, and check every run
+/// against its subject's oracle.
+fn run_checked(points: Vec<(String, &Subject, Variant, RunConfig)>) -> Vec<Checked> {
+    let (names, points): (Vec<_>, Vec<_>) =
+        points.into_iter().map(|(what, s, v, cfg)| ((what, &s.1), (&*s.0, v, cfg))).unzip();
+    run_points(points, |i, r| {
+        let (what, oracle) = &names[i];
+        let fault = match &r {
+            Err(e) => Some(format!("failed: {e}")),
+            Ok(o) => output_mismatch(&o.output, oracle),
+        };
+        Checked { outcome: r.ok(), fault: fault.map(|f| format!("{what}: {f}")) }
+    })
+}
+
+/// The fault lines of `runs`, in order.
+fn faults<'a>(runs: impl IntoIterator<Item = &'a Checked>) -> Vec<String> {
+    runs.into_iter().filter_map(|r| r.fault.clone()).collect()
+}
+
+/// `basic / cycles` as a speedup cell; `-` when either run failed.
+fn speedup(basic: Option<u64>, cycles: Option<u64>) -> String {
+    basic.zip(cycles).map_or("-".into(), |(b, c)| format!("{:.1}x", b as f64 / c as f64))
+}
+
+/// A count from a profile report.
+pub type Field = fn(&ProfileReport) -> u64;
+
 /// Profiled outcomes of every variant of one benchmark.
 pub struct AppResults {
     pub name: &'static str,
+    /// Each variant's outcome by label; a failed run has none.
     pub outcomes: BTreeMap<String, AppOutcome>,
 }
 
 impl AppResults {
-    pub fn get(&self, v: Variant) -> &AppOutcome {
-        &self.outcomes[&v.label()]
+    pub fn get(&self, v: Variant) -> Option<&ProfileReport> {
+        self.outcomes.get(&v.label()).map(|o| &o.report)
     }
 
-    /// Speedup of `v` over basic-dp (simulated cycles).
-    pub fn speedup_over_basic(&self, v: Variant) -> f64 {
-        self.get(Variant::BasicDp).report.total_cycles as f64
-            / self.get(v).report.total_cycles.max(1) as f64
+    pub fn cycles(&self, v: Variant) -> Option<u64> {
+        self.get(v).map(|r| r.total_cycles)
+    }
+
+    /// `field` of `num` over `field` of `den` (at least 1).
+    pub fn ratio(&self, field: Field, num: Variant, den: Variant) -> Option<f64> {
+        Some(field(self.get(num)?) as f64 / field(self.get(den)?).max(1) as f64)
     }
 }
 
 /// Run all seven benchmarks across all five variants (basic-dp, no-dp, and
 /// the three consolidation granularities). This is the data behind Figures
-/// 7, 8, 9 and 10.
-pub fn overall_matrix(profile: Profile, cfg: &RunConfig) -> Vec<AppResults> {
-    let mut jobs: Vec<Box<dyn FnOnce() -> (usize, String, AppOutcome) + Send>> = Vec::new();
-    for (app_idx, name) in benchmark_names().enumerate() {
-        for variant in Variant::ALL {
-            let cfg = cfg.clone();
-            jobs.push(Box::new(move || {
-                let out = build(name, profile)
-                    .run(variant, &cfg)
-                    .unwrap_or_else(|e| panic!("{name} ({}) failed: {e}", variant.label()));
-                (app_idx, variant.label(), out)
-            }));
-        }
-    }
-    let results = parallel_map(jobs);
-    let mut out: Vec<AppResults> =
-        benchmark_names().map(|name| AppResults { name, outcomes: BTreeMap::new() }).collect();
-    for (idx, label, o) in results {
-        out[idx].outcomes.insert(label, o);
-    }
-    out
-}
-
-/// Verify every (benchmark, variant) pair against the CPU oracle; returns
-/// failures. Used by integration tests and `reproduce --verify`.
-pub fn verify_all(profile: Profile, cfg: &RunConfig) -> Vec<String> {
-    let mut jobs: Vec<Box<dyn FnOnce() -> Option<String> + Send>> = Vec::new();
-    for name in benchmark_names() {
-        for variant in Variant::ALL {
-            let cfg = cfg.clone();
-            jobs.push(Box::new(move || {
-                build(name, profile)
-                    .verify(variant, &cfg)
-                    .err()
-                    .map(|e| format!("{name} ({}): {e}", variant.label()))
-            }));
-        }
-    }
-    parallel_map(jobs).into_iter().flatten().collect()
-}
-
-/// Build the one registered benchmark `name` — never the other six datasets.
-fn build(name: &str, profile: Profile) -> Box<dyn Benchmark> {
-    benchmark_by_name(name, profile).unwrap_or_else(|| panic!("{name} is registered"))
+/// 7, 8, 9 and 10, and what `reproduce verify` checks: returns the results
+/// and one line per run that failed or differs from its app's oracle.
+pub fn overall_matrix(profile: Profile, cfg: &RunConfig) -> (Vec<AppResults>, Vec<String>) {
+    let subjects: Vec<Subject> = all_benchmarks(profile).into_iter().map(Subject::new).collect();
+    let points = subjects.iter().flat_map(|s| {
+        Variant::ALL.map(|v| (format!("matrix {} {}", s.0.name(), v.label()), s, v, cfg.clone()))
+    });
+    let runs = run_checked(points.collect());
+    let (faults, mut runs) = (faults(&runs), runs.into_iter());
+    let matrix = subjects.iter().map(|s| {
+        let outcomes = Variant::ALL.iter().zip(runs.by_ref());
+        let outcomes = outcomes.filter_map(|(v, r)| Some((v.label(), r.outcome?)));
+        AppResults { name: s.0.name(), outcomes: outcomes.collect() }
+    });
+    (matrix.collect(), faults)
 }
 
 // ----------------------------------------------------------------- Fig 5 --
 
 /// Figure 5: SSSP runtime under the three buffer allocators, per
 /// consolidation granularity, normalized to basic-dp (higher = faster).
-pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> Table {
-    let sssp = || build("SSSP", profile);
-    let basic = sssp().run(Variant::BasicDp, cfg).expect("basic-dp runs").report.total_cycles;
-    let nodp = sssp().run(Variant::Flat, cfg).expect("no-dp runs").report.total_cycles;
-
-    let model = sssp().tune_model().expect("SSSP is tunable");
+/// Returns the table and its failed or oracle-inexact runs.
+pub fn fig5_allocators(profile: Profile, cfg: &RunConfig) -> (Table, Vec<String>) {
+    let sssp = Subject::new(benchmark_by_name("SSSP", profile).expect("SSSP is registered"));
+    let model = sssp.0.tune_model().expect("SSSP is tunable");
     let allocators = [AllocKind::Default, AllocKind::Halloc, AllocKind::PreAlloc];
-    let jobs: Vec<_> = Granularity::ALL
-        .iter()
-        .flat_map(|&g| allocators.iter().map(move |&a| (g, a)))
-        .map(|(g, a)| {
-            let cfg = candidate_config(cfg, &Knobs { alloc: a, ..default_knobs(&model, g) });
-            move || {
-                let out = sssp()
-                    .run(Variant::ConsolidatedTuned, &cfg)
-                    .unwrap_or_else(|e| panic!("fig5 {}/{} failed: {e}", g.label(), a.label()));
-                (g, a, out.report.total_cycles)
-            }
-        })
-        .collect();
-    let results = parallel_map(jobs);
+    let mut points = Vec::new();
+    let mut add = |what: String, v, cfg| points.push((format!("fig5 SSSP {what}"), &sssp, v, cfg));
+    add("basic-dp".into(), Variant::BasicDp, cfg.clone());
+    add("no-dp".into(), Variant::Flat, cfg.clone());
+    for g in Granularity::ALL {
+        for alloc in allocators {
+            let k = Knobs { alloc, ..default_knobs(&model, g) };
+            add(k.label(), Variant::ConsolidatedTuned, candidate_config(cfg, &k));
+        }
+    }
+    let runs = run_checked(points);
+    let basic = runs[0].cycles();
 
     let mut t = Table::new(
         "Figure 5: SSSP buffer allocator comparison (speedup over basic-dp)",
         vec!["granularity", "default", "halloc", "pre-alloc"],
     );
-    t.note(format!("no-dp (flat) speedup over basic-dp: {:.1}x", basic as f64 / nodp as f64));
-    for g in Granularity::ALL {
+    t.note(format!("no-dp (flat) speedup over basic-dp: {}", speedup(basic, runs[1].cycles())));
+    for (g, runs) in Granularity::ALL.iter().zip(runs[2..].chunks(allocators.len())) {
         let mut row = vec![format!("{}-level", g.label())];
-        for a in allocators {
-            let cycles = results.iter().find(|(rg, ra, _)| *rg == g && *ra == a).expect("ran").2;
-            row.push(format!("{:.1}x", basic as f64 / cycles as f64));
-        }
+        row.extend(runs.iter().map(|r| speedup(basic, r.cycles())));
         t.row(row);
     }
-    t
+    (t, faults(&runs))
 }
 
 // ----------------------------------------------------------------- Fig 6 --
 
-/// Figure 6: Tree Descendants under different nested-kernel configuration
-/// policies, per granularity and tree dataset, normalized to basic-dp.
-/// `exhaustive` runs a (blocks, threads) grid of knob points (the
-/// directive's `blocks`/`threads` clauses) and reports the best.
-pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> Table {
-    use dpcons_apps::TreeDescendants;
-    let datasets = [
-        ("dataset1", dpcons_apps::datasets::tree1(profile)),
-        ("dataset2", dpcons_apps::datasets::tree2(profile)),
-    ];
-    let policies =
-        [ConfigPolicy::Kc(1), ConfigPolicy::Kc(16), ConfigPolicy::Kc(32), ConfigPolicy::OneToOne];
-    // A coarse but representative configuration grid: block counts spanning
-    // KC_32..KC_1 and two block sizes. (The full 24-point grid of an earlier
-    // revision changed the best-found config by <3%.)
-    let exhaustive_space: Vec<(u32, u32)> = {
-        let mut s = Vec::new();
-        for b in [1u32, 13, 52] {
-            for t in [64u32, 256] {
-                s.push((b, t));
+/// The configuration policies Figure 6 compares.
+const FIG6_POLICIES: [ConfigPolicy; 4] =
+    [ConfigPolicy::Kc(1), ConfigPolicy::Kc(16), ConfigPolicy::Kc(32), ConfigPolicy::OneToOne];
+
+/// A coarse but representative (blocks, threads) grid for Figure 6's
+/// exhaustive search, each point the directive's `blocks`/`threads` clauses:
+/// block counts spanning KC_32..KC_1 and two block sizes. (The full 24-point
+/// grid of an earlier revision changed the best-found config by <3%.)
+const FIG6_GRID: [(u32, u32); 6] = [(1, 64), (1, 256), (13, 64), (13, 256), (52, 64), (52, 256)];
+
+/// One row of Figure 6: a tree dataset at one granularity, in cycles (`None`
+/// for a failed run).
+pub struct Fig6Row {
+    pub dataset: &'static str,
+    pub granularity: Granularity,
+    pub basic: Option<u64>,
+    /// The policies `KC_1`, `KC_16`, `KC_32` and 1-1 with their runs.
+    pub policies: Vec<(ConfigPolicy, Option<u64>)>,
+    /// The best oracle-exact run among the grid shapes and the policies.
+    pub exhaustive: Option<u64>,
+}
+
+/// Figure 6's numbers. Returns the rows and the failed or oracle-inexact
+/// reference runs (basic-dp and the policies; a failed or inexact grid shape
+/// is only left out of the exhaustive best).
+pub fn fig6_rows(profile: Profile, cfg: &RunConfig) -> (Vec<Fig6Row>, Vec<String>) {
+    use dpcons_apps::{datasets, TreeDescendants};
+    let trees = [("dataset1", datasets::tree1(profile)), ("dataset2", datasets::tree2(profile))];
+    let trees =
+        trees.map(|(name, tree)| (name, Subject::new(Box::new(TreeDescendants::new(tree)))));
+    let mut points = Vec::new();
+    for (name, td) in &trees {
+        let model = td.0.tune_model().expect("TD is tunable");
+        let mut add =
+            |what: String, v, cfg| points.push((format!("fig6 {name} TD {what}"), td, v, cfg));
+        add("basic-dp".into(), Variant::BasicDp, cfg.clone());
+        for g in Granularity::ALL {
+            for p in FIG6_POLICIES {
+                let what = format!("{}-level {}", g.label(), p.label());
+                add(what, Variant::Consolidated(g), RunConfig { policy: Some(p), ..cfg.clone() });
+            }
+            for shape in FIG6_GRID {
+                let k = Knobs { config: Some(shape), ..default_knobs(&model, g) };
+                add(k.label(), Variant::ConsolidatedTuned, candidate_config(cfg, &k));
             }
         }
-        s
-    };
+    }
+    let runs = run_checked(points);
 
+    let (mut rows, mut reference) = (Vec::new(), Vec::new());
+    let row_len = FIG6_POLICIES.len() + FIG6_GRID.len();
+    for ((dataset, _), runs) in trees.iter().zip(runs.chunks(1 + 3 * row_len)) {
+        reference.push(&runs[0]);
+        for (&granularity, row) in Granularity::ALL.iter().zip(runs[1..].chunks(row_len)) {
+            reference.extend(&row[..FIG6_POLICIES.len()]);
+            let policies = FIG6_POLICIES.into_iter().zip(row.iter().map(Checked::cycles));
+            let exact = row.iter().filter(|r| r.fault.is_none());
+            let (basic, exhaustive) = (runs[0].cycles(), exact.filter_map(Checked::cycles).min());
+            rows.push(Fig6Row {
+                dataset,
+                granularity,
+                basic,
+                policies: policies.collect(),
+                exhaustive,
+            });
+        }
+    }
+    (rows, faults(reference))
+}
+
+/// Figure 6: Tree Descendants under different nested-kernel configuration
+/// policies, per granularity and tree dataset, normalized to basic-dp.
+/// Returns the table and its failed or oracle-inexact reference runs.
+pub fn fig6_kernel_config(profile: Profile, cfg: &RunConfig) -> (Table, Vec<String>) {
+    let (rows, faults) = fig6_rows(profile, cfg);
     let mut headers = vec!["dataset".to_string(), "granularity".to_string()];
-    headers.extend(policies.iter().map(ConfigPolicy::label));
+    headers.extend(FIG6_POLICIES.iter().map(ConfigPolicy::label));
     headers.extend(["exhaustive".to_string(), "KC/exh".to_string()]);
     let mut t = Table::new(
         "Figure 6: TD kernel-configuration policies (speedup over basic-dp)",
         headers.iter().map(String::as_str).collect(),
     );
-    for (dname, tree) in datasets {
-        let td = TreeDescendants::new(tree.clone());
-        let basic = td.run(Variant::BasicDp, cfg).expect("basic-dp runs").report.total_cycles;
-        let td_model = td.tune_model().expect("TD is tunable");
-        for g in Granularity::ALL {
-            // Policy runs in parallel.
-            let jobs: Vec<_> = policies
-                .iter()
-                .map(|&p| {
-                    let tree = tree.clone();
-                    let cfg = RunConfig { policy: Some(p), ..cfg.clone() };
-                    move || {
-                        let out = TreeDescendants::new(tree)
-                            .run(Variant::Consolidated(g), &cfg)
-                            .unwrap_or_else(|e| panic!("fig6 {} failed: {e}", p.label()));
-                        (p, out.report.total_cycles)
-                    }
-                })
-                .collect();
-            let policy_cycles = parallel_map(jobs);
-
-            // Exhaustive search.
-            let ejobs: Vec<_> = exhaustive_space
-                .iter()
-                .map(|&(b, tt)| {
-                    let tree = tree.clone();
-                    let k = Knobs { config: Some((b, tt)), ..default_knobs(&td_model, g) };
-                    let cfg = candidate_config(cfg, &k);
-                    move || {
-                        TreeDescendants::new(tree)
-                            .run(Variant::ConsolidatedTuned, &cfg)
-                            .map(|o| o.report.total_cycles)
-                            .unwrap_or(u64::MAX)
-                    }
-                })
-                .collect();
-            let best = parallel_map(ejobs).into_iter().min().unwrap_or(u64::MAX);
-
-            let mut row = vec![dname.to_string(), format!("{}-level", g.label())];
-            for &(_, c) in &policy_cycles {
-                row.push(format!("{:.1}x", basic as f64 / c as f64));
-            }
-            row.push(format!("{:.1}x", basic as f64 / best as f64));
-            // Ratio of the paper-default policy to exhaustive best.
-            let default = ConfigPolicy::default_for(g);
-            let def = policy_cycles.iter().find(|(p, _)| *p == default).expect("ran").1;
-            row.push(format!("{:.0}%", 100.0 * best as f64 / def as f64));
-            t.row(row);
-        }
+    for r in &rows {
+        let mut row = vec![r.dataset.to_string(), format!("{}-level", r.granularity.label())];
+        row.extend(r.policies.iter().map(|&(_, c)| speedup(r.basic, c)));
+        row.push(speedup(r.basic, r.exhaustive));
+        // Ratio of the paper-default policy to exhaustive best.
+        let default = ConfigPolicy::default_for(r.granularity);
+        let def = r.policies.iter().find(|(p, _)| *p == default).and_then(|&(_, c)| c);
+        let ratio = r.exhaustive.zip(def).map(|(best, def)| 100.0 * best as f64 / def as f64);
+        row.push(ratio.map_or("-".into(), |p| format!("{p:.0}%")));
+        t.row(row);
     }
     t.note("KC/exh: performance of the paper's default policy relative to exhaustive search");
-    t
+    (t, faults)
 }
 
 // ------------------------------------------------------------- Figs 7-10 --
 
-/// Figure 7: overall speedup over basic-dp.
-pub fn fig7_overall(matrix: &[AppResults]) -> Table {
-    let mut t = Table::new(
-        "Figure 7: overall speedup over basic-dp",
-        vec!["app", "no-dp", "warp-level", "block-level", "grid-level"],
-    );
-    let mut geo: Vec<f64> = vec![1.0; 4];
+/// The consolidated variants, one per granularity.
+const CONSOLIDATED: [Variant; 3] = [
+    Variant::Consolidated(Granularity::Warp),
+    Variant::Consolidated(Granularity::Block),
+    Variant::Consolidated(Granularity::Grid),
+];
+
+/// The variants Figures 8 and 9 profile.
+const PROFILED: [Variant; 4] =
+    [Variant::BasicDp, CONSOLIDATED[0], CONSOLIDATED[1], CONSOLIDATED[2]];
+
+/// One row per app and one column per variant: the loop Figures 7-10 share.
+/// A cell `cell` cannot compute (a run failed) reads `-`.
+fn matrix_table(
+    title: &str,
+    matrix: &[AppResults],
+    variants: &[Variant],
+    cell: impl Fn(&AppResults, Variant) -> Option<String>,
+) -> Table {
+    let mut headers = vec!["app".to_string()];
+    headers.extend(variants.iter().map(|v| v.label()));
+    let mut t = Table::new(title, headers.iter().map(String::as_str).collect());
     for app in matrix {
-        let vs = [
-            Variant::Flat,
-            Variant::Consolidated(Granularity::Warp),
-            Variant::Consolidated(Granularity::Block),
-            Variant::Consolidated(Granularity::Grid),
-        ];
         let mut row = vec![app.name.to_string()];
-        for (k, v) in vs.iter().enumerate() {
-            let s = app.speedup_over_basic(*v);
-            geo[k] *= s;
-            row.push(format!("{s:.1}x"));
-        }
+        row.extend(variants.iter().map(|&v| cell(app, v).unwrap_or_else(|| "-".into())));
         t.row(row);
     }
-    let n = matrix.len() as f64;
-    t.row(vec![
-        "geo-mean".to_string(),
-        format!("{:.1}x", geo[0].powf(1.0 / n)),
-        format!("{:.1}x", geo[1].powf(1.0 / n)),
-        format!("{:.1}x", geo[2].powf(1.0 / n)),
-        format!("{:.1}x", geo[3].powf(1.0 / n)),
-    ]);
+    t
+}
+
+/// Figure 7: overall speedup over basic-dp.
+pub fn fig7_overall(matrix: &[AppResults]) -> Table {
+    let (title, variants) = ("Figure 7: overall speedup over basic-dp", &Variant::ALL[1..]);
+    let speedup = |a: &AppResults, v| a.ratio(|r| r.total_cycles, Variant::BasicDp, v);
+    let mut t =
+        matrix_table(title, matrix, variants, |a, v| Some(format!("{:.1}x", speedup(a, v)?)));
+    let mut geo = vec!["geo-mean".to_string()];
+    for &v in variants {
+        let s: Vec<f64> = matrix.iter().filter_map(|a| speedup(a, v)).collect();
+        geo.push(format!("{:.1}x", s.iter().product::<f64>().powf(1.0 / s.len() as f64)));
+    }
+    t.row(geo);
     t
 }
 
 /// Figure 8: warp execution efficiency (and child-kernel launch counts).
 pub fn fig8_warp_efficiency(matrix: &[AppResults]) -> Table {
-    let mut t = Table::new(
-        "Figure 8: warp execution efficiency (child launches)",
-        vec!["app", "basic-dp", "warp-level", "block-level", "grid-level"],
-    );
-    for app in matrix {
-        let cell = |v: Variant| {
-            let o = app.get(v);
-            format!("{:.1}% ({})", o.report.warp_exec_efficiency * 100.0, o.report.device_launches)
-        };
-        t.row(vec![
-            app.name.to_string(),
-            cell(Variant::BasicDp),
-            cell(Variant::Consolidated(Granularity::Warp)),
-            cell(Variant::Consolidated(Granularity::Block)),
-            cell(Variant::Consolidated(Granularity::Grid)),
-        ]);
-    }
-    t
+    let title = "Figure 8: warp execution efficiency (child launches)";
+    matrix_table(title, matrix, &PROFILED, |a, v| {
+        let r = a.get(v)?;
+        Some(format!("{:.1}% ({})", r.warp_exec_efficiency * 100.0, r.device_launches))
+    })
 }
 
 /// Figure 9: achieved SM occupancy.
 pub fn fig9_occupancy(matrix: &[AppResults]) -> Table {
-    let mut t = Table::new(
-        "Figure 9: achieved SM occupancy",
-        vec!["app", "basic-dp", "warp-level", "block-level", "grid-level"],
-    );
-    for app in matrix {
-        let cell = |v: Variant| format!("{:.1}%", app.get(v).report.achieved_occupancy * 100.0);
-        t.row(vec![
-            app.name.to_string(),
-            cell(Variant::BasicDp),
-            cell(Variant::Consolidated(Granularity::Warp)),
-            cell(Variant::Consolidated(Granularity::Block)),
-            cell(Variant::Consolidated(Granularity::Grid)),
-        ]);
-    }
-    t
+    matrix_table("Figure 9: achieved SM occupancy", matrix, &PROFILED, |a, v| {
+        Some(format!("{:.1}%", a.get(v)?.achieved_occupancy * 100.0))
+    })
 }
 
 /// Figure 10: DRAM transactions relative to basic-dp (lower is better).
 pub fn fig10_dram(matrix: &[AppResults]) -> Table {
-    let mut t = Table::new(
-        "Figure 10: DRAM transactions ratio over basic-dp",
-        vec!["app", "warp-level", "block-level", "grid-level"],
-    );
-    for app in matrix {
-        let basic = app.get(Variant::BasicDp).report.dram_transactions.max(1) as f64;
-        let cell = |v: Variant| {
-            format!("{:.0}%", 100.0 * app.get(v).report.dram_transactions as f64 / basic)
-        };
-        t.row(vec![
-            app.name.to_string(),
-            cell(Variant::Consolidated(Granularity::Warp)),
-            cell(Variant::Consolidated(Granularity::Block)),
-            cell(Variant::Consolidated(Granularity::Grid)),
-        ]);
-    }
-    t
+    let title = "Figure 10: DRAM transactions ratio over basic-dp";
+    matrix_table(title, matrix, &CONSOLIDATED, |a, v| {
+        Some(format!("{:.0}%", 100.0 * a.ratio(|r| r.dram_transactions, v, Variant::BasicDp)?))
+    })
 }
 
 /// Headline-claims summary (paper abstract / Section V.C): speedup ranges of
 /// consolidation over basic-dp, over flat, and the basic-dp slowdown, as
-/// measured by `matrix` at `profile`.
+/// measured by `matrix` at `profile` (over the runs that completed).
 pub fn headline_claims(profile: Profile, matrix: &[AppResults]) -> Table {
     let measured = format!("measured ({} profile)", profile_name(profile));
     let mut t = Table::new("Headline claims: measured vs paper", vec!["claim", "paper", &measured]);
-    let grids: Vec<f64> = matrix
-        .iter()
-        .map(|a| a.speedup_over_basic(Variant::Consolidated(Granularity::Grid)))
-        .collect();
-    let all_cons: Vec<f64> = matrix
-        .iter()
-        .flat_map(|a| {
-            Granularity::ALL.iter().map(move |&g| a.speedup_over_basic(Variant::Consolidated(g)))
-        })
-        .collect();
-    let flats: Vec<f64> = matrix.iter().map(|a| a.speedup_over_basic(Variant::Flat)).collect();
-    let over_flat: Vec<f64> = matrix
-        .iter()
-        .map(|a| {
-            a.get(Variant::Flat).report.total_cycles as f64
-                / a.get(Variant::Consolidated(Granularity::Grid)).report.total_cycles.max(1) as f64
-        })
-        .collect();
-    let minmax = |v: &[f64]| {
-        let mn = v.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mx = v.iter().cloned().fold(0.0f64, f64::max);
-        format!("{mn:.0}x - {mx:.0}x")
+    let (basic, flat, grid) = (Variant::BasicDp, Variant::Flat, CONSOLIDATED[2]);
+    // Over every app, the range of `field` of each pair's first variant over
+    // its second's.
+    let range = |field: Field, pairs: &[(Variant, Variant)]| {
+        let r: Vec<f64> = matrix
+            .iter()
+            .flat_map(|a| pairs.iter().filter_map(move |&(n, d)| a.ratio(field, n, d)))
+            .collect();
+        (r.iter().cloned().fold(f64::INFINITY, f64::min), r.iter().cloned().fold(0.0f64, f64::max))
     };
-    t.row(vec![
-        "consolidated speedup over basic-dp".into(),
-        "90x - 3300x".into(),
-        minmax(&all_cons),
-    ]);
-    t.row(vec!["grid-level speedup over basic-dp".into(), "up to 3300x".into(), minmax(&grids)]);
-    t.row(vec!["basic-dp slowdown vs flat".into(), "80x - 1100x".into(), minmax(&flats)]);
-    t.row(vec![
-        "grid-level speedup over flat".into(),
-        "2x - 6x (avg 3.78x)".into(),
-        minmax(&over_flat),
-    ]);
+    let consolidated = CONSOLIDATED.map(|v| (basic, v));
+    for (claim, paper, pairs) in [
+        ("consolidated speedup over basic-dp", "90x - 3300x", &consolidated[..]),
+        ("grid-level speedup over basic-dp", "up to 3300x", &[(basic, grid)]),
+        ("basic-dp slowdown vs flat", "80x - 1100x", &[(basic, flat)]),
+        ("grid-level speedup over flat", "2x - 6x (avg 3.78x)", &[(flat, grid)]),
+    ] {
+        let (mn, mx) = range(|r| r.total_cycles, pairs);
+        t.row(vec![claim.into(), paper.into(), format!("{mn:.0}x - {mx:.0}x")]);
+    }
     // Launch-count reduction range (Fig. 8 annotation: 0.07% - 14.48%).
-    let reductions: Vec<f64> = matrix
-        .iter()
-        .flat_map(|a| {
-            let basic = a.get(Variant::BasicDp).report.device_launches.max(1) as f64;
-            Granularity::ALL.iter().map(move |&g| {
-                100.0 * a.get(Variant::Consolidated(g)).report.device_launches as f64 / basic
-            })
-        })
-        .collect();
-    let mn = reductions.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mx = reductions.iter().cloned().fold(0.0f64, f64::max);
-    t.row(vec![
-        "child launches vs basic-dp".into(),
-        "0.07% - 14.48%".into(),
-        format!("{mn:.2}% - {mx:.2}%"),
-    ]);
+    let (mn, mx) = range(|r| r.device_launches, &CONSOLIDATED.map(|v| (v, basic)));
+    let measured = format!("{:.2}% - {:.2}%", 100.0 * mn, 100.0 * mx);
+    t.row(vec!["child launches vs basic-dp".into(), "0.07% - 14.48%".into(), measured]);
     t
 }
 
 // -------------------------------------------------------------- Ablation --
 
+/// One ablation: `app` run under each `(label, config)` point, one row per
+/// point of the swept value, its cycles and `field` of its report, or `-`
+/// for a failed run. Returns the table and its failed or inexact runs.
+fn ablation(
+    title: &str,
+    headers: [&str; 3],
+    app: &Subject,
+    variant: Variant,
+    points: &[(String, RunConfig)],
+    field: Field,
+) -> (Table, Vec<String>) {
+    let name =
+        |value| format!("ablation {} {} {}={value}", app.0.name(), variant.label(), headers[0]);
+    let runs =
+        run_checked(points.iter().map(|(v, cfg)| (name(v), app, variant, cfg.clone())).collect());
+    let mut t = Table::new(title, headers.to_vec());
+    for ((value, _), run) in points.iter().zip(&runs) {
+        let report = run.outcome.as_ref().map(|o| &o.report);
+        let cell = |f: Field| report.map_or("-".into(), |r| f(r).to_string());
+        t.row(vec![value.clone(), cell(|r| r.total_cycles), cell(field)]);
+    }
+    (t, faults(&runs))
+}
+
 /// Ablation (beyond the paper): fixed pending-pool capacity sweep on
 /// PageRank basic-dp — the `cudaDeviceSetLimit` effect of Section III.B.
-pub fn ablation_pool_capacity(profile: Profile, cfg: &RunConfig) -> Table {
-    use dpcons_apps::PageRank;
-    let caps = [64u32, 256, 1024, 2048, 8192];
-    let jobs: Vec<_> = caps
-        .iter()
-        .map(|&c| {
-            let mut cfg = cfg.clone();
-            cfg.gpu.fixed_pool_capacity = c;
-            move || {
-                let g = dpcons_apps::datasets::citeseer(profile);
-                let out = PageRank::new(g, 3).run(Variant::BasicDp, &cfg).expect("basic-dp runs");
-                (c, out.report.total_cycles, out.report.virtual_pool_kernels)
-            }
-        })
-        .collect();
-    let mut t = Table::new(
-        "Ablation: fixed pending-pool capacity (PageRank basic-dp)",
-        vec!["capacity", "cycles", "virtual-pool kernels"],
-    );
-    for (c, cyc, vp) in parallel_map(jobs) {
-        t.row(vec![c.to_string(), cyc.to_string(), vp.to_string()]);
-    }
-    t
+pub fn ablation_pool_capacity(profile: Profile, cfg: &RunConfig) -> (Table, Vec<String>) {
+    let pagerank = dpcons_apps::PageRank::new(dpcons_apps::datasets::citeseer(profile), 3);
+    let points = [64u32, 256, 1024, 2048, 8192].map(|c| {
+        let mut cfg = cfg.clone();
+        cfg.gpu.fixed_pool_capacity = c;
+        (c.to_string(), cfg)
+    });
+    let title = "Ablation: fixed pending-pool capacity (PageRank basic-dp)";
+    let headers = ["capacity", "cycles", "virtual-pool kernels"];
+    let app = Subject::new(Box::new(pagerank));
+    ablation(title, headers, &app, Variant::BasicDp, &points, |r| r.virtual_pool_kernels)
 }
 
 /// Ablation (beyond the paper): delegation-threshold sweep on SSSP
 /// grid-level consolidation.
-pub fn ablation_threshold(profile: Profile, cfg: &RunConfig) -> Table {
-    let thresholds = [4i64, 16, 32, 64, 256];
-    let jobs: Vec<_> = thresholds
-        .iter()
-        .map(|&thr| {
-            let cfg = RunConfig { threshold: thr, ..cfg.clone() };
-            move || {
-                let out = build("SSSP", profile)
-                    .run(Variant::Consolidated(Granularity::Grid), &cfg)
-                    .expect("runs");
-                (thr, out.report.total_cycles, out.report.device_launches)
-            }
-        })
-        .collect();
-    let mut t = Table::new(
-        "Ablation: delegation threshold (SSSP grid-level)",
-        vec!["threshold", "cycles", "child launches"],
-    );
-    for (thr, cyc, dl) in parallel_map(jobs) {
-        t.row(vec![thr.to_string(), cyc.to_string(), dl.to_string()]);
-    }
-    t
+pub fn ablation_threshold(profile: Profile, cfg: &RunConfig) -> (Table, Vec<String>) {
+    let points = [4i64, 16, 32, 64, 256]
+        .map(|thr| (thr.to_string(), RunConfig { threshold: thr, ..cfg.clone() }));
+    let title = "Ablation: delegation threshold (SSSP grid-level)";
+    let headers = ["threshold", "cycles", "child launches"];
+    let sssp = Subject::new(benchmark_by_name("SSSP", profile).expect("SSSP is registered"));
+    ablation(title, headers, &sssp, CONSOLIDATED[2], &points, |r| r.device_launches)
 }
 
 // ------------------------------------------------------------- Autotune --
@@ -454,28 +443,17 @@ pub fn ablation_threshold(profile: Profile, cfg: &RunConfig) -> Table {
 pub fn tune_all(
     profile: Profile,
     cfg: &RunConfig,
-    cache_dir: Option<PathBuf>,
+    cache: Option<PathBuf>,
 ) -> Vec<(String, TuneReport)> {
-    let apps = all_benchmarks(profile);
-    apps.iter()
-        .map(|app| {
-            let opts = TuneOptions {
-                base: cfg.clone(),
-                space: KnobSpace::quick(cfg.gpu.num_sms),
-                budget: Budget { max_evals: Some(48), ..Budget::default() },
-                with_baselines: true,
-                cache: Some(Cache::new(cache_dir.clone())),
-            };
-            let report = tune(app.as_ref(), &opts).expect("the seven apps expose tune models");
-            (app.name().to_string(), report)
-        })
-        .collect()
-}
-
-/// Total faulted candidates (panicked, timed out, or failed) across a set of
-/// sweeps.
-pub fn fault_count(sweeps: &[(String, TuneReport)]) -> usize {
-    sweeps.iter().map(|(_, r)| r.fault_count()).sum()
+    let opts = TuneOptions {
+        base: cfg.clone(),
+        space: KnobSpace::quick(cfg.gpu.num_sms),
+        budget: Budget { max_evals: Some(48), ..Budget::default() },
+        with_baselines: false,
+        cache: Some(Cache::new(cache)),
+    };
+    let sweep = |app: &dyn Benchmark| tune(app, &opts).expect("the seven apps expose tune models");
+    all_benchmarks(profile).iter().map(|app| (app.name().to_string(), sweep(&**app))).collect()
 }
 
 /// One human-readable line per faulted candidate across a set of sweeps,
@@ -516,20 +494,14 @@ pub fn tuned_table(matrix: &[AppResults], tuned: &[(String, TuneReport)]) -> Tab
     for (name, report) in tuned {
         let app = matrix.iter().find(|a| a.name == name).expect("matrix covers all apps");
         let best = report.best_cycles();
-        let grid = app.get(Variant::Consolidated(Granularity::Grid)).report.total_cycles;
-        let best_default = Granularity::ALL
-            .iter()
-            .map(|&g| app.get(Variant::Consolidated(g)).report.total_cycles)
-            .min()
-            .expect("three granularities");
-        let (cycles_s, vs_grid, vs_best) = match best {
-            Some(c) => (
-                c.to_string(),
-                format!("{:.2}x", grid as f64 / c as f64),
-                format!("{:.2}x", best_default as f64 / c as f64),
-            ),
-            None => ("-".into(), "-".into(), "-".into()),
+        let grid = app.cycles(Variant::Consolidated(Granularity::Grid));
+        let best_default = CONSOLIDATED.iter().filter_map(|&v| app.cycles(v)).min();
+        let ratio = |default: Option<u64>| match (default, best) {
+            (Some(d), Some(c)) => format!("{:.2}x", d as f64 / c as f64),
+            _ => "-".into(),
         };
+        let cycles_s = best.map_or_else(|| "-".into(), |c| c.to_string());
+        let (vs_grid, vs_best) = (ratio(grid), ratio(best_default));
         t.row(vec![
             name.clone(),
             report.best_knobs().map(|k| k.label()).unwrap_or_else(|| "-".into()),
@@ -551,28 +523,25 @@ pub fn tuned_table(matrix: &[AppResults], tuned: &[(String, TuneReport)]) -> Tab
 /// surviving candidate is captured functionally **once** (on `fleet[0]`) and
 /// re-timed on every fleet device, so the (knobs × device) matrix costs one
 /// functional run per row. Results are cached per (app, dataset, config,
-/// space, budget, fleet) under `cache_dir`.
+/// space, budget, fleet) under `cache`.
 pub fn fleet_all(
     profile: Profile,
     cfg: &RunConfig,
     fleet: &[GpuConfig],
-    cache_dir: Option<PathBuf>,
+    cache: Option<PathBuf>,
 ) -> Vec<(String, FleetReport)> {
-    let apps = all_benchmarks(profile);
-    apps.iter()
-        .map(|app| {
-            let opts = FleetOptions {
-                base: cfg.clone(),
-                space: KnobSpace::quick(fleet[0].num_sms),
-                budget: Budget { max_evals: Some(24), ..Budget::default() },
-                fleet: fleet.to_vec(),
-                cache: Some(Cache::new(cache_dir.clone())),
-            };
-            let report = fleet_sweep(app.as_ref(), &opts)
-                .unwrap_or_else(|e| panic!("fleet sweep for {} failed: {e}", app.name()));
-            (app.name().to_string(), report)
-        })
-        .collect()
+    let opts = FleetOptions {
+        base: cfg.clone(),
+        space: KnobSpace::quick(fleet[0].num_sms),
+        budget: Budget { max_evals: Some(24), ..Budget::default() },
+        fleet: fleet.to_vec(),
+        cache: Some(Cache::new(cache)),
+    };
+    let sweep = |app: &dyn Benchmark| {
+        fleet_sweep(app, &opts)
+            .unwrap_or_else(|e| panic!("fleet sweep for {} failed: {e}", app.name()))
+    };
+    all_benchmarks(profile).iter().map(|app| (app.name().to_string(), sweep(&**app))).collect()
 }
 
 /// Per-device winners of the fleet sweep, one row per app.
@@ -686,18 +655,15 @@ pub fn reproduce_json(
         .map(|app| {
             let mut cycles: BTreeMap<String, Value> = Variant::ALL
                 .iter()
-                .map(|v| (v.label(), num(app.get(*v).report.total_cycles)))
+                .map(|&v| (v.label(), app.cycles(v).map_or(Value::Null, num)))
                 .collect();
             let mut fields = BTreeMap::from([("name".to_string(), Value::Str(app.name.into()))]);
             let tuned_report =
                 tuned.and_then(|t| t.iter().find(|(n, _)| n == app.name)).map(|(_, r)| r);
             if let Some(r) = tuned_report {
                 cycles.insert("tuned".into(), r.best_cycles().map_or(Value::Null, num));
-                let best_default = Granularity::ALL
-                    .iter()
-                    .map(|&g| app.get(Variant::Consolidated(g)).report.total_cycles)
-                    .min()
-                    .unwrap_or(0);
+                let best_default =
+                    CONSOLIDATED.iter().filter_map(|&v| app.cycles(v)).min().unwrap_or(0);
                 let speedup = match r.best_cycles() {
                     Some(c) if c > 0 => Value::Num(best_default as f64 / c as f64),
                     _ => Value::Null,
@@ -732,7 +698,8 @@ mod tests {
     #[test]
     fn reproduce_json_has_all_variants_per_app() {
         let cfg = RunConfig::default();
-        let matrix = overall_matrix(Profile::Test, &cfg);
+        let (matrix, faults) = overall_matrix(Profile::Test, &cfg);
+        assert!(faults.is_empty(), "every test-profile variant matches its oracle: {faults:?}");
         let j = reproduce_json(Profile::Test, &cfg, &matrix, None);
         let text = j.render_pretty();
         for app in ["SSSP", "SpMV", "PageRank"] {
@@ -744,5 +711,23 @@ mod tests {
         assert!(text.contains("dpcons-bench-reproduce-v2"));
         let headline = headline_claims(Profile::Test, &matrix).render();
         assert!(headline.contains("measured (test profile)"), "{headline}");
+    }
+
+    #[test]
+    fn checked_runs_name_failed_and_inexact_points_and_keep_their_cells() {
+        let sssp = || benchmark_by_name("SSSP", Profile::Test).unwrap();
+        let (sssp, wrong_oracle) = (Subject::new(sssp()), Subject(sssp(), vec![-1]));
+        let cfg = RunConfig::default();
+        let runs = run_checked(vec![
+            ("exact".into(), &sssp, Variant::Flat, cfg.clone()),
+            ("inexact".into(), &wrong_oracle, Variant::Flat, cfg.clone()),
+            // `ConsolidatedTuned` without a knob point is a driver error.
+            ("failed".into(), &sssp, Variant::ConsolidatedTuned, cfg),
+        ]);
+        assert_eq!((&runs[0].fault, runs[0].cycles()), (&None, runs[1].cycles()));
+        let lines = faults(&runs);
+        assert!(lines[0].starts_with("inexact: output mismatch: [0] got "), "{lines:?}");
+        assert!(lines[1].starts_with("failed: failed: driver: "), "{lines:?}");
+        assert_eq!((lines.len(), runs[2].cycles()), (2, None));
     }
 }

@@ -77,7 +77,6 @@ pub struct TransformInfo {
     pub buffered_positions: Vec<usize>,
     /// Launch-argument positions passed through to the consolidated child.
     pub passthrough_positions: Vec<usize>,
-    pub child_class: ChildClass,
     /// The consolidated kernel's launch shape; a recursive entry's host
     /// launch is this shape at its one seeded item.
     pub shape: LaunchShape,
@@ -340,7 +339,6 @@ impl<'a> Ctx<'a> {
             postwork,
             buffered_positions: self.launch().buffered.clone(),
             passthrough_positions: self.launch().passthrough.clone(),
-            child_class: self.launch().class,
             shape: self.shape,
             grid_extras: (self.directive.granularity == Granularity::Grid).then(|| GridExtras {
                 levels: if recursive { GRID_LEVELS + 1 } else { 1 },

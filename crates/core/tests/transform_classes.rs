@@ -6,7 +6,8 @@
 use std::collections::HashMap;
 
 use dpcons_core::{
-    consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive, Granularity,
+    analyze, consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive,
+    Granularity,
 };
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install_with_engine, ExecEngine, Module};
@@ -60,7 +61,7 @@ fn run_consolidated(
         assert!(dirty == clean, "{pragma}: stale pool is observable");
     }
     let (out, r) = clean;
-    (out, r, cons.info.child_class)
+    (out, r, analyze(module, parent, &dir).unwrap().launch.class)
 }
 
 fn run_basic(

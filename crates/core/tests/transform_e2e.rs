@@ -7,7 +7,8 @@
 use std::collections::HashMap;
 
 use dpcons_core::{
-    consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive, Granularity,
+    analyze, consolidate, prepare_launch, reset_launch, ChildClass, ConfigPolicy, Directive,
+    Granularity,
 };
 use dpcons_ir::dsl::*;
 use dpcons_ir::{install, install_with_engine, ExecEngine, Module};
@@ -161,7 +162,10 @@ fn run_scatter_pragma(
     let dir = Directive::parse(pragma).unwrap();
     let cons =
         consolidate(&scatter_module(), "expand_parent", &dir, &GpuConfig::k20c(), policy).unwrap();
-    assert_eq!(cons.info.child_class, ChildClass::SoloBlock);
+    assert_eq!(
+        analyze(&scatter_module(), "expand_parent", &dir).unwrap().launch.class,
+        ChildClass::SoloBlock
+    );
 
     on_both_executors(pragma, |exec| {
         let mut e = engine();

@@ -245,12 +245,15 @@ pub fn histogram(name: &str) -> &'static Histogram {
 pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
-    /// count, sum, max, mean.
+    /// count, sum, max, mean, and the upper bounds of the buckets holding
+    /// the median and the 99th percentile.
     Histogram {
         count: u64,
         sum: u64,
         max: u64,
         mean: f64,
+        p50: u64,
+        p99: u64,
     },
 }
 
@@ -275,6 +278,8 @@ pub fn snapshot_metrics() -> Vec<MetricSnapshot> {
                     sum: h.sum(),
                     max: h.max(),
                     mean: h.mean(),
+                    p50: h.quantile_upper_bound(0.5),
+                    p99: h.quantile_upper_bound(0.99),
                 },
             },
         })
@@ -303,8 +308,8 @@ pub fn render_metrics_table() -> String {
         let v = match &s.value {
             MetricValue::Counter(c) => format!("{c}"),
             MetricValue::Gauge(g) => format!("{g}"),
-            MetricValue::Histogram { count, sum, max, mean } => {
-                format!("count={count} sum={sum} max={max} mean={mean:.1}")
+            MetricValue::Histogram { count, sum, max, mean, p50, p99 } => {
+                format!("count={count} sum={sum} max={max} mean={mean:.1} p50<={p50} p99<={p99}")
             }
         };
         out.push_str(&format!("{:<width$}  {v}\n", s.name));
@@ -390,7 +395,13 @@ mod tests {
     #[test]
     fn table_renders_every_metric() {
         counter("test.metrics.table").add(7);
+        let h = histogram("test.metrics.table_hist");
+        for v in 1..=100 {
+            h.record(v);
+        }
         let t = render_metrics_table();
         assert!(t.contains("test.metrics.table"));
+        // 50 samples are at most 63 and 99 at most 127: the bucket bounds.
+        assert!(t.contains("max=100 mean=50.5 p50<=63 p99<=127"), "{t}");
     }
 }

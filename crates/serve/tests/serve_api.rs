@@ -188,6 +188,9 @@ fn jobs_stream_progress_and_feed_metrics() {
     ] {
         assert!(metrics.contains(needle), "/metrics missing {needle}:\n{metrics}");
     }
+    // Histograms show their distribution, not only count/sum/max/mean.
+    let request_us = metrics.lines().find(|l| l.starts_with("serve.request_us ")).unwrap();
+    assert!(request_us.contains(" p50<=") && request_us.contains(" p99<="), "{request_us}");
 
     handle.shutdown().expect("clean drain");
 }

@@ -244,13 +244,6 @@ impl DeviceHeap {
     }
 }
 
-/// The paper's per-buffer size prediction for the customized allocator
-/// (Section IV.E): `totalThread * totalBuffVar * const`, where `const`
-/// (default 4) estimates work items per thread.
-pub fn predicted_buffer_words(total_threads: u64, total_buff_vars: u64, work_const: u64) -> u64 {
-    total_threads.max(1) * total_buff_vars.max(1) * work_const.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,15 +338,6 @@ mod tests {
             totals.push(h.stats.alloc_cycles);
         }
         assert!(totals[0] > totals[1] && totals[1] > totals[2]);
-    }
-
-    #[test]
-    fn predicted_buffer_size_formula() {
-        // totalThread * totalBuffVar * const with default const = 4.
-        assert_eq!(predicted_buffer_words(256, 1, 4), 1024);
-        assert_eq!(predicted_buffer_words(32, 2, 4), 256);
-        // Degenerate inputs are clamped to at least 1.
-        assert_eq!(predicted_buffer_words(0, 0, 0), 1);
     }
 }
 

@@ -158,12 +158,6 @@ impl Cache {
         Cache { dir, disk_disabled: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// A disk-backed cache in the platform temp directory (shared across
-    /// processes on the same machine).
-    pub fn in_temp_dir() -> Cache {
-        Cache::new(Some(std::env::temp_dir().join("dpcons-tune-cache")))
-    }
-
     fn path_for(dir: &Path, key: u64) -> PathBuf {
         dir.join(format!("{key:016x}.tune"))
     }

@@ -41,9 +41,10 @@
 //!    ([`cache_key_for`]), so repeated sweeps are O(1) and byte-identical.
 //!
 //! End-to-end integration: `dpcons_apps::Variant::ConsolidatedTuned` runs a
-//! benchmark under tuned knobs ([`run_tuned`] searches then launches),
-//! `reproduce tune` sweeps all seven apps and reports tuned-vs-default
-//! speedups, and `examples/autotune.rs` demonstrates the flow.
+//! benchmark under a knob point ([`candidate_config`] sets it on a
+//! `RunConfig`), `reproduce tune` sweeps all seven apps and reports
+//! tuned-vs-default speedups, and `examples/autotune.rs` searches, then
+//! launches the winner.
 //!
 //! [`fleet`] holds the multi-device entry point — it only adds the check
 //! that every device can replay a capture from the first. `reproduce fleet`
@@ -80,6 +81,6 @@ pub use replay::{merge_reports, replay_timing_many};
 pub use report::{CandidateOutcome, FleetReport, Metrics, Status, TuneReport};
 pub use tuner::{
     cache_key_for, candidate_config, default_knobs, enumerate_candidates, evaluate_candidate,
-    fingerprint, materialize_directive, prune_reason, run_tuned, tune, Budget, TuneError,
-    TuneOptions, WaveHook, WaveProgress, WAVE_SIZE,
+    fingerprint, materialize_directive, prune_reason, tune, Budget, TuneError, TuneOptions,
+    WaveHook, WaveProgress, WAVE_SIZE,
 };

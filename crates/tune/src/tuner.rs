@@ -132,14 +132,8 @@ pub enum TuneError {
     NotTunable { app: String },
     /// The knob space enumerates to nothing.
     EmptySpace,
-    /// Every candidate failed or corrupted its output.
-    NoFeasibleCandidate { app: String },
     /// The budget is structurally unusable (e.g. `max_evals == Some(0)`).
     InvalidBudget { reason: &'static str },
-    /// Re-running the sweep winner failed — only possible when the
-    /// environment changed between the sweep and the rerun, or the
-    /// benchmark's runs are not deterministic.
-    WinnerFailed { app: String, error: String },
 }
 
 impl std::fmt::Display for TuneError {
@@ -149,13 +143,7 @@ impl std::fmt::Display for TuneError {
                 write!(f, "benchmark `{app}` exposes no tuning model")
             }
             TuneError::EmptySpace => write!(f, "the knob space is empty"),
-            TuneError::NoFeasibleCandidate { app } => {
-                write!(f, "no feasible directive candidate found for `{app}`")
-            }
             TuneError::InvalidBudget { reason } => write!(f, "invalid search budget: {reason}"),
-            TuneError::WinnerFailed { app, error } => {
-                write!(f, "re-running the sweep winner for `{app}` failed: {error}")
-            }
         }
     }
 }
@@ -558,27 +546,6 @@ pub(crate) fn sweep(
         cache.put(key, &report);
     }
     Ok(report)
-}
-
-/// Tune, then run the app once under the winning knobs, returning the tuned
-/// outcome alongside the report. This is the `Variant::ConsolidatedTuned`
-/// end-to-end path: search first, launch with the winner.
-pub fn run_tuned(
-    app: &dyn Benchmark,
-    opts: &TuneOptions,
-) -> Result<(TuneReport, dpcons_apps::AppOutcome), TuneError> {
-    let report = tune(app, opts)?;
-    let knobs = report
-        .best_knobs()
-        .ok_or_else(|| TuneError::NoFeasibleCandidate { app: app.name().to_string() })?;
-    let cfg = candidate_config(&opts.base, &knobs);
-    // The winner evaluated successfully during the sweep, so this rerun can
-    // only fail if the environment changed in between.
-    let out = app.run(Variant::ConsolidatedTuned, &cfg).map_err(|e| TuneError::WinnerFailed {
-        app: app.name().to_string(),
-        error: e.to_string(),
-    })?;
-    Ok((report, out))
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@
 //! Running the example twice demonstrates the deterministic results cache:
 //! the second sweep is a hit and reproduces the identical report.
 
-use dpcons::apps::{datasets, Benchmark, Profile, RunConfig, Sssp};
+use dpcons::apps::{datasets, Benchmark, Profile, RunConfig, Sssp, Variant};
 use dpcons::compiler::KnobSpace;
 use dpcons::tune::{
-    default_knobs, materialize_directive, run_tuned, tune, Budget, Cache, Status, TuneOptions,
+    candidate_config, default_knobs, materialize_directive, tune, Budget, Cache, Status,
+    TuneOptions,
 };
 
 fn main() {
@@ -25,13 +26,17 @@ fn main() {
         space: KnobSpace::quick(cfg.gpu.num_sms),
         budget: Budget { max_evals: Some(32), ..Budget::default() },
         with_baselines: true,
-        cache: Some(Cache::in_temp_dir()),
+        cache: Some(Cache::new(Some(std::env::temp_dir().join("dpcons-tune-cache")))),
     };
 
     // -----------------------------------------------------------------
     // 1. Search the knob space and launch under the winner.
     // -----------------------------------------------------------------
-    let (report, tuned_run) = run_tuned(&app, &opts).expect("SSSP is tunable");
+    let report = tune(&app, &opts).expect("SSSP is tunable");
+    let best = report.best_knobs().expect("a winner exists");
+    let tuned_run = app
+        .run(Variant::ConsolidatedTuned, &candidate_config(&cfg, &best))
+        .expect("the winner ran in the sweep");
     println!(
         "# Autotuning {} on {} — {} candidates ({} evaluated, {} faulted, {} skipped, {} collapsed)\n",
         report.app,
@@ -67,7 +72,6 @@ fn main() {
     // 3. The winning directive as pragma text, vs the hand-written default.
     // -----------------------------------------------------------------
     let model = app.tune_model().expect("SSSP exposes a tune model");
-    let best = report.best_knobs().expect("a winner exists");
     println!("\nwinning pragma:  {}", materialize_directive(&model, &best).to_pragma());
     let best_cycles = report.best_cycles().expect("winner has metrics");
     for g in dpcons::compiler::Granularity::ALL {
