@@ -416,6 +416,32 @@ fn grid_recursion_launches_once_per_level() {
     assert_eq!(r.device_launches, 2, "levels below the seeded level");
 }
 
+/// The VM's idle-block guard recognises the item-fetch loop this compiler
+/// emits for an irregular loop's child at every granularity, and never a
+/// recursive template (its idle blocks allocate or run a barrier).
+#[test]
+fn irregular_loop_children_are_guarded_and_recursive_templates_are_not() {
+    let guarded = |module: &Module, parent: &str, pragma: &str, kernel: &str| {
+        let dir = Directive::parse(pragma).unwrap();
+        let cons = consolidate(module, parent, &dir, &GpuConfig::k20c(), None).unwrap();
+        let cm = dpcons_ir::compile_module(&cons.module).unwrap();
+        dpcons_ir::lower_module(&cm)[cm.by_name[kernel]].has_idle_guard()
+    };
+    for g in Granularity::ALL {
+        let pragma =
+            format!("dp consldt({}) buffer(custom, perBufferSize: 256) work(id)", g.label());
+        assert!(
+            guarded(&scatter_module(), "expand_parent", &pragma, "expand_child__cons"),
+            "{pragma}"
+        );
+        let pragma = format!(
+            "dp consldt({}) buffer(custom, perBufferSize: 64, totalSize: 4096) work(c)",
+            g.label()
+        );
+        assert!(!guarded(&rec_module(), "treedesc", &pragma, "treedesc__cons"), "{pragma}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Generated-source goldens.
 // ---------------------------------------------------------------------

@@ -53,6 +53,17 @@
 //! live in thread-local scratch reused across blocks, so the capture hot
 //! loop stops churning the allocator.
 //!
+//! Lowering also looks for the consolidated child's item-fetch loop
+//! (`guard.rs`): a block-invariant prefix, the item slot set from
+//! `blockIdx.x` or the global thread id, and a final `while (item < bound)`.
+//! For such a kernel the engine runs a launch's first idle block (first item
+//! at or past the bound) here and reuses its `BlockResult` and fuel for the
+//! launch's later idle blocks. That is exact: an idle block writes nothing,
+//! so every later block sees the same memory, is idle too and would run the
+//! same prefix to the same result. Kernels of any other shape, the
+//! recursive templates among them (they allocate and zero the next level's
+//! buffer before the loop), run every block, and so does the tree walker.
+//!
 //! Equivalence with the tree walker in [`crate::interp`] is a hard contract:
 //! both executors share the scalar semantics (`scalar_binop`, `launch_dim`,
 //! `resolve_addr`, `charge_group_from_addrs`) and the block assembly
@@ -67,6 +78,7 @@ use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError, WAR
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, UnOp};
 use crate::compile::{CExpr, CKernel, CModule, CStmt};
+use crate::guard::{self, FetchGuard};
 use crate::interp::{
     assemble_block, charge_group_from_addrs, launch_dim, resolve_addr, scalar_binop,
     scalar_binop_total, Boundary, Chunk, Lanes, LANES, MAX_WARP_ITERATIONS, WARP_ITER_LIMIT_MSG,
@@ -180,12 +192,20 @@ pub struct ByteKernel {
     pub(crate) n_regs: u16,
     /// Mask-slot array size: peak static nesting depth.
     pub(crate) n_masks: u16,
+    /// The item-fetch loop's idle-block test, when the body has that shape.
+    pub(crate) guard: Option<FetchGuard>,
 }
 
 impl ByteKernel {
     /// Number of lowered instructions (introspection for tests/tools).
     pub fn op_count(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Does the VM skip this kernel's repeated idle blocks (its body is the
+    /// item-fetch loop of a consolidated child)?
+    pub fn has_idle_guard(&self) -> bool {
+        self.guard.is_some()
     }
 }
 
@@ -214,7 +234,13 @@ pub fn lower_kernel(k: &CKernel) -> ByteKernel {
     let checks = lw.lower_list(&k.body);
     let end = lw.pc();
     lw.patch_checks(checks, end);
-    ByteKernel { ops: lw.ops, n_slots: k.n_slots, n_regs: lw.max_tp, n_masks: lw.max_masks }
+    ByteKernel {
+        ops: lw.ops,
+        n_slots: k.n_slots,
+        n_regs: lw.max_tp,
+        n_masks: lw.max_masks,
+        guard: guard::analyze(k),
+    }
 }
 
 /// Can executing these statements set the warp's `returned` mask? Lists where

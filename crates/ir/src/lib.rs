@@ -19,6 +19,7 @@ pub mod ast;
 pub mod bytecode;
 pub mod compile;
 pub mod dsl;
+mod guard;
 pub mod interp;
 pub mod printer;
 

@@ -201,6 +201,17 @@ impl Engine {
 
     // ---------------------------------------------------------- Phase A ----
 
+    /// Run the launch DAG breadth-first, each launch's blocks in order, and
+    /// capture one [`ExecRecord`] per kernel execution.
+    ///
+    /// A kernel body with an [`crate::IdleGuard`] (asked once per launch;
+    /// the IR's VM has one for the item-fetch loop of a consolidated child)
+    /// names the blocks that only fail their guard. The first such block of
+    /// a launch runs as usual and its result and fuel are kept; each later
+    /// one spends that fuel and records a clone. That is exact by the
+    /// guard's contract: an idle block writes nothing, and running it would
+    /// record what the first idle block recorded. A body without a guard,
+    /// like the tree walker, runs every block.
     fn functional_phase(&mut self, root: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
         self.validate_spec(&root, 0)?;
         let mut queue: VecDeque<(LaunchSpec, u32, Option<(usize, u32, usize)>)> = VecDeque::new();
@@ -218,7 +229,12 @@ impl Engine {
             functional_execs_counter().inc();
             let rec_id = records.len();
             let body = Arc::clone(&self.kernels[spec.kernel]);
-            let mut blocks = Vec::with_capacity(spec.grid as usize);
+            let guard = body.idle_guard();
+            // The launch's first idle block (an index into `blocks`) and the
+            // fuel it spent.
+            let mut idle: Option<(usize, u64)> = None;
+            let mut reused = 0u64;
+            let mut blocks: Vec<BlockResult> = Vec::with_capacity(spec.grid as usize);
             for b in 0..spec.grid {
                 self.fuel.spend(1)?;
                 touched.clear();
@@ -234,7 +250,19 @@ impl Engine {
                     touched_segments: &mut touched,
                     fuel: &mut self.fuel,
                 };
+                let is_idle = guard.is_some_and(|g| g.is_idle(&ctx));
+                if let (true, Some((first, fuel))) = (is_idle, idle) {
+                    ctx.fuel.spend(fuel)?;
+                    blocks.push(blocks[first].clone());
+                    reused += 1;
+                    continue;
+                }
+                let fuel_before = ctx.fuel.remaining();
                 let result = body.run_block(&mut ctx)?;
+                if is_idle {
+                    let spent = fuel_before.zip(ctx.fuel.remaining()).map_or(0, |(a, b)| a - b);
+                    idle = Some((blocks.len(), spent));
+                }
                 for (s, seg) in result.segments.iter().enumerate() {
                     for child in &seg.launches {
                         self.validate_spec(child, depth + 1)?;
@@ -244,6 +272,9 @@ impl Engine {
                     }
                 }
                 blocks.push(result);
+            }
+            if let (Some(g), 1..) = (guard, reused) {
+                g.reused(reused);
             }
             records.push(ExecRecord {
                 regs_per_thread: body.regs_per_thread(),
