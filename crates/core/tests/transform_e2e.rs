@@ -442,6 +442,39 @@ fn irregular_loop_children_are_guarded_and_recursive_templates_are_not() {
     }
 }
 
+/// The VM's empty-warp rule covers the consolidated children of the four
+/// graph apps (a block-stride fetch loop around one `threadIdx.x` loop) at
+/// every granularity, and no recursive template.
+#[test]
+fn graph_app_children_get_the_empty_warp_rule_and_recursive_templates_do_not() {
+    use dpcons_apps::{BfsRec, GraphColoring, PageRank, Spmv, Sssp, TreeDescendants, TreeHeights};
+    let rule = |module: Module, parent: &str, dir: Directive, kernel: &str| {
+        let cons = consolidate(&module, parent, &dir, &GpuConfig::k20c(), None).unwrap();
+        let cm = dpcons_ir::compile_module(&cons.module).unwrap();
+        dpcons_ir::lower_module(&cm)[cm.by_name[kernel]].has_empty_warp_rule()
+    };
+    for g in Granularity::ALL {
+        let graph_apps = [
+            (Sssp::module_dp(), "sssp_parent", Sssp::directive(g), "sssp_child__cons"),
+            (Spmv::module_dp(), "spmv_parent", Spmv::directive(g), "spmv_child__cons"),
+            (PageRank::module_dp(), "pr_push", PageRank::directive(g), "pr_child__cons"),
+            (GraphColoring::module_dp(), "gc_scan", GraphColoring::directive(g), "gc_child__cons"),
+        ];
+        for (module, parent, dir, kernel) in graph_apps {
+            assert!(rule(module, parent, dir, kernel), "{kernel} at {g:?}");
+        }
+        let recursive = [
+            (BfsRec::module_dp(), "bfs_rec", BfsRec::directive(g)),
+            (TreeHeights::module_dp(), "th_rec", TreeHeights::directive(g)),
+            (TreeDescendants::module_dp(), "td_rec", TreeDescendants::directive(g)),
+        ];
+        for (module, kernel, dir) in recursive {
+            let cons = format!("{kernel}__cons");
+            assert!(!rule(module, kernel, dir, &cons), "{cons} at {g:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Generated-source goldens.
 // ---------------------------------------------------------------------

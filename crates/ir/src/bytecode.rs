@@ -64,6 +64,16 @@
 //! recursive templates among them (they allocate and zero the next level's
 //! buffer before the loop), run every block, and so does the tree walker.
 //!
+//! Inside a block, lowering also looks for a solo-block item loop
+//! (`guard.rs`): around one `for (j = threadIdx.x; j < bound; ...)`, only
+//! warp-uniform assignments and `__syncthreads`. Its `ForCond` is the only
+//! op that writes its iteration-mask slot, and only when a lane enters, so
+//! `run_block_with` zeroes that slot before each warp and reads it after:
+//! the first warp that left it 0 and recorded no new DRAM transaction is
+//! an empty warp, and every later warp with as many lanes copies its chunk
+//! trace (into a `trace_pool` buffer) and spends its fuel instead of
+//! running. Other kernels dispatch exactly the ops they did before.
+//!
 //! Equivalence with the tree walker in [`crate::interp`] is a hard contract:
 //! both executors share the scalar semantics (`scalar_binop`, `launch_dim`,
 //! `resolve_addr`, `charge_group_from_addrs`) and the block assembly
@@ -194,6 +204,10 @@ pub struct ByteKernel {
     pub(crate) n_masks: u16,
     /// The item-fetch loop's idle-block test, when the body has that shape.
     pub(crate) guard: Option<FetchGuard>,
+    /// The mask slot the item loop's `ForCond` alone writes, and only when a
+    /// lane enters the loop, when the body has the empty-warp shape
+    /// (`guard.rs`): a warp that leaves it 0 never entered the loop.
+    pub(crate) item_loop_mask: Option<u16>,
 }
 
 impl ByteKernel {
@@ -206,6 +220,12 @@ impl ByteKernel {
     /// item-fetch loop of a consolidated child)?
     pub fn has_idle_guard(&self) -> bool {
         self.guard.is_some()
+    }
+
+    /// Does the VM skip a block's repeated empty warps (its body is a
+    /// solo-block item loop: see `guard.rs`)?
+    pub fn has_empty_warp_rule(&self) -> bool {
+        self.item_loop_mask.is_some()
     }
 }
 
@@ -234,13 +254,38 @@ pub fn lower_kernel(k: &CKernel) -> ByteKernel {
     let checks = lw.lower_list(&k.body);
     let end = lw.pc();
     lw.patch_checks(checks, end);
+    let item_loop_mask = guard::item_loop(k).and_then(|j| entry_mask(&lw.ops, j));
     ByteKernel {
         ops: lw.ops,
         n_slots: k.n_slots,
         n_regs: lw.max_tp,
         n_masks: lw.max_masks,
         guard: guard::analyze(k),
+        item_loop_mask,
     }
+}
+
+/// The mask slot that records whether a warp entered the one `for` over
+/// variable `var`: its `ForCond` saves the iteration mask there only when a
+/// lane enters. `None` unless exactly one `ForCond` tests `var` and no
+/// other op writes that slot.
+fn entry_mask(ops: &[Op], var: u16) -> Option<u16> {
+    let mut conds = ops.iter().filter_map(|op| match *op {
+        Op::ForCond { var: v, save, .. } | Op::ForCondI { var: v, save, .. } if v == var => {
+            Some(save)
+        }
+        _ => None,
+    });
+    let (Some(slot), None) = (conds.next(), conds.next()) else { return None };
+    let writes = |op: &Op| match *op {
+        Op::IfSplit { save, .. } => save == slot || save + 1 == slot,
+        Op::ScSplit { save, .. }
+        | Op::SaveMask { save }
+        | Op::ForCond { save, .. }
+        | Op::ForCondI { save, .. } => save == slot,
+        _ => false,
+    };
+    (ops.iter().filter(|op| writes(op)).count() == 1).then_some(slot)
 }
 
 /// Can executing these statements set the warp's `returned` mask? Lists where
@@ -653,23 +698,28 @@ struct VmCounts {
     /// `ir.vm.mem_groups_single_site`: those where every active lane hit
     /// one `(array, index)`, so the op touched memory once.
     single_site: u64,
+    /// `ir.vm.empty_warps`: warps that copied an empty warp's trace instead
+    /// of running (`guard.rs`).
+    empty_warps: u64,
 }
 
 impl VmCounts {
     fn flush(&mut self) {
-        static COUNTERS: OnceLock<[&'static obs::Counter; 4]> = OnceLock::new();
-        let [ops, full, groups, single] = COUNTERS.get_or_init(|| {
+        static COUNTERS: OnceLock<[&'static obs::Counter; 5]> = OnceLock::new();
+        let [ops, full, groups, single, empty] = COUNTERS.get_or_init(|| {
             [
                 obs::counter("ir.vm.ops"),
                 obs::counter("ir.vm.ops_full_warp"),
                 obs::counter("ir.vm.mem_groups"),
                 obs::counter("ir.vm.mem_groups_single_site"),
+                obs::counter("ir.vm.empty_warps"),
             ]
         });
         ops.add(self.ops);
         full.add(self.ops_full_warp);
         groups.add(self.mem_groups);
         single.add(self.single_site);
+        empty.add(self.empty_warps);
         *self = VmCounts::default();
     }
 }
@@ -721,11 +771,26 @@ fn run_block_with(
         t.clear();
         s.trace_pool.push(t);
     }
+    // The first empty warp (`guard.rs`): its index, lane count and fuel.
+    let mut empty: Option<(usize, u32, u64)> = None;
     for w in 0..warps {
+        let nlanes = (ctx.block_dim - w * WARP_SIZE).min(WARP_SIZE);
+        if let Some((t, n, fuel)) = empty {
+            if n == nlanes {
+                ctx.fuel.spend(fuel)?;
+                let mut chunks = s.trace_pool.pop().unwrap_or_default();
+                chunks.extend_from_slice(&s.traces[t]);
+                s.traces.push(chunks);
+                s.counts.empty_warps += 1;
+                continue;
+            }
+        }
+        if let Some(m) = bk.item_loop_mask {
+            s.masks[m as usize] = 0;
+        }
         // Variable slots start zeroed per warp (the tree walker's fresh
         // `env`); temporaries are always written before read and carry over.
         s.regs[..n_slots].fill([0; LANES]);
-        let nlanes = (ctx.block_dim - w * WARP_SIZE).min(WARP_SIZE);
         let mask = if nlanes >= WARP_SIZE { u32::MAX } else { (1u32 << nlanes) - 1 };
         let chunk_launch_start = s.arena.len() as u32;
         let chunks = s.trace_pool.pop().unwrap_or_default();
@@ -750,7 +815,15 @@ fn run_block_with(
             sites: [(0, 0); LANES],
         };
         vm.run(&bk.ops)?;
-        s.traces.push(vm.finish());
+        // `LoopIter` spends one step of fuel per iteration it counts.
+        let fuel = vm.iters;
+        let trace = vm.finish();
+        if let (Some(m), None) = (bk.item_loop_mask, empty) {
+            if s.masks[m as usize] == 0 && trace.iter().all(|c| c.dram == 0) {
+                empty = Some((s.traces.len(), nlanes, fuel));
+            }
+        }
+        s.traces.push(trace);
     }
     assemble_block(k, ctx, &s.traces, &s.arena)
 }

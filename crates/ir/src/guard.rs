@@ -1,4 +1,5 @@
-//! Idle-block guards: which blocks of a launch only fail their work guard.
+//! Idle-block guards and empty warps: which blocks of a launch only fail
+//! their work guard, and which warps of a block never enter its item loop.
 //!
 //! A consolidated child is launched in a fixed shape (`KC_X`, or the
 //! directive's `blocks`/`threads`) whatever the number of buffered items,
@@ -27,6 +28,37 @@
 //! * any statement other than an assignment before the loop (the recursive
 //!   templates allocate and zero the next level's buffer there);
 //! * a guard other than `item < bound`, and anything after the loop.
+//!
+//! # Empty warps
+//!
+//! A solo-block child (`for (j = threadIdx.x; j < deg; j += blockDim.x)`)
+//! runs at a fixed block size, usually 256 threads, and many items have a
+//! degree below 32, so warps 1-7 of an active block run only the item
+//! body's straight-line part and never enter the loop. [`item_loop`]
+//! recognises the shape once per kernel: a body of assignments, then a
+//! final `while` over a warp-uniform condition whose body holds only
+//! assignments, `__syncthreads` and exactly one `for` starting at
+//! `threadIdx.x` with a warp-uniform bound and step. Warp-uniform means
+//! reading neither `threadIdx.x` nor the global id; every assignment
+//! outside the `for` must be warp-uniform too, and there is no store,
+//! atomic, launch or alloc outside it. So the block-stride fetch loop
+//! (`__cons_item = blockIdx.x`) qualifies and a grid-stride one (the global
+//! thread id) does not.
+//!
+//! The VM (`run_block_with`) then runs warps in order until one never
+//! entered the `for` on any item and recorded no new DRAM transaction;
+//! every later warp with as many lanes copies that warp's chunk trace and
+//! spends its fuel instead of running. That is exact. A warp that never
+//! enters writes nothing, so memory stays as it is from that warp on. A
+//! later warp runs the same uniform statements over the same memory, and
+//! its loop starts at a higher `threadIdx.x` against the same bound, so it
+//! never enters either. Its loads hit the same segments, which the template
+//! warp found already touched, so it adds no DRAM transaction. Its cycles
+//! and active-thread cycles follow from the ops it runs, their addresses and
+//! its lane count, which is why only warps with the template's lane count
+//! copy it. Whether a warp entered the loop is read from the mask slot the
+//! loop's `ForCond` writes only on entry (`bytecode.rs`), so no op is added
+//! to any kernel, and the tree walker still runs every warp.
 
 use dpcons_sim::{obs, BlockCtx, IdleGuard};
 
@@ -92,6 +124,52 @@ pub(crate) fn analyze(k: &CKernel) -> Option<FetchGuard> {
         first,
         bound: (**bound).clone(),
     })
+}
+
+/// Recognise the empty-warp shape (see the module header) in `k`'s body;
+/// returns the slot of the `for` loop's variable.
+pub(crate) fn item_loop(k: &CKernel) -> Option<u16> {
+    let (CStmt::While { cond, body, .. }, prefix) = k.body.split_last()? else { return None };
+    let mut fors = body.iter().filter(|s| matches!(s, CStmt::For { .. }));
+    let (Some(CStmt::For { var, lo: CExpr::Tid, hi, step, .. }), None) = (fors.next(), fors.next())
+    else {
+        return None;
+    };
+    let straight = |s: &CStmt| match s {
+        CStmt::Assign { value, .. } => warp_uniform(value),
+        _ => false,
+    };
+    let item_stmt = |s: &CStmt| match s {
+        CStmt::For { .. } | CStmt::Sync => true,
+        s => straight(s),
+    };
+    (prefix.iter().all(straight)
+        && warp_uniform(cond)
+        && warp_uniform(hi)
+        && warp_uniform(step)
+        && body.iter().all(item_stmt))
+    .then_some(*var)
+}
+
+/// Does `e` read neither the thread id nor the global id? In a warp that
+/// never enters the item loop, every variable `e` reads is then uniform too:
+/// each assignment such a warp runs is checked with this (it never runs the
+/// loop body), and the compiler scopes the loop's variable to that body. So
+/// every such warp of a block computes `e` to the same value over the same
+/// memory.
+fn warp_uniform(e: &CExpr) -> bool {
+    match e {
+        CExpr::Tid | CExpr::Gtid => false,
+        CExpr::I(_)
+        | CExpr::Arg(_)
+        | CExpr::Var(_)
+        | CExpr::CtaId
+        | CExpr::NTid
+        | CExpr::NCta
+        | CExpr::Depth => true,
+        CExpr::Load(a, b) | CExpr::Bin(_, a, b) => warp_uniform(a) && warp_uniform(b),
+        CExpr::Un(_, a) => warp_uniform(a),
+    }
 }
 
 /// Is `e` the same in every lane of every block that sees the same memory,

@@ -97,4 +97,79 @@ fn idle_blocks_count_the_reused_results_of_guarded_launches_only() {
     let before = idle.get();
     run_once();
     assert_eq!(idle.get() - before, 0, "an unguarded kernel reuses nothing");
+    empty_warps_count_the_copied_traces_of_vm_runs_only();
+}
+
+/// The consolidated SSSP child (`sssp_child` in a block-stride fetch loop)
+/// launched `<<<1, 256>>>` over 4 items of degree at most 32, on `exec`;
+/// returns how far it moved `ir.vm.empty_warps`.
+fn empty_warps_moved(exec: Option<ExecEngine>) -> u64 {
+    let item = |j: i64| load(v("buf"), add(add(v("off"), i(1)), add(v("item"), i(j))));
+    let mut m = Module::new();
+    m.add(
+        KernelBuilder::new("sssp_child__cons")
+            .array("row")
+            .array("col")
+            .array("wgt")
+            .array("dist")
+            .array("flag")
+            .array("buf")
+            .scalar("off")
+            .body(vec![
+                let_("cnt", load(v("buf"), v("off"))),
+                let_("item", cta_id()),
+                while_(
+                    lt(v("item"), v("cnt")),
+                    vec![
+                        let_("u", item(0)),
+                        let_("first", load(v("row"), v("u"))),
+                        let_("deg", sub(load(v("row"), add(v("u"), i(1))), v("first"))),
+                        let_("du", load(v("dist"), v("u"))),
+                        for_step(
+                            "j",
+                            tid(),
+                            v("deg"),
+                            ntid(),
+                            vec![
+                                let_("e", add(v("first"), v("j"))),
+                                let_("dst", load(v("col"), v("e"))),
+                                let_("nd", add(v("du"), load(v("wgt"), v("e")))),
+                                atomic_min(Some("old"), v("dist"), v("dst"), v("nd")),
+                                when(lt(v("nd"), v("old")), vec![store(v("flag"), i(0), i(1))]),
+                            ],
+                        ),
+                        sync(),
+                        assign("item", add(v("item"), ncta())),
+                    ],
+                ),
+            ]),
+    );
+    // Nodes 0..4 with degrees 32, 1, 17, 0 over a 50-edge list.
+    let mut eng = Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, 1 << 12);
+    let arr = |e: &mut Engine, name, data: Vec<i64>| e.mem.alloc_array_init(name, data) as i64;
+    let row = arr(&mut eng, "row", vec![0, 32, 33, 50, 50]);
+    let col = arr(&mut eng, "col", (0..50).map(|e| e % 4).collect());
+    let wgt = arr(&mut eng, "wgt", vec![1; 50]);
+    let dist = arr(&mut eng, "dist", vec![0, 9, 9, 9]);
+    let flag = arr(&mut eng, "flag", vec![0]);
+    let buf = arr(&mut eng, "buf", vec![4, 0, 1, 2, 3]);
+    let ids = install_with_engine(&mut eng, &m, exec).unwrap();
+    let empty = obs::counter("ir.vm.empty_warps");
+    let before = empty.get();
+    let args = vec![row, col, wgt, dist, flag, buf, 0];
+    eng.launch(LaunchSpec::new(ids["sssp_child__cons"], 1, 256, args)).unwrap();
+    assert_eq!(eng.mem.slice(dist as usize).unwrap(), [0, 1, 1, 1], "{exec:?}");
+    empty.get() - before
+}
+
+/// `ir.vm.empty_warps` counts the warps that copied a trace on the VM only.
+fn empty_warps_count_the_copied_traces_of_vm_runs_only() {
+    // Warp 0 runs every item's loop; warp 1 never enters it and touches only
+    // segments warp 0 touched, so warps 2..8 copy its trace.
+    assert_eq!(empty_warps_moved(None), 6);
+    assert_eq!(empty_warps_moved(Some(ExecEngine::Tree)), 0, "the tree walker runs every warp");
+    let empty = obs::counter("ir.vm.empty_warps");
+    let before = empty.get();
+    run_once();
+    assert_eq!(empty.get() - before, 0, "a kernel without the item loop copies nothing");
 }

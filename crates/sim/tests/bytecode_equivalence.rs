@@ -11,6 +11,10 @@
 //! budget that lets a run complete is the same number in both executors, and
 //! one step less faults with `FuelExhausted` in both.
 //!
+//! A third test sweeps the consolidated SSSP child, the kernel shape whose
+//! empty warps the VM copies instead of running, over seeded item degrees
+//! and block sizes, including partial last warps.
+//!
 //! This is the same contract `replay_differential.rs` pins for
 //! capture-vs-fresh, extended across the executor axis: if the bytecode
 //! lowering ever drifted — an elided `SeqCheck`, a reordered charge, a
@@ -19,9 +23,13 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use dpcons_apps::{all_benchmarks, AppError, AppOutcome, Profile, RunConfig, Variant};
-use dpcons_ir::{set_engine_override, ExecEngine};
-use dpcons_sim::SimError;
+use dpcons_apps::{all_benchmarks, AppError, AppOutcome, Profile, RunConfig, Sssp, Variant};
+use dpcons_core::{consolidate, Granularity};
+use dpcons_ir::{
+    compile_module, install_with_engine, lower_module, set_engine_override, ExecEngine, Module,
+};
+use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, SimError};
+use dpcons_workloads::rng::Rng64;
 
 /// The engine override is process-global; every test in this binary holds
 /// this lock while flipping it.
@@ -139,4 +147,80 @@ fn fuel_exhaustion_fires_at_the_same_step_count_in_both_executors() {
     let t = min_fuel(ExecEngine::Tree);
     assert_eq!(b, t, "minimal completing fuel budget must match across executors");
     assert!(b > 1, "the probe workload must actually spend fuel");
+}
+
+/// Seeded sweep of the consolidated SSSP child (block level; every
+/// granularity emits the same child) launched on its own over a random
+/// graph and item buffer: per-item degrees in [0, 300], half of them at most
+/// 32, `blockDim` in {32, 64, 200, 256, 1024} and 1..=3 blocks. Both
+/// executors are pinned per install, so the override lock is not needed;
+/// arrays, report, launch DAG or fault must be equal in every case.
+#[test]
+fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
+    const INF: i64 = 1 << 40;
+    let dir = Sssp::directive(Granularity::Block);
+    let cons = consolidate(&Sssp::module_dp(), "sssp_parent", &dir, &GpuConfig::k20c(), None)
+        .expect("SSSP consolidates");
+    let mut module = Module::new();
+    module.add(cons.module.get("sssp_child__cons").expect("the consolidated child").clone());
+    let cm = compile_module(&module).unwrap();
+    assert!(lower_module(&cm)[0].has_empty_warp_rule(), "the sweep must exercise the rule");
+
+    let mut rng = Rng64::seed_from_u64(0x5EED_0048);
+    let mut copies = 0;
+    for case in 0..250 {
+        let block = [32u32, 64, 200, 256, 1024][case % 5];
+        let grid = rng.range_u64(1, 4) as u32;
+        let nodes = rng.range_usize_incl(1, 8);
+        let degs: Vec<i64> = (0..nodes)
+            .map(|_| {
+                let hi = if rng.gen_bool(0.5) { 33 } else { 301 };
+                rng.range_i64(0, hi)
+            })
+            .collect();
+        let mut row = vec![0];
+        for d in &degs {
+            row.push(row.last().unwrap() + d);
+        }
+        let edges = *row.last().unwrap() as usize;
+        let col: Vec<i64> = (0..edges).map(|_| rng.range_usize(0, nodes) as i64).collect();
+        let wgt: Vec<i64> = (0..edges).map(|_| rng.range_i64(1, 10)).collect();
+        let dist: Vec<i64> = (0..nodes)
+            .map(|_| if rng.gen_bool(0.4) { rng.range_i64(0, 50) } else { INF })
+            .collect();
+        // The item buffer at a random offset: count, then buffered nodes.
+        let off = rng.range_usize(0, 40);
+        let items: Vec<usize> =
+            (0..rng.range_usize_incl(1, 6)).map(|_| rng.range_usize(0, nodes)).collect();
+        let mut buf = vec![0; off];
+        buf.push(items.len() as i64);
+        buf.extend(items.iter().map(|&u| u as i64));
+        // Full warps past the widest item never enter its loop; with two of
+        // them one at least copies the other's trace.
+        let widest = items.iter().map(|&u| degs[u]).max().unwrap_or(0);
+        if i64::from(block / 32) - (widest + 31) / 32 >= 2 {
+            copies += 1;
+        }
+
+        let arrays = [row, col, wgt, dist, vec![0], buf];
+        let run = |exec| {
+            let mut e = Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, 1 << 12);
+            let handles: Vec<_> =
+                arrays.iter().map(|d| e.mem.alloc_array_init("a", d.clone())).collect();
+            let ids = install_with_engine(&mut e, &module, Some(exec)).unwrap();
+            let mut args: Vec<i64> = handles.iter().map(|&h| h as i64).collect();
+            args.push(off as i64);
+            let r = e.launch_traced(LaunchSpec::new(ids["sssp_child__cons"], grid, block, args));
+            let out: Vec<Vec<i64>> =
+                handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
+            (out, r)
+        };
+        let (vm, tree) = (run(ExecEngine::Bytecode), run(ExecEngine::Tree));
+        assert!(
+            vm == tree,
+            "case {case} (<<<{grid}, {block}>>>, degrees {degs:?}): the executors diverged"
+        );
+        assert!(vm.1.is_ok(), "case {case}: {:?}", vm.1);
+    }
+    assert!(copies > 100, "only {copies} of 250 cases have two empty warps in a block");
 }
