@@ -416,7 +416,7 @@ fn grid_recursion_launches_once_per_level() {
     assert_eq!(r.device_launches, 2, "levels below the seeded level");
 }
 
-/// The VM's idle-block guard recognises the item-fetch loop this compiler
+/// The VM's idle-block rule covers the item-fetch loop this compiler
 /// emits for an irregular loop's child at every granularity, and never a
 /// recursive template (its idle blocks allocate or run a barrier).
 #[test]
@@ -425,7 +425,7 @@ fn irregular_loop_children_are_guarded_and_recursive_templates_are_not() {
         let dir = Directive::parse(pragma).unwrap();
         let cons = consolidate(module, parent, &dir, &GpuConfig::k20c(), None).unwrap();
         let cm = dpcons_ir::compile_module(&cons.module).unwrap();
-        dpcons_ir::lower_module(&cm)[cm.by_name[kernel]].has_idle_guard()
+        dpcons_ir::lower_module(&cm)[cm.by_name[kernel]].has_idle_block_rule()
     };
     for g in Granularity::ALL {
         let pragma =

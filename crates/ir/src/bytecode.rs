@@ -53,26 +53,24 @@
 //! live in thread-local scratch reused across blocks, so the capture hot
 //! loop stops churning the allocator.
 //!
-//! Lowering also looks for the consolidated child's item-fetch loop
-//! (`guard.rs`): a block-invariant prefix, the item slot set from
-//! `blockIdx.x` or the global thread id, and a final `while (item < bound)`.
-//! For such a kernel the engine runs a launch's first idle block (first item
-//! at or past the bound) here and reuses its `BlockResult` and fuel for the
-//! launch's later idle blocks. That is exact: an idle block writes nothing,
-//! so every later block sees the same memory, is idle too and would run the
-//! same prefix to the same result. Kernels of any other shape, the
-//! recursive templates among them (they allocate and zero the next level's
-//! buffer before the loop), run every block, and so does the tree walker.
-//!
-//! Inside a block, lowering also looks for a solo-block item loop
-//! (`guard.rs`): around one `for (j = threadIdx.x; j < bound; ...)`, only
-//! warp-uniform assignments and `__syncthreads`. Its `ForCond` is the only
+//! Lowering also asks `guard.rs` for two loop shapes, and for each the VM
+//! runs until the first block or warp that never entered its loop, then
+//! copies it. A consolidated child's item-fetch loop (a block-uniform
+//! prefix, the item slot set from `blockIdx.x` or the global thread id, and
+//! a final `while (item < bound)` that cannot return) gets the idle-block
+//! rule: `run_block_with` sets `BlockCtx::idle` when every warp of the
+//! block, run or copied, spent exactly one loop step, the `while`'s failing
+//! first test, and the engine copies that block's result and fuel to the
+//! rest of the launch. A solo-block item loop (around one
+//! `for (j = threadIdx.x; j < bound; ...)`, only warp-uniform assignments
+//! and `__syncthreads`) gets the empty-warp rule. Its `ForCond` is the only
 //! op that writes its iteration-mask slot, and only when a lane enters, so
 //! `run_block_with` zeroes that slot before each warp and reads it after:
-//! the first warp that left it 0 and recorded no new DRAM transaction is
-//! an empty warp, and every later warp with as many lanes copies its chunk
+//! the first warp that left it 0 and recorded no new DRAM transaction is an
+//! empty warp, and every later warp with as many lanes copies its chunk
 //! trace (into a `trace_pool` buffer) and spends its fuel instead of
-//! running. Other kernels dispatch exactly the ops they did before.
+//! running. Neither rule adds an op; the recursive templates (they
+//! allocate and zero the next level's buffer before the loop) get neither.
 //!
 //! Equivalence with the tree walker in [`crate::interp`] is a hard contract:
 //! both executors share the scalar semantics (`scalar_binop`, `launch_dim`,
@@ -88,7 +86,7 @@ use dpcons_sim::{obs, BlockCtx, BlockResult, KernelId, LaunchSpec, SimError, WAR
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, UnOp};
 use crate::compile::{CExpr, CKernel, CModule, CStmt};
-use crate::guard::{self, FetchGuard};
+use crate::guard;
 use crate::interp::{
     assemble_block, charge_group_from_addrs, launch_dim, resolve_addr, scalar_binop,
     scalar_binop_total, Boundary, Chunk, Lanes, LANES, MAX_WARP_ITERATIONS, WARP_ITER_LIMIT_MSG,
@@ -202,8 +200,9 @@ pub struct ByteKernel {
     pub(crate) n_regs: u16,
     /// Mask-slot array size: peak static nesting depth.
     pub(crate) n_masks: u16,
-    /// The item-fetch loop's idle-block test, when the body has that shape.
-    pub(crate) guard: Option<FetchGuard>,
+    /// The body is a consolidated child's item-fetch loop (`guard.rs`): a
+    /// block whose warps each spent one loop step never entered it.
+    pub(crate) fetch_loop: bool,
     /// The mask slot the item loop's `ForCond` alone writes, and only when a
     /// lane enters the loop, when the body has the empty-warp shape
     /// (`guard.rs`): a warp that leaves it 0 never entered the loop.
@@ -216,10 +215,10 @@ impl ByteKernel {
         self.ops.len()
     }
 
-    /// Does the VM skip this kernel's repeated idle blocks (its body is the
-    /// item-fetch loop of a consolidated child)?
-    pub fn has_idle_guard(&self) -> bool {
-        self.guard.is_some()
+    /// Does the VM copy a launch's first idle block to the later ones (its
+    /// body is the item-fetch loop of a consolidated child: see `guard.rs`)?
+    pub fn has_idle_block_rule(&self) -> bool {
+        self.fetch_loop
     }
 
     /// Does the VM skip a block's repeated empty warps (its body is a
@@ -260,7 +259,7 @@ pub fn lower_kernel(k: &CKernel) -> ByteKernel {
         n_slots: k.n_slots,
         n_regs: lw.max_tp,
         n_masks: lw.max_masks,
-        guard: guard::analyze(k),
+        fetch_loop: guard::fetch_loop(k),
         item_loop_mask,
     }
 }
@@ -290,7 +289,7 @@ fn entry_mask(ops: &[Op], var: u16) -> Option<u16> {
 
 /// Can executing these statements set the warp's `returned` mask? Lists where
 /// no prefix can return skip the `SeqCheck` re-checks entirely.
-fn stmt_can_return(s: &CStmt) -> bool {
+pub(crate) fn stmt_can_return(s: &CStmt) -> bool {
     match s {
         CStmt::Return => true,
         CStmt::If { then, els, .. } => {
@@ -773,11 +772,15 @@ fn run_block_with(
     }
     // The first empty warp (`guard.rs`): its index, lane count and fuel.
     let mut empty: Option<(usize, u32, u64)> = None;
+    // A fetch-loop block is idle when each warp, run or copied, spent one
+    // loop step: the `while`'s failing first test.
+    let mut idle = bk.fetch_loop;
     for w in 0..warps {
         let nlanes = (ctx.block_dim - w * WARP_SIZE).min(WARP_SIZE);
         if let Some((t, n, fuel)) = empty {
             if n == nlanes {
                 ctx.fuel.spend(fuel)?;
+                idle &= fuel == 1;
                 let mut chunks = s.trace_pool.pop().unwrap_or_default();
                 chunks.extend_from_slice(&s.traces[t]);
                 s.traces.push(chunks);
@@ -817,6 +820,7 @@ fn run_block_with(
         vm.run(&bk.ops)?;
         // `LoopIter` spends one step of fuel per iteration it counts.
         let fuel = vm.iters;
+        idle &= fuel == 1;
         let trace = vm.finish();
         if let (Some(m), None) = (bk.item_loop_mask, empty) {
             if s.masks[m as usize] == 0 && trace.iter().all(|c| c.dram == 0) {
@@ -825,6 +829,7 @@ fn run_block_with(
         }
         s.traces.push(trace);
     }
+    ctx.idle = idle;
     assemble_block(k, ctx, &s.traces, &s.arena)
 }
 

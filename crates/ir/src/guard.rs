@@ -1,33 +1,38 @@
-//! Idle-block guards and empty warps: which blocks of a launch only fail
-//! their work guard, and which warps of a block never enter its item loop.
+//! Idle blocks and empty warps: the loop shapes in which the VM runs a
+//! launch's first block, or a block's first warp, that never entered its
+//! loop, and copies it to the later ones.
 //!
 //! A consolidated child is launched in a fixed shape (`KC_X`, or the
 //! directive's `blocks`/`threads`) whatever the number of buffered items,
 //! and its body is the item-fetch loop `dpcons-core` emits:
 //!
 //! ```text
-//! __cons_cnt  = __cons_buf[__cons_off];      // block-invariant prefix
+//! __cons_cnt  = __cons_buf[__cons_off];      // block-uniform prefix
 //! __cons_item = blockIdx.x;                  // or the global thread id
 //! while (__cons_item < __cons_cnt) { ... }   // nothing after the loop
 //! ```
 //!
-//! A block whose first item (`b`, or `b * blockDim`) is `>= __cons_cnt`
-//! fails the guard on every lane and writes nothing. [`analyze`] recognises
-//! that shape once per kernel at install, beside the bytecode lowering, and
-//! [`FetchGuard::is_idle`] decides it per block on current memory.
+//! # Idle blocks
 //!
-//! Exactness follows from the shape. The first item grows with the block
-//! index and the bound does not depend on it, and an idle block writes
-//! nothing. So once a block is idle, memory stays as it is and every later
-//! block of the launch is idle too. Each of them runs the same
-//! straight-line prefix over the same memory and leaves the loop at its
-//! first test, so its `BlockResult` and fuel equal the first idle block's.
-//! The shape excludes:
-//! * a prefix that reads `threadIdx.x` or the block or thread id, or that
-//!   divides (`Div`/`Rem` can fault);
-//! * any statement other than an assignment before the loop (the recursive
-//!   templates allocate and zero the next level's buffer there);
-//! * a guard other than `item < bound`, and anything after the loop.
+//! [`fetch_loop`] recognises that shape once per kernel at install: a
+//! prefix of assignments that read neither `threadIdx.x`, the global id nor
+//! `blockIdx.x`; then the item slot set from `blockIdx.x` or the global id;
+//! then a final `while (item < bound)` whose bound is block-uniform too and
+//! does not read the item slot, and whose body cannot `return`. The prefix
+//! may divide: the block that runs raises any fault, and every later block
+//! computes the same values.
+//!
+//! The VM (`run_block_with`) then reports a block that never entered the
+//! loop: every warp, run or copied, spent exactly one loop step, the
+//! failing first test (with no `return` in the body, a warp that entered
+//! spends a second step at the back edge). `Engine::functional_phase`
+//! copies that block's result and fuel to every later block of the launch.
+//! That is exact. An idle block writes nothing, so memory stays as it is
+//! from that block on. A later block runs the same prefix over the same
+//! memory to the same bound, and its first item (`b`, or `b * blockDim.x`)
+//! only grows with the block index, so it fails its first test too, on
+//! every lane. The recursive templates allocate and zero the next level's
+//! buffer before their loop, so they run every block.
 //!
 //! # Empty warps
 //!
@@ -57,73 +62,30 @@
 //! and active-thread cycles follow from the ops it runs, their addresses and
 //! its lane count, which is why only warps with the template's lane count
 //! copy it. Whether a warp entered the loop is read from the mask slot the
-//! loop's `ForCond` writes only on entry (`bytecode.rs`), so no op is added
-//! to any kernel, and the tree walker still runs every warp.
-
-use dpcons_sim::{obs, BlockCtx, IdleGuard};
+//! loop's `ForCond` writes only on entry (`bytecode.rs`).
+//!
+//! Neither rule adds an op to any kernel, and the tree walker runs every
+//! block and every warp.
 
 use crate::ast::BinOp;
+use crate::bytecode::stmt_can_return;
 use crate::compile::{CExpr, CKernel, CStmt};
-use crate::interp::{resolve_addr, scalar_binop_total, scalar_unop};
 
-/// Prefix slots a guard can hold; the fetch loop's prefix uses one.
-const GUARD_SLOTS: usize = 8;
-
-/// The first item of the fetch loop.
-#[derive(Debug, Clone, Copy)]
-enum First {
-    /// `blockIdx.x`: every lane of block `b` starts at item `b`.
-    Block,
-    /// The global thread id: block `b` starts at `b * blockDim.x`.
-    Thread,
-}
-
-/// An exact idle-block test for one kernel (see the module header).
-#[derive(Debug, Clone)]
-pub(crate) struct FetchGuard {
-    n_params: usize,
-    /// Block-invariant assignments `(slot, value)`, every slot below
-    /// [`GUARD_SLOTS`], in program order.
-    prefix: Vec<(u16, CExpr)>,
-    first: First,
-    /// The loop bound: `while (item < bound)`.
-    bound: CExpr,
-}
-
-/// Recognise the item-fetch loop shape in `k`'s body.
-pub(crate) fn analyze(k: &CKernel) -> Option<FetchGuard> {
-    let (CStmt::While { cond, .. }, head) = k.body.split_last()? else { return None };
-    let (CStmt::Assign { slot: item, value, .. }, prefix) = head.split_last()? else {
-        return None;
+/// Recognise the idle-block shape (see the module header) in `k`'s body.
+pub(crate) fn fetch_loop(k: &CKernel) -> bool {
+    let Some((CStmt::While { cond, body, .. }, head)) = k.body.split_last() else { return false };
+    let Some((CStmt::Assign { slot, value: CExpr::CtaId | CExpr::Gtid, .. }, prefix)) =
+        head.split_last()
+    else {
+        return false;
     };
-    let first = match value {
-        CExpr::CtaId => First::Block,
-        CExpr::Gtid => First::Thread,
-        _ => return None,
-    };
-    let mut inv = [false; GUARD_SLOTS];
-    let mut assigns = Vec::with_capacity(prefix.len());
-    for s in prefix {
-        let CStmt::Assign { slot, value, .. } = s else { return None };
-        if !invariant(value, &inv) {
-            return None;
-        }
-        *inv.get_mut(*slot as usize)? = true;
-        assigns.push((*slot, value.clone()));
-    }
-    if let Some(c) = inv.get_mut(*item as usize) {
-        *c = false;
-    }
-    let CExpr::Bin(BinOp::Lt, lhs, bound) = cond else { return None };
-    if **lhs != CExpr::Var(*item) || !invariant(bound, &inv) {
-        return None;
-    }
-    Some(FetchGuard {
-        n_params: k.param_kinds.len(),
-        prefix: assigns,
-        first,
-        bound: (**bound).clone(),
-    })
+    let CExpr::Bin(BinOp::Lt, lhs, bound) = cond else { return false };
+    let item = CExpr::Var(*slot);
+    prefix.iter().all(|s| matches!(s, CStmt::Assign { value, .. } if block_uniform(value)))
+        && **lhs == item
+        && block_uniform(bound)
+        && !reads(bound, &|e| *e == item)
+        && !body.iter().any(stmt_can_return)
 }
 
 /// Recognise the empty-warp shape (see the module header) in `k`'s body;
@@ -158,77 +120,30 @@ pub(crate) fn item_loop(k: &CKernel) -> Option<u16> {
 /// every such warp of a block computes `e` to the same value over the same
 /// memory.
 fn warp_uniform(e: &CExpr) -> bool {
-    match e {
-        CExpr::Tid | CExpr::Gtid => false,
-        CExpr::I(_)
-        | CExpr::Arg(_)
-        | CExpr::Var(_)
-        | CExpr::CtaId
-        | CExpr::NTid
-        | CExpr::NCta
-        | CExpr::Depth => true,
-        CExpr::Load(a, b) | CExpr::Bin(_, a, b) => warp_uniform(a) && warp_uniform(b),
-        CExpr::Un(_, a) => warp_uniform(a),
-    }
+    !reads(e, &|e| matches!(e, CExpr::Tid | CExpr::Gtid))
 }
 
-/// Is `e` the same in every lane of every block that sees the same memory,
-/// and unable to fault except on a load?
-fn invariant(e: &CExpr, inv: &[bool; GUARD_SLOTS]) -> bool {
-    match e {
-        CExpr::I(_) | CExpr::Arg(_) | CExpr::NTid | CExpr::NCta | CExpr::Depth => true,
-        CExpr::Var(s) => inv.get(*s as usize) == Some(&true),
-        CExpr::Gtid | CExpr::Tid | CExpr::CtaId => false,
-        CExpr::Bin(BinOp::Div | BinOp::Rem, ..) => false,
-        CExpr::Load(a, b) | CExpr::Bin(_, a, b) => invariant(a, inv) && invariant(b, inv),
-        CExpr::Un(_, a) => invariant(a, inv),
-    }
+/// Does `e` read none of the thread, global and block ids? Every block that
+/// sees the same memory then computes it to the same value, given that the
+/// variables it reads are block-uniform too.
+fn block_uniform(e: &CExpr) -> bool {
+    !reads(e, &|e| matches!(e, CExpr::Tid | CExpr::Gtid | CExpr::CtaId))
 }
 
-/// Evaluate an [`invariant`] expression as one lane of the VM would, except
-/// that both sides of `&&`/`||` run; `None` where a load would fault (a bad
-/// handle or an out-of-bounds index), which leaves the block to the VM.
-fn eval(e: &CExpr, env: &[i64; GUARD_SLOTS], ctx: &BlockCtx<'_>) -> Option<i64> {
-    Some(match e {
-        CExpr::I(v) => *v,
-        CExpr::Arg(i) => ctx.args[*i as usize],
-        CExpr::NTid => ctx.block_dim as i64,
-        CExpr::NCta => ctx.grid_dim as i64,
-        CExpr::Depth => ctx.depth as i64,
-        CExpr::Var(s) => env[*s as usize],
-        CExpr::Load(h, i) => {
-            let (a, i) = resolve_addr(ctx.mem, eval(h, env, ctx)?, eval(i, env, ctx)?).ok()?;
-            ctx.mem.read(a, i).ok()?
+/// Does `e` or any subexpression satisfy `hit`?
+fn reads(e: &CExpr, hit: &impl Fn(&CExpr) -> bool) -> bool {
+    hit(e)
+        || match e {
+            CExpr::Load(a, b) | CExpr::Bin(_, a, b) => reads(a, hit) || reads(b, hit),
+            CExpr::Un(_, a) => reads(a, hit),
+            CExpr::I(_)
+            | CExpr::Arg(_)
+            | CExpr::Var(_)
+            | CExpr::Tid
+            | CExpr::Gtid
+            | CExpr::CtaId
+            | CExpr::NTid
+            | CExpr::NCta
+            | CExpr::Depth => false,
         }
-        CExpr::Un(op, a) => scalar_unop(*op, eval(a, env, ctx)?),
-        CExpr::Bin(op, a, b) => scalar_binop_total(*op, eval(a, env, ctx)?, eval(b, env, ctx)?),
-        CExpr::Gtid | CExpr::Tid | CExpr::CtaId => unreachable!("rejected by `invariant`"),
-    })
-}
-
-impl IdleGuard for FetchGuard {
-    fn is_idle(&self, ctx: &BlockCtx<'_>) -> bool {
-        // A wrong arity faults in the VM; leave that to it.
-        if ctx.args.len() != self.n_params {
-            return false;
-        }
-        let mut env = [0i64; GUARD_SLOTS];
-        for (slot, value) in &self.prefix {
-            match eval(value, &env, ctx) {
-                Some(v) => env[*slot as usize] = v,
-                None => return false,
-            }
-        }
-        let Some(bound) = eval(&self.bound, &env, ctx) else { return false };
-        let first = match self.first {
-            First::Block => ctx.block_id as i64,
-            First::Thread => ctx.block_id as i64 * ctx.block_dim as i64,
-        };
-        first >= bound
-    }
-
-    fn reused(&self, blocks: u64) {
-        static IDLE: std::sync::OnceLock<&'static obs::Counter> = std::sync::OnceLock::new();
-        IDLE.get_or_init(|| obs::counter("ir.vm.idle_blocks")).add(blocks);
-    }
 }

@@ -37,8 +37,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dpcons_sim::{
-    coalesced_transactions, BlockCtx, BlockResult, GlobalMem, IdleGuard, KernelBody, KernelId,
-    LaunchSpec, SegmentResult, SimError, WARP_SIZE,
+    coalesced_transactions, BlockCtx, BlockResult, GlobalMem, KernelBody, KernelId, LaunchSpec,
+    SegmentResult, SimError, WARP_SIZE,
 };
 
 use crate::ast::{AllocScope, AtomicOp, BinOp, Module, UnOp};
@@ -208,16 +208,6 @@ pub(crate) fn scalar_binop_total(op: BinOp, a: i64, b: i64) -> i64 {
     }
 }
 
-/// Scalar unary-op semantics (total), shared by the tree walker and the
-/// idle-block guard; the VM's full-width arms spell out the same two.
-#[inline]
-pub(crate) fn scalar_unop(op: UnOp, a: i64) -> i64 {
-    match op {
-        UnOp::Neg => a.wrapping_neg(),
-        UnOp::Not => (a == 0) as i64,
-    }
-}
-
 /// Convert a lane's device-side launch dimension to `u32`, faulting (instead
 /// of silently clamping to 0) when the value does not fit — the clamp used to
 /// surface later as a misleading `BadLaunchConfig`.
@@ -354,15 +344,6 @@ impl KernelBody for IrKernelBody {
                 crate::bytecode::run_block(k, &self.bytecode[self.idx], ids, ctx)
             }
             ExecEngine::Tree => run_block_tree(k, ids, ctx),
-        }
-    }
-
-    /// The VM's idle-block guard, found at install (`guard.rs`). The
-    /// tree walker has none: as the reference it runs every block.
-    fn idle_guard(&self) -> Option<&dyn IdleGuard> {
-        match self.executor() {
-            ExecEngine::Bytecode => self.bytecode[self.idx].guard.as_ref().map(|g| g as _),
-            ExecEngine::Tree => None,
         }
     }
 }
@@ -794,7 +775,10 @@ impl WarpExec<'_, '_, '_> {
                 let av = self.eval(a, mask)?;
                 for l in 0..LANES {
                     if mask & (1 << l) != 0 {
-                        out[l] = scalar_unop(*op, av[l]);
+                        out[l] = match op {
+                            UnOp::Neg => av[l].wrapping_neg(),
+                            UnOp::Not => (av[l] == 0) as i64,
+                        };
                     }
                 }
             }

@@ -1,7 +1,8 @@
-//! The VM's idle-block guard: which kernels get one, and that reusing the
-//! first idle block's result is exact. Every program runs on both
-//! executors; the tree walker runs every block, so equal arrays, report,
-//! launch DAG and remaining fuel mean the reuse changed nothing.
+//! The VM's idle-block rule: which kernels get it, and that copying the
+//! first idle block's result to the rest of the launch is exact. Every
+//! program runs on both executors; the tree walker runs every block, so
+//! equal arrays, report, launch DAG and remaining fuel mean the copy
+//! changed nothing.
 
 use dpcons_ir::ast::{AllocScope, Expr, Kernel, Stmt};
 use dpcons_ir::dsl::*;
@@ -101,10 +102,10 @@ fn solo_thread() -> Fetch {
     }
 }
 
-fn has_guard(k: &Kernel) -> bool {
+fn has_rule(k: &Kernel) -> bool {
     let mut m = Module::new();
     m.add(k.clone());
-    lower_module(&compile_module(&m).unwrap())[0].has_idle_guard()
+    lower_module(&compile_module(&m).unwrap())[0].has_idle_block_rule()
 }
 
 type Run = Result<(ProfileReport, Vec<ExecRecord>), SimError>;
@@ -159,16 +160,18 @@ fn run_solo_block(k: &Kernel) -> (Vec<Vec<i64>>, Run, Option<u64>) {
 
 #[test]
 fn fetch_loop_children_have_a_guard_and_reuse_is_exact() {
-    let k = solo_block().kernel();
-    assert!(has_guard(&k), "the SoloBlock child is the fetch-loop shape");
-    let (out, r, _) = run_solo_block(&k);
-    let (report, dag) = r.unwrap();
-    assert_eq!(out[0][16..19], [10, 20, 30]);
-    assert_eq!(dag[0].blocks.len(), 8);
-    assert!(report.total_cycles > 0);
+    let halving = Fetch { prefix: vec![let_("half", div(v("__cons_off"), i(2)))], ..solo_block() };
+    for k in [solo_block().kernel(), halving.kernel()] {
+        assert!(has_rule(&k), "{}: the SoloBlock child is the fetch-loop shape", k.name);
+        let (out, r, _) = run_solo_block(&k);
+        let (report, dag) = r.unwrap();
+        assert_eq!(out[0][16..19], [10, 20, 30]);
+        assert_eq!(dag[0].blocks.len(), 8);
+        assert!(report.total_cycles > 0);
+    }
 
     let k = solo_thread().kernel();
-    assert!(has_guard(&k), "the SoloThread child is the fetch-loop shape");
+    assert!(has_rule(&k), "the SoloThread child is the fetch-loop shape");
     // 100 items over <<<8, 64>>>: blocks 0 and 1 work, blocks 2..8 are idle.
     let n = 100usize;
     let vals: Vec<i64> = (0..n as i64).map(|x| x % 13).collect();
@@ -188,6 +191,36 @@ fn a_faulting_prefix_load_faults_on_both_executors() {
     assert!(matches!(r, Err(SimError::OutOfBounds { .. })), "got {r:?}");
 }
 
+/// A dividing prefix gets the rule: the block that runs raises the fault.
+/// Here the last active block (2) stores `out[18] = 30`, so the first idle
+/// block (3) divides by zero.
+#[test]
+fn a_prefix_dividing_by_a_loaded_zero_faults_on_both_executors() {
+    let d = div(i(1), sub(load(v("out"), i(18)), i(30)));
+    let k = Fetch { prefix: vec![let_("d", d)], ..solo_block() }.kernel();
+    assert!(has_rule(&k));
+    let (_, r, _) = run_solo_block(&k);
+    assert!(
+        matches!(&r, Err(SimError::KernelFault { message, .. }) if message.contains("division by zero")),
+        "got {r:?}"
+    );
+}
+
+/// A fetch body that returns gets no rule: a warp that entered the loop
+/// and returned spends one loop step, as an idle warp does. All 5 items of
+/// `<<<8, 64>>>` are written.
+#[test]
+fn a_returning_fetch_body_has_no_rule_and_runs_every_block() {
+    let k = Fetch { body: vec![store(v("out"), v("__cons_item"), i(1)), ret()], ..solo_block() }
+        .kernel();
+    assert!(!has_rule(&k));
+    let mut buf = vec![5];
+    buf.resize(64, 0);
+    let (out, r, _) = on_both(&k, &[vec![2; 32], buf], &[0], (8, 64));
+    r.unwrap();
+    assert_eq!(out[0][..6], [1, 1, 1, 1, 1, 2]);
+}
+
 #[test]
 fn shapes_outside_the_fetch_loop_have_no_guard() {
     let negatives: Vec<(&str, Fetch)> = vec![
@@ -197,10 +230,6 @@ fn shapes_outside_the_fetch_loop_have_no_guard() {
         ),
         ("tid() in the prefix", Fetch { prefix: vec![let_("lane", tid())], ..solo_block() }),
         (
-            "a Div in the prefix",
-            Fetch { prefix: vec![let_("half", div(v("__cons_off"), i(2)))], ..solo_block() },
-        ),
-        (
             "an alloc before the loop",
             Fetch { prefix: vec![alloc("nb", "no", i(64), AllocScope::Block)], ..solo_block() },
         ),
@@ -209,19 +238,19 @@ fn shapes_outside_the_fetch_loop_have_no_guard() {
     ];
     for (what, f) in negatives {
         let k = f.kernel();
-        assert!(!has_guard(&k), "{what}: must not be guarded");
+        assert!(!has_rule(&k), "{what}: must not get the rule");
         let (_, r, _) = run_solo_block(&k);
         r.unwrap_or_else(|e| panic!("{what}: {e}"));
     }
 }
 
-/// Fuel parity where reuse starts: 52 blocks of 256 threads over 3 items,
-/// so 49 idle blocks and 48 reused results. The tree walker's minimal
+/// Fuel parity where copying starts: 52 blocks of 256 threads over 3 items,
+/// so 49 idle blocks and 48 copied results. The tree walker's minimal
 /// completing budget completes on the VM, and one step less exhausts both.
 #[test]
 fn fuel_runs_out_at_the_same_step_across_reused_blocks() {
     let k = solo_block().kernel();
-    assert!(has_guard(&k));
+    assert!(has_rule(&k));
     let arrays = [vec![2; 32], pair_buf()];
     let go = |exec, fuel| run(&k, exec, &arrays, &[0], (52, 256), Some(fuel));
     let completes = |fuel| go(ExecEngine::Tree, fuel).1.is_ok();

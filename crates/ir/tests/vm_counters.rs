@@ -1,4 +1,5 @@
-//! The VM's `ir.vm.*` counters are process-global, so this must stay the
+//! The VM's `ir.vm.*` counters and `sim.idle_blocks` (the blocks that
+//! copied a VM block's result) are process-global, so this must stay the
 //! only test in its binary: any concurrent launch would move them. The
 //! kernel is installed without an executor pin, and only the VM moves these
 //! counters, so the test also proves that the default executor is the VM.
@@ -56,12 +57,12 @@ fn vm_counters_are_deterministic_bounded_and_independent_of_tracing() {
     assert!(single > 0, "`inp[0]` and `inp[row + j]` are single-site: {first:?}");
     assert!(single <= groups, "single-site groups are a subset: {first:?}");
     assert!(single < groups, "`out[tid]` stores are per-lane: {first:?}");
-    idle_blocks_count_the_reused_results_of_guarded_launches_only();
+    idle_blocks_count_the_copied_results_of_fetch_loop_launches_only();
 }
 
 /// A block-stride item-fetch loop (a consolidated SoloBlock child) launched
 /// `<<<8, 64>>>` over 3 items, on `exec` (`None`: unpinned); returns how far
-/// it moved `ir.vm.idle_blocks`.
+/// it moved `sim.idle_blocks`.
 fn idle_blocks_moved(exec: Option<ExecEngine>) -> u64 {
     let mut m = Module::new();
     m.add(KernelBuilder::new("cons").array("out").array("buf").scalar("off").body(vec![
@@ -81,22 +82,22 @@ fn idle_blocks_moved(exec: Option<ExecEngine>) -> u64 {
     let out = eng.mem.alloc_array("out", 256);
     let buf = eng.mem.alloc_array_init("buf", vec![3, 0, 64, 128]);
     let ids = install_with_engine(&mut eng, &m, exec).unwrap();
-    let idle = obs::counter("ir.vm.idle_blocks");
+    let idle = obs::counter("sim.idle_blocks");
     let before = idle.get();
     eng.launch(LaunchSpec::new(ids["cons"], 8, 64, vec![out as i64, buf as i64, 0])).unwrap();
     idle.get() - before
 }
 
-/// `ir.vm.idle_blocks` counts the reused results of guarded VM launches
-/// only; called from the one test so no other launch runs beside it.
-fn idle_blocks_count_the_reused_results_of_guarded_launches_only() {
-    // Blocks 3..8 are idle: the first runs, the other 4 reuse its result.
+/// `sim.idle_blocks` counts the copied results of fetch-loop launches on
+/// the VM only; called from the one test so no other launch runs beside it.
+fn idle_blocks_count_the_copied_results_of_fetch_loop_launches_only() {
+    // Blocks 3..8 are idle: the first runs, the other 4 copy its result.
     assert_eq!(idle_blocks_moved(None), 4);
     assert_eq!(idle_blocks_moved(Some(ExecEngine::Tree)), 0, "the tree walker runs every block");
-    let idle = obs::counter("ir.vm.idle_blocks");
+    let idle = obs::counter("sim.idle_blocks");
     let before = idle.get();
     run_once();
-    assert_eq!(idle.get() - before, 0, "an unguarded kernel reuses nothing");
+    assert_eq!(idle.get() - before, 0, "a kernel of another shape copies nothing");
     empty_warps_count_the_copied_traces_of_vm_runs_only();
 }
 

@@ -3,11 +3,14 @@
 //! The paper's directive supports three buffer allocation mechanisms
 //! (Table I / Section IV.E): the CUDA default `malloc`, the open-source
 //! Halloc slab allocator, and a customized allocator over a pre-allocated
-//! memory pool. All three are implemented here as genuine allocators over a
-//! single heap array in simulated global memory; they differ both in
-//! *mechanism* (free list vs. size-class slabs vs. bump pointer) and in their
-//! modeled per-operation cycle cost, which is what produces the Figure 5
-//! comparison.
+//! memory pool. All three place buffers in a single heap array in simulated
+//! global memory, and none of them frees: the generated code never releases
+//! a consolidation buffer, so buffers live until `reset_launch` ends the
+//! host launch and [`DeviceHeap::reset`] reclaims the heap. The default
+//! allocator and the pool place with a bump pointer, and Halloc rounds each
+//! request up to a power-of-two size class, whose blocks it carves from a
+//! bump pointer of its own in chunks. Their modeled per-operation cycle cost is what
+//! produces the Figure 5 comparison.
 //!
 //! The heap array is *sparse* ([`GlobalMem::alloc_sparse_array`]): its full
 //! capacity is addressable and bounds-checked, but host memory is spent only
@@ -22,12 +25,11 @@ use crate::SimError;
 /// Which allocator backs device-side `Alloc` statements for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocKind {
-    /// CUDA `malloc`/`free`: correct but slow general-purpose allocator.
+    /// CUDA `malloc`: the slowest per op; placed like [`AllocKind::PreAlloc`].
     Default,
     /// Halloc-like size-class slab allocator: fast-ish per op.
     Halloc,
-    /// Pre-allocated pool with an atomic bump pointer: near-free per op,
-    /// reset wholesale between kernels/launch generations.
+    /// Pre-allocated pool with an atomic bump pointer: near-free per op.
     PreAlloc,
 }
 
@@ -54,7 +56,6 @@ impl AllocKind {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HeapStats {
     pub allocs: u64,
-    pub frees: u64,
     pub alloc_cycles: u64,
     pub peak_words_in_use: u64,
     pub failed_allocs: u64,
@@ -62,11 +63,9 @@ pub struct HeapStats {
 
 #[derive(Debug, Clone)]
 enum Backend {
-    /// Address-ordered first-fit free list of `(offset, len)` holes.
-    FreeList { holes: Vec<(u64, u64)>, live: Vec<(u64, u64)> },
     /// Power-of-two size classes carved from a bump region on demand.
     Slab { classes: Vec<Vec<u64>>, bump: u64 },
-    /// Monotone bump pointer; `free` is a no-op, `reset` reclaims everything.
+    /// Monotone bump pointer.
     Bump { next: u64 },
 }
 
@@ -96,11 +95,8 @@ impl DeviceHeap {
     pub fn new(kind: AllocKind, capacity_words: u64, mem: &mut GlobalMem) -> Self {
         let array = mem.alloc_sparse_array("__device_heap", capacity_words as usize);
         let backend = match kind {
-            AllocKind::Default => {
-                Backend::FreeList { holes: vec![(0, capacity_words)], live: Vec::new() }
-            }
             AllocKind::Halloc => Backend::Slab { classes: vec![Vec::new(); 40], bump: 0 },
-            AllocKind::PreAlloc => Backend::Bump { next: 0 },
+            AllocKind::Default | AllocKind::PreAlloc => Backend::Bump { next: 0 },
         };
         DeviceHeap {
             kind,
@@ -126,27 +122,6 @@ impl DeviceHeap {
         self.stats.allocs += 1;
         self.stats.alloc_cycles += self.kind.op_cycles(cost);
         let off = match &mut self.backend {
-            Backend::FreeList { holes, live } => {
-                let mut found = None;
-                for (i, &(ho, hl)) in holes.iter().enumerate() {
-                    if hl >= words {
-                        found = Some((i, ho, hl));
-                        break;
-                    }
-                }
-                match found {
-                    Some((i, ho, hl)) => {
-                        if hl == words {
-                            holes.remove(i);
-                        } else {
-                            holes[i] = (ho + words, hl - words);
-                        }
-                        live.push((ho, words));
-                        Some(ho)
-                    }
-                    None => None,
-                }
-            }
             Backend::Slab { classes, bump } => {
                 let class = size_class(words);
                 let block = 1u64 << class;
@@ -193,48 +168,10 @@ impl DeviceHeap {
         }
     }
 
-    /// Free an allocation made by `alloc`. For the pre-allocated pool this is
-    /// a no-op (the pool is reclaimed wholesale with [`DeviceHeap::reset`]).
-    pub fn free(&mut self, offset: u64, words: u64, cost: &CostModel) {
-        self.stats.frees += 1;
-        match &mut self.backend {
-            Backend::FreeList { holes, live } => {
-                self.stats.alloc_cycles += self.kind.op_cycles(cost);
-                if let Some(pos) = live.iter().position(|&(o, _)| o == offset) {
-                    let (o, l) = live.swap_remove(pos);
-                    let idx = holes.partition_point(|&(ho, _)| ho < o);
-                    holes.insert(idx, (o, l));
-                    // Coalesce with neighbours.
-                    if idx + 1 < holes.len() && holes[idx].0 + holes[idx].1 == holes[idx + 1].0 {
-                        holes[idx].1 += holes[idx + 1].1;
-                        holes.remove(idx + 1);
-                    }
-                    if idx > 0 && holes[idx - 1].0 + holes[idx - 1].1 == holes[idx].0 {
-                        holes[idx - 1].1 += holes[idx].1;
-                        holes.remove(idx);
-                    }
-                    self.words_in_use = self.words_in_use.saturating_sub(l);
-                }
-            }
-            Backend::Slab { classes, .. } => {
-                self.stats.alloc_cycles += self.kind.op_cycles(cost);
-                let class = size_class(words);
-                classes[class as usize].push(offset);
-                self.words_in_use = self.words_in_use.saturating_sub(1u64 << class);
-            }
-            Backend::Bump { .. } => {}
-        }
-    }
-
-    /// Reclaim everything (pre-alloc pool reset between host launches).
+    /// Reclaim everything (between host launches).
     pub fn reset(&mut self) {
         self.words_in_use = 0;
         match &mut self.backend {
-            Backend::FreeList { holes, live } => {
-                holes.clear();
-                holes.push((0, self.capacity));
-                live.clear();
-            }
             Backend::Slab { classes, bump } => {
                 classes.iter_mut().for_each(Vec::clear);
                 *bump = 0;
@@ -255,28 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn default_allocator_first_fit_and_coalesce() {
-        let (mut h, _m, c) = heap(AllocKind::Default, 100);
-        let a = h.alloc(40, &c).unwrap();
-        let b = h.alloc(40, &c).unwrap();
-        assert_eq!(a, 0);
-        assert_eq!(b, 40);
-        assert!(h.alloc(40, &c).is_err());
-        h.free(a, 40, &c);
-        h.free(b, 40, &c);
-        // Coalesced back into one hole -> a big alloc fits again.
-        let big = h.alloc(100, &c).unwrap();
-        assert_eq!(big, 0);
-    }
-
-    #[test]
-    fn default_allocator_reuses_freed_blocks() {
-        let (mut h, _m, c) = heap(AllocKind::Default, 128);
-        let a = h.alloc(32, &c).unwrap();
-        let _b = h.alloc(32, &c).unwrap();
-        h.free(a, 32, &c);
-        let a2 = h.alloc(16, &c).unwrap();
-        assert_eq!(a2, 0, "first fit should reuse the freed hole");
+    fn default_places_like_prealloc_and_charges_its_own_cycles() {
+        let c = CostModel::default();
+        let (mut d, _m, _) = heap(AllocKind::Default, 100);
+        let (mut p, _m2, _) = heap(AllocKind::PreAlloc, 100);
+        for words in [10, 0, 33, 40, 16] {
+            assert_eq!(d.alloc(words, &c).ok(), p.alloc(words, &c).ok(), "{words} words");
+        }
+        assert!(d.alloc(1, &c).is_err() && p.alloc(1, &c).is_err(), "both exhausted at 100");
+        assert_eq!(d.words_in_use(), p.words_in_use());
+        assert_eq!(d.stats.allocs, 6);
+        assert_eq!(d.stats.alloc_cycles, 6 * c.alloc_default_cycles);
     }
 
     #[test]
@@ -284,10 +210,8 @@ mod tests {
         let (mut h, _m, c) = heap(AllocKind::Halloc, 1 << 16);
         let a = h.alloc(33, &c).unwrap(); // class 64
         let b = h.alloc(64, &c).unwrap();
-        assert_ne!(a, b);
-        h.free(a, 33, &c);
-        let a2 = h.alloc(50, &c).unwrap(); // same class, should reuse
-        assert_eq!(a2, a);
+        assert_eq!(a - b, 64, "two blocks of one 64-word chunk");
+        assert_eq!(h.words_in_use(), 128);
     }
 
     #[test]
@@ -305,7 +229,6 @@ mod tests {
         let (mut h, _m, c) = heap(AllocKind::PreAlloc, 100);
         assert_eq!(h.alloc(10, &c).unwrap(), 0);
         assert_eq!(h.alloc(10, &c).unwrap(), 10);
-        h.free(0, 10, &c); // no-op
         assert_eq!(h.alloc(10, &c).unwrap(), 20);
         h.reset();
         assert_eq!(h.alloc(10, &c).unwrap(), 0);
@@ -346,55 +269,22 @@ mod proptests {
     use super::*;
     use dpcons_workloads::rng::Rng64;
 
-    /// Free-list allocator never hands out overlapping live regions and
-    /// frees fully reclaim capacity.
+    /// The slab allocator never hands out overlapping blocks.
     #[test]
-    fn default_allocator_no_overlap() {
-        let mut g = Rng64::seed_from_u64(0xA110C);
-        for case in 0..32 {
-            let sizes: Vec<u64> = (0..g.range_u64(1, 40)).map(|_| g.range_u64(1, 64)).collect();
-            let mut mem = GlobalMem::new();
-            let mut h = DeviceHeap::new(AllocKind::Default, 1 << 14, &mut mem);
-            let c = CostModel::default();
-            let mut live: Vec<(u64, u64)> = Vec::new();
-            for (i, &s) in sizes.iter().enumerate() {
-                let off = h.alloc(s, &c).unwrap();
-                for &(o, l) in &live {
-                    assert!(off + s <= o || o + l <= off, "case {case}: overlap at alloc {i}");
-                }
-                live.push((off, s));
-            }
-            for (o, l) in live.drain(..) {
-                h.free(o, l, &c);
-            }
-            assert_eq!(h.words_in_use(), 0, "case {case}");
-            // All capacity available again.
-            assert!(h.alloc(1 << 14, &c).is_ok(), "case {case}");
-        }
-    }
-
-    /// Slab allocator round-trips arbitrary interleavings of alloc/free.
-    #[test]
-    fn halloc_alloc_free_interleave() {
+    fn halloc_blocks_never_overlap() {
         let mut g = Rng64::seed_from_u64(0x5AB5);
         for case in 0..32 {
-            let ops: Vec<(u64, bool)> =
-                (0..g.range_u64(1, 60)).map(|_| (g.range_u64(1, 200), g.gen_bool(0.5))).collect();
             let mut mem = GlobalMem::new();
             let mut h = DeviceHeap::new(AllocKind::Halloc, 1 << 16, &mut mem);
             let c = CostModel::default();
             let mut live: Vec<(u64, u64)> = Vec::new();
-            for (s, do_free) in ops {
-                if do_free && !live.is_empty() {
-                    let (o, l) = live.pop().unwrap();
-                    h.free(o, l, &c);
-                } else {
-                    let off = h.alloc(s, &c).unwrap();
-                    for &(o, _) in &live {
-                        assert_ne!(off, o, "case {case}");
-                    }
-                    live.push((off, s));
+            for _ in 0..g.range_u64(1, 60) {
+                let s = g.range_u64(1, 200);
+                let off = h.alloc(s, &c).unwrap();
+                for &(o, l) in &live {
+                    assert!(off + s <= o || o + l <= off, "case {case}");
                 }
+                live.push((off, s));
             }
         }
     }

@@ -47,6 +47,14 @@ fn functional_execs_counter() -> &'static obs::Counter {
     C.get_or_init(|| obs::counter("sim.functional_execs"))
 }
 
+/// Counter of blocks that recorded a clone of their launch's first idle
+/// block's result instead of running (`sim.idle_blocks`), cached like the
+/// above; added once per launch.
+fn idle_blocks_counter() -> &'static obs::Counter {
+    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::counter("sim.idle_blocks"))
+}
+
 /// Counter of timing-only replays (`sim.replays`), cached like the above.
 fn replays_counter() -> &'static obs::Counter {
     static C: OnceLock<&'static obs::Counter> = OnceLock::new();
@@ -204,14 +212,14 @@ impl Engine {
     /// Run the launch DAG breadth-first, each launch's blocks in order, and
     /// capture one [`ExecRecord`] per kernel execution.
     ///
-    /// A kernel body with an [`crate::IdleGuard`] (asked once per launch;
-    /// the IR's VM has one for the item-fetch loop of a consolidated child)
-    /// names the blocks that only fail their guard. The first such block of
-    /// a launch runs as usual and its result and fuel are kept; each later
-    /// one spends that fuel and records a clone. That is exact by the
-    /// guard's contract: an idle block writes nothing, and running it would
-    /// record what the first idle block recorded. A body without a guard,
-    /// like the tree walker, runs every block.
+    /// A block whose body reports [`BlockCtx::idle`] never entered its work
+    /// loop (the IR's VM reports it for the item-fetch loop of a
+    /// consolidated child). Every later block of the launch then spends
+    /// that block's fuel and records a clone of its result, and nothing is
+    /// evaluated for it. That is exact by the field's contract: an idle
+    /// block writes nothing, so each later one would record what it
+    /// recorded. A body that never reports it, like the tree walker, runs
+    /// every block.
     fn functional_phase(&mut self, root: LaunchSpec) -> Result<Vec<ExecRecord>, SimError> {
         self.validate_spec(&root, 0)?;
         let mut queue: VecDeque<(LaunchSpec, u32, Option<(usize, u32, usize)>)> = VecDeque::new();
@@ -229,14 +237,17 @@ impl Engine {
             functional_execs_counter().inc();
             let rec_id = records.len();
             let body = Arc::clone(&self.kernels[spec.kernel]);
-            let guard = body.idle_guard();
             // The launch's first idle block (an index into `blocks`) and the
             // fuel it spent.
             let mut idle: Option<(usize, u64)> = None;
-            let mut reused = 0u64;
             let mut blocks: Vec<BlockResult> = Vec::with_capacity(spec.grid as usize);
             for b in 0..spec.grid {
                 self.fuel.spend(1)?;
+                if let Some((first, fuel)) = idle {
+                    self.fuel.spend(fuel)?;
+                    blocks.push(blocks[first].clone());
+                    continue;
+                }
                 touched.clear();
                 let mut ctx = BlockCtx {
                     block_id: b,
@@ -249,17 +260,11 @@ impl Engine {
                     cost: &self.gpu.costs,
                     touched_segments: &mut touched,
                     fuel: &mut self.fuel,
+                    idle: false,
                 };
-                let is_idle = guard.is_some_and(|g| g.is_idle(&ctx));
-                if let (true, Some((first, fuel))) = (is_idle, idle) {
-                    ctx.fuel.spend(fuel)?;
-                    blocks.push(blocks[first].clone());
-                    reused += 1;
-                    continue;
-                }
                 let fuel_before = ctx.fuel.remaining();
                 let result = body.run_block(&mut ctx)?;
-                if is_idle {
+                if ctx.idle {
                     let spent = fuel_before.zip(ctx.fuel.remaining()).map_or(0, |(a, b)| a - b);
                     idle = Some((blocks.len(), spent));
                 }
@@ -273,8 +278,8 @@ impl Engine {
                 }
                 blocks.push(result);
             }
-            if let (Some(g), 1..) = (guard, reused) {
-                g.reused(reused);
+            if let Some((first, _)) = idle {
+                idle_blocks_counter().add((blocks.len() - 1 - first) as u64);
             }
             records.push(ExecRecord {
                 regs_per_thread: body.regs_per_thread(),

@@ -253,6 +253,13 @@ pub struct BlockCtx<'a> {
     /// bodies charge loop iterations against it so runaway candidates fault
     /// deterministically instead of spinning.
     pub fuel: &'a mut FuelMeter,
+    /// Out: set by the body when this block never entered its work loop, so
+    /// that every later block of the launch would write, allocate and
+    /// launch nothing and record the same [`BlockResult`] for the same fuel.
+    /// The engine then records a clone of this block's result for each of
+    /// them instead of running it (`dpcons-ir`'s VM sets it for a
+    /// consolidated child's item-fetch loop). Arrives `false`.
+    pub idle: bool,
 }
 
 /// The functional behaviour of a kernel.
@@ -271,27 +278,6 @@ pub trait KernelBody: Send + Sync {
     fn shared_bytes(&self) -> u32 {
         0
     }
-
-    /// This kernel's idle-block test, if it has one. The engine asks once
-    /// per launch; `None` (the default) runs every block.
-    fn idle_guard(&self) -> Option<&dyn IdleGuard> {
-        None
-    }
-}
-
-/// An exact test for a kernel's **idle** blocks: blocks that only fail
-/// their work guard. An idle block writes no memory, allocates nothing and
-/// launches nothing, and its [`BlockResult`] and the fuel it spends equal
-/// every other idle block's of the same launch. So the engine runs the
-/// launch's first idle block and hands a clone of its result, and the same
-/// fuel charge, to the rest.
-pub trait IdleGuard: Send + Sync {
-    /// Is block `ctx.block_id` idle, judged on current memory? Reads only;
-    /// answers `false` whenever running the block could fault.
-    fn is_idle(&self, ctx: &BlockCtx<'_>) -> bool;
-
-    /// Told once per launch how many idle blocks reused a result.
-    fn reused(&self, blocks: u64);
 }
 
 #[cfg(test)]

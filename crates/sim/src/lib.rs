@@ -37,7 +37,7 @@ pub use config::{parse_fleet, CostModel, FleetSpecError, GpuConfig, WARP_SIZE};
 pub use dpcons_obs as obs;
 pub use engine::{functional_execs_total, Engine, ExecRecord};
 pub use kernel::{
-    BlockCtx, BlockResult, FuelMeter, IdleGuard, KernelBody, KernelId, LaunchSpec, SegmentResult,
+    BlockCtx, BlockResult, FuelMeter, KernelBody, KernelId, LaunchSpec, SegmentResult,
 };
 pub use mem::{coalesced_transactions, ArrayId, GlobalMem};
 pub use profiler::ProfileReport;

@@ -28,7 +28,7 @@ use dpcons_core::{consolidate, Granularity};
 use dpcons_ir::{
     compile_module, install_with_engine, lower_module, set_engine_override, ExecEngine, Module,
 };
-use dpcons_sim::{AllocKind, Engine, GpuConfig, LaunchSpec, SimError};
+use dpcons_sim::{AllocKind, Engine, FuelMeter, GpuConfig, LaunchSpec, SimError};
 use dpcons_workloads::rng::Rng64;
 
 /// The engine override is process-global; every test in this binary holds
@@ -152,9 +152,10 @@ fn fuel_exhaustion_fires_at_the_same_step_count_in_both_executors() {
 /// Seeded sweep of the consolidated SSSP child (block level; every
 /// granularity emits the same child) launched on its own over a random
 /// graph and item buffer: per-item degrees in [0, 300], half of them at most
-/// 32, `blockDim` in {32, 64, 200, 256, 1024} and 1..=3 blocks. Both
-/// executors are pinned per install, so the override lock is not needed;
-/// arrays, report, launch DAG or fault must be equal in every case.
+/// 32, `blockDim` in {32, 64, 200, 256, 1024} and 1..=52 blocks over 1..=6
+/// items, so most launches copy idle blocks. Both executors are pinned per
+/// install, so the override lock is not needed; arrays, report, launch DAG
+/// or fault and the fuel left must be equal in every case.
 #[test]
 fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
     const INF: i64 = 1 << 40;
@@ -164,13 +165,14 @@ fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
     let mut module = Module::new();
     module.add(cons.module.get("sssp_child__cons").expect("the consolidated child").clone());
     let cm = compile_module(&module).unwrap();
-    assert!(lower_module(&cm)[0].has_empty_warp_rule(), "the sweep must exercise the rule");
+    let bk = &lower_module(&cm)[0];
+    assert!(bk.has_empty_warp_rule() && bk.has_idle_block_rule(), "the sweep must use both rules");
 
     let mut rng = Rng64::seed_from_u64(0x5EED_0048);
-    let mut copies = 0;
+    let (mut copies, mut idle_copies) = (0, 0);
     for case in 0..250 {
         let block = [32u32, 64, 200, 256, 1024][case % 5];
-        let grid = rng.range_u64(1, 4) as u32;
+        let grid = rng.range_u64(1, 53) as u32;
         let nodes = rng.range_usize_incl(1, 8);
         let degs: Vec<i64> = (0..nodes)
             .map(|_| {
@@ -201,10 +203,16 @@ fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
         if i64::from(block / 32) - (widest + 31) / 32 >= 2 {
             copies += 1;
         }
+        // Blocks past the item count never enter the fetch loop; with two of
+        // them the second copies the first's result.
+        if grid as usize >= items.len() + 2 {
+            idle_copies += 1;
+        }
 
         let arrays = [row, col, wgt, dist, vec![0], buf];
         let run = |exec| {
             let mut e = Engine::new(GpuConfig::k20c(), AllocKind::PreAlloc, 1 << 12);
+            e.fuel = FuelMeter::new(Some(1 << 40));
             let handles: Vec<_> =
                 arrays.iter().map(|d| e.mem.alloc_array_init("a", d.clone())).collect();
             let ids = install_with_engine(&mut e, &module, Some(exec)).unwrap();
@@ -213,7 +221,7 @@ fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
             let r = e.launch_traced(LaunchSpec::new(ids["sssp_child__cons"], grid, block, args));
             let out: Vec<Vec<i64>> =
                 handles.iter().map(|&h| e.mem.slice(h).unwrap().to_vec()).collect();
-            (out, r)
+            (out, r, e.fuel.remaining())
         };
         let (vm, tree) = (run(ExecEngine::Bytecode), run(ExecEngine::Tree));
         assert!(
@@ -223,4 +231,5 @@ fn the_consolidated_sssp_child_agrees_across_item_degrees_and_block_sizes() {
         assert!(vm.1.is_ok(), "case {case}: {:?}", vm.1);
     }
     assert!(copies > 100, "only {copies} of 250 cases have two empty warps in a block");
+    assert!(idle_copies > 200, "only {idle_copies} of 250 cases copy an idle block");
 }
