@@ -39,9 +39,9 @@
 //!
 //! Observability: `--trace PATH` records spans from every stage of the run
 //! and writes a Chrome trace-event JSON (load it in Perfetto or
-//! `chrome://tracing`); `--metrics` prints the process metrics registry and
-//! a span stage summary on exit; `--quiet` suppresses the stderr progress
-//! lines.
+//! `chrome://tracing`), checked with `validate_chrome_trace` first;
+//! `--metrics` prints the process metrics registry and a span stage summary
+//! on exit; `--quiet` suppresses the stderr progress lines.
 //!
 //! Whenever the overall sweep runs, the machine-readable record
 //! `BENCH_reproduce.json` (per-app cycles for flat / basic-dp / the three
@@ -54,11 +54,11 @@
 //! one that fails or differs still prints its cell and is listed on stderr.
 //!
 //! Exit status: `0` clean, `2` usage error, `1` hard failure (a run that
-//! failed or differs from its oracle, or any faulted candidate under
-//! `--strict`), `3` the sweeps completed but some candidates faulted
-//! (panicked / timed out / failed) and were skipped. Faulted candidates are
-//! listed one per line and summarized even under `--quiet`, so automation
-//! never silently loses a data point.
+//! failed or differs from its oracle, a `--trace` export that does not
+//! validate, or any faulted candidate under `--strict`), `3` the sweeps
+//! completed but some candidates faulted (panicked / timed out / failed) and
+//! were skipped. Faulted candidates are listed one per line and summarized
+//! even under `--quiet`, so automation never silently loses a data point.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -250,9 +250,14 @@ fn main() {
     }
 
     // Observability exports run last so they cover every selected experiment.
+    let mut trace_invalid = false;
     if let Some(path) = &trace_path {
         let spans = dpcons_obs::take_spans();
         let json = dpcons_obs::chrome_trace_json(&spans);
+        if let Err(e) = dpcons_obs::validate_chrome_trace(&json) {
+            eprintln!("reproduce: the trace for {} does not validate: {e}", path.display());
+            trace_invalid = true;
+        }
         match std::fs::write(path, &json) {
             Ok(()) => progress(format!("[wrote {} ({} spans)]", path.display(), spans.len())),
             Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
@@ -284,6 +289,8 @@ fn main() {
     }
     let status = if m > 0 {
         eprintln!("reproduce: {m} reference point(s) failed or differ from the CPU oracle");
+        ErrorClass::Internal
+    } else if trace_invalid {
         ErrorClass::Internal
     } else if n > 0 && strict {
         eprintln!("reproduce: --strict and {n} candidate(s) faulted");

@@ -123,6 +123,37 @@ mod tests {
         }
     }
 
+    /// The default allocator places like pre-alloc: every `…/default/…` line
+    /// of the committed record has a `…/pre-alloc/…` partner with the same
+    /// output, launch counts, DRAM transactions and allocation count. Only
+    /// the allocation charge (`alloc_cycles`) and the timing built on it
+    /// may differ.
+    #[test]
+    fn default_allocator_places_like_pre_alloc_in_the_record() {
+        let record = std::fs::read_to_string(golden_path()).expect("read the committed record");
+        let lines: HashMap<&str, Vec<&str>> = record.lines().map(split).collect();
+        fn field<'a>(fields: &[&'a str], name: &str) -> Option<&'a str> {
+            fields.iter().find(|f| f.split('=').next() == Some(name)).copied()
+        }
+        let mut pairs = 0;
+        for (key, fields) in record.lines().map(split).filter(|(k, _)| k.contains("/default/")) {
+            let partner = key.replace("/default/", "/pre-alloc/");
+            let other = lines.get(partner.as_str()).unwrap_or_else(|| panic!("{key}: no partner"));
+            for name in [
+                "output",
+                "host_launches",
+                "device_launches",
+                "kernels_executed",
+                "dram_transactions",
+                "alloc_ops",
+            ] {
+                assert_eq!(field(&fields, name), field(other, name), "{key} vs {partner}");
+            }
+            pairs += 1;
+        }
+        assert!(pairs > 0, "the record holds default-allocator candidates");
+    }
+
     #[test]
     fn diff_names_missing_and_extra_datapoints() {
         let missing = RECORD.split_once('\n').unwrap().1;

@@ -241,8 +241,8 @@ impl KnobSpace {
 
     /// The size of the knob product: an upper bound on the enumerated
     /// candidates, which skip degenerate configurations (`blocks` or
-    /// `threads` of 0) and collapse grid-level points that differ only in
-    /// knobs grid-level codegen ignores.
+    /// `threads` of 0) and keep one point per generated program (grid level
+    /// reads neither buffer knob; see [`crate::generated_buffer`]).
     pub fn len(&self) -> usize {
         self.granularities.len()
             * self.buffers.len()

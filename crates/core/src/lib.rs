@@ -39,4 +39,6 @@ pub use occupancy::{
     LaunchShape,
 };
 pub use runtime::{prepare_launch, reset_launch, PreparedLaunch};
-pub use transform::{consolidate, prework_slice, Consolidated, GridExtras, TransformInfo};
+pub use transform::{
+    consolidate, generated_buffer, prework_slice, Consolidated, GridExtras, TransformInfo,
+};

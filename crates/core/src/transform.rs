@@ -32,9 +32,9 @@
 
 use dpcons_ir::ast::{AllocScope, Expr, Kernel, Module, Param, ParamKind, Stmt};
 use dpcons_ir::dsl::*;
-use dpcons_sim::{GpuConfig, WARP_SIZE};
+use dpcons_sim::{AllocKind, GpuConfig, WARP_SIZE};
 
-use crate::analysis::{analyze, Analysis, ChildClass, LaunchInfo, TransformError};
+use crate::analysis::{analyze, const_eval, Analysis, ChildClass, LaunchInfo, TransformError};
 use crate::directive::{Directive, Granularity, SizeSpec};
 use crate::occupancy::{ConfigPolicy, KernelResources, LaunchShape};
 
@@ -128,6 +128,24 @@ pub fn consolidate(
     }
 }
 
+/// The buffer clauses of `d` as the code [`consolidate`] generates reads
+/// them: `None` at grid level, whose buffers live in the host's pool whatever
+/// the allocator and `perBufferSize`; else the allocator and the per-buffer
+/// capacity in items, folded to a constant where it folds. Without
+/// `perBufferSize` the capacity is 4 items per thread of the scope:
+/// `4 × warpSize` at warp level, `4 × blockDim.x` at block level. Two
+/// directives that differ only in clauses this drops generate one program.
+pub fn generated_buffer(d: &Directive) -> Option<(AllocKind, Expr)> {
+    let capacity = match (&d.per_buffer_size, d.granularity) {
+        (_, Granularity::Grid) => return None,
+        (Some(SizeSpec::Items(n)), _) => i(*n as i64),
+        (Some(SizeSpec::Var(name)), _) => v(name),
+        (None, Granularity::Warp) => i(WARP * 4),
+        (None, Granularity::Block) => mul(ntid(), i(4)),
+    };
+    Some((d.buffer, const_eval(&capacity).map_or(capacity, Expr::I)))
+}
+
 struct Ctx<'a> {
     module: &'a Module,
     parent: &'a Kernel,
@@ -189,23 +207,6 @@ impl<'a> Ctx<'a> {
         format!("{}__postwork", self.parent.name)
     }
 
-    /// Buffer capacity in items for warp/block-level buffers.
-    fn capacity_expr(&self) -> Expr {
-        match &self.directive.per_buffer_size {
-            Some(SizeSpec::Items(n)) => i(*n as i64),
-            Some(SizeSpec::Var(name)) => v(name),
-            None => match self.directive.granularity {
-                Granularity::Warp => i(WARP * 4),
-                _ => mul(ntid(), i(4)),
-            },
-        }
-    }
-
-    /// Words for one warp/block buffer: `1 (count) + capacity * nv`.
-    fn buffer_words_expr(&self) -> Expr {
-        add(i(1), mul(self.capacity_expr(), i(self.nv() as i64)))
-    }
-
     /// Pool stride between recursion levels (grid level), in words.
     fn level_stride(&self) -> i64 {
         let items = match self.directive.total_size {
@@ -219,25 +220,22 @@ impl<'a> Ctx<'a> {
     // The paper's steps, shared by both templates.
     // ------------------------------------------------------------------
 
-    /// Step (1) at warp/block level: allocate the buffer `buf`/`off` in the
-    /// granularity's scope and zero its count from one thread (at block
-    /// level behind a barrier). `None` at grid level, whose buffers live in
-    /// the host's pool.
+    /// Step (1) at warp/block level: allocate the buffer `buf`/`off` of
+    /// `1 (count) + capacity * nv` words in the granularity's scope and zero
+    /// its count from one thread (at block level behind a barrier). `None` at
+    /// grid level, whose buffers live in the host's pool.
     fn alloc_buffer(&self, buf: &str, off: &str) -> Option<Vec<Stmt>> {
+        let (_, capacity) = generated_buffer(self.directive)?;
+        let words = add(i(1), mul(capacity, i(self.nv() as i64)));
         let zero = vec![store(v(buf), v(off), i(0))];
-        let words = self.buffer_words_expr();
-        match self.directive.granularity {
-            Granularity::Warp => Some(vec![
+        Some(if self.directive.granularity == Granularity::Warp {
+            vec![
                 alloc(buf, off, words, AllocScope::Warp),
                 when(eq(rem(tid(), i(WARP)), i(0)), zero),
-            ]),
-            Granularity::Block => Some(vec![
-                alloc(buf, off, words, AllocScope::Block),
-                when(eq(tid(), i(0)), zero),
-                sync(),
-            ]),
-            Granularity::Grid => None,
-        }
+            ]
+        } else {
+            vec![alloc(buf, off, words, AllocScope::Block), when(eq(tid(), i(0)), zero), sync()]
+        })
     }
 
     /// The grid-level pool parameters: pool, barrier counters, and for

@@ -20,8 +20,8 @@
 //! * [`chrome`] — exports drained spans as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` or <https://ui.perfetto.dev>), with a
 //!   [`validate_chrome_trace`] checker (built on the minimal [`jsonv`]
-//!   parser) that CI uses to prove emitted traces are well-formed and every
-//!   begin event has a matching end.
+//!   parser) that CI uses to prove emitted traces are well-formed: one
+//!   complete event per span, start times in order on every thread.
 //!
 //! A fourth small piece, [`warn`], emits process-wide deduplicated
 //! degraded-mode warnings ([`warn_once`]) so a cache falling back to

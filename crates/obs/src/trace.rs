@@ -9,9 +9,9 @@
 //! Rings are bounded ([`RING_CAPACITY`] spans per thread); overflow drops
 //! the *oldest* completed spans and counts them in [`dropped_spans`].
 //! Because spans are recorded at *end* time, the survivors of an overflow
-//! are the most recently finished spans; the Chrome exporter reconstructs
-//! nesting from recorded depths, so losing inner spans never unbalances the
-//! output.
+//! are the most recently finished spans; the Chrome exporter writes each
+//! survivor as one complete event with its own start and duration, so losing
+//! inner spans never breaks the output.
 //!
 //! Timestamps are microseconds since the first span of the process (a lazily
 //! initialised `Instant` epoch), which keeps numbers small and keeps

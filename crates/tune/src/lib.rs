@@ -14,9 +14,10 @@
 //! 1. **Enumerate** — [`enumerate_candidates`] walks the
 //!    [`dpcons_core::KnobSpace`] product into [`Knobs`] points, filling
 //!    unset sizes from the app's hand-written base directives (exposed via
-//!    [`dpcons_apps::TuneModel`]) and collapsing grid-level duplicates
-//!    (buffer knobs do not reach grid-level codegen). A candidate stays one
-//!    `Knobs` value from here on: [`candidate_config`] puts it in
+//!    [`dpcons_apps::TuneModel`]) and keeping one point per program the
+//!    compiler would generate ([`dpcons_core::generated_buffer`] says which
+//!    buffer knobs reach the code). A candidate stays one `Knobs` value
+//!    from here on: [`candidate_config`] puts it in
 //!    `RunConfig::tuned`, the runner applies it to the base directive
 //!    ([`Knobs::apply`]) and the report prints that directive as the
 //!    winning pragma ([`materialize_directive`]).

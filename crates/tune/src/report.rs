@@ -115,8 +115,8 @@ pub struct TuneReport {
     pub panicked: usize,
     /// Candidates stopped by the fuel/deadline watchdog.
     pub timed_out: usize,
-    /// Redundant grid-level combinations collapsed before the sweep (buffer
-    /// allocator and per-buffer size do not reach grid-level codegen).
+    /// Knob points dropped before the sweep because an earlier candidate
+    /// generates the same program (see [`crate::enumerate_candidates`]).
     pub collapsed: usize,
     /// Functional app executions the sweep performed (evaluated plus faulted
     /// candidates) — at most one per candidate, whatever the device count.
@@ -344,7 +344,7 @@ impl TuneReport {
 
 /// First line of the text form; its version moves with
 /// [`crate::tuner::CACHE_SCHEMA`].
-const HEADER: &str = "dpcons-tune v4";
+const HEADER: &str = "dpcons-tune v5";
 
 fn sanitize(msg: &str) -> String {
     msg.replace(['\n', '\r'], " ")

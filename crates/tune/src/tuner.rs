@@ -4,12 +4,12 @@
 //! [`crate::fleet_sweep`], and through them `reproduce tune`/`fleet` and
 //! the `dpcons-serve` daemon — is the private `sweep` below; `tune` is the
 //! sweep over `[base.gpu]`. Its stages: key the request ([`cache_key_for`])
-//! and look the results cache up → enumerate the knob space, collapsing
-//! redundant grid-level combinations → optionally run the baselines →
-//! evaluate every candidate in parallel, in deterministic waves under the
-//! search budget → rank by cycles among oracle-exact runs, once per device →
-//! store. Nothing is rejected before it runs: a statically infeasible point
-//! fails during evaluation with the compiler's or simulator's own error.
+//! and look the results cache up → enumerate the knob space into its
+//! distinct programs → optionally run the baselines → evaluate every
+//! candidate in parallel, in deterministic waves under the search budget →
+//! rank by cycles among oracle-exact runs, once per device → store. Nothing
+//! is rejected before it runs: a statically infeasible point fails during
+//! evaluation with the compiler's or simulator's own error.
 //!
 //! A candidate executes functionally **once**, on `devices[0]`, whatever the
 //! device count: only timing depends on a device's structural resources
@@ -24,13 +24,12 @@
 //! single-device sweep) and `thread_budget.rs` (the wave is the only
 //! fan-out: at most `min(WAVE_SIZE, cores)` pool threads).
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
 use dpcons_apps::{AppError, AppOutcome, Benchmark, RunConfig, TuneModel, Variant};
-use dpcons_core::{Directive, Granularity, KnobSpace, Knobs};
-use dpcons_sim::{AllocKind, GpuConfig, ProfileReport, SimError};
+use dpcons_core::{generated_buffer, Directive, Granularity, KnobSpace, Knobs};
+use dpcons_sim::{GpuConfig, ProfileReport, SimError};
 
 use crate::cache::{Cache, Fnv64};
 use crate::par::parallel_map_robust;
@@ -47,8 +46,9 @@ pub const WAVE_SIZE: usize = 16;
 /// entry would otherwise report pre-change cycles as current.
 /// v2: fault-tolerant sweeps (panicked/timed-out outcomes, `Budget` watchdog
 /// fields). v3: one report format for every device count, one key function.
-/// v4: no static pruning (no `pruned` rows).
-pub const CACHE_SCHEMA: u32 = 4;
+/// v4: no static pruning (no `pruned` rows). v5: one candidate per generated
+/// program (a warp `pbs=128` point no longer repeats its `pbs=-` default).
+pub const CACHE_SCHEMA: u32 = 5;
 
 /// Search budget: an evaluation cap for large knob grids and per-candidate
 /// watchdogs. The paper's per-granularity default candidates are always
@@ -216,17 +216,17 @@ pub fn default_knobs(model: &TuneModel, g: Granularity) -> Knobs {
 
 /// Enumerate the candidate list in deterministic search order: the
 /// `space` product, row-major (granularity, buffer, per-buffer size, launch
-/// shape), skipping degenerate shapes (`blocks` or `threads` of 0). A `None`
-/// per-buffer size keeps the app directive's own. Grid-level combinations
-/// that differ only in buffer allocator or per-buffer size are collapsed
-/// onto one canonical candidate (neither knob reaches grid-level codegen:
-/// the buffer is the host-provided pool), and the paper-default candidates
-/// are moved to the front so budgeted sweeps always cover them. Returns the
-/// candidates plus the number of collapsed duplicates.
+/// shape), skipping degenerate shapes (`blocks` or `threads` of 0), with the
+/// paper-default candidates moved to the front (a stable sort) so budgeted
+/// sweeps always cover them. A `None` per-buffer size keeps the app
+/// directive's own. A candidate is a distinct program: a point whose
+/// granularity, launch shape and [`generated_buffer`] equal an earlier
+/// point's is dropped, so each default stays its program's representative
+/// (grid-level code reads neither buffer knob; a warp buffer without
+/// `perBufferSize` holds 128 items, as `pbs=128` does). Returns the
+/// candidates plus the number of points dropped that way.
 pub fn enumerate_candidates(model: &TuneModel, space: &KnobSpace) -> (Vec<Knobs>, usize) {
-    let mut seen: HashSet<Knobs> = HashSet::new();
-    let mut out: Vec<Knobs> = Vec::new();
-    let mut collapsed = 0usize;
+    let mut points: Vec<Knobs> = Vec::new();
     for &granularity in &space.granularities {
         let own = default_knobs(model, granularity);
         for &alloc in &space.buffers {
@@ -235,24 +235,27 @@ pub fn enumerate_candidates(model: &TuneModel, space: &KnobSpace) -> (Vec<Knobs>
                     if matches!(config, Some((b, t)) if b == 0 || t == 0) {
                         continue;
                     }
-                    let (alloc, per_buffer_size) = match granularity {
-                        Granularity::Grid => (AllocKind::PreAlloc, own.per_buffer_size),
-                        _ => (alloc, pbs.or(own.per_buffer_size)),
-                    };
-                    let k = Knobs { granularity, alloc, per_buffer_size, config };
-                    if seen.insert(k) {
-                        out.push(k);
-                    } else {
-                        collapsed += 1;
-                    }
+                    let per_buffer_size = pbs.or(own.per_buffer_size);
+                    points.push(Knobs { granularity, alloc, per_buffer_size, config });
                 }
             }
         }
     }
     let defaults: Vec<Knobs> =
         space.granularities.iter().map(|&g| default_knobs(model, g)).collect();
-    out.sort_by_key(|k| usize::from(!defaults.contains(k)));
-    (out, collapsed)
+    points.sort_by_key(|k| usize::from(!defaults.contains(k)));
+    let n = points.len();
+    let mut programs = Vec::new();
+    points.retain(|k| {
+        let program = (k.granularity, k.config, generated_buffer(&materialize_directive(model, k)));
+        let new = !programs.contains(&program);
+        if new {
+            programs.push(program);
+        }
+        new
+    });
+    let collapsed = n - points.len();
+    (points, collapsed)
 }
 
 /// Always `None`, kept only so existing callers still build: the sweep
@@ -551,6 +554,7 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpcons_sim::AllocKind;
 
     #[test]
     fn an_attempt_captures_iff_another_device_will_replay_it() {

@@ -104,9 +104,9 @@ fn truncated_and_stale_schema_cache_files_are_misses_and_quarantined() {
 
     // Two ways an entry goes bad. Chopped mid-payload, the envelope length no
     // longer matches. Left behind by an older build, the envelope is intact
-    // (`dpcons-cache v1`, right checksum) around a schema-3 payload — which
+    // (`dpcons-cache v1`, right checksum) around a schema-4 payload — which
     // must never be parsed as a report.
-    let stale_payload = fresh.to_text().replacen("dpcons-tune v4", "dpcons-tune v3", 1);
+    let stale_payload = fresh.to_text().replacen("dpcons-tune v5", "dpcons-tune v4", 1);
     assert_ne!(stale_payload, fresh.to_text());
     let stale = format!(
         "dpcons-cache v1 {:016x} {}\n{stale_payload}",

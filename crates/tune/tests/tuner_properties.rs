@@ -9,14 +9,17 @@
 //!   never changes the winner;
 //! * **enumeration** — candidates walk the knob product in row-major order
 //!   behind the paper defaults, skip degenerate launch shapes, keep the app
-//!   directive's `work` and sizes, and collapse grid-level duplicates.
+//!   directive's `work` and sizes, and hold each distinct program the
+//!   compiler generates from the knob product exactly once.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use dpcons_apps::{
     benchmark_by_name, datasets, Benchmark, Profile, RunConfig, Sssp, TreeDescendants,
 };
-use dpcons_core::{Granularity, KnobSpace};
+use dpcons_core::{consolidate, Granularity, KnobSpace};
+use dpcons_ir::ast::{visit_stmts, Stmt};
+use dpcons_ir::module_to_string;
 use dpcons_sim::{AllocKind, GpuConfig};
 use dpcons_tune::{
     default_knobs, enumerate_candidates, fleet_sweep, materialize_directive, tune, Budget, Cache,
@@ -277,6 +280,53 @@ fn grid_level_duplicates_are_collapsed() {
     assert_eq!(collapsed, 16);
     for k in &cands {
         assert_eq!(k.alloc, AllocKind::PreAlloc);
+    }
+}
+
+/// A candidate is one program. Every point of the quick knob product, on
+/// K20c, is consolidated and keyed by the printed consolidated module plus
+/// the allocator when that module allocates on the device heap: every
+/// point's program is some candidate's, and no two candidates share one.
+#[test]
+fn candidates_are_the_distinct_programs_of_the_knob_product() {
+    let gpu = GpuConfig::k20c();
+    let space = KnobSpace::quick(gpu.num_sms);
+    for app in dpcons_apps::all_benchmarks(Profile::Test) {
+        let model = app.tune_model().unwrap();
+        let program = |k: &Knobs| {
+            let d = materialize_directive(&model, k);
+            let cons = consolidate(&model.module_dp, model.parent, &d, &gpu, None).unwrap();
+            let mut allocates = false;
+            for kernel in &cons.module.kernels {
+                visit_stmts(&kernel.body, &mut |s| allocates |= matches!(s, Stmt::Alloc { .. }));
+            }
+            (module_to_string(&cons.module), allocates.then_some(d.buffer))
+        };
+        let (cands, _) = enumerate_candidates(&model, &space);
+        let programs: Vec<_> = cands.iter().map(program).collect();
+        for (i, p) in programs.iter().enumerate() {
+            if let Some(j) = programs[..i].iter().position(|q| q == p) {
+                let (a, b) = (cands[j].label(), cands[i].label());
+                panic!("{}: candidates {a} and {b} generate one program", app.name());
+            }
+        }
+        for &granularity in &space.granularities {
+            let own = default_knobs(&model, granularity).per_buffer_size;
+            for &alloc in &space.buffers {
+                for &pbs in &space.per_buffer_sizes {
+                    for &config in &space.configs {
+                        let per_buffer_size = pbs.or(own);
+                        let k = Knobs { granularity, alloc, per_buffer_size, config };
+                        let name = app.name();
+                        assert!(
+                            programs.contains(&program(&k)),
+                            "{name} {} is no candidate's program",
+                            k.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
